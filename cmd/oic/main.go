@@ -30,13 +30,9 @@
 //	                               deadline is enforced inside the
 //	                               analysis solvers and the VM step loop
 //	-parallel                      use the parallel inlined-array layout
-//	-solver worklist|sweep|parallel
-//	                               contour-analysis fixpoint engine
-//	                               (default worklist); all three produce
+//	-solver worklist|sweep         contour-analysis fixpoint engine
+//	                               (default worklist); both produce
 //	                               byte-identical results
-//	-jobs N                        worker count for -solver parallel
-//	                               (default GOMAXPROCS; ignored by the
-//	                               sequential solvers)
 //	-dump ir|analysis|report       print internals instead of metrics
 //	-explain Class.field           explain one field's inlining decision
 //	-trace                         record and print per-phase compile times
@@ -90,8 +86,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	emitDir := fs.String("emit-dir", "", "native engine: keep the emitted Go package here")
 	timeout := fs.Duration("timeout", 0, "abort compilation or execution after this long (0 = no limit)")
 	parallel := fs.Bool("parallel", false, "use the parallel inlined-array layout")
-	solver := fs.String("solver", "", "analysis solver: worklist, sweep, or parallel (default worklist)")
-	jobs := fs.Int("jobs", 0, "worker count for -solver parallel (0 = GOMAXPROCS)")
+	solverName := fs.String("solver", "", "analysis solver: worklist or sweep (default worklist)")
 	dump := fs.String("dump", "", "dump internals: ir, analysis, or report")
 	explain := fs.String("explain", "", "explain one field's inlining decision (e.g. Rectangle.lower_left)")
 	doTrace := fs.Bool("trace", false, "record per-phase compile (and run) times")
@@ -169,12 +164,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	if engine == objinline.EngineNative && *profile {
 		return fail(fmt.Errorf("-profile requires the vm engine: site attribution is VM instrumentation"))
 	}
-	switch *solver {
-	case "", objinline.SolverWorklist, objinline.SolverSweep, objinline.SolverParallel:
-	default:
-		return fail(fmt.Errorf("unknown solver %q (want worklist, sweep, or parallel)", *solver))
+	solver, err := objinline.ParseSolver(*solverName)
+	if err != nil {
+		return fail(err)
 	}
-	cfg := objinline.Config{Mode: mode, ParallelArrays: *parallel, Solver: *solver, Jobs: *jobs}
+	cfg := objinline.Config{Mode: mode, ParallelArrays: *parallel, Solver: solver}
 
 	// The -timeout budget is one end-to-end deadline across compilation
 	// and execution, enforced inside the analysis solvers and the VM step

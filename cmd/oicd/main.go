@@ -46,7 +46,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	deadline := fs.Duration("deadline", 0, "default per-request deadline (0 = 10s)")
 	maxDeadline := fs.Duration("max-deadline", 0, "cap on requested deadlines (0 = 60s)")
 	maxSource := fs.Int("max-source-bytes", 0, "largest accepted source, in bytes (0 = 1 MiB)")
-	analysisJobs := fs.Int("analysis-jobs", 0, "per-request parallel-solver worker cap (0 = GOMAXPROCS)")
 	nativeCacheEntries := fs.Int("native-cache-entries", 0, "native-run result-cache LRU bound (0 = 64)")
 	sessionEntries := fs.Int("session-entries", 0, "live incremental-session LRU bound (0 = 64)")
 	sessionTTL := fs.Duration("session-ttl", 0, "idle incremental sessions expire after this long (0 = 15m)")
@@ -123,7 +122,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 		DefaultDeadline:    *deadline,
 		MaxDeadline:        *maxDeadline,
 		MaxSourceBytes:     *maxSource,
-		AnalysisJobs:       *analysisJobs,
 		NativeCacheEntries: *nativeCacheEntries,
 		SessionEntries:     *sessionEntries,
 		SessionTTL:         *sessionTTL,

@@ -7,10 +7,12 @@ package objinline_test
 // run to run.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"objinline"
+	"objinline/internal/server/api"
 )
 
 // TestFingerprintEquivalentConfigs pins the default-filling half of the
@@ -80,6 +82,51 @@ func TestFingerprintIsStable(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if again := cfg.Fingerprint(); again != fp {
 			t.Fatalf("fingerprint not repeatable: %q then %q", fp, again)
+		}
+	}
+}
+
+// TestSolverNames is the library half of solver-name validation (the oic
+// and oicd surfaces have their own tables): ParseSolver, Compile,
+// NewSession and the wire config's ToConfig accept exactly the two solver
+// names, the empty default included, and reject everything else — the
+// removed "parallel" among them — with one error text.
+func TestSolverNames(t *testing.T) {
+	const src = "func main() { print(6 * 7); }"
+	cases := []struct {
+		name string
+		want string // canonical name; "" means rejected
+	}{
+		{"", objinline.SolverWorklist},
+		{"worklist", objinline.SolverWorklist},
+		{"sweep", objinline.SolverSweep},
+		{"parallel", ""},
+		{"Parallel", ""},
+		{"Worklist", ""},
+		{"bogus", ""},
+	}
+	for _, tc := range cases {
+		cfg := objinline.Config{Mode: objinline.Inline, Solver: tc.name}
+		got, err := objinline.ParseSolver(tc.name)
+		_, cerr := objinline.Compile("s.icc", src, cfg)
+		_, serr := objinline.NewSession("s.icc", src, cfg)
+		_, werr := api.Config{Solver: tc.name}.ToConfig()
+		if tc.want != "" {
+			if err != nil || got != tc.want {
+				t.Errorf("ParseSolver(%q) = %q, %v; want %q", tc.name, got, err, tc.want)
+			}
+			for surface, e := range map[string]error{"Compile": cerr, "NewSession": serr, "ToConfig": werr} {
+				if e != nil {
+					t.Errorf("%s with solver %q: %v", surface, tc.name, e)
+				}
+			}
+			continue
+		}
+		want := fmt.Sprintf("unknown solver %q (want worklist or sweep)", tc.name)
+		for surface, e := range map[string]error{"ParseSolver": err, "Compile": cerr, "NewSession": serr, "ToConfig": werr} {
+			if e == nil || !strings.Contains(e.Error(), want) {
+				t.Errorf("%s with solver %q: err = %v, want %q", surface, tc.name, e, want)
+			}
 		}
 	}
 }

@@ -1,8 +1,8 @@
 package objinline_test
 
 // End-to-end cancellation coverage: a deadline must stop a pathological
-// compile inside the analysis fixpoint (all three solvers, including the
-// parallel pool) and a runaway program inside the VM step loop, promptly
+// compile inside the analysis fixpoint (both solvers) and a runaway
+// program inside the VM step loop, promptly
 // — the oicd server's per-request deadlines are only as good as these
 // guarantees.
 
@@ -21,21 +21,8 @@ import (
 // still count as prompt (the service-level acceptance bound).
 const cancelSlack = 100 * time.Millisecond
 
-// cancelSolvers enumerates the solver configurations the cancellation
-// tests cover: both sequential engines and the parallel engine with an
-// explicit multi-worker pool (Jobs: 4 forces real workers even on a
-// single-CPU runner, where the GOMAXPROCS default would degenerate to
-// the sequential path).
-var cancelSolvers = []struct {
-	name   string
-	solver string
-	jobs   int
-}{
-	{objinline.SolverWorklist, objinline.SolverWorklist, 0},
-	{objinline.SolverSweep, objinline.SolverSweep, 0},
-	{objinline.SolverParallel, objinline.SolverParallel, 0},
-	{objinline.SolverParallel + "-jobs4", objinline.SolverParallel, 4},
-}
+// cancelSolvers enumerates the solvers the cancellation tests cover.
+var cancelSolvers = []string{objinline.SolverWorklist, objinline.SolverSweep}
 
 // contourBlowupSource generates a program whose contour analysis is
 // pathologically expensive: n classes × n mutually recursive methods,
@@ -71,14 +58,14 @@ func contourBlowupSource(n int) string {
 // running the analysis (hundreds of milliseconds) to completion.
 func TestCompileCancelInAnalysis(t *testing.T) {
 	src := contourBlowupSource(20)
-	for _, sc := range cancelSolvers {
-		t.Run(sc.name, func(t *testing.T) {
+	for _, solver := range cancelSolvers {
+		t.Run(solver, func(t *testing.T) {
 			const deadline = 20 * time.Millisecond
 			ctx, cancel := context.WithTimeout(context.Background(), deadline)
 			defer cancel()
 			start := time.Now()
 			_, err := objinline.CompileContext(ctx, "blowup.icc", src,
-				objinline.Config{Mode: objinline.Inline, Solver: sc.solver, Jobs: sc.jobs})
+				objinline.Config{Mode: objinline.Inline, Solver: solver})
 			elapsed := time.Since(start)
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -95,11 +82,11 @@ func TestCompileCancelInAnalysis(t *testing.T) {
 func TestCompileCancelExpiredContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, sc := range cancelSolvers {
+	for _, solver := range cancelSolvers {
 		_, err := objinline.CompileContext(ctx, "x.icc", "func main() { print(1); }",
-			objinline.Config{Mode: objinline.Inline, Solver: sc.solver, Jobs: sc.jobs})
+			objinline.Config{Mode: objinline.Inline, Solver: solver})
 		if !errors.Is(err, context.Canceled) {
-			t.Errorf("solver %s: err = %v, want context.Canceled", sc.name, err)
+			t.Errorf("solver %s: err = %v, want context.Canceled", solver, err)
 		}
 	}
 }
@@ -110,10 +97,10 @@ func TestCompileCancelExpiredContext(t *testing.T) {
 // solver modes compile the loop, pinning the whole pipeline path.
 func TestRunCancelInfiniteLoop(t *testing.T) {
 	const src = "func main() { var i = 0; while (true) { i = i + 1; } }"
-	for _, sc := range cancelSolvers {
-		t.Run(sc.name, func(t *testing.T) {
+	for _, solver := range cancelSolvers {
+		t.Run(solver, func(t *testing.T) {
 			prog, err := objinline.Compile("loop.icc", src,
-				objinline.Config{Mode: objinline.Inline, Solver: sc.solver, Jobs: sc.jobs})
+				objinline.Config{Mode: objinline.Inline, Solver: solver})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +108,7 @@ func TestRunCancelInfiniteLoop(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), deadline)
 			defer cancel()
 			start := time.Now()
-			_, err = prog.RunContext(ctx, objinline.RunOptions{})
+			_, err = prog.Execute(ctx, objinline.RunOptions{})
 			elapsed := time.Since(start)
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -144,7 +131,7 @@ func TestRunCancelExpiredContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var out strings.Builder
-	_, err = prog.RunContext(ctx, objinline.RunOptions{Output: &out})
+	_, err = prog.Execute(ctx, objinline.RunOptions{Output: &out})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -129,14 +129,6 @@ func TestExecuteConfigEngineDefault(t *testing.T) {
 	if res.Engine != objinline.EngineVM || res.Metrics == nil {
 		t.Errorf("per-run engine override not honored: %+v", res)
 	}
-	// The deprecated wrappers stay VM-only regardless of the default.
-	m, err := p.Run(objinline.RunOptions{})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if m.Cycles <= 0 {
-		t.Errorf("Run returned empty metrics: %+v", m)
-	}
 }
 
 func TestExecuteNativeRejectsProfile(t *testing.T) {

@@ -3,6 +3,7 @@ package objinline_test
 // Runnable godoc examples for the public API.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sort"
@@ -33,7 +34,7 @@ func main() {
 		fmt.Println("compile failed:", err)
 		return
 	}
-	if _, err := prog.Run(objinline.RunOptions{Output: os.Stdout}); err != nil {
+	if _, err := prog.Execute(context.Background(), objinline.RunOptions{Output: os.Stdout}); err != nil {
 		fmt.Println("run failed:", err)
 		return
 	}
@@ -46,9 +47,9 @@ func main() {
 	// inlined: Rect.ur
 }
 
-// ExampleProgram_Run compares the baseline and inlining pipelines on the
-// same program.
-func ExampleProgram_Run() {
+// ExampleProgram_Execute compares the baseline and inlining pipelines on
+// the same program.
+func ExampleProgram_Execute() {
 	src := `
 class Cell { v; def init(v) { self.v = v; } }
 class Box { c; def init(c) { self.c = c; } }
@@ -63,8 +64,10 @@ func main() {
 `
 	base, _ := objinline.Compile("b.icc", src, objinline.Config{Mode: objinline.Baseline})
 	inl, _ := objinline.Compile("b.icc", src, objinline.Config{Mode: objinline.Inline})
-	bm, _ := base.Run(objinline.RunOptions{})
-	im, _ := inl.Run(objinline.RunOptions{})
+	ctx := context.Background()
+	bres, _ := base.Execute(ctx, objinline.RunOptions{})
+	ires, _ := inl.Execute(ctx, objinline.RunOptions{})
+	bm, im := bres.Metrics, ires.Metrics
 	fmt.Println("fewer heap objects:", im.HeapObjects < bm.HeapObjects)
 	fmt.Println("fewer cycles:", im.Cycles < bm.Cycles)
 	// Output:

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -18,11 +19,11 @@ func run(name string, src string, cfg objinline.Config) (objinline.Metrics, stri
 		log.Fatalf("%s: %v", name, err)
 	}
 	var out strings.Builder
-	m, err := prog.Run(objinline.RunOptions{Output: &out})
+	res, err := prog.Execute(context.Background(), objinline.RunOptions{Output: &out})
 	if err != nil {
 		log.Fatalf("%s: %v", name, err)
 	}
-	return m, out.String(), prog
+	return *res.Metrics, out.String(), prog
 }
 
 func main() {

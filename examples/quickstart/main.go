@@ -3,6 +3,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -48,19 +49,22 @@ func main() {
 	fmt.Print(inlined.Report())
 
 	fmt.Println("\n== program output ==")
-	im, err := inlined.Run(objinline.RunOptions{Output: os.Stdout})
+	ctx := context.Background()
+	ires, err := inlined.Execute(ctx, objinline.RunOptions{Output: os.Stdout})
 	if err != nil {
 		log.Fatal(err)
 	}
+	im := ires.Metrics
 
 	baseline, err := objinline.Compile("particles.icc", src, objinline.Config{Mode: objinline.Baseline})
 	if err != nil {
 		log.Fatal(err)
 	}
-	bm, err := baseline.Run(objinline.RunOptions{})
+	bres, err := baseline.Execute(ctx, objinline.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	bm := bres.Metrics
 
 	fmt.Println("\n== baseline vs inlined ==")
 	fmt.Printf("%-22s %12s %12s\n", "", "baseline", "inlined")

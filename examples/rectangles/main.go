@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -75,7 +76,7 @@ func main() {
 	}
 
 	fmt.Println("\n== program output (identical to the uninlined run) ==")
-	if _, err := prog.Run(objinline.RunOptions{Output: os.Stdout}); err != nil {
+	if _, err := prog.Execute(context.Background(), objinline.RunOptions{Output: os.Stdout}); err != nil {
 		log.Fatal(err)
 	}
 

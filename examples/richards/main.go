@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -31,11 +32,11 @@ func main() {
 			log.Fatalf("%v: %v", mode, err)
 		}
 		var out strings.Builder
-		m, err := prog.Run(objinline.RunOptions{Output: &out})
+		res, err := prog.Execute(context.Background(), objinline.RunOptions{Output: &out})
 		if err != nil {
 			log.Fatalf("%v: %v", mode, err)
 		}
-		results = append(results, result{mode, m, out.String(), prog})
+		results = append(results, result{mode, *res.Metrics, out.String(), prog})
 	}
 
 	fmt.Println("richards result (identical in every mode):", strings.TrimSpace(results[0].output))

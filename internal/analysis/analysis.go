@@ -4,15 +4,13 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"runtime"
 	"strconv"
 
 	"objinline/internal/ir"
 	"objinline/internal/lower"
 )
 
-// Solver names for Options.Solver (see solver.go for the worklist design
-// and parallel.go for the worker-pool solver).
+// Solver names for Options.Solver (see solver.go for the worklist design).
 const (
 	// SolverWorklist is the dependency-driven worklist solver: only the
 	// contours whose inputs changed are re-evaluated. The default.
@@ -21,16 +19,6 @@ const (
 	// re-evaluated every round until nothing changes. Kept as the
 	// reference implementation for differential testing.
 	SolverSweep = "sweep"
-	// SolverParallel solves each pass on a bounded worker pool
-	// (Options.Jobs), scheduling contours by the SCC condensation of the
-	// evolving call graph. Its output is byte-identical to the other
-	// solvers at any worker count: below the lattice's saturation points
-	// every merge is an exact set union (schedule-independent), contour
-	// and tag identities are intrinsic (canonicalize in canon.go), and
-	// the order-sensitive events — tag-set saturation, MaxContours
-	// overflow — deterministically fall back to a sequential re-run of
-	// the pass.
-	SolverParallel = "parallel"
 )
 
 // Options configures an analysis run.
@@ -47,25 +35,12 @@ type Options struct {
 	MaxContours int
 	// TagDepth caps tag nesting before collapsing to Top (default 3).
 	TagDepth int
-	// Solver selects the fixpoint engine: SolverWorklist (default),
-	// SolverSweep, or SolverParallel. All compute identical results
-	// (differentially tested); the worklist does far less work than the
-	// sweep, and the parallel solver spreads the worklist's work over
-	// Jobs workers.
+	// Solver selects the fixpoint engine: SolverWorklist (default) or
+	// SolverSweep. Both compute identical results (differentially
+	// tested); the worklist does far less work than the sweep.
 	Solver string
-	// Jobs bounds the parallel solver's worker pool. 0 (the default)
-	// means GOMAXPROCS, resolved when the solver starts — deliberately
-	// not materialized by WithDefaults, so cache keys built from Options
-	// stay machine-independent. Jobs <= 1 runs the sequential worklist
-	// engine (the degenerate pool), which is also the fallback the
-	// parallel pass re-runs on an order-sensitivity trip. Ignored by the
-	// sequential solvers.
-	Jobs int
 	// MaxRounds bounds the per-pass fixpoint iteration (default 1000).
-	// A pass that exhausts it stops with Result.Converged == false. The
-	// parallel solver enforces it as a total-evaluation budget and falls
-	// back to the sequential engine when exceeded, reproducing the
-	// sequential solvers' non-convergence behavior exactly.
+	// A pass that exhausts it stops with Result.Converged == false.
 	MaxRounds int
 }
 
@@ -73,8 +48,6 @@ type Options struct {
 // defaults. Analyze applies it internally; callers that key caches on
 // Options should apply it too, so that an explicit default (TagDepth 3)
 // and an implicit one (TagDepth 0) memoize as the same configuration.
-// Jobs is left as-is: its default (GOMAXPROCS) is machine-dependent and
-// does not affect results, so it must not leak into cache keys.
 func (o Options) WithDefaults() Options {
 	if o.MaxPasses == 0 {
 		o.MaxPasses = 8
@@ -145,12 +118,9 @@ func AnalyzeContext(ctx context.Context, prog *ir.Program, opts Options) (*Resul
 		arrSplit:   make(map[int]bool),
 		nInstrs:    make(map[*ir.Func]int),
 	}
-	// Materialize per-function state up front so the maps are read-only
-	// while a pass runs — the parallel workers read them without locks.
-	forEachFunc(prog, func(fn *ir.Func) {
-		a.policy(fn)
-		a.instrCount(fn)
-	})
+	// Every function gets a policy up front: the call transfer functions
+	// read a.policies directly.
+	forEachFunc(prog, func(fn *ir.Func) { a.policy(fn) })
 	for pass := 1; ; pass++ {
 		a.runPass()
 		if a.ctxErr != nil {
@@ -210,9 +180,7 @@ type analyzer struct {
 	arrSplit   map[int]bool       // split array contours by creator, by site UID
 	nInstrs    map[*ir.Func]int   // instruction counts (immutable IR), precomputed
 
-	// Per-pass state. During a parallel pass (par != nil) the contour,
-	// edge, and tag tables are guarded by par.structMu and every VarState
-	// by par's stripe locks; sequential passes touch them directly.
+	// Per-pass state.
 	tt       *tagTable
 	mcs      map[mcKey]*MethodContour
 	mcList   []*MethodContour
@@ -228,16 +196,13 @@ type analyzer struct {
 	nextOC   int
 	nextAC   int
 
-	// Sequential solver state (see solver.go).
+	// Worklist solver state (see solver.go).
 	curIdx      int    // drain cursor (contour ID), or -1 outside a scan
 	dirtyCur    []bool // by contour ID: scheduled for this round
 	dirtyNext   []bool // by contour ID: scheduled for the next round
 	pendingNext int
 	converged   bool
 	work        WorkStats
-
-	// par is the parallel pass's shared scheduler state, nil otherwise.
-	par *parState
 }
 
 type edgeKey struct {
@@ -260,8 +225,8 @@ func siteUID(fn *ir.Func, in *ir.Instr) int { return fn.ID*1_000_000 + in.ID }
 // Intrinsic identity hashing (FNV-1a chaining). Contour and tag keys are
 // derived from these hashes instead of creation-order IDs, so the key a
 // split produces — and therefore the partition itself — is independent of
-// the order a solver schedule happened to create contours in. See
-// canon.go for how final IDs are then assigned deterministically.
+// the order contours happened to be created in. See canon.go for how
+// final IDs are then assigned deterministically.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -292,9 +257,7 @@ func mcHash(fn *ir.Func, key string) uint64 {
 }
 
 // instrCount returns (memoized; the IR is immutable) the number of
-// instructions in fn, which sizes per-contour dirty bitmaps. Every
-// function is precomputed at analyzer construction, so pass-time calls
-// are read-only map hits.
+// instructions in fn, which sizes per-contour dirty bitmaps.
 func (a *analyzer) instrCount(fn *ir.Func) int {
 	if n, ok := a.nInstrs[fn]; ok {
 		return n
@@ -305,14 +268,6 @@ func (a *analyzer) instrCount(fn *ir.Func) int {
 	}
 	a.nInstrs[fn] = n
 	return n
-}
-
-// parJobs resolves the parallel worker count.
-func (a *analyzer) parJobs() int {
-	if a.opts.Jobs > 0 {
-		return a.opts.Jobs
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 func (a *analyzer) resetPass() {
@@ -331,7 +286,6 @@ func (a *analyzer) resetPass() {
 	a.dirtyCur, a.dirtyNext = nil, nil
 	a.pendingNext = 0
 	a.converged = true
-	a.par = nil
 }
 
 // seed creates the root contours every pass starts from.
@@ -346,22 +300,17 @@ func (a *analyzer) seed(w *worker) {
 
 // runPass analyzes the whole program to a fixpoint under the current
 // contour-selection policies, then renumbers the pass's contours and tags
-// canonically (canon.go) so every solver — and every parallel schedule —
-// reports identical state.
+// canonically (canon.go).
 func (a *analyzer) runPass() {
 	a.resetPass()
-	if a.opts.Solver == SolverParallel && a.parJobs() > 1 {
-		a.runParallelPass()
+	w := newWorker(a)
+	a.seed(w)
+	if a.sweep {
+		a.runSweep(w)
 	} else {
-		w := newWorker(a, nil)
-		a.seed(w)
-		if a.sweep {
-			a.runSweep(w)
-		} else {
-			a.runWorklist(w)
-		}
-		a.work.add(w.work)
+		a.runWorklist(w)
 	}
+	a.work.add(w.work)
 	if a.ctxErr == nil {
 		a.canonicalize()
 	}
@@ -370,9 +319,6 @@ func (a *analyzer) runPass() {
 // getMC returns (creating if needed) the contour of fn for the given
 // context key.
 func (w *worker) getMC(fn *ir.Func, key string) *MethodContour {
-	if w.p != nil {
-		return w.getMCPar(fn, key)
-	}
 	a := w.a
 	if len(a.mcList) >= a.opts.MaxContours {
 		a.overflow = true
@@ -415,9 +361,7 @@ func (w *worker) getMC(fn *ir.Func, key string) *MethodContour {
 // changed, guaranteeing every site a post-transition visit. Re-dirtying
 // replays exactly those visits (ahead-of-cursor sites this round, the
 // rest next round, per enqueue's routing), keeping the two solvers
-// bit-identical through the overflow transition. The parallel solver
-// never gets here: its getMCPar trips the pass to the sequential engine
-// at the same count threshold.
+// bit-identical through the overflow transition.
 func (w *worker) redirtyCallSites() {
 	for _, mc := range w.a.mcList {
 		sched := false
@@ -452,28 +396,10 @@ func (w *worker) getOC(fn *ir.Func, in *ir.Instr, mc *MethodContour) *ObjContour
 		key = "c" + hashKeyStr(mc.ctxHash)
 	}
 	id := allocKey{siteUID(fn, in), creator}
-	if p := w.p; p != nil {
-		p.structMu.RLock()
-		oc := a.ocs[id]
-		p.structMu.RUnlock()
-		if oc != nil {
-			return oc
-		}
-		p.structMu.Lock()
-		defer p.structMu.Unlock()
-		if oc := a.ocs[id]; oc != nil {
-			return oc
-		}
-		return a.newOC(id, fn, in, key)
-	}
 	if oc, ok := a.ocs[id]; ok {
 		return oc
 	}
 	a.changed = true
-	return a.newOC(id, fn, in, key)
-}
-
-func (a *analyzer) newOC(id allocKey, fn *ir.Func, in *ir.Instr, key string) *ObjContour {
 	oc := &ObjContour{
 		ID: a.nextOC, Class: in.Class, Site: in, SiteFn: fn, Key: key,
 		Fields:  make([]VarState, in.Class.NumSlots()),
@@ -494,28 +420,10 @@ func (w *worker) getAC(fn *ir.Func, in *ir.Instr, mc *MethodContour) *ArrContour
 		key = "c" + hashKeyStr(mc.ctxHash)
 	}
 	id := allocKey{siteUID(fn, in), creator}
-	if p := w.p; p != nil {
-		p.structMu.RLock()
-		ac := a.acs[id]
-		p.structMu.RUnlock()
-		if ac != nil {
-			return ac
-		}
-		p.structMu.Lock()
-		defer p.structMu.Unlock()
-		if ac := a.acs[id]; ac != nil {
-			return ac
-		}
-		return a.newAC(id, fn, in, key)
-	}
 	if ac, ok := a.acs[id]; ok {
 		return ac
 	}
 	a.changed = true
-	return a.newAC(id, fn, in, key)
-}
-
-func (a *analyzer) newAC(id allocKey, fn *ir.Func, in *ir.Instr, key string) *ArrContour {
 	ac := &ArrContour{
 		ID: a.nextAC, Site: in, SiteFn: fn, Key: key,
 		ctxHash: hashStr(hashU64(hashSeed(2), uint64(siteUID(fn, in))), key),
@@ -530,8 +438,7 @@ func (a *analyzer) newAC(id allocKey, fn *ir.Func, in *ir.Instr, key string) *Ar
 // bounded in length so recursion terminates (deep chains hash-merge).
 // Keys are memoized per call site on the caller contour: they are
 // recomputed on every re-evaluation of a call instruction, the inputs
-// (the caller's own key and the site) are immutable within a pass, and
-// only the caller's evaluator touches the memo.
+// (the caller's own key and the site) are immutable within a pass.
 func (w *worker) siteKey(caller *MethodContour, in *ir.Instr) string {
 	if k, ok := caller.siteKeyMemo[in.ID]; ok {
 		return k
@@ -565,9 +472,7 @@ func computeSiteKey(fnID int, callerKey string, instrID int) string {
 // re-runs whole (subsuming its partial slots), an instruction dirty only
 // in a data slot gets the matching partial re-merge, and a clean
 // instruction is skipped. Skipped work has unchanged inputs, so skipping
-// it is a no-op (see solver.go). The parallel solver's variant is
-// evalContourPar in parallel.go, which guards the dirty bitmap with the
-// contour's scheduling lock.
+// it is a no-op (see solver.go).
 func (w *worker) evalContour(mc *MethodContour) {
 	w.cur = mc
 	w.work.ContourEvals++
@@ -626,7 +531,7 @@ func (w *worker) evalArgs(mc *MethodContour, in *ir.Instr) {
 	case ir.OpGetField:
 		base := mc.Reg(in.Args[0]) // registered slotFull by the full eval
 		dst := mc.Reg(in.Dst)
-		for _, oc := range w.objList(base) {
+		for _, oc := range base.TS.ObjList() {
 			fs := oc.FieldState(in.Field.Name)
 			if fs == nil {
 				continue
@@ -637,7 +542,7 @@ func (w *worker) evalArgs(mc *MethodContour, in *ir.Instr) {
 	case ir.OpArrGet:
 		base := mc.Reg(in.Args[0])
 		dst := mc.Reg(in.Dst)
-		for _, ac := range w.arrList(base) {
+		for _, ac := range base.TS.ArrList() {
 			w.useArg(&ac.Elem)
 			w.unionTS(dst, &ac.Elem)
 		}
@@ -653,7 +558,7 @@ func (w *worker) evalArgs(mc *MethodContour, in *ir.Instr) {
 			for i := start; i < len(in.Args); i++ {
 				src := w.useArg(mc.Reg(in.Args[i]))
 				w.merge(cmc.Reg(cmc.Fn.ParamReg(i-start)), src)
-				w.mergeEdgeArg(e, i, src)
+				e.Args[i].Merge(src)
 			}
 		}
 	}
@@ -672,7 +577,6 @@ func (w *worker) evalRet(mc *MethodContour, in *ir.Instr) {
 	}
 	dst := mc.Reg(in.Dst)
 	for _, cmc := range mc.calleeOrder[in.ID] {
-		w.noteSummaryRead(cmc)
 		w.merge(dst, w.useRet(&cmc.Ret))
 	}
 }
@@ -704,7 +608,7 @@ func (w *worker) evalInstr(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 		if ir.UnOp(in.Aux) == ir.UnNot {
 			w.addPrim(reg(in.Dst), PBool)
 		} else {
-			w.addPrim(reg(in.Dst), w.prims(x)&(PInt|PFloat))
+			w.addPrim(reg(in.Dst), x.TS.Prims&(PInt|PFloat))
 		}
 	case ir.OpNewObject:
 		oc := w.getOC(fn, in, mc)
@@ -727,7 +631,7 @@ func (w *worker) evalInstr(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 	case ir.OpGetField:
 		base := use(in.Args[0])
 		dst := reg(in.Dst)
-		for _, oc := range w.objList(base) {
+		for _, oc := range base.TS.ObjList() {
 			fs := oc.FieldState(in.Field.Name)
 			if fs == nil {
 				continue
@@ -741,7 +645,7 @@ func (w *worker) evalInstr(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 			// each split object contour.
 			w.unionTS(dst, fs)
 			if a.opts.Tags {
-				for _, t := range w.tagList(base) {
+				for _, t := range base.Tags.List() {
 					w.addTag(dst, a.tt.makeObj(oc, in.Field.Name, t))
 				}
 			}
@@ -749,7 +653,7 @@ func (w *worker) evalInstr(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 	case ir.OpSetField:
 		base := use(in.Args[0])
 		val := use(in.Args[1])
-		for _, oc := range w.objList(base) {
+		for _, oc := range base.TS.ObjList() {
 			fs := oc.FieldState(in.Field.Name)
 			if fs == nil {
 				continue
@@ -759,11 +663,11 @@ func (w *worker) evalInstr(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 	case ir.OpArrGet:
 		base := use(in.Args[0])
 		dst := reg(in.Dst)
-		for _, ac := range w.arrList(base) {
+		for _, ac := range base.TS.ArrList() {
 			w.useArg(&ac.Elem)
 			w.unionTS(dst, &ac.Elem)
 			if a.opts.Tags {
-				for _, t := range w.tagList(base) {
+				for _, t := range base.Tags.List() {
 					w.addTag(dst, a.tt.makeArr(ac, t))
 				}
 			}
@@ -771,7 +675,7 @@ func (w *worker) evalInstr(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 	case ir.OpArrSet:
 		base := use(in.Args[0])
 		val := use(in.Args[2])
-		for _, ac := range w.arrList(base) {
+		for _, ac := range base.TS.ArrList() {
 			w.merge(&ac.Elem, val)
 		}
 	case ir.OpCall:
@@ -813,7 +717,7 @@ func (w *worker) evalBin(mc *MethodContour, in *ir.Instr) {
 	case ir.BinEq, ir.BinNe, ir.BinLt, ir.BinLe, ir.BinGt, ir.BinGe:
 		w.addPrim(dst, PBool)
 	default:
-		xp, yp := w.prims(x), w.prims(y)
+		xp, yp := x.TS.Prims, y.TS.Prims
 		var m PrimMask
 		if xp&PInt != 0 && yp&PInt != 0 {
 			m |= PInt
@@ -840,9 +744,9 @@ func (w *worker) evalBuiltin(mc *MethodContour, in *ir.Instr) {
 	case ir.BStrCat:
 		w.addPrim(dst, PStr)
 	case ir.BAbs:
-		w.addPrim(dst, w.prims(w.use(mc.Reg(in.Args[0])))&(PInt|PFloat))
+		w.addPrim(dst, w.use(mc.Reg(in.Args[0])).TS.Prims&(PInt|PFloat))
 	case ir.BMin, ir.BMax:
-		m := (w.prims(w.use(mc.Reg(in.Args[0]))) | w.prims(w.use(mc.Reg(in.Args[1])))) & (PInt | PFloat)
+		m := (w.use(mc.Reg(in.Args[0])).TS.Prims | w.use(mc.Reg(in.Args[1])).TS.Prims) & (PInt | PFloat)
 		w.addPrim(dst, m)
 	}
 }
@@ -857,9 +761,7 @@ func (w *worker) bindTopLevel(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 	}
 	cmc := w.getMC(callee, key)
 	if mc.addCallee(in.ID, cmc) {
-		if w.p == nil {
-			a.changed = true
-		}
+		a.changed = true
 	}
 	if !a.sweep {
 		mc.noteCallee(in.ID, cmc)
@@ -868,10 +770,9 @@ func (w *worker) bindTopLevel(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 	for i, r := range in.Args {
 		src := w.useArg(mc.Reg(r))
 		w.merge(cmc.Reg(callee.ParamReg(i)), src)
-		w.mergeEdgeArg(e, i, src)
+		e.Args[i].Merge(src)
 	}
 	if in.Dst != ir.NoReg {
-		w.noteSummaryRead(cmc)
 		w.merge(mc.Reg(in.Dst), w.useRet(&cmc.Ret))
 	}
 }
@@ -884,7 +785,7 @@ func (w *worker) bindTopLevel(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 func (w *worker) bindReceiverCall(mc *MethodContour, fn *ir.Func, in *ir.Instr, fixed *ir.Func) {
 	a := w.a
 	recv := w.use(mc.Reg(in.Args[0]))
-	for _, oc := range w.objList(recv) {
+	for _, oc := range recv.TS.ObjList() {
 		target := fixed
 		if target == nil {
 			target = oc.Class.LookupMethod(in.Method)
@@ -904,8 +805,8 @@ func (w *worker) bindReceiverCall(mc *MethodContour, fn *ir.Func, in *ir.Instr, 
 		if pol.splitByRecvOC {
 			baseKey += "|o" + hashKeyStr(oc.ctxHash)
 		}
-		if pol.splitByRecvTag && a.opts.Tags && w.tagsLen(recv) > 0 {
-			for _, t := range w.tagList(recv) {
+		if pol.splitByRecvTag && a.opts.Tags && recv.Tags.Len() > 0 {
+			for _, t := range recv.Tags.List() {
 				key := baseKey + "|t" + hashKeyStr(t.uid)
 				self := VarState{}
 				self.TS.AddObj(oc)
@@ -916,7 +817,7 @@ func (w *worker) bindReceiverCall(mc *MethodContour, fn *ir.Func, in *ir.Instr, 
 		}
 		self := VarState{}
 		self.TS.AddObj(oc)
-		for _, t := range w.tagList(recv) {
+		for _, t := range recv.Tags.List() {
 			self.Tags.Add(t)
 		}
 		w.bindMethod(mc, in, target, baseKey, &self)
@@ -927,23 +828,20 @@ func (w *worker) bindMethod(mc *MethodContour, in *ir.Instr, target *ir.Func, ke
 	a := w.a
 	cmc := w.getMC(target, key)
 	if mc.addCallee(in.ID, cmc) {
-		if w.p == nil {
-			a.changed = true
-		}
+		a.changed = true
 	}
 	if !a.sweep {
 		mc.noteCallee(in.ID, cmc)
 	}
 	e := w.edge(mc, in, cmc)
-	w.mergeLocal(cmc.Reg(0), self)
-	w.mergeEdgeArgLocal(e, 0, self)
+	w.merge(cmc.Reg(0), self)
+	e.Args[0].Merge(self)
 	for i := 1; i < len(in.Args); i++ {
 		src := w.useArg(mc.Reg(in.Args[i]))
 		w.merge(cmc.Reg(target.ParamReg(i-1)), src)
-		w.mergeEdgeArg(e, i, src)
+		e.Args[i].Merge(src)
 	}
 	if in.Dst != ir.NoReg {
-		w.noteSummaryRead(cmc)
 		w.merge(mc.Reg(in.Dst), w.useRet(&cmc.Ret))
 	}
 }
@@ -951,33 +849,10 @@ func (w *worker) bindMethod(mc *MethodContour, in *ir.Instr, target *ir.Func, ke
 func (w *worker) edge(from *MethodContour, in *ir.Instr, to *MethodContour) *Edge {
 	a := w.a
 	k := edgeKey{from: from, instr: in.ID, to: to}
-	if p := w.p; p != nil {
-		p.structMu.RLock()
-		e := a.edges[k]
-		p.structMu.RUnlock()
-		if e != nil {
-			return e
-		}
-		p.structMu.Lock()
-		if e := a.edges[k]; e != nil {
-			p.structMu.Unlock()
-			return e
-		}
-		e = newEdge(a, k, in, to)
-		p.structMu.Unlock()
-		// A new call edge refines the call graph; feed the SCC
-		// condensation that schedules downstream work.
-		p.recordEdge(int32(from.ID), int32(to.ID))
-		return e
-	}
 	if e, ok := a.edges[k]; ok {
 		return e
 	}
-	return newEdge(a, k, in, to)
-}
-
-func newEdge(a *analyzer, k edgeKey, in *ir.Instr, to *MethodContour) *Edge {
-	e := &Edge{From: k.from, Instr: in, To: to, Args: make([]VarState, len(in.Args))}
+	e := &Edge{From: from, Instr: in, To: to, Args: make([]VarState, len(in.Args))}
 	a.edges[k] = e
 	to.InEdges = append(to.InEdges, e)
 	return e

@@ -12,7 +12,7 @@ import (
 
 func pollWorker(ctx context.Context) *worker {
 	a := &analyzer{ctx: ctx, done: ctx.Done()}
-	return newWorker(a, nil)
+	return newWorker(a)
 }
 
 // TestPollCancelledAllocFree pins the checkpoint to zero allocations, on

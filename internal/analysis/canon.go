@@ -3,17 +3,18 @@ package analysis
 import "sort"
 
 // canonicalize renumbers the pass's contours and tags from
-// schedule-independent sort keys, and sorts every contour's in-edge list.
-// It runs at the end of every pass, for every solver, before
+// order-independent sort keys, and sorts every contour's in-edge list.
+// It runs at the end of every pass, for both solvers, before
 // updatePolicies reads the pass's state.
 //
-// Why it exists: the parallel solver creates contours and interns tags in
-// whatever order its schedule happens to run, so creation-order IDs would
-// differ run to run (and from the sequential solvers) even though the
-// *set* of contours and their states are identical. Every contour and tag
-// therefore carries an intrinsic identity — the context key it was
-// requested under, hashed with its function or site (ctxHash, Tag.uid) —
-// and IDs are assigned here by sorting on those identities:
+// Why it exists: creation-order IDs record the order the solver happened
+// to discover contours and intern tags in, and that order leaks into
+// everything numbered from them — the clone partition, the class
+// versions it names (Job'4 vs Job'5), and, through the layout of those
+// classes, the modeled cycle counts. Every contour and tag therefore
+// carries an intrinsic identity — the context key it was requested
+// under, hashed with its function or site (ctxHash, Tag.uid) — and IDs
+// are assigned here by sorting on those identities:
 //
 //   - method contours by (function ID, context key). Unique: the contour
 //     table is keyed by exactly that pair.
@@ -25,9 +26,9 @@ import "sort"
 //   - each contour's InEdges by (caller contour ID, call instruction ID),
 //     unique because the edge table is keyed by caller/instruction/callee.
 //
-// The sequential solvers get renumbered too — identical schedules yield
-// identical creation orders, so for them this is a pure relabeling — which
-// keeps all three solvers byte-identical in every ID-bearing report.
+// So contour, tag, clone and class numbering are a function of the
+// analysis result alone: a change to the solver's evaluation order that
+// reaches the same fixpoint cannot renumber the optimized program.
 //
 // Everything downstream of a pass reads canonical IDs: updatePolicies'
 // class and tag signatures, TagSet.List (sorted by ID), the Result dump,

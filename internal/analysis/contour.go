@@ -2,8 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"objinline/internal/ir"
 )
@@ -51,41 +49,21 @@ type MethodContour struct {
 	// Callees set so their merges replay in the full evaluation's exact
 	// order — tag sets saturate order-sensitively (see TagSet.Add), so
 	// matching the order is what keeps the worklist bit-identical to the
-	// sweep. Maintained by the worklist and parallel solvers.
+	// sweep. Maintained by the worklist solver.
 	calleeOrder map[int][]*MethodContour
 
 	// ctxHash is the contour's intrinsic identity hash: the function ID
-	// chained with the context key. Unlike the creation-order ID, it is
-	// the same under any evaluation schedule, so derived contour keys
-	// (the "c..." component of creator-split allocations) never leak
-	// scheduling order into the partition. canonicalize() renumbers IDs
-	// at the end of every pass from schedule-independent sort keys.
+	// chained with the context key. Unlike the creation-order ID, it does
+	// not depend on the order contours were created in, so derived
+	// contour keys (the "c..." component of creator-split allocations)
+	// never leak creation order into the partition. canonicalize()
+	// renumbers IDs at the end of every pass from order-independent sort
+	// keys.
 	ctxHash uint64
 
-	// siteKeyMemo memoizes this contour's per-call-site context keys;
-	// only this contour's evaluator touches it, so it needs no lock even
-	// in a parallel pass.
+	// siteKeyMemo memoizes this contour's per-call-site context keys.
 	siteKeyMemo map[int]string
-
-	// Parallel-solver scheduling state (see parallel.go). pmu guards the
-	// dirty bitmap and the pstate transitions; pstate is additionally
-	// readable via atomic load (pstate == 0 means quiescent — the
-	// contour's cells are, at this instant, a published summary). rank is
-	// the scheduling priority from the latest SCC condensation; prio is
-	// the priority captured when the contour was pushed on the run queue,
-	// owned by the queue lock.
-	pmu    sync.Mutex
-	pstate atomic.Int32
-	rank   atomic.Int32
-	prio   int64
 }
-
-// Parallel scheduling state bits (MethodContour.pstate).
-const (
-	pQueued  = 1 << iota // on the run queue
-	pRunning             // being evaluated by a worker
-	pRerun               // changed while running; re-queue at finish
-)
 
 // resetCalleeOrder clears a site's enumeration-order list (keeping its
 // capacity) before a full evaluation rebuilds it.

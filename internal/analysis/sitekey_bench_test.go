@@ -14,7 +14,7 @@ import (
 // both the short-key and the hash-collapsed (len > 72) paths.
 func benchWorker() (*worker, []*MethodContour, *ir.Instr) {
 	a := &analyzer{opts: Options{}.WithDefaults()}
-	w := newWorker(a, nil)
+	w := newWorker(a)
 	fn := &ir.Func{ID: 7, Name: "f"}
 	in := &ir.Instr{ID: 13}
 	mcs := []*MethodContour{

@@ -2,10 +2,10 @@ package analysis
 
 // The fixpoint solvers.
 //
-// All three solvers evaluate method contours in place (Gauss–Seidel: a
-// change made by an earlier contour is visible to later contours in the
-// same round) and share every transfer function in analysis.go; they
-// differ only in which contours are evaluated when, and by whom.
+// Both solvers evaluate method contours in place (Gauss–Seidel: a change
+// made by an earlier contour is visible to later contours in the same
+// round) and share every transfer function in analysis.go; they differ
+// only in which contours are evaluated when.
 //
 // The sweep solver re-evaluates *every* contour every round until a full
 // round changes nothing. The worklist solver tracks, per VarState, the
@@ -31,17 +31,6 @@ package analysis
 // same call edges, same inlining decisions. The differential tests in
 // solver_test.go and the pipeline fuzz corpus hold the solvers to
 // byte-equal reports.
-//
-// The parallel solver (parallel.go) runs the same per-contour evaluation
-// concurrently on a worker pool, using chaotic iteration: below the
-// lattice's saturation points every merge is an exact, order-independent
-// set union, so any schedule converges to the same least fixpoint, and
-// canonicalize() renumbers contours and tags from schedule-independent
-// identities at the end of every pass. The order-*sensitive* events —
-// tag-set saturation, the MaxContours overflow coercion, and round-budget
-// exhaustion — deterministically trip the parallel pass into an exact
-// sequential re-run, which is what makes its output byte-identical to
-// the worklist's at any worker count.
 //
 // Dependency granularity is the VarState (one contour register, one
 // object-contour field, one array-contour element summary, one global,
@@ -71,10 +60,7 @@ package analysis
 // WorkStats counts solver effort. The counters make the solver's
 // complexity observable: the worklist's InstrEvals should drop
 // super-proportionally versus the sweep's on programs with many contours
-// (`objbench -fig analysis` and BENCH_analysis.json report both). The
-// parallel solver's counters additionally describe its scheduling; they
-// are the one part of a Result that is *not* schedule-deterministic
-// (Result.String deliberately excludes them).
+// (`objbench -fig analysis` and BENCH_analysis.json report both).
 type WorkStats struct {
 	// Rounds is the number of fixpoint rounds across all passes.
 	Rounds int
@@ -92,23 +78,6 @@ type WorkStats struct {
 	// (including initial activations at contour creation); always 0 for
 	// the sweep solver, which schedules implicitly.
 	Enqueues int
-
-	// SCCs is the number of strongly connected components of the contour
-	// call graph at the parallel solver's final condensation of the last
-	// refinement pass (0 for the sequential engines).
-	SCCs int `json:",omitempty"`
-	// MaxSCCSize is the largest SCC's contour count at the final
-	// condensation.
-	MaxSCCSize int `json:",omitempty"`
-	// ParallelRounds counts the parallel scheduler's SCC condensation
-	// epochs — how many times the evolving call graph was re-condensed to
-	// refresh scheduling priorities (the parallel analogue of Rounds).
-	ParallelRounds int `json:",omitempty"`
-	// SummaryHits counts reads of a quiescent contour's return cell by
-	// the parallel solver: the callee had no queued or running work, so
-	// its merged arg/ret cells acted as a published summary and the
-	// caller proceeded without re-entering the callee's fixpoint.
-	SummaryHits int `json:",omitempty"`
 }
 
 func (w *WorkStats) add(o WorkStats) {
@@ -117,14 +86,6 @@ func (w *WorkStats) add(o WorkStats) {
 	w.InstrEvals += o.InstrEvals
 	w.PartialEvals += o.PartialEvals
 	w.Enqueues += o.Enqueues
-	if o.SCCs > w.SCCs {
-		w.SCCs = o.SCCs
-	}
-	if o.MaxSCCSize > w.MaxSCCSize {
-		w.MaxSCCSize = o.MaxSCCSize
-	}
-	w.ParallelRounds += o.ParallelRounds
-	w.SummaryHits += o.SummaryHits
 }
 
 // cancelPollInterval is how many contour evaluations a worker runs
@@ -134,11 +95,8 @@ func (w *WorkStats) add(o WorkStats) {
 const cancelPollInterval = 32
 
 // cancelled reports whether the analysis context has been canceled,
-// latching the context error on first observation. Sequential-solver
-// workers reach it through pollCancelled, which amortizes the check; it
-// must not be called from parallel workers (ctxErr is unsynchronized —
-// the parallel pass polls ctx.Done() directly and lets the coordinator
-// latch the error after the pool joins).
+// latching the context error on first observation. The solvers reach it
+// through pollCancelled, which amortizes the check.
 func (a *analyzer) cancelled() bool {
 	if a.done == nil {
 		return false
@@ -156,26 +114,21 @@ func (a *analyzer) cancelled() bool {
 }
 
 // worker is one evaluation context: the transfer functions in analysis.go
-// run as its methods, reading shared analysis state through w.a and
-// keeping everything per-evaluation — the contour and instruction being
+// run as its methods, reading analysis state through w.a and keeping
+// everything per-evaluation — the contour and instruction being
 // evaluated, work counters, the cancellation poll countdown — on the
-// worker itself. The sequential solvers drive a single worker; the
-// parallel solver runs one per goroutine (w.p non-nil), in which case the
-// helpers below route every shared-cell access through the parallel
-// state's stripe locks.
+// worker itself. Each pass drives a single worker.
 type worker struct {
 	a *analyzer
-	p *parState // nil for the sequential solvers
 
 	cur      *MethodContour // contour being evaluated (dep registration)
 	curInstr int            // flattened position of the instruction being evaluated
 	work     WorkStats
-	pollN    int      // contour evals until the next context poll
-	scratch  []uint64 // reader collection buffer (parallel merges)
+	pollN    int // contour evals until the next context poll
 }
 
-func newWorker(a *analyzer, p *parState) *worker {
-	return &worker{a: a, p: p, curInstr: -1, pollN: 1}
+func newWorker(a *analyzer) *worker {
+	return &worker{a: a, curInstr: -1, pollN: 1}
 }
 
 // pollCancelled is the amortized cancellation checkpoint, called once per
@@ -191,14 +144,6 @@ func (w *worker) pollCancelled() bool {
 		return false
 	}
 	w.pollN = cancelPollInterval
-	if w.p != nil {
-		select {
-		case <-w.a.done:
-			return true
-		default:
-			return false
-		}
-	}
 	return w.a.cancelled()
 }
 
@@ -314,24 +259,12 @@ func (w *worker) register(vs *VarState, slot int) *VarState {
 		return vs
 	}
 	r := uint64(w.cur.ID)<<32 | uint64(numSlots*w.curInstr+slot+1)
-	if p := w.p; p != nil {
-		m := p.stripeOf(vs)
-		m.Lock()
-		registerLocked(vs, r)
-		m.Unlock()
-		return vs
-	}
-	registerLocked(vs, r)
-	return vs
-}
-
-func registerLocked(vs *VarState, r uint64) {
 	if vs.dep0 == r {
-		return
+		return vs
 	}
 	if vs.dep0 == 0 {
 		vs.dep0 = r
-		return
+		return vs
 	}
 	if _, ok := vs.deps[r]; !ok {
 		if vs.deps == nil {
@@ -339,12 +272,12 @@ func registerLocked(vs *VarState, r uint64) {
 		}
 		vs.deps[r] = struct{}{}
 	}
+	return vs
 }
 
 // bump records that vs changed: the sweep flips the global changed bit;
 // the worklist reschedules exactly the instruction slots that have read
-// vs. Sequential solvers only — parallel merges collect readers under
-// the cell's stripe lock and mark them afterward (see the helpers below).
+// vs.
 func (w *worker) bump(vs *VarState) {
 	w.a.changed = true
 	if w.a.sweep {
@@ -365,10 +298,6 @@ func (w *worker) bump(vs *VarState) {
 // sweep has. Otherwise the reader's contour is (re-)scheduled at round
 // granularity and the bit tells its next visit what to re-run.
 func (w *worker) mark(r uint64) {
-	if w.p != nil {
-		w.pmark(r)
-		return
-	}
 	a := w.a
 	mc := a.mcList[r>>32]
 	bit := int(uint32(r)) - 1
@@ -398,171 +327,39 @@ func (w *worker) enqueue(mc *MethodContour) {
 	}
 }
 
-// ---- Shared-cell access helpers ----
+// ---- Change-tracking merges ----
 //
-// Every transfer function reads and writes analysis cells exclusively
-// through these. Sequentially they compile down to the direct operations
-// the solvers have always performed; in a parallel pass they wrap each
-// access in the owning stripe lock, pre-check the order-sensitive
-// saturation condition (tripping the pass if it would fire), and collect
-// the changed cell's readers under the lock so they can be marked after
-// it is released (mark acquires scheduling locks, which must never nest
-// inside a stripe).
+// Every transfer function writes analysis cells through these, so that a
+// cell that actually changes bumps its readers (see bump).
 
-// collectReaders appends vs's reader set to w.scratch (caller resets it).
-func (w *worker) collectReaders(vs *VarState) {
-	if vs.dep0 != 0 {
-		w.scratch = append(w.scratch, vs.dep0)
-	}
-	for r := range vs.deps {
-		w.scratch = append(w.scratch, r)
-	}
-}
-
-func (w *worker) markCollected() {
-	for _, r := range w.scratch {
-		w.pmark(r)
-	}
-	w.scratch = w.scratch[:0]
-}
-
-// guardTagAdd trips the parallel pass if inserting t into s would push it
-// past the tag-set cap: the cap's collapse-to-Top keeps established
-// members, so *which* tags establish themselves depends on arrival order
-// — an order the concurrent schedule cannot reproduce. Whether the cap
-// is ever exceeded, though, is schedule-independent: cell contents only
-// grow toward the least fixpoint, so some schedule exceeds it iff every
-// schedule (including the sequential one) does — which makes "trip and
-// re-run sequentially" both deterministic and exact.
-func (w *worker) guardTagAdd(s *TagSet, t *Tag) {
-	if t == nil || s.Has(t) {
-		return
-	}
-	if s.Len()+1 > maxTagSet {
-		w.p.trip()
-	}
-}
-
-func (w *worker) guardTagUnion(dst, src *TagSet) {
-	if src.Len() == 0 || dst.Len()+src.Len() <= maxTagSet {
-		return
-	}
-	fresh := 0
-	for t := range src.m {
-		if !dst.Has(t) {
-			fresh++
-		}
-	}
-	if dst.Len()+fresh > maxTagSet {
-		w.p.trip()
-	}
-}
-
-// merge wraps VarState.Merge with change tracking. src must be a shared
-// cell; for worker-local sources (the constructed self state of a method
-// binding) use mergeLocal.
+// merge wraps VarState.Merge with change tracking.
 func (w *worker) merge(dst, src *VarState) {
-	if p := w.p; p != nil {
-		ds, ss := p.stripeOf(dst), p.stripeOf(src)
-		lockPair(ds, ss)
-		if w.a.opts.Tags {
-			w.guardTagUnion(&dst.Tags, &src.Tags)
-		}
-		if dst.Merge(src) {
-			w.collectReaders(dst)
-		}
-		unlockPair(ds, ss)
-		w.markCollected()
-		return
-	}
-	if dst.Merge(src) {
-		w.bump(dst)
-	}
-}
-
-// mergeLocal merges a worker-local VarState (no other goroutine can see
-// it) into a shared cell.
-func (w *worker) mergeLocal(dst, src *VarState) {
-	if p := w.p; p != nil {
-		m := p.stripeOf(dst)
-		m.Lock()
-		if w.a.opts.Tags {
-			w.guardTagUnion(&dst.Tags, &src.Tags)
-		}
-		if dst.Merge(src) {
-			w.collectReaders(dst)
-		}
-		m.Unlock()
-		w.markCollected()
-		return
-	}
 	if dst.Merge(src) {
 		w.bump(dst)
 	}
 }
 
 // unionTS unions src's TypeSet (only) into dst, as the field/element load
-// transfer functions do. Object and array sets have no cap, so this is
-// always an exact union.
+// transfer functions do.
 func (w *worker) unionTS(dst, src *VarState) {
-	if p := w.p; p != nil {
-		ds, ss := p.stripeOf(dst), p.stripeOf(src)
-		lockPair(ds, ss)
-		if dst.TS.Union(&src.TS) {
-			w.collectReaders(dst)
-		}
-		unlockPair(ds, ss)
-		w.markCollected()
-		return
-	}
 	if dst.TS.Union(&src.TS) {
 		w.bump(dst)
 	}
 }
 
 func (w *worker) addPrim(dst *VarState, m PrimMask) {
-	if p := w.p; p != nil {
-		mu := p.stripeOf(dst)
-		mu.Lock()
-		if dst.TS.AddPrim(m) {
-			w.collectReaders(dst)
-		}
-		mu.Unlock()
-		w.markCollected()
-		return
-	}
 	if dst.TS.AddPrim(m) {
 		w.bump(dst)
 	}
 }
 
 func (w *worker) addObj(dst *VarState, oc *ObjContour) {
-	if p := w.p; p != nil {
-		mu := p.stripeOf(dst)
-		mu.Lock()
-		if dst.TS.AddObj(oc) {
-			w.collectReaders(dst)
-		}
-		mu.Unlock()
-		w.markCollected()
-		return
-	}
 	if dst.TS.AddObj(oc) {
 		w.bump(dst)
 	}
 }
 
 func (w *worker) addArr(dst *VarState, ac *ArrContour) {
-	if p := w.p; p != nil {
-		mu := p.stripeOf(dst)
-		mu.Lock()
-		if dst.TS.AddArr(ac) {
-			w.collectReaders(dst)
-		}
-		mu.Unlock()
-		w.markCollected()
-		return
-	}
 	if dst.TS.AddArr(ac) {
 		w.bump(dst)
 	}
@@ -572,115 +369,7 @@ func (w *worker) addTag(dst *VarState, t *Tag) {
 	if !w.a.opts.Tags {
 		return
 	}
-	if p := w.p; p != nil {
-		mu := p.stripeOf(dst)
-		mu.Lock()
-		w.guardTagAdd(&dst.Tags, t)
-		if dst.Tags.Add(t) {
-			w.collectReaders(dst)
-		}
-		mu.Unlock()
-		w.markCollected()
-		return
-	}
 	if dst.Tags.Add(t) {
 		w.bump(dst)
-	}
-}
-
-// mergeEdgeArg accumulates a shared source cell into an edge's
-// transmitted-argument record. Edge cells are single-writer (only the
-// evaluator of the edge's From contour touches them, and a contour has
-// at most one evaluator at a time), so only the source needs its stripe;
-// edge readers (updatePolicies) run after quiescence.
-func (w *worker) mergeEdgeArg(e *Edge, i int, src *VarState) {
-	if p := w.p; p != nil {
-		mu := p.stripeOf(src)
-		mu.Lock()
-		if w.a.opts.Tags {
-			w.guardTagUnion(&e.Args[i].Tags, &src.Tags)
-		}
-		e.Args[i].Merge(src)
-		mu.Unlock()
-		return
-	}
-	e.Args[i].Merge(src)
-}
-
-// mergeEdgeArgLocal is mergeEdgeArg for a worker-local source.
-func (w *worker) mergeEdgeArgLocal(e *Edge, i int, src *VarState) {
-	if w.p != nil && w.a.opts.Tags {
-		w.guardTagUnion(&e.Args[i].Tags, &src.Tags)
-	}
-	e.Args[i].Merge(src)
-}
-
-// objList snapshots vs's object-contour list; arrList, tagList, tagsLen
-// and prims snapshot likewise. Registration (use/useArg) precedes these
-// reads, so any concurrent growth after the snapshot re-marks the
-// reading instruction — the chaotic-iteration invariant that keeps stale
-// reads convergent.
-func (w *worker) objList(vs *VarState) []*ObjContour {
-	if p := w.p; p != nil {
-		mu := p.stripeOf(vs)
-		mu.Lock()
-		l := vs.TS.ObjList()
-		mu.Unlock()
-		return l
-	}
-	return vs.TS.ObjList()
-}
-
-func (w *worker) arrList(vs *VarState) []*ArrContour {
-	if p := w.p; p != nil {
-		mu := p.stripeOf(vs)
-		mu.Lock()
-		l := vs.TS.ArrList()
-		mu.Unlock()
-		return l
-	}
-	return vs.TS.ArrList()
-}
-
-func (w *worker) tagList(vs *VarState) []*Tag {
-	if p := w.p; p != nil {
-		mu := p.stripeOf(vs)
-		mu.Lock()
-		l := vs.Tags.List()
-		mu.Unlock()
-		return l
-	}
-	return vs.Tags.List()
-}
-
-func (w *worker) tagsLen(vs *VarState) int {
-	if p := w.p; p != nil {
-		mu := p.stripeOf(vs)
-		mu.Lock()
-		n := vs.Tags.Len()
-		mu.Unlock()
-		return n
-	}
-	return vs.Tags.Len()
-}
-
-func (w *worker) prims(vs *VarState) PrimMask {
-	if p := w.p; p != nil {
-		mu := p.stripeOf(vs)
-		mu.Lock()
-		m := vs.TS.Prims
-		mu.Unlock()
-		return m
-	}
-	return vs.TS.Prims
-}
-
-// noteSummaryRead counts a parallel read of a quiescent callee's return
-// cell: the callee has no queued or running work, so its arg/ret cells
-// are, at this instant, a published method summary and the caller
-// composes with it instead of re-entering its fixpoint.
-func (w *worker) noteSummaryRead(cmc *MethodContour) {
-	if w.p != nil && cmc.pstate.Load() == 0 {
-		w.work.SummaryHits++
 	}
 }

@@ -1,10 +1,9 @@
 package analysis_test
 
-// Differential tests holding the worklist and parallel solvers to
-// byte-identical results against the reference sweep solver — the
-// correctness arguments (solver.go, parallel.go) promise not just an
-// equal fixpoint but the same contour and tag IDs at any worker count, so
-// the full Result dumps must match exactly.
+// Differential tests holding the worklist solver to byte-identical
+// results against the reference sweep solver — the correctness argument
+// (solver.go) promises not just an equal fixpoint but the same contour
+// and tag IDs, so the full Result dumps must match exactly.
 
 import (
 	"fmt"
@@ -16,7 +15,7 @@ import (
 	"objinline/internal/core"
 )
 
-// analyzeBoth runs both sequential solvers on freshly lowered copies of
+// analyzeBoth runs both solvers on freshly lowered copies of
 // src and returns (worklist, sweep) results.
 func analyzeBoth(t *testing.T, src string, opts analysis.Options) (*analysis.Result, *analysis.Result) {
 	t.Helper()
@@ -26,25 +25,6 @@ func analyzeBoth(t *testing.T, src string, opts analysis.Options) (*analysis.Res
 	rw := analysis.Analyze(compile(t, src), optsW)
 	rs := analysis.Analyze(compile(t, src), optsS)
 	return rw, rs
-}
-
-// solverJobs are the worker counts the parallel differentials run at:
-// the degenerate pool, the minimal real pool, and an oversubscribed one.
-var solverJobs = []int{1, 2, 8}
-
-// checkParallel holds the parallel solver, at every tested worker count,
-// to the reference dump.
-func checkParallel(t *testing.T, src string, opts analysis.Options, want string) {
-	t.Helper()
-	for _, jobs := range solverJobs {
-		optsP := opts
-		optsP.Solver = analysis.SolverParallel
-		optsP.Jobs = jobs
-		rp := analysis.Analyze(compile(t, src), optsP)
-		if dp := rp.String(); dp != want {
-			t.Fatalf("parallel solver dump differs at jobs=%d\nparallel:\n%s\nreference:\n%s", jobs, dp, want)
-		}
-	}
 }
 
 // TestSolverDifferentialBench asserts that on every bundled benchmark, at
@@ -65,7 +45,6 @@ func TestSolverDifferentialBench(t *testing.T) {
 				if dw, ds := rw.String(), rs.String(); dw != ds {
 					t.Fatalf("solver dumps differ\nworklist:\n%s\nsweep:\n%s", dw, ds)
 				}
-				checkParallel(t, src, analysis.Options{Tags: tags}, rs.String())
 				if !rw.Converged || !rs.Converged {
 					t.Errorf("converged: worklist=%v sweep=%v, want both true", rw.Converged, rs.Converged)
 				}
@@ -131,7 +110,6 @@ func TestSolverDifferentialOverflow(t *testing.T) {
 						t.Fatalf("solver dumps differ at MaxContours=%d (overflowed=%v)\nworklist:\n%s\nsweep:\n%s",
 							max, rw.Overflowed, dw, ds)
 					}
-					checkParallel(t, src, analysis.Options{Tags: tags, MaxContours: max}, rs.String())
 					if rw.Work.InstrEvals > rs.Work.InstrEvals {
 						t.Errorf("worklist did more instruction evals than the sweep: %d > %d",
 							rw.Work.InstrEvals, rs.Work.InstrEvals)

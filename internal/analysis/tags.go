@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"objinline/internal/ir"
 )
@@ -32,9 +31,8 @@ type Tag struct {
 	// uid is the tag's intrinsic identity hash, chained from the holder
 	// contour's identity hash, the field name, and the base tag's uid. It
 	// never depends on creation order, so contour keys derived from it
-	// (the "|t" component in bindReceiverCall) are identical under any
-	// evaluation schedule; canonicalize() renumbers IDs from it at the end
-	// of every pass.
+	// (the "|t" component in bindReceiverCall) are independent of the
+	// order tags were interned in.
 	uid uint64
 }
 
@@ -143,10 +141,6 @@ type tagTable struct {
 	byKey   map[tagKey]*Tag
 	next    int
 	maxDep  int
-
-	// mu guards byKey and next during a parallel pass (nil for the
-	// sequential solvers, where interning is single-threaded).
-	mu *sync.RWMutex
 }
 
 type tagKey struct {
@@ -202,27 +196,9 @@ func (tt *tagTable) make(k tagKey) *Tag {
 		k.base = tt.top
 		depth = tt.maxDep
 	}
-	if tt.mu != nil {
-		tt.mu.RLock()
-		t, ok := tt.byKey[k]
-		tt.mu.RUnlock()
-		if ok {
-			return t
-		}
-		tt.mu.Lock()
-		defer tt.mu.Unlock()
-		if t, ok := tt.byKey[k]; ok {
-			return t
-		}
-		return tt.insert(k, depth)
-	}
 	if t, ok := tt.byKey[k]; ok {
 		return t
 	}
-	return tt.insert(k, depth)
-}
-
-func (tt *tagTable) insert(k tagKey, depth int) *Tag {
 	holder := uint64(0)
 	if k.oc != nil {
 		holder = k.oc.ctxHash

@@ -2,15 +2,14 @@ package bench
 
 // The analysis-phase benchmark: times the contour analysis alone (no VM
 // execution) on every benchmark program, at both Tags settings, under
-// all three solvers — with the parallel solver swept over worker counts
-// — and reports the solver work counters alongside wall time. `objbench
+// both solvers, and reports the solver work counters alongside wall
+// time. `objbench
 // -fig analysis` prints the table; `-json` (and the `make bench-analysis`
 // target) emits it as BENCH_analysis.json.
 
 import (
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"objinline/internal/analysis"
@@ -18,13 +17,11 @@ import (
 	"objinline/internal/pipeline"
 )
 
-// AnalysisBenchRow is one (program, tags, solver, jobs) timing.
+// AnalysisBenchRow is one (program, tags, solver) timing.
 type AnalysisBenchRow struct {
 	Program string
 	Tags    bool
 	Solver  string
-	// Jobs is the parallel solver's worker count (0 on sequential rows).
-	Jobs int `json:",omitempty"`
 	// NsPerOp is the wall time of one full Analyze call (all refinement
 	// passes), averaged over enough iterations to be stable.
 	NsPerOp int64
@@ -41,16 +38,6 @@ type AnalysisBenchRow struct {
 	// Speedup is sweep-ns / this-row-ns for the same (program, tags);
 	// 1.0 on the sweep rows themselves.
 	Speedup float64
-	// VsWorklist is worklist-ns / this-row-ns for the same (program,
-	// tags) — the parallel solver's jobs-sweep figure of merit (0 on the
-	// sequential rows). A parallel jobs=1 row is the pool's pure
-	// coordination overhead and must stay within a few percent of 1.
-	VsWorklist float64 `json:",omitempty"`
-	// Parallel-scheduler counters (zero on sequential rows).
-	SCCs           int `json:",omitempty"`
-	MaxSCCSize     int `json:",omitempty"`
-	ParallelRounds int `json:",omitempty"`
-	SummaryHits    int `json:",omitempty"`
 }
 
 // analysisBenchMinTime is the per-configuration timing budget: enough for
@@ -85,28 +72,16 @@ func measureAnalysis(name string, prog *ir.Program, opts analysis.Options, minTi
 		MethodContours: st.MethodContours,
 		Passes:         st.Passes,
 		Converged:      st.Converged,
-		Jobs:           opts.Jobs,
-		SCCs:           st.Work.SCCs,
-		MaxSCCSize:     st.Work.MaxSCCSize,
-		ParallelRounds: st.Work.ParallelRounds,
-		SummaryHits:    st.Work.SummaryHits,
 	}
 }
 
-// analysisBenchJobs are the worker counts the parallel solver is swept
-// over; the jobs=1 row isolates the scheduler's coordination overhead
-// against the worklist baseline.
-var analysisBenchJobs = []int{1, 2, 4, 8}
-
 // AnalysisBench times the analysis phase for every benchmark program at
-// both Tags settings under every solver (the parallel one at each worker
-// count in analysisBenchJobs). The lowered input programs come
+// both Tags settings under both solvers. The lowered input programs come
 // from the engine's memoized direct-mode compilations; the analysis runs
 // themselves are timed sequentially for stable numbers. Scale only picks
 // the workload constants substituted into the source, which the static
 // analysis never looks at, so rows are scale-independent.
 func (e *Engine) AnalysisBench(scale Scale) ([]AnalysisBenchRow, error) {
-	solvers := []string{analysis.SolverSweep, analysis.SolverWorklist}
 	var rows []AnalysisBenchRow
 	for _, p := range Programs {
 		c, err := e.Compile(p, VariantAuto, scale, pipeline.Config{Mode: pipeline.ModeDirect})
@@ -114,30 +89,15 @@ func (e *Engine) AnalysisBench(scale Scale) ([]AnalysisBenchRow, error) {
 			return nil, err
 		}
 		for _, tags := range []bool{false, true} {
-			sweepNs, worklistNs := int64(0), int64(0)
-			for _, solver := range solvers {
+			sweepNs := int64(0)
+			for _, solver := range []string{analysis.SolverSweep, analysis.SolverWorklist} {
 				row := measureAnalysis(p.Name, c.Source,
 					analysis.Options{Tags: tags, Solver: solver}, analysisBenchMinTime)
-				switch solver {
-				case analysis.SolverSweep:
+				if solver == analysis.SolverSweep {
 					sweepNs = row.NsPerOp
-				case analysis.SolverWorklist:
-					worklistNs = row.NsPerOp
 				}
 				if row.NsPerOp > 0 {
 					row.Speedup = float64(sweepNs) / float64(row.NsPerOp)
-				}
-				rows = append(rows, row)
-			}
-			// The jobs sweep: the parallel solver at each worker count,
-			// scored against both baselines.
-			for _, jobs := range analysisBenchJobs {
-				row := measureAnalysis(p.Name, c.Source,
-					analysis.Options{Tags: tags, Solver: analysis.SolverParallel, Jobs: jobs},
-					analysisBenchMinTime)
-				if row.NsPerOp > 0 {
-					row.Speedup = float64(sweepNs) / float64(row.NsPerOp)
-					row.VsWorklist = float64(worklistNs) / float64(row.NsPerOp)
 				}
 				rows = append(rows, row)
 			}
@@ -146,64 +106,21 @@ func (e *Engine) AnalysisBench(scale Scale) ([]AnalysisBenchRow, error) {
 	return rows, nil
 }
 
-// parallelOverheadTolerance is the loud-regression threshold on the
-// parallel solver's jobs=1 row: pure scheduler overhead must not put it
-// more than 5% behind the worklist baseline.
-const parallelOverheadTolerance = 0.95
-
-// PrintAnalysisBench renders the analysis-phase benchmark table, a
-// speedup-vs-jobs summary for the parallel solver, and a loud REGRESSION
-// marker on any parallel jobs=1 row more than 5% behind the worklist
-// (coordination overhead, the one regime where the pool can only lose).
+// PrintAnalysisBench renders the analysis-phase benchmark table.
 func PrintAnalysisBench(w io.Writer, rows []AnalysisBenchRow) {
 	fmt.Fprintln(w, "Analysis-phase benchmark: solver comparison (ns per full Analyze)")
-	fmt.Fprintf(w, "  %-14s %-5s %-8s %4s %12s %8s %10s %12s %10s %10s %8s %8s\n",
-		"program", "tags", "solver", "jobs", "ns/op", "rounds", "evals(mc)", "evals(instr)", "partials", "enqueues", "speedup", "vs-wl")
+	fmt.Fprintf(w, "  %-14s %-5s %-8s %12s %8s %10s %12s %10s %10s %8s\n",
+		"program", "tags", "solver", "ns/op", "rounds", "evals(mc)", "evals(instr)", "partials", "enqueues", "speedup")
 	for _, r := range rows {
 		tags := "off"
 		if r.Tags {
 			tags = "on"
 		}
-		jobs, vsWL := "-", "      -"
-		if r.Solver == analysis.SolverParallel {
-			jobs = fmt.Sprintf("%d", r.Jobs)
-			vsWL = fmt.Sprintf("%6.2fx", r.VsWorklist)
-		}
 		mark := ""
 		if !r.Converged {
 			mark = "  UNCONVERGED"
 		}
-		if r.Solver == analysis.SolverParallel && r.Jobs == 1 && r.VsWorklist > 0 && r.VsWorklist < parallelOverheadTolerance {
-			mark += fmt.Sprintf("  REGRESSION: parallel jobs=1 is %.0f%% behind worklist (tolerance 5%%)",
-				(1-r.VsWorklist)*100)
-		}
-		fmt.Fprintf(w, "  %-14s %-5s %-8s %4s %12d %8d %10d %12d %10d %10d %7.2fx %s%s\n",
-			r.Program, tags, r.Solver, jobs, r.NsPerOp, r.Rounds, r.ContourEvals, r.InstrEvals, r.PartialEvals, r.Enqueues, r.Speedup, vsWL, mark)
-	}
-
-	// Speedup vs jobs: geometric mean of the parallel solver's advantage
-	// over the worklist across all (program, tags) cells, per worker
-	// count. On a single-CPU runner every entry sits near (or below) 1.0;
-	// scaling only shows on multi-core hardware.
-	byJobs := map[int][]float64{}
-	for _, r := range rows {
-		if r.Solver == analysis.SolverParallel && r.VsWorklist > 0 {
-			byJobs[r.Jobs] = append(byJobs[r.Jobs], r.VsWorklist)
-		}
-	}
-	if len(byJobs) > 0 {
-		fmt.Fprintf(w, "  %-29s", "speedup vs jobs (geomean/wl):")
-		for _, jobs := range analysisBenchJobs {
-			vals := byJobs[jobs]
-			if len(vals) == 0 {
-				continue
-			}
-			logSum := 0.0
-			for _, v := range vals {
-				logSum += math.Log(v)
-			}
-			fmt.Fprintf(w, "  jobs=%d %5.2fx", jobs, math.Exp(logSum/float64(len(vals))))
-		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "  %-14s %-5s %-8s %12d %8d %10d %12d %10d %10d %7.2fx%s\n",
+			r.Program, tags, r.Solver, r.NsPerOp, r.Rounds, r.ContourEvals, r.InstrEvals, r.PartialEvals, r.Enqueues, r.Speedup, mark)
 	}
 }

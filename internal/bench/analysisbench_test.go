@@ -41,16 +41,6 @@ func BenchmarkAnalyze(b *testing.B) {
 					}
 				})
 			}
-			for _, jobs := range analysisBenchJobs {
-				name := fmt.Sprintf("%s/tags=%v/%s/jobs=%d", p.Name, tags, analysis.SolverParallel, jobs)
-				b.Run(name, func(b *testing.B) {
-					opts := analysis.Options{Tags: tags, Solver: analysis.SolverParallel, Jobs: jobs}
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						analysis.Analyze(prog, opts)
-					}
-				})
-			}
 		}
 	}
 }
@@ -68,11 +58,10 @@ func TestAnalysisBenchRows(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AnalysisBench: %v", err)
 	}
-	if want := len(Programs) * 2 * (2 + len(analysisBenchJobs)); len(rows) != want {
+	if want := len(Programs) * 2 * 2; len(rows) != want {
 		t.Fatalf("got %d rows, want %d", len(rows), want)
 	}
 	bySweep := map[string]AnalysisBenchRow{}
-	sawSCCs := false
 	for _, r := range rows {
 		if !r.Converged {
 			t.Errorf("%s/tags=%v/%s did not converge", r.Program, r.Tags, r.Solver)
@@ -95,33 +84,7 @@ func TestAnalysisBenchRows(t *testing.T) {
 			if r.MethodContours != sweep.MethodContours || r.Passes != sweep.Passes {
 				t.Errorf("%s: solver results disagree: %+v vs %+v", key, r, sweep)
 			}
-		case analysis.SolverParallel:
-			sweep, ok := bySweep[key]
-			if !ok {
-				t.Fatalf("%s: parallel row before sweep row", key)
-			}
-			// Result-derived fields must agree with the sweep; the work
-			// counters may not (jobs>1 schedules are not replayed), so
-			// only the deterministic surface is compared.
-			if r.MethodContours != sweep.MethodContours || r.Passes != sweep.Passes {
-				t.Errorf("%s/jobs=%d: solver results disagree: %+v vs %+v", key, r.Jobs, r, sweep)
-			}
-			if r.Jobs < 1 {
-				t.Errorf("%s: parallel row without a jobs value: %+v", key, r)
-			}
-			if r.VsWorklist <= 0 {
-				t.Errorf("%s/jobs=%d: VsWorklist not populated", key, r.Jobs)
-			}
-			if r.Jobs > 1 && r.SCCs > 0 {
-				sawSCCs = true
-			}
 		}
-	}
-	// Not every parallel cell carries SCC counters — a pass that trips
-	// (tag saturation, overflow) falls back to the sequential worklist and
-	// records none — but the sweep as a whole must exercise the scheduler.
-	if !sawSCCs {
-		t.Error("no parallel row carries SCC counters; the pool never engaged")
 	}
 
 	var b strings.Builder

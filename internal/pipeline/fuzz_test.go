@@ -23,8 +23,9 @@ type progGen struct {
 	r *rand.Rand
 	b strings.Builder
 
-	leafClasses  []string // classes with scalar fields
-	contClasses  []string // classes holding leaf objects
+	leafClasses  []string       // classes with scalar fields
+	contClasses  []string       // classes holding leaf objects
+	contArity    map[string]int // constructor arity of each container class
 	globals      []string
 	subLeafArity int  // 0 when no Leaf0Sub was generated
 	hasOuter     bool // an Outer container-of-container exists
@@ -66,7 +67,7 @@ func (g *progGen) generate() string {
 	// (exercising tag propagation through calls and FreshReturn chains).
 	for _, cls := range g.contClasses {
 		g.emit("func read%s(c) { return c.total() + c.first().sum(); }", cls)
-		arity := contArity[cls]
+		arity := g.contArity[cls]
 		args := make([]string, arity)
 		for j := range args {
 			args[j] = g.newLeaf()
@@ -128,10 +129,11 @@ func (g *progGen) contClass(i int) {
 	g.emit("  def first() { return self.c0; }")
 	g.emit("}")
 	// Remember arity for construction.
-	contArity[name] = nf
+	if g.contArity == nil {
+		g.contArity = map[string]int{}
+	}
+	g.contArity[name] = nf
 }
-
-var contArity = map[string]int{}
 
 // leafSubclass derives a subclass of Leaf0 with an extra field and an
 // overriding sum (polymorphic containee for the containers).
@@ -216,7 +218,7 @@ func (g *progGen) mainFunc() {
 		switch g.r.Intn(10) {
 		case 0: // fresh container with fresh leaves (inlinable pattern)
 			cls := g.pick(g.contClasses)
-			arity := contArity[cls]
+			arity := g.contArity[cls]
 			args := make([]string, arity)
 			for j := range args {
 				args[j] = g.newLeaf()
@@ -231,7 +233,7 @@ func (g *progGen) mainFunc() {
 				break
 			}
 			cls := g.pick(g.contClasses)
-			arity := contArity[cls]
+			arity := g.contArity[cls]
 			args := make([]string, arity)
 			for j := range args {
 				args[j] = g.pick(leafVars)
@@ -299,7 +301,7 @@ func (g *progGen) mainFunc() {
 				break
 			}
 			cls := g.pick(g.contClasses)
-			arity := contArity[cls]
+			arity := g.contArity[cls]
 			args := make([]string, arity)
 			for j := range args {
 				args[j] = g.newLeaf()
@@ -335,11 +337,6 @@ func TestDifferentialFuzz(t *testing.T) {
 				// against "inline" below).
 				{"inline-sweep", pipeline.Config{Mode: pipeline.ModeInline,
 					Analysis: analysis.Options{Solver: analysis.SolverSweep}}},
-				// The parallel worker-pool solver at an oversubscribed worker
-				// count: must execute identically AND analyze identically to
-				// the worklist (checked against "inline" below).
-				{"inline-par-solver", pipeline.Config{Mode: pipeline.ModeInline,
-					Analysis: analysis.Options{Solver: analysis.SolverParallel, Jobs: 4}}},
 			}
 			outputs := map[string]string{}
 			compiled := map[string]*pipeline.Compiled{}
@@ -358,9 +355,6 @@ func TestDifferentialFuzz(t *testing.T) {
 			if dw, ds := compiled["inline"].Analysis.String(), compiled["inline-sweep"].Analysis.String(); dw != ds {
 				t.Errorf("worklist and sweep analyses differ\nprogram:\n%s\nworklist:\n%s\nsweep:\n%s", src, dw, ds)
 			}
-			if dw, dp := compiled["inline"].Analysis.String(), compiled["inline-par-solver"].Analysis.String(); dw != dp {
-				t.Errorf("worklist and parallel analyses differ\nprogram:\n%s\nworklist:\n%s\nparallel:\n%s", src, dw, dp)
-			}
 			// The MaxContours-overflow regime, where getMC coerces split
 			// keys to base contours (the worklist must globally re-dirty
 			// call sites at the transition; see analysis.redirtyCallSites).
@@ -377,17 +371,6 @@ func TestDifferentialFuzz(t *testing.T) {
 				analysis.Options{Tags: true, MaxContours: 17, Solver: analysis.SolverSweep})
 			if dw, ds := ovW.String(), ovS.String(); dw != ds {
 				t.Errorf("worklist and sweep analyses differ under contour overflow\nprogram:\n%s\nworklist:\n%s\nsweep:\n%s", src, dw, ds)
-			}
-			// The parallel solver's overflow trip (count-triggered fallback to
-			// the sequential worklist) must land on the same dump.
-			ovPProg, err := pipeline.Compile("fuzz.icc", src, pipeline.Config{Mode: pipeline.ModeDirect})
-			if err != nil {
-				t.Fatalf("overflow compile: %v", err)
-			}
-			ovP := analysis.Analyze(ovPProg.Source,
-				analysis.Options{Tags: true, MaxContours: 17, Solver: analysis.SolverParallel, Jobs: 4})
-			if dw, dp := ovW.String(), ovP.String(); dw != dp {
-				t.Errorf("worklist and parallel analyses differ under contour overflow\nprogram:\n%s\nworklist:\n%s\nparallel:\n%s", src, dw, dp)
 			}
 			for _, c := range configs[1:] {
 				if outputs[c.name] != outputs["direct"] {
@@ -474,10 +457,9 @@ func mutate(r *rand.Rand, src string, step int) (edited, wantTier string) {
 // sequences over generated programs, where after every patch the
 // session's result must be byte-identical — optimized IR, analysis dump,
 // decisions, and run output — to a cold compile of the same source. The
-// configs sweep all three solvers (parallel at 1 and 4 workers) plus the
-// contour-overflow regime, where cold compilation itself may
-// deterministically fail; then the session must fail identically and
-// keep serving.
+// configs sweep both solvers plus the contour-overflow regime, where cold
+// compilation itself may deterministically fail; then the session must
+// fail identically and keep serving.
 func TestIncrementalEditFuzz(t *testing.T) {
 	configs := []struct {
 		name    string
@@ -487,10 +469,6 @@ func TestIncrementalEditFuzz(t *testing.T) {
 		{"worklist", pipeline.Config{Mode: pipeline.ModeInline}, false},
 		{"sweep", pipeline.Config{Mode: pipeline.ModeInline,
 			Analysis: analysis.Options{Solver: analysis.SolverSweep}}, false},
-		{"par-1", pipeline.Config{Mode: pipeline.ModeInline,
-			Analysis: analysis.Options{Solver: analysis.SolverParallel, Jobs: 1}}, false},
-		{"par-4", pipeline.Config{Mode: pipeline.ModeInline,
-			Analysis: analysis.Options{Solver: analysis.SolverParallel, Jobs: 4}}, false},
 		{"starved", pipeline.Config{Mode: pipeline.ModeInline,
 			Analysis: analysis.Options{MaxContours: 17}}, true},
 	}

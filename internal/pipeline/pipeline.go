@@ -210,14 +210,6 @@ func analyzePhase(ctx context.Context, prog *ir.Program, cfg Config) (*analysis.
 		sp.Counter("rounds", int64(st.Work.Rounds))
 		sp.Counter("contour-evals", int64(st.Work.ContourEvals))
 		sp.Counter("enqueues", int64(st.Work.Enqueues))
-		// Parallel-solver scheduling, present only when the worker pool
-		// actually engaged (SCCs is 0 for the sequential engines).
-		if st.Work.SCCs > 0 {
-			sp.Counter("sccs", int64(st.Work.SCCs))
-			sp.Counter("max-scc-size", int64(st.Work.MaxSCCSize))
-			sp.Counter("parallel-rounds", int64(st.Work.ParallelRounds))
-			sp.Counter("summary-hits", int64(st.Work.SummaryHits))
-		}
 	}
 	sp.End()
 	return res, nil

@@ -105,8 +105,8 @@ func sessionConfigs() map[string]Config {
 		"inline":   {Mode: ModeInline},
 		"inline-worklist": {Mode: ModeInline,
 			Analysis: analysis.Options{Solver: analysis.SolverWorklist}},
-		"inline-parallel": {Mode: ModeInline,
-			Analysis: analysis.Options{Solver: analysis.SolverParallel, Jobs: 4}},
+		"inline-sweep": {Mode: ModeInline,
+			Analysis: analysis.Options{Solver: analysis.SolverSweep}},
 	}
 }
 

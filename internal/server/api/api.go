@@ -19,18 +19,13 @@ type Config struct {
 	TagDepth int `json:"tag_depth,omitempty"`
 	// MaxPasses bounds the analysis's iterative refinement (default 8).
 	MaxPasses int `json:"max_passes,omitempty"`
-	// Solver selects the analysis fixpoint engine: "worklist" (default),
-	// "sweep", or "parallel".
+	// Solver selects the analysis fixpoint engine: "worklist" (default)
+	// or "sweep".
 	Solver string `json:"solver,omitempty"`
-	// Jobs is the parallel solver's worker count (0 = GOMAXPROCS; ignored
-	// by the sequential solvers). The server clamps it to its configured
-	// per-request analysis parallelism. Jobs never changes results — all
-	// solvers are byte-identical at any worker count — so it is not part
-	// of the compilation cache key.
-	Jobs int `json:"jobs,omitempty"`
 }
 
-// ToConfig converts the wire config to the library's, parsing the mode.
+// ToConfig converts the wire config to the library's, parsing the mode
+// and validating the solver name.
 func (c Config) ToConfig() (objinline.Config, error) {
 	mode := objinline.Inline
 	if c.Mode != "" {
@@ -39,13 +34,15 @@ func (c Config) ToConfig() (objinline.Config, error) {
 			return objinline.Config{}, err
 		}
 	}
+	if _, err := objinline.ParseSolver(c.Solver); err != nil {
+		return objinline.Config{}, err
+	}
 	return objinline.Config{
 		Mode:           mode,
 		ParallelArrays: c.ParallelArrays,
 		TagDepth:       c.TagDepth,
 		MaxPasses:      c.MaxPasses,
 		Solver:         c.Solver,
-		Jobs:           c.Jobs,
 	}, nil
 }
 

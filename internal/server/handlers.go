@@ -54,15 +54,6 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request, req *api.Compil
 		p.filename = "request.icc"
 	}
 	p.source = req.Source
-	// Clamp per-request analysis parallelism to the server's bound (jobs=0
-	// means "as many as allowed"). Jobs never changes compilation results,
-	// so the clamp only shapes CPU use — and the cache key excludes Jobs
-	// entirely, so clamped and unclamped requests share entries.
-	if cfg.Solver == objinline.SolverParallel {
-		if cfg.Jobs <= 0 || cfg.Jobs > s.cfg.AnalysisJobs {
-			cfg.Jobs = s.cfg.AnalysisJobs
-		}
-	}
 	p.cfg = cfg
 	p.key = cacheKey(cfg, p.filename, p.source)
 
@@ -347,6 +338,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	out := capWriter{max: s.cfg.MaxOutputBytes}
 	ro := objinline.RunOptions{
+		Engine:       objinline.EngineVM,
 		MaxSteps:     req.MaxSteps,
 		DisableCache: req.DisableCache,
 		Profile:      req.Profile,
@@ -356,20 +348,20 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		ro.Output = &out
 	}
 	var (
-		m       objinline.Metrics
+		res     objinline.Result
 		profile *objinline.RunProfile
 	)
 	if req.Profile {
 		// Profiled runs read their attribution back off the Program, so
 		// they are serialized per entry.
 		e.runMu.Lock()
-		m, err = prog.RunContext(p.ctx, ro)
+		res, err = prog.Execute(p.ctx, ro)
 		if err == nil {
 			profile = prog.Profile()
 		}
 		e.runMu.Unlock()
 	} else {
-		m, err = prog.RunContext(p.ctx, ro)
+		res, err = prog.Execute(p.ctx, ro)
 	}
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
@@ -384,7 +376,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		File:    p.filename,
 		Mode:    prog.Mode().String(),
 		Engine:  objinline.EngineVM.String(),
-		Metrics: &m,
+		Metrics: res.Metrics,
 		Profile: profile,
 	}
 	if req.IncludeOutput {

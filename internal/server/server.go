@@ -86,15 +86,6 @@ type Config struct {
 	// each entry also pins an envelope with program output, so the bound
 	// is smaller than the compile cache's.
 	NativeCacheEntries int
-	// AnalysisJobs bounds one request's parallel-solver worker count
-	// (default GOMAXPROCS). A request holds a single admission-pool token
-	// however many analysis workers it runs, so this cap is what keeps a
-	// parallel-solver request from multiplying the pool's concurrency:
-	// effective CPU concurrency is at most PoolSize × AnalysisJobs.
-	// Requested jobs values above the cap (or 0, meaning "as many as
-	// allowed") clamp to it. Clamping never changes results — the solvers
-	// are byte-identical at any worker count.
-	AnalysisJobs int
 	// RequestRingEntries bounds the per-request trace ring buffer behind
 	// GET /debug/requests (default 128; negative disables per-request
 	// tracing and the ring — request ids, histograms, and access logs
@@ -146,9 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxOutputBytes <= 0 {
 		c.MaxOutputBytes = 256 << 10
-	}
-	if c.AnalysisJobs <= 0 {
-		c.AnalysisJobs = runtime.GOMAXPROCS(0)
 	}
 	if c.SessionEntries <= 0 {
 		c.SessionEntries = 64

@@ -22,7 +22,6 @@ import (
 	"testing"
 	"time"
 
-	"objinline"
 	"objinline/internal/server/api"
 )
 
@@ -590,52 +589,53 @@ func TestGracefulShutdownDrain(t *testing.T) {
 	}
 }
 
-// TestParallelSolverJobsClamp checks the per-request analysis-parallelism
-// bound: a parallel-solver request succeeds whatever jobs value it names,
-// the server clamps oversized (and zero) values to AnalysisJobs, and —
-// because worker count never changes results — every jobs value maps to
-// the same cache key, so a clamped request warms the cache for all of
-// them.
-func TestParallelSolverJobsClamp(t *testing.T) {
-	_, ts := newTestServer(t, Config{AnalysisJobs: 2})
-	src := fixtureSource(t)
-	req := func(jobs int) api.CompileRequest {
-		return api.CompileRequest{
-			Filename: "explain.icc",
-			Source:   src,
-			Config:   api.Config{Solver: objinline.SolverParallel, Jobs: jobs},
+// TestUnknownSolverRejected checks every compiling endpoint validates the
+// solver name: an unknown one ("parallel" included, which older servers
+// accepted) is a 400, never a silent worklist compile cached under a
+// second key. A request that still carries the removed "jobs" field keeps
+// working — the decoder ignores unknown fields.
+func TestUnknownSolverRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	src := "func main() { print(6 * 7); }"
+	for _, solver := range []string{"parallel", "Parallel", "bogus"} {
+		creq := api.CompileRequest{Source: src, Config: api.Config{Solver: solver}}
+		cases := []struct {
+			path string
+			req  any
+		}{
+			{"/v1/compile", creq},
+			{"/v1/explain", api.ExplainRequest{CompileRequest: creq, Field: "A.b"}},
+			{"/v1/run", api.RunRequest{CompileRequest: creq}},
+			{"/v1/session", creq},
+		}
+		for _, tc := range cases {
+			resp, body := postJSON(t, ts, tc.path, tc.req)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s solver=%q: status %d, want 400: %s", tc.path, solver, resp.StatusCode, body)
+				continue
+			}
+			var env api.Envelope
+			if err := json.Unmarshal(body, &env); err != nil || env.Error == nil || env.Error.Code != api.CodeBadRequest {
+				t.Errorf("%s solver=%q: no bad-request envelope: %s", tc.path, solver, body)
+				continue
+			}
+			want := fmt.Sprintf("unknown solver %q (want worklist or sweep)", solver)
+			if !strings.Contains(env.Error.Message, want) {
+				t.Errorf("%s solver=%q: message %q does not contain %q", tc.path, solver, env.Error.Message, want)
+			}
 		}
 	}
-	var keys []string
-	var bodies [][]byte
-	for i, jobs := range []int{0, 64, 1, 2} {
-		resp, body := postJSON(t, ts, "/v1/compile", req(jobs))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("jobs=%d: status %d: %s", jobs, resp.StatusCode, body)
-		}
-		keys = append(keys, resp.Header.Get("X-Oicd-Cache-Key"))
-		bodies = append(bodies, body)
-		wantCache := "hit"
-		if i == 0 {
-			wantCache = "miss"
-		}
-		if c := resp.Header.Get("X-Oicd-Cache"); c != wantCache {
-			t.Errorf("jobs=%d: cache %q, want %q (jobs must not fragment the cache)", jobs, c, wantCache)
-		}
-	}
-	for i := 1; i < len(keys); i++ {
-		if keys[i] != keys[0] {
-			t.Errorf("cache keys differ across jobs values: %q vs %q", keys[0], keys[i])
-		}
-		if !bytes.Equal(bodies[i], bodies[0]) {
-			t.Errorf("response bodies differ across jobs values")
-		}
+	if m := getMetrics(t, ts); m["compiles_total"] != 0 {
+		t.Errorf("compiles_total = %v after rejected requests, want 0", m["compiles_total"])
 	}
 
-	// The solver itself is part of the key (its work counters are
-	// observable in stats), so worklist and parallel must not share.
-	wl, _ := postJSON(t, ts, "/v1/compile", api.CompileRequest{Filename: "explain.icc", Source: src})
-	if k := wl.Header.Get("X-Oicd-Cache-Key"); k == keys[0] {
-		t.Errorf("worklist and parallel requests share cache key %q", k)
+	legacy := `{"source": "func main() { print(6 * 7); }", "config": {"solver": "worklist", "jobs": 4}}`
+	resp, err := ts.Client().Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("request with the removed jobs field: status %d, want 200", resp.StatusCode)
 	}
 }

@@ -17,8 +17,8 @@
 //	prog, err := objinline.Compile("demo.icc", src,
 //	    objinline.Config{Mode: objinline.Inline}, objinline.WithTracing())
 //	if err != nil { ... }
-//	metrics, err := prog.Run(objinline.RunOptions{Output: os.Stdout})
-//	fmt.Println(prog.InlinedFields(), metrics.Cycles)
+//	res, err := prog.Execute(context.Background(), objinline.RunOptions{Output: os.Stdout})
+//	fmt.Println(prog.InlinedFields(), res.Metrics.Cycles)
 //
 // Every inlining verdict is observable: Explain returns the structured
 // evidence chain behind one field's decision, RejectedFields the reasons
@@ -153,11 +153,22 @@ const (
 	// SolverSweep is the naive global re-sweep, kept as the reference
 	// implementation; it computes identical results.
 	SolverSweep = analysis.SolverSweep
-	// SolverParallel solves the analysis on a bounded worker pool
-	// (Config.Jobs), scheduling contours by the SCC condensation of the
-	// call graph. Byte-identical results at any worker count.
-	SolverParallel = analysis.SolverParallel
 )
+
+// ParseSolver validates an analysis solver name and returns it with the
+// default applied: "" selects SolverWorklist. It is the one place solver
+// names are interpreted; Compile, NewSession, and the CLI tools all go
+// through it, so an unknown name is an error rather than a silent
+// worklist run under a second cache key.
+func ParseSolver(s string) (string, error) {
+	switch s {
+	case "":
+		return SolverWorklist, nil
+	case SolverWorklist, SolverSweep:
+		return s, nil
+	}
+	return "", fmt.Errorf("objinline: unknown solver %q (want worklist or sweep)", s)
+}
 
 // Config configures compilation.
 type Config struct {
@@ -171,19 +182,15 @@ type Config struct {
 	// MaxPasses bounds the analysis's iterative refinement (default 8).
 	MaxPasses int
 	// Solver selects the analysis fixpoint engine: SolverWorklist
-	// (default), SolverSweep, or SolverParallel.
+	// (default) or SolverSweep. Any other name fails compilation (see
+	// ParseSolver).
 	Solver string
-	// Jobs bounds the parallel solver's worker pool (0 = GOMAXPROCS;
-	// ignored by the sequential solvers). Jobs never changes compilation
-	// output — the parallel solver is byte-identical at any worker count —
-	// so it is deliberately not part of Fingerprint.
-	Jobs int
 	// Engine is the default execution tier for the compiled program's
 	// runs (EngineDefault means the VM); RunOptions.Engine overrides it
 	// per run. The engine never changes what is compiled — both tiers
-	// execute the same optimized IR — so, like Jobs, it is deliberately
-	// not part of Fingerprint: selecting the native tier must not split
-	// the compile cache.
+	// execute the same optimized IR — so it is deliberately not part of
+	// Fingerprint: selecting the native tier must not split the compile
+	// cache.
 	Engine Engine
 }
 
@@ -250,7 +257,7 @@ type Program struct {
 	// RunOptions.Engine at EngineDefault.
 	engine Engine
 
-	// Profiled-run state from the most recent Run with Profile set.
+	// Profiled-run state from the most recent VM Execute with Profile set.
 	lastProfile  *vm.Profile
 	lastCounters vm.Counters
 }
@@ -296,6 +303,10 @@ func (c Config) toPipeline(opts []Option) (pipeline.Config, error) {
 	default:
 		return pipeline.Config{}, fmt.Errorf("objinline: unknown mode %d", c.Mode)
 	}
+	solver, err := ParseSolver(c.Solver)
+	if err != nil {
+		return pipeline.Config{}, err
+	}
 	layout := core.LayoutObjectOrder
 	if c.ParallelArrays {
 		layout = core.LayoutParallel
@@ -306,8 +317,7 @@ func (c Config) toPipeline(opts []Option) (pipeline.Config, error) {
 		Analysis: analysis.Options{
 			TagDepth:  c.TagDepth,
 			MaxPasses: c.MaxPasses,
-			Solver:    c.Solver,
-			Jobs:      c.Jobs,
+			Solver:    solver,
 		},
 		Trace: settings.trace,
 	}, nil
@@ -452,12 +462,6 @@ type RunOptions struct {
 	// invocation (see NewNativeBatcher). Ignored when EmitDir is set — an
 	// explicitly placed package cannot live inside the shared module.
 	NativeBatcher *NativeBatcher
-
-	// Deprecated: set Cache instead. These per-field overrides predate
-	// CacheConfig and are honored only when Cache is nil.
-	CacheSizeBytes int
-	CacheLineBytes int
-	CacheWays      int
 }
 
 // Metrics summarizes one execution's dynamic behavior. Cycles is the
@@ -568,11 +572,7 @@ func (p *Program) Execute(ctx context.Context, opts RunOptions) (Result, error) 
 		cfg := cachesim.DefaultConfig
 		geo := opts.Cache
 		if geo == nil {
-			geo = &CacheConfig{
-				SizeBytes: opts.CacheSizeBytes,
-				LineBytes: opts.CacheLineBytes,
-				Ways:      opts.CacheWays,
-			}
+			geo = &CacheConfig{}
 		}
 		if geo.SizeBytes > 0 {
 			cfg.SizeBytes = geo.SizeBytes
@@ -622,31 +622,6 @@ func (n *NativeBatcher) ToolchainInvocations() int64 { return n.b.ToolchainInvoc
 // multi-program toolchain invocation.
 func (n *NativeBatcher) BatchedPrograms() int64 { return n.b.BatchedPrograms() }
 
-// Run executes the program on the VM.
-//
-// Deprecated: Run predates the engine API; it ignores RunOptions.Engine
-// and always uses the VM, returning only the VM's Metrics. New code
-// should call Execute, which selects the engine and returns a unified
-// Result. Run remains fully supported as a thin wrapper.
-func (p *Program) Run(opts RunOptions) (Metrics, error) {
-	return p.RunContext(context.Background(), opts)
-}
-
-// RunContext is Run with cancellation: the VM's step loop polls the
-// context every few thousand instructions, so an infinite loop (or any
-// runaway program) returns an error wrapping ctx.Err() within
-// microseconds of the deadline instead of running to the step limit.
-//
-// Deprecated: see Run; new code should call Execute.
-func (p *Program) RunContext(ctx context.Context, opts RunOptions) (Metrics, error) {
-	opts.Engine = EngineVM
-	res, err := p.Execute(ctx, opts)
-	if err != nil {
-		return Metrics{}, err
-	}
-	return *res.Metrics, nil
-}
-
 // SiteProfile is one allocation site's aggregated run attribution.
 type SiteProfile = vm.SiteProfile
 
@@ -667,7 +642,7 @@ type RunProfile struct {
 	HeapPeakBytes uint64 `json:"heap_peak_bytes"`
 }
 
-// Profile returns the attribution of the most recent Run with
+// Profile returns the attribution of the most recent Execute with
 // RunOptions.Profile set, or nil if no profiled run has happened.
 func (p *Program) Profile() *RunProfile {
 	if p.lastProfile == nil {
@@ -859,12 +834,6 @@ type AnalysisStats struct {
 		InstrEvals   int `json:"instr_evals"`
 		PartialEvals int `json:"partial_evals"`
 		Enqueues     int `json:"enqueues"`
-		// Parallel-solver scheduling counters; zero (and omitted from
-		// JSON) for the sequential engines.
-		SCCs           int `json:"sccs,omitempty"`
-		MaxSCCSize     int `json:"max_scc_size,omitempty"`
-		ParallelRounds int `json:"parallel_rounds,omitempty"`
-		SummaryHits    int `json:"summary_hits,omitempty"`
 	} `json:"work"`
 }
 
@@ -906,10 +875,6 @@ func (p *Program) CompileStats() CompileStats {
 		as.Work.InstrEvals = st.Work.InstrEvals
 		as.Work.PartialEvals = st.Work.PartialEvals
 		as.Work.Enqueues = st.Work.Enqueues
-		as.Work.SCCs = st.Work.SCCs
-		as.Work.MaxSCCSize = st.Work.MaxSCCSize
-		as.Work.ParallelRounds = st.Work.ParallelRounds
-		as.Work.SummaryHits = st.Work.SummaryHits
 		cs.Analysis = as
 	}
 	return cs

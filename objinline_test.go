@@ -1,6 +1,7 @@
 package objinline_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -25,6 +26,16 @@ func main() {
 }
 `
 
+// vmRun executes p on the VM and returns its metrics.
+func vmRun(p *objinline.Program, opts objinline.RunOptions) (objinline.Metrics, error) {
+	opts.Engine = objinline.EngineVM
+	res, err := p.Execute(context.Background(), opts)
+	if err != nil {
+		return objinline.Metrics{}, err
+	}
+	return *res.Metrics, nil
+}
+
 func compileAPI(t *testing.T, mode objinline.Mode) *objinline.Program {
 	t.Helper()
 	p, err := objinline.Compile("demo.icc", apiDemo, objinline.Config{Mode: mode})
@@ -41,7 +52,7 @@ func TestAPICompileAndRun(t *testing.T) {
 			t.Errorf("Mode() = %v, want %v", p.Mode(), mode)
 		}
 		var out strings.Builder
-		m, err := p.Run(objinline.RunOptions{Output: &out})
+		m, err := vmRun(p, objinline.RunOptions{Output: &out})
 		if err != nil {
 			t.Fatalf("%v run: %v", mode, err)
 		}
@@ -106,11 +117,11 @@ func TestAPIAnalysisReport(t *testing.T) {
 
 func TestAPICacheOptions(t *testing.T) {
 	p := compileAPI(t, objinline.Baseline)
-	withCache, err := p.Run(objinline.RunOptions{})
+	withCache, err := vmRun(p, objinline.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noCache, err := p.Run(objinline.RunOptions{DisableCache: true})
+	noCache, err := vmRun(p, objinline.RunOptions{DisableCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +131,7 @@ func TestAPICacheOptions(t *testing.T) {
 	if noCache.CacheHits+noCache.CacheMisses != 0 {
 		t.Error("cache disabled but accesses recorded")
 	}
-	tiny, err := p.Run(objinline.RunOptions{CacheSizeBytes: 64, CacheLineBytes: 32, CacheWays: 1})
+	tiny, err := vmRun(p, objinline.RunOptions{Cache: &objinline.CacheConfig{SizeBytes: 64, LineBytes: 32, Ways: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +148,7 @@ func TestAPIErrors(t *testing.T) {
 		t.Error("missing main not reported")
 	}
 	p := compileAPI(t, objinline.Direct)
-	if _, err := p.Run(objinline.RunOptions{MaxSteps: 1}); err == nil {
+	if _, err := vmRun(p, objinline.RunOptions{MaxSteps: 1}); err == nil {
 		t.Error("step limit not enforced")
 	}
 }
@@ -185,7 +196,7 @@ func main() {
 			t.Fatal(err)
 		}
 		var out strings.Builder
-		if _, err := p.Run(objinline.RunOptions{Output: &out}); err != nil {
+		if _, err := vmRun(p, objinline.RunOptions{Output: &out}); err != nil {
 			t.Fatalf("parallel=%v: %v", par, err)
 		}
 		if out.String() != "18\n" {

@@ -218,24 +218,26 @@ func TestParseMode(t *testing.T) {
 
 func TestCacheConfigConsolidation(t *testing.T) {
 	prog := compileFixture(t)
-	// The consolidated *CacheConfig and the deprecated per-field knobs
-	// must configure the same simulator.
-	viaStruct, err := prog.Run(objinline.RunOptions{
+	// CacheConfig is the one geometry knob: a nil config and an all-zero
+	// one both mean the default cache.
+	viaNil, err := vmRun(prog, objinline.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaZero, err := vmRun(prog, objinline.RunOptions{Cache: &objinline.CacheConfig{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if viaNil != viaZero {
+		t.Errorf("nil and zero CacheConfig disagree:\n%+v\n%+v", viaNil, viaZero)
+	}
+	tiny, err := vmRun(prog, objinline.RunOptions{
 		Cache: &objinline.CacheConfig{SizeBytes: 1 << 12, LineBytes: 16, Ways: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaFields, err := prog.Run(objinline.RunOptions{
-		CacheSizeBytes: 1 << 12, CacheLineBytes: 16, CacheWays: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaStruct != viaFields {
-		t.Errorf("CacheConfig and deprecated fields disagree:\n%+v\n%+v", viaStruct, viaFields)
-	}
-	if viaStruct.CacheMisses == 0 {
+	if tiny.CacheMisses == 0 {
 		t.Error("tiny cache produced no misses; geometry likely ignored")
 	}
 }

@@ -28,7 +28,7 @@ func runProfiled(t *testing.T, mode objinline.Mode) *objinline.Program {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Run(objinline.RunOptions{Profile: true}); err != nil {
+	if _, err := vmRun(p, objinline.RunOptions{Profile: true}); err != nil {
 		t.Fatal(err)
 	}
 	return p
@@ -42,13 +42,13 @@ func TestRunProfile(t *testing.T) {
 	if p.Profile() != nil {
 		t.Fatal("Profile non-nil before any profiled run")
 	}
-	if _, err := p.Run(objinline.RunOptions{}); err != nil {
+	if _, err := vmRun(p, objinline.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if p.Profile() != nil {
 		t.Fatal("unprofiled run produced a profile")
 	}
-	m, err := p.Run(objinline.RunOptions{Profile: true})
+	m, err := vmRun(p, objinline.RunOptions{Profile: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestWriteChromeTraceJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Run(objinline.RunOptions{}); err != nil {
+	if _, err := vmRun(p, objinline.RunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
