@@ -1,12 +1,15 @@
 package obs
 
-// Prometheus text exposition (version 0.0.4), written by hand: the
-// repository's no-new-dependencies rule means no client_golang, and the
-// format is three line shapes — `# HELP`, `# TYPE`, and
-// `name{labels} value` — which a scraper, the CI well-formedness check,
-// and the serve benchmark's parser all agree on. Output is fully
-// deterministic for a given state: metrics sort by name, histogram
-// cells by label tuple.
+// The flat metric registry and its two renderings. Each series is
+// declared once — name, kind, help text, and how to read it — and
+// GET /metrics derives both bodies from that one list: flat JSON
+// numbers, and Prometheus text exposition (version 0.0.4) written by
+// hand. The repository's no-new-dependencies rule means no
+// client_golang, and the format is three line shapes — `# HELP`,
+// `# TYPE`, and `name{labels} value` — which a scraper, the CI
+// well-formedness check, and the serve benchmark's parser all agree on.
+// Output is fully deterministic for a given state: metrics sort by name,
+// histogram cells by label tuple.
 
 import (
 	"fmt"
@@ -19,14 +22,97 @@ import (
 // MetricNamespace prefixes every exposed series.
 const MetricNamespace = "oicd"
 
-// CounterValue is one flat server counter or gauge handed to
-// WritePrometheus (the server collects them from its expvar map).
-type CounterValue struct {
-	Name  string
-	Value float64
-	// Gauge marks point-in-time values (queue depth, cache entries);
-	// everything else is exposed as a counter.
-	Gauge bool
+// Kind is a flat metric's Prometheus type.
+type Kind uint8
+
+const (
+	Counter Kind = iota // monotonic since boot
+	Gauge               // point-in-time value
+)
+
+func (k Kind) String() string {
+	if k == Gauge {
+		return "gauge"
+	}
+	return "counter"
+}
+
+// Metric declares one flat series. Read extracts its value from the
+// scrape's snapshot S, so every series of one scrape sees each source at
+// the same instant.
+type Metric[S any] struct {
+	Name string
+	Kind Kind
+	Help string
+	Read func(*S) int64
+}
+
+// Registry is a server's flat metric set plus the latency histogram vec
+// whose per-endpoint percentiles the JSON body carries.
+type Registry[S any] struct {
+	snapshot  func() S
+	metrics   []Metric[S] // sorted by name
+	latency   *HistogramVec
+	endpoints []string
+}
+
+// NewRegistry builds a registry whose scrapes each call snapshot once.
+// latency is the request histogram vec (non-nil); endpoints are the
+// routes given latency_<endpoint>_p{50,95,99}_ns keys in the JSON body. It panics on a declaration error — a duplicate name or
+// missing help text — so a series cannot ship undocumented.
+func NewRegistry[S any](snapshot func() S, latency *HistogramVec, endpoints []string, metrics ...Metric[S]) *Registry[S] {
+	sort.Slice(metrics, func(i, j int) bool { return metrics[i].Name < metrics[j].Name })
+	for i, m := range metrics {
+		if m.Help == "" || m.Read == nil || (i > 0 && metrics[i-1].Name == m.Name) {
+			panic("obs: bad metric declaration " + strconv.Quote(m.Name))
+		}
+	}
+	return &Registry[S]{snapshot: snapshot, metrics: metrics, latency: latency, endpoints: endpoints}
+}
+
+// WriteJSON renders one level of JSON numbers with sorted keys and
+// `"key": value` spacing: every metric, plus the server-computed
+// latency_<endpoint>_p{50,95,99}_ns percentiles of each endpoint. These
+// are estimated from the same histograms the Prometheus exposition
+// serves, so a client comparing the two compares estimators, not data.
+func (r *Registry[S]) WriteJSON(w io.Writer) {
+	type kv struct {
+		key string
+		val int64
+	}
+	snap := r.snapshot()
+	out := make([]kv, 0, len(r.metrics)+3*len(r.endpoints))
+	for _, m := range r.metrics {
+		out = append(out, kv{m.Name, m.Read(&snap)})
+	}
+	for _, ep := range r.endpoints {
+		h := r.latency.Endpoint(ep)
+		base := "latency_" + flatEndpointKey(ep) + "_p"
+		for _, p := range []struct {
+			pct string
+			q   float64
+		}{{"50", 0.50}, {"95", 0.95}, {"99", 0.99}} {
+			out = append(out, kv{base + p.pct + "_ns", int64(h.Quantile(p.q))})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	b := []byte{'{'}
+	for i, e := range out {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = strconv.AppendQuote(b, e.key)
+		b = append(b, ": "...)
+		b = strconv.AppendInt(b, e.val, 10)
+	}
+	w.Write(append(b, "}\n"...))
+}
+
+// flatEndpointKey turns a route pattern into a JSON key fragment:
+// "/v1/session/{id}" -> "v1_session_id".
+func flatEndpointKey(ep string) string {
+	r := strings.NewReplacer("/", "_", "{", "", "}", "")
+	return r.Replace(strings.TrimPrefix(ep, "/"))
 }
 
 // escapeLabel escapes a label value per the exposition format.
@@ -45,30 +131,21 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WritePrometheus renders the flat counters plus the latency histogram
+// WritePrometheus renders the flat metrics plus the latency histogram
 // vec in exposition format. The histogram is exposed as
 // oicd_request_duration_seconds with labels
 // {endpoint, cache, engine, tier} and the fixed log-spaced `le`
 // boundaries of BucketBounds.
-func WritePrometheus(w io.Writer, counters []CounterValue, latency *HistogramVec) {
-	sorted := make([]CounterValue, len(counters))
-	copy(sorted, counters)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-	for _, c := range sorted {
-		name := MetricNamespace + "_" + c.Name
-		kind := "counter"
-		if c.Gauge {
-			kind = "gauge"
-		}
-		fmt.Fprintf(w, "# HELP %s %s\n", name, counterHelp(c.Name))
-		fmt.Fprintf(w, "# TYPE %s %s\n", name, kind)
-		fmt.Fprintf(w, "%s %s\n", name, formatValue(c.Value))
+func (r *Registry[S]) WritePrometheus(w io.Writer) {
+	snap := r.snapshot()
+	for _, m := range r.metrics {
+		name := MetricNamespace + "_" + m.Name
+		fmt.Fprintf(w, "# HELP %s %s\n", name, m.Help)
+		fmt.Fprintf(w, "# TYPE %s %s\n", name, m.Kind)
+		fmt.Fprintf(w, "%s %d\n", name, m.Read(&snap))
 	}
 
-	if latency == nil {
-		return
-	}
-	cells := latency.Snapshots()
+	cells := r.latency.Snapshots()
 	if len(cells) == 0 {
 		return
 	}
@@ -92,59 +169,4 @@ func WritePrometheus(w io.Writer, counters []CounterValue, latency *HistogramVec
 			formatValue(float64(cell.Snapshot.SumNanos)/1e9))
 		fmt.Fprintf(w, "%s_count{%s} %d\n", name, base, cell.Snapshot.Count)
 	}
-}
-
-// counterHelp gives each flat counter a stable one-line description;
-// unknown names get a generic line so the exposition never breaks on a
-// new counter.
-func counterHelp(name string) string {
-	if h, ok := counterHelpText[name]; ok {
-		return h
-	}
-	return "oicd server counter " + name + "."
-}
-
-var counterHelpText = map[string]string{
-	"requests_total":            "HTTP requests received.",
-	"compiles_total":            "Compilations executed (cache misses that ran).",
-	"runs_total":                "VM executions.",
-	"native_runs_total":         "Native build-and-run executions.",
-	"shed_total":                "Requests shed with 429 (worker queue full).",
-	"deadline_exceeded_total":   "Requests canceled by their deadline.",
-	"inflight":                  "Requests currently being served.",
-	"workers_busy":              "Worker-pool tokens currently held.",
-	"queue_depth":               "Requests currently queued for a worker token.",
-	"cache_entries":             "Compile result-cache entries resident.",
-	"cache_hits_total":          "Compile result-cache hits.",
-	"cache_misses_total":        "Compile result-cache misses.",
-	"cache_evictions_total":     "Compile result-cache LRU evictions.",
-	"native_cache_entries":      "Native-run result-cache entries resident.",
-	"native_cache_hits_total":   "Native-run result-cache hits.",
-	"native_cache_misses_total": "Native-run result-cache misses.",
-	"sessions_active":           "Incremental sessions resident.",
-	"sessions_created_total":    "Incremental sessions created.",
-	"session_patches_total":     "Session patches absorbed.",
-	"session_evictions_total":   "Sessions evicted by the LRU bound.",
-	"session_expirations_total": "Sessions expired by the idle TTL.",
-
-	// Cluster tier.
-	"cache_bytes":                    "Compile result-cache resident body bytes.",
-	"native_cache_bytes":             "Native-run result-cache resident body bytes.",
-	"forwards_total":                 "Requests forwarded to the key's ring owner.",
-	"forward_errors_total":           "Forward attempts that failed (network or peer error).",
-	"forward_local_fallback_total":   "Forwards abandoned in favor of local compute.",
-	"hedges_total":                   "Hedged second requests launched after the p95 delay.",
-	"hedge_wins_total":               "Hedged requests that answered before the primary.",
-	"disk_upgrades_total":            "Disk-seeded cache entries recompiled on demand.",
-	"disk_wal_bytes":                 "Persistent cache write-ahead log size on disk.",
-	"disk_snapshot_bytes":            "Persistent cache snapshot size on disk.",
-	"disk_appends_total":             "Records appended to the persistent cache WAL.",
-	"disk_replayed_total":            "Records replayed from disk at boot.",
-	"disk_corrupt_tails_total":       "Corrupt WAL tails detected and truncated.",
-	"disk_compactions_total":         "Persistent cache compactions completed.",
-	"cluster_peers_up":               "Cluster peers currently passing health probes.",
-	"cluster_peers_total":            "Cluster peers configured.",
-	"cluster_transitions_total":      "Cluster peer up/down transitions observed.",
-	"native_batch_invocations_total": "Go toolchain invocations by the native build batcher.",
-	"native_batched_programs_total":  "Programs built through shared batched invocations.",
 }

@@ -12,17 +12,29 @@ import (
 // line is a comment (# HELP / # TYPE) or a `name{labels} value` sample.
 var promLine = regexp.MustCompile(`^(# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* .*|[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [0-9eE.+-]+(Inf)?)$`)
 
+// testSnap stands in for a server's per-scrape snapshot.
+type testSnap struct{ requests, queued int64 }
+
+// testRegistry declares a counter and a gauge over v, counting the
+// snapshots its scrapes take in *snaps.
+func testRegistry(v *HistogramVec, endpoints []string, snaps *int) *Registry[testSnap] {
+	return NewRegistry(func() testSnap { *snaps++; return testSnap{requests: 7, queued: 2} }, v, endpoints,
+		Metric[testSnap]{Name: "requests_total", Kind: Counter, Help: "HTTP requests received.",
+			Read: func(s *testSnap) int64 { return s.requests }},
+		Metric[testSnap]{Name: "queue_depth", Kind: Gauge, Help: "Requests queued.",
+			Read: func(s *testSnap) int64 { return s.queued }},
+	)
+}
+
 func TestWritePrometheusWellFormed(t *testing.T) {
 	v := NewHistogramVec()
 	v.Observe(Labels{Endpoint: "/v1/compile", Cache: "miss", Engine: "none", Tier: "none"}, 3*time.Millisecond)
 	v.Observe(Labels{Endpoint: "/v1/compile", Cache: "hit", Engine: "none", Tier: "none"}, 40*time.Microsecond)
 
+	snaps := 0
+	r := testRegistry(v, nil, &snaps)
 	var b strings.Builder
-	WritePrometheus(&b, []CounterValue{
-		{Name: "requests_total", Value: 7},
-		{Name: "queue_depth", Value: 2, Gauge: true},
-		{Name: "a_fractional_value", Value: 1.5},
-	}, v)
+	r.WritePrometheus(&b)
 	out := b.String()
 
 	for _, line := range strings.Split(out, "\n") {
@@ -33,21 +45,66 @@ func TestWritePrometheusWellFormed(t *testing.T) {
 			t.Errorf("malformed exposition line: %q", line)
 		}
 	}
-	// Counters sort by name and carry HELP/TYPE with the right kind.
-	if !strings.Contains(out, "# TYPE oicd_requests_total counter") {
-		t.Error("missing counter TYPE line")
+	if snaps != 1 {
+		t.Errorf("one scrape took %d snapshots, want 1", snaps)
 	}
-	if !strings.Contains(out, "# TYPE oicd_queue_depth gauge") {
-		t.Error("missing gauge TYPE line")
+	// Metrics sort by name and carry HELP/TYPE with the right kind.
+	for _, want := range []string{
+		"# TYPE oicd_requests_total counter\noicd_requests_total 7\n",
+		"# TYPE oicd_queue_depth gauge\noicd_queue_depth 2\n",
+		"# TYPE oicd_request_duration_seconds histogram",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q", want)
+		}
 	}
-	if !strings.Contains(out, "oicd_a_fractional_value 1.5") {
-		t.Error("fractional value mangled")
+	if strings.Index(out, "oicd_requests_total") < strings.Index(out, "oicd_queue_depth") {
+		t.Error("metrics not sorted by name")
 	}
-	if !strings.Contains(out, "# TYPE oicd_request_duration_seconds histogram") {
-		t.Error("missing histogram TYPE line")
+}
+
+// TestWriteJSON: one snapshot per scrape, metrics and latency keys
+// merged in sorted order, `"key": value` spacing.
+func TestWriteJSON(t *testing.T) {
+	v := NewHistogramVec()
+	v.Observe(Labels{Endpoint: "/v1/session/{id}"}, 3*time.Millisecond)
+	snaps := 0
+	r := testRegistry(v, []string{"/v1/session/{id}"}, &snaps)
+	var b strings.Builder
+	r.WriteJSON(&b)
+	p := func(q float64) string {
+		return strconv.FormatInt(int64(v.Endpoint("/v1/session/{id}").Quantile(q)), 10)
 	}
-	if strings.Index(out, "oicd_a_fractional_value") > strings.Index(out, "oicd_queue_depth") {
-		t.Error("counters not sorted by name")
+	want := `{"latency_v1_session_id_p50_ns": ` + p(0.5) + `, "latency_v1_session_id_p95_ns": ` + p(0.95) +
+		`, "latency_v1_session_id_p99_ns": ` + p(0.99) + `, "queue_depth": 2, "requests_total": 7}` + "\n"
+	if b.String() != want {
+		t.Errorf("WriteJSON =\n%s want\n%s", b.String(), want)
+	}
+	if snaps != 1 {
+		t.Errorf("one scrape took %d snapshots, want 1", snaps)
+	}
+}
+
+// TestRegistryRejectsBadDeclarations: a metric without help text, or a
+// name declared twice, must not make it into a registry.
+func TestRegistryRejectsBadDeclarations(t *testing.T) {
+	read := func(*testSnap) int64 { return 0 }
+	for name, ms := range map[string][]Metric[testSnap]{
+		"no help": {{Name: "x_total", Read: read}},
+		"no read": {{Name: "x_total", Help: "X."}},
+		"duplicate": {
+			{Name: "x_total", Help: "X.", Read: read},
+			{Name: "x_total", Help: "X again.", Read: read},
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewRegistry accepted %+v", name, ms)
+				}
+			}()
+			NewRegistry(func() testSnap { return testSnap{} }, NewHistogramVec(), nil, ms...)
+		}()
 	}
 }
 
@@ -59,7 +116,7 @@ func TestWritePrometheusHistogramCumulative(t *testing.T) {
 	v.Observe(l, 300*time.Hour)        // overflow
 
 	var b strings.Builder
-	WritePrometheus(&b, nil, v)
+	NewRegistry(func() struct{} { return struct{}{} }, v, nil).WritePrometheus(&b)
 	out := b.String()
 
 	base := `endpoint="/v1/run",cache="none",engine="vm",tier="none"`

@@ -110,13 +110,18 @@ func (c *cache) claim(key string) (e *entry, leader bool) {
 	c.misses++
 	e = &entry{key: key, done: make(chan struct{})}
 	c.entries[key] = c.order.PushFront(e)
+	c.evictLocked()
+	return e, true
+}
+
+// evictLocked drops least recently used entries beyond the bound.
+func (c *cache) evictLocked() {
 	for c.order.Len() > c.max {
 		back := c.order.Back()
 		c.order.Remove(back)
 		delete(c.entries, back.Value.(*entry).key)
 		c.evictions++
 	}
-	return e, true
 }
 
 // drop removes e so future requests for its key start fresh. The leader
@@ -151,12 +156,7 @@ func (c *cache) seed(key string, status int, body []byte) {
 		return
 	}
 	c.entries[key] = c.order.PushFront(e)
-	for c.order.Len() > c.max {
-		back := c.order.Back()
-		c.order.Remove(back)
-		delete(c.entries, back.Value.(*entry).key)
-		c.evictions++
-	}
+	c.evictLocked()
 }
 
 // live returns the completed entries in LRU order (least recently used
@@ -178,29 +178,28 @@ func (c *cache) live() []*entry {
 	return out
 }
 
-// bytesResident sums the cached response bodies, for the cache_bytes
-// gauge. O(entries), bounded by the LRU max; called only from /metrics.
-func (c *cache) bytesResident() int64 {
+// cacheStats is one consistent read of a cache for the metrics endpoint.
+type cacheStats struct {
+	entries                 int
+	hits, misses, evictions int64
+	// bytes sums the completed entries' response bodies: the occupancy
+	// signal behind the entry count. O(entries), bounded by the LRU max.
+	bytes int64
+}
+
+func (c *cache) snapshot() cacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var n int64
+	st := cacheStats{entries: c.order.Len(), hits: c.hits, misses: c.misses, evictions: c.evictions}
 	for el := c.order.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*entry)
 		// Only completed entries: body is written before done closes, so
 		// reading it earlier would race with the leader.
 		select {
 		case <-e.done:
-			n += int64(len(e.body))
+			st.bytes += int64(len(e.body))
 		default:
 		}
 	}
-	return n
-}
-
-// snapshot returns (entries, hits, misses, evictions) for the metrics
-// endpoint.
-func (c *cache) snapshot() (int, int64, int64, int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len(), c.hits, c.misses, c.evictions
+	return st
 }

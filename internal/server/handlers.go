@@ -560,11 +560,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "prometheus" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		obs.WritePrometheus(w, s.metrics.promCounters(), s.obs.Latency())
+		s.metrics.registry.WritePrometheus(w)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintln(w, s.metrics.vars.String())
+	s.metrics.registry.WriteJSON(w)
 }
 
 // marshalEnvelope serializes the response body. Cached bodies are these

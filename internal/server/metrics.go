@@ -1,191 +1,46 @@
 package server
 
 import (
-	"expvar"
-	"strings"
+	"sync/atomic"
 
 	"objinline"
+	"objinline/internal/cluster"
 	"objinline/internal/obs"
 )
 
-// metrics is one server instance's counter set, served as the JSON body of
-// GET /metrics. Each Server owns its own expvar.Map instead of publishing
-// process-global vars, so several servers in one process (the tests, the
-// load generator) never collide in the global expvar registry.
+// metrics is one server instance's counters and the registry that serves
+// them, with every other source, as GET /metrics. Each Server owns its
+// own set, so several servers in one process (the tests, the load
+// generator) never share state.
 type metrics struct {
-	vars *expvar.Map
-
-	requests         expvar.Int // requests_total
-	compiles         expvar.Int // compiles_total: compiles actually executed (cache misses that ran)
-	runs             expvar.Int // runs_total: VM executions
-	nativeRuns       expvar.Int // native_runs_total: native build-and-run executions (cache misses that ran)
-	shed             expvar.Int // shed_total: requests rejected with 429
-	deadlineExceeded expvar.Int // deadline_exceeded_total: requests that hit their deadline
-	inflight         expvar.Int // gauge: requests currently being served
+	requests, compiles, runs, nativeRuns, shed, deadlineExceeded, inflight atomic.Int64
 
 	// Cluster tier.
-	forwards         expvar.Int // forwards_total: requests forwarded to the key's owner
-	forwardErrors    expvar.Int // forward_errors_total: forward attempts that failed
-	forwardFallbacks expvar.Int // forward_local_fallback_total: forwards abandoned for local compute
-	hedges           expvar.Int // hedges_total: hedged second requests launched
-	hedgeWins        expvar.Int // hedge_wins_total: hedges that answered first
-	diskUpgrades     expvar.Int // disk_upgrades_total: disk-seeded entries recompiled on demand
+	forwards, forwardErrors, forwardFallbacks, hedges, hedgeWins, diskUpgrades atomic.Int64
+
+	registry *obs.Registry[scrape]
 }
 
-func newMetrics(s *Server) *metrics {
-	m := &metrics{vars: new(expvar.Map).Init()}
-	m.vars.Set("requests_total", &m.requests)
-	m.vars.Set("compiles_total", &m.compiles)
-	m.vars.Set("runs_total", &m.runs)
-	m.vars.Set("native_runs_total", &m.nativeRuns)
-	m.vars.Set("shed_total", &m.shed)
-	m.vars.Set("deadline_exceeded_total", &m.deadlineExceeded)
-	m.vars.Set("inflight", &m.inflight)
-	m.vars.Set("forwards_total", &m.forwards)
-	m.vars.Set("forward_errors_total", &m.forwardErrors)
-	m.vars.Set("forward_local_fallback_total", &m.forwardFallbacks)
-	m.vars.Set("hedges_total", &m.hedges)
-	m.vars.Set("hedge_wins_total", &m.hedgeWins)
-	m.vars.Set("disk_upgrades_total", &m.diskUpgrades)
-	m.vars.Set("workers_busy", expvar.Func(func() any { return len(s.workers) }))
-	m.vars.Set("queue_depth", expvar.Func(func() any { return s.queued.Load() }))
-	m.vars.Set("cache_entries", expvar.Func(func() any {
-		n, _, _, _ := s.results.snapshot()
-		return n
-	}))
-	m.vars.Set("cache_hits_total", expvar.Func(func() any {
-		_, hits, _, _ := s.results.snapshot()
-		return hits
-	}))
-	m.vars.Set("cache_misses_total", expvar.Func(func() any {
-		_, _, misses, _ := s.results.snapshot()
-		return misses
-	}))
-	m.vars.Set("cache_evictions_total", expvar.Func(func() any {
-		_, _, _, ev := s.results.snapshot()
-		return ev
-	}))
-	m.vars.Set("native_cache_entries", expvar.Func(func() any {
-		n, _, _, _ := s.nativeRuns.snapshot()
-		return n
-	}))
-	m.vars.Set("native_cache_hits_total", expvar.Func(func() any {
-		_, hits, _, _ := s.nativeRuns.snapshot()
-		return hits
-	}))
-	m.vars.Set("native_cache_misses_total", expvar.Func(func() any {
-		_, _, misses, _ := s.nativeRuns.snapshot()
-		return misses
-	}))
-	// Resident body bytes per cache: the occupancy signal behind the
-	// entry-count gauges. O(entries) per scrape, bounded by the LRU max.
-	m.vars.Set("cache_bytes", expvar.Func(func() any { return s.results.bytesResident() }))
-	m.vars.Set("native_cache_bytes", expvar.Func(func() any { return s.nativeRuns.bytesResident() }))
-	// Disk tier sizes and lifetime counters. Registered unconditionally so
-	// the exposition shape does not depend on configuration; all zeros when
-	// the server runs without a cache dir.
-	diskStats := func() (st struct {
-		WALBytes, SnapshotBytes, Appends, Replayed, CorruptTails, Compactions int64
-	}) {
-		if s.disk == nil {
-			return st
-		}
-		d := s.disk.Stats()
-		st.WALBytes, st.SnapshotBytes = d.WALBytes, d.SnapshotBytes
-		st.Appends, st.Replayed = d.Appends, d.Replayed
-		st.CorruptTails, st.Compactions = d.CorruptTails, d.Compactions
-		return st
+// scrape is one read of every locked source, taken once per GET /metrics
+// so related series (hits and misses, the tier counts) come from the same
+// instant. The disk and cluster fields stay zero on a standalone instance:
+// the exposition's shape does not depend on configuration.
+type scrape struct {
+	results, native cacheStats
+	sessions        sessionStats
+	disk            cluster.StoreStats
+	peersUp, peers  int
+}
+
+func (s *Server) scrape() scrape {
+	sc := scrape{results: s.results.snapshot(), native: s.nativeRuns.snapshot(), sessions: s.sessions.snapshot()}
+	if s.disk != nil {
+		sc.disk = s.disk.Stats()
 	}
-	m.vars.Set("disk_wal_bytes", expvar.Func(func() any { return diskStats().WALBytes }))
-	m.vars.Set("disk_snapshot_bytes", expvar.Func(func() any { return diskStats().SnapshotBytes }))
-	m.vars.Set("disk_appends_total", expvar.Func(func() any { return diskStats().Appends }))
-	m.vars.Set("disk_replayed_total", expvar.Func(func() any { return diskStats().Replayed }))
-	m.vars.Set("disk_corrupt_tails_total", expvar.Func(func() any { return diskStats().CorruptTails }))
-	m.vars.Set("disk_compactions_total", expvar.Func(func() any { return diskStats().Compactions }))
-	m.vars.Set("cluster_peers_up", expvar.Func(func() any {
-		if s.cluster == nil {
-			return 0
-		}
-		up, _ := s.cluster.PeersUp()
-		return up
-	}))
-	m.vars.Set("cluster_peers_total", expvar.Func(func() any {
-		if s.cluster == nil {
-			return 0
-		}
-		_, total := s.cluster.PeersUp()
-		return total
-	}))
-	m.vars.Set("cluster_transitions_total", expvar.Func(func() any {
-		if s.cluster == nil {
-			return int64(0)
-		}
-		return s.cluster.Transitions()
-	}))
-	m.vars.Set("native_batch_invocations_total", expvar.Func(func() any {
-		if s.batcher == nil {
-			return int64(0)
-		}
-		return s.batcher.ToolchainInvocations()
-	}))
-	m.vars.Set("native_batched_programs_total", expvar.Func(func() any {
-		if s.batcher == nil {
-			return int64(0)
-		}
-		return s.batcher.BatchedPrograms()
-	}))
-	m.vars.Set("sessions_active", expvar.Func(func() any {
-		n, _, _, _, _, _ := s.sessions.snapshot()
-		return n
-	}))
-	m.vars.Set("sessions_created_total", expvar.Func(func() any {
-		_, creates, _, _, _, _ := s.sessions.snapshot()
-		return creates
-	}))
-	m.vars.Set("session_patches_total", expvar.Func(func() any {
-		_, _, patches, _, _, _ := s.sessions.snapshot()
-		return patches
-	}))
-	m.vars.Set("session_evictions_total", expvar.Func(func() any {
-		_, _, _, ev, _, _ := s.sessions.snapshot()
-		return ev
-	}))
-	m.vars.Set("session_expirations_total", expvar.Func(func() any {
-		_, _, _, _, exp, _ := s.sessions.snapshot()
-		return exp
-	}))
-	// Patches by the tier that absorbed them — the service-level view of
-	// how much incremental reuse clients are getting. Flat keys keep the
-	// /metrics body a single level of numbers.
-	for _, tier := range []string{
-		objinline.TierReuse, objinline.TierPatch, objinline.TierReopt,
-		objinline.TierSolve, objinline.TierCold,
-	} {
-		tier := tier
-		m.vars.Set("session_patch_tier_"+tier+"_total", expvar.Func(func() any {
-			_, _, _, _, _, tiers := s.sessions.snapshot()
-			return tiers[tier]
-		}))
+	if s.cluster != nil {
+		sc.peersUp, sc.peers = s.cluster.PeersUp()
 	}
-	// Server-computed latency percentiles per endpoint, aggregated across
-	// cache status, engine, and tier. Flat keys (the /metrics body is one
-	// level of numbers by contract) in nanoseconds, estimated from the
-	// same log-bucketed histograms the Prometheus exposition serves — a
-	// client comparing the two sources compares estimators, not data.
-	for _, ep := range metricsEndpoints {
-		ep := ep
-		base := "latency_" + flatEndpointKey(ep) + "_"
-		for _, pq := range []struct {
-			suffix string
-			q      float64
-		}{{"p50_ns", 0.50}, {"p95_ns", 0.95}, {"p99_ns", 0.99}} {
-			pq := pq
-			m.vars.Set(base+pq.suffix, expvar.Func(func() any {
-				return int64(s.obs.Latency().Endpoint(ep).Quantile(pq.q))
-			}))
-		}
-	}
-	return m
+	return sc
 }
 
 // metricsEndpoints are the route patterns given latency-percentile keys in
@@ -195,58 +50,110 @@ var metricsEndpoints = []string{
 	"/v1/session", "/v1/session/{id}",
 }
 
-// flatEndpointKey turns a route pattern into an expvar-key fragment:
-// "/v1/session/{id}" -> "v1_session_id".
-func flatEndpointKey(ep string) string {
-	r := strings.NewReplacer("/", "_", "{", "", "}", "")
-	return r.Replace(strings.TrimPrefix(ep, "/"))
+func counter(name, help string, read func(*scrape) int64) obs.Metric[scrape] {
+	return obs.Metric[scrape]{Name: name, Kind: obs.Counter, Help: help, Read: read}
 }
 
-// promGauges marks the point-in-time counters for the Prometheus
-// exposition; everything else in the expvar map is monotonic.
-var promGauges = map[string]bool{
-	"inflight":             true,
-	"workers_busy":         true,
-	"queue_depth":          true,
-	"cache_entries":        true,
-	"cache_bytes":          true,
-	"native_cache_entries": true,
-	"native_cache_bytes":   true,
-	"sessions_active":      true,
-	"disk_wal_bytes":       true,
-	"disk_snapshot_bytes":  true,
-	"cluster_peers_up":     true,
-	"cluster_peers_total":  true,
+func gauge(name, help string, read func(*scrape) int64) obs.Metric[scrape] {
+	return obs.Metric[scrape]{Name: name, Kind: obs.Gauge, Help: help, Read: read}
 }
 
-// promCounters snapshots the flat expvar counters for the Prometheus
-// exposition. Latency keys are excluded — the histogram series carries
-// that data with full fidelity.
-func (m *metrics) promCounters() []obs.CounterValue {
-	var out []obs.CounterValue
-	m.vars.Do(func(kv expvar.KeyValue) {
-		if strings.HasPrefix(kv.Key, "latency_") {
-			return
-		}
-		var v float64
-		switch x := kv.Value.(type) {
-		case *expvar.Int:
-			v = float64(x.Value())
-		case expvar.Func:
-			switch n := x.Value().(type) {
-			case int:
-				v = float64(n)
-			case int64:
-				v = float64(n)
-			case float64:
-				v = n
-			default:
-				return
-			}
-		default:
-			return
-		}
-		out = append(out, obs.CounterValue{Name: kv.Key, Value: v, Gauge: promGauges[kv.Key]})
-	})
-	return out
+func load(v *atomic.Int64) func(*scrape) int64 {
+	return func(*scrape) int64 { return v.Load() }
+}
+
+// newMetrics declares every flat series of s exactly once.
+func newMetrics(s *Server) *metrics {
+	m := &metrics{}
+	reg := []obs.Metric[scrape]{
+		counter("requests_total", "HTTP requests received.", load(&m.requests)),
+		counter("compiles_total", "Compilations executed (cache misses that ran).", load(&m.compiles)),
+		counter("runs_total", "VM executions.", load(&m.runs)),
+		counter("native_runs_total", "Native build-and-run executions.", load(&m.nativeRuns)),
+		counter("shed_total", "Requests shed with 429 (worker queue full).", load(&m.shed)),
+		counter("deadline_exceeded_total", "Requests canceled by their deadline.", load(&m.deadlineExceeded)),
+		gauge("inflight", "Requests currently being served.", load(&m.inflight)),
+		gauge("workers_busy", "Worker-pool tokens currently held.",
+			func(*scrape) int64 { return int64(len(s.workers)) }),
+		gauge("queue_depth", "Requests currently queued for a worker token.", load(&s.queued)),
+
+		gauge("cache_entries", "Compile result-cache entries resident.",
+			func(sc *scrape) int64 { return int64(sc.results.entries) }),
+		gauge("cache_bytes", "Compile result-cache resident body bytes.",
+			func(sc *scrape) int64 { return sc.results.bytes }),
+		counter("cache_hits_total", "Compile result-cache hits.",
+			func(sc *scrape) int64 { return sc.results.hits }),
+		counter("cache_misses_total", "Compile result-cache misses.",
+			func(sc *scrape) int64 { return sc.results.misses }),
+		counter("cache_evictions_total", "Compile result-cache LRU evictions.",
+			func(sc *scrape) int64 { return sc.results.evictions }),
+		gauge("native_cache_entries", "Native-run result-cache entries resident.",
+			func(sc *scrape) int64 { return int64(sc.native.entries) }),
+		gauge("native_cache_bytes", "Native-run result-cache resident body bytes.",
+			func(sc *scrape) int64 { return sc.native.bytes }),
+		counter("native_cache_hits_total", "Native-run result-cache hits.",
+			func(sc *scrape) int64 { return sc.native.hits }),
+		counter("native_cache_misses_total", "Native-run result-cache misses.",
+			func(sc *scrape) int64 { return sc.native.misses }),
+		counter("native_batch_invocations_total", "Go toolchain invocations by the native build batcher.",
+			func(*scrape) int64 { return s.batcher.ToolchainInvocations() }),
+		counter("native_batched_programs_total", "Programs built through shared batched invocations.",
+			func(*scrape) int64 { return s.batcher.BatchedPrograms() }),
+
+		gauge("sessions_active", "Incremental sessions resident.",
+			func(sc *scrape) int64 { return int64(sc.sessions.active) }),
+		counter("sessions_created_total", "Incremental sessions created.",
+			func(sc *scrape) int64 { return sc.sessions.creates }),
+		counter("session_patches_total", "Session patches absorbed.",
+			func(sc *scrape) int64 { return sc.sessions.patches }),
+		counter("session_evictions_total", "Sessions evicted by the LRU bound.",
+			func(sc *scrape) int64 { return sc.sessions.evictions }),
+		counter("session_expirations_total", "Sessions expired by the idle TTL.",
+			func(sc *scrape) int64 { return sc.sessions.expirations }),
+
+		counter("forwards_total", "Requests forwarded to the key's ring owner.", load(&m.forwards)),
+		counter("forward_errors_total", "Forward attempts that failed (network or peer error).", load(&m.forwardErrors)),
+		counter("forward_local_fallback_total", "Forwards abandoned in favor of local compute.", load(&m.forwardFallbacks)),
+		counter("hedges_total", "Hedged second requests launched after the p95 delay.", load(&m.hedges)),
+		counter("hedge_wins_total", "Hedged requests that answered before the primary.", load(&m.hedgeWins)),
+		gauge("cluster_peers_up", "Cluster peers currently passing health probes.",
+			func(sc *scrape) int64 { return int64(sc.peersUp) }),
+		gauge("cluster_peers_total", "Cluster peers configured.",
+			func(sc *scrape) int64 { return int64(sc.peers) }),
+		counter("cluster_transitions_total", "Cluster peer up/down transitions observed.",
+			func(*scrape) int64 {
+				if s.cluster == nil {
+					return 0
+				}
+				return s.cluster.Transitions()
+			}),
+
+		counter("disk_upgrades_total", "Disk-seeded cache entries recompiled on demand.", load(&m.diskUpgrades)),
+		gauge("disk_wal_bytes", "Persistent cache write-ahead log size on disk.",
+			func(sc *scrape) int64 { return sc.disk.WALBytes }),
+		gauge("disk_snapshot_bytes", "Persistent cache snapshot size on disk.",
+			func(sc *scrape) int64 { return sc.disk.SnapshotBytes }),
+		counter("disk_appends_total", "Records appended to the persistent cache WAL.",
+			func(sc *scrape) int64 { return sc.disk.Appends }),
+		counter("disk_replayed_total", "Records replayed from disk at boot.",
+			func(sc *scrape) int64 { return sc.disk.Replayed }),
+		counter("disk_corrupt_tails_total", "Corrupt WAL tails detected and truncated.",
+			func(sc *scrape) int64 { return sc.disk.CorruptTails }),
+		counter("disk_compactions_total", "Persistent cache compactions completed.",
+			func(sc *scrape) int64 { return sc.disk.Compactions }),
+	}
+	// Patches by the tier that absorbed them: the service-level view of
+	// how much incremental reuse clients are getting.
+	for _, t := range []struct{ tier, help string }{
+		{objinline.TierReuse, "Session patches with byte-identical source; nothing recompiled."},
+		{objinline.TierPatch, "Session patches absorbed by forwarding new constants into the prior build."},
+		{objinline.TierReopt, "Session patches that reused the prior analysis and re-ran only the optimizer."},
+		{objinline.TierSolve, "Session patches that spliced re-lowered bodies and re-ran the whole-program analysis."},
+		{objinline.TierCold, "Session patches whose structural edit forced a full recompile."},
+	} {
+		reg = append(reg, counter("session_patch_tier_"+t.tier+"_total", t.help,
+			func(sc *scrape) int64 { return sc.sessions.tiers[t.tier] }))
+	}
+	m.registry = obs.NewRegistry(s.scrape, s.obs.Latency(), metricsEndpoints, reg...)
+	return m
 }

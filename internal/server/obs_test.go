@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode"
 
 	"objinline"
 	"objinline/internal/obs"
@@ -194,6 +195,9 @@ func TestPrometheusScrape(t *testing.T) {
 			t.Errorf("malformed line: %q", line)
 			continue
 		}
+		if strings.HasPrefix(line, "# HELP ") {
+			checkHelpLine(t, line)
+		}
 		if strings.HasPrefix(line, "oicd_requests_total ") {
 			sawRequests = true
 		}
@@ -224,6 +228,20 @@ func TestPrometheusScrape(t *testing.T) {
 	if !sawRequests || !sawCount || !sawHitBucket || !sawMissBucket {
 		t.Errorf("missing series: requests=%v count=%v hit=%v miss=%v",
 			sawRequests, sawCount, sawHitBucket, sawMissBucket)
+	}
+}
+
+// checkHelpLine fails a `# HELP name text` line whose text is empty or
+// merely restates the metric name (as a generated fallback would).
+func checkHelpLine(t *testing.T, line string) {
+	t.Helper()
+	name, help, _ := strings.Cut(strings.TrimPrefix(line, "# HELP "), " ")
+	bare := strings.TrimPrefix(name, "oicd_")
+	words := strings.Join(strings.FieldsFunc(strings.ToLower(help), func(r rune) bool {
+		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
+	}), "_")
+	if words == "" || strings.Contains(help, bare) || strings.TrimPrefix(words, "oicd_") == bare {
+		t.Errorf("HELP for %s is empty or restates the name: %q", name, line)
 	}
 }
 

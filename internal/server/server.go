@@ -20,10 +20,10 @@
 //	GET    /healthz         — liveness + readiness: build info, uptime,
 //	                          503 while draining so load balancers stop
 //	                          routing before the listener closes
-//	GET    /metrics         — this instance's counters as expvar-style
-//	                          JSON (with server-computed latency
-//	                          percentiles), or Prometheus text exposition
-//	                          with ?format=prometheus
+//	GET    /metrics         — this instance's counters as flat JSON
+//	                          (with server-computed latency percentiles),
+//	                          or Prometheus text exposition with
+//	                          ?format=prometheus
 //	GET    /debug/requests  — the last N requests (id, route, status,
 //	                          cache/engine/tier, queue wait, duration)
 //	GET    /debug/requests/{id}/trace — one request's span tree as a

@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
 	"sync"
 	"time"
@@ -158,23 +159,21 @@ func (st *sessionStore) recordTier(tier string) map[string]int64 {
 	defer st.mu.Unlock()
 	st.patches++
 	st.tiers[tier]++
-	totals := make(map[string]int64, len(st.tiers))
-	for k, v := range st.tiers {
-		totals[k] = v
-	}
-	return totals
+	return maps.Clone(st.tiers)
 }
 
-// snapshot returns (active, creates, patches, evictions, expirations,
-// per-tier counts) for the metrics endpoint.
-func (st *sessionStore) snapshot() (int, int64, int64, int64, int64, map[string]int64) {
+// sessionStats is one consistent read of the store for the metrics
+// endpoint.
+type sessionStats struct {
+	active                                   int
+	creates, patches, evictions, expirations int64
+	tiers                                    map[string]int64 // patches by tier
+}
+
+func (st *sessionStore) snapshot() sessionStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	tiers := make(map[string]int64, len(st.tiers))
-	for k, v := range st.tiers {
-		tiers[k] = v
-	}
-	return st.order.Len(), st.creates, st.patches, st.evictions, st.expirations, tiers
+	return sessionStats{st.order.Len(), st.creates, st.patches, st.evictions, st.expirations, maps.Clone(st.tiers)}
 }
 
 // newSessionID mints an unguessable 128-bit session id.
