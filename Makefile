@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet check-json bench bench-analysis bench-incremental bench-calibration bench-serve bench-cluster payoff figs serve
+.PHONY: check build test race vet check-json bench bench-analysis bench-calibration bench-cluster payoff figs serve
 
 check: build vet race check-json
 
@@ -31,21 +31,11 @@ race:
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# Benchmark the analysis phase itself: the Go benchmarks (worklist vs
-# sweep solver on every program at both Tags settings), then the
-# engine's table of the same comparison with solver work counters,
-# saved as BENCH_analysis.json.
+# Benchmark the analysis phase itself: worklist vs sweep solver on every
+# program at both Tags settings. Compile, edit and service timings come
+# from perfbench (perfbench/README.md).
 bench-analysis:
 	$(GO) test ./internal/bench -run '^$$' -bench BenchmarkAnalyze -benchtime 3x
-	$(GO) run ./cmd/objbench -fig analysis -json > BENCH_analysis.json
-	$(GO) run ./cmd/objbench -fig analysis
-
-# Incremental recompilation: cold pipeline vs a session absorbing payload
-# edits (docs/SERVER.md, DESIGN.md §12), with byte-identity checked before
-# any timing is reported. Saved as BENCH_incremental.json plus the table.
-bench-incremental:
-	$(GO) run ./cmd/objbench -fig incremental -json > BENCH_incremental.json
-	$(GO) run ./cmd/objbench -fig incremental
 
 # Cost-model cross-validation: the VM's predicted inlining speedups and
 # allocation deltas vs the native tier's measured wall-time and
@@ -69,11 +59,6 @@ figs:
 # Run the oicd compile-and-explain service locally (docs/SERVER.md).
 serve:
 	$(GO) run ./cmd/oicd
-
-# Benchmark the service: cold vs warm compile throughput, latency
-# percentiles, cache hit rate, and byte-identity at concurrency 8.
-bench-serve:
-	$(GO) run ./cmd/objbench -fig serve
 
 # Benchmark the cluster tier: a real 3-process cluster measured for
 # cross-instance dedup, per-instance and cluster-wide latency,

@@ -9,16 +9,13 @@
 //
 // Usage:
 //
-//	objbench [-fig 14|15|16|17|A1|A2|A3|analysis|phases|serve|payoff|incremental|calibration|cluster|all] [-scale small|medium|default]
+//	objbench [-fig 14|15|16|17|A1|A2|A3|payoff|calibration|cluster|all] [-scale small|medium|default]
 //	         [-jobs N] [-json] [-stats] [-cpuprofile f] [-memprofile f]
 //
-// The extra "analysis" figure benchmarks the analysis phase itself
-// (worklist vs sweep solver; see DESIGN.md), and "phases" breaks every
-// compilation down by pipeline phase using the trace sink. Both are
-// timing-sensitive, so -fig all skips them: request them explicitly
-// (`make bench-analysis` emits the former as BENCH_analysis.json).
 // "payoff" joins profiled inlining-on/off runs into a per-field table of
 // measured savings (`make payoff` emits it as BENCH_payoff.json).
+// Compile, execution, editing-session and service timings are perfbench's
+// job (perfbench/README.md), not objbench's.
 package main
 
 import (
@@ -32,7 +29,6 @@ import (
 
 	"objinline/internal/bench"
 	"objinline/internal/bench/clusterbench"
-	"objinline/internal/bench/serve"
 )
 
 // figure is one regenerable table: its -fig name, how to compute its rows
@@ -41,8 +37,8 @@ type figure struct {
 	name    string
 	compute func(*bench.Engine, bench.Scale) (any, error)
 	print   func(io.Writer, any)
-	// explicitOnly excludes the figure from -fig all (wall-clock
-	// benchmarks whose numbers are only meaningful run alone).
+	// explicitOnly excludes the figure from -fig all (figures that build
+	// binaries, boot processes, or keep their own run cache).
 	explicitOnly bool
 }
 
@@ -95,46 +91,10 @@ var figures = []figure{
 		},
 	},
 	{
-		name:         "analysis",
-		compute:      func(e *bench.Engine, s bench.Scale) (any, error) { return e.AnalysisBench(s) },
-		print:        func(w io.Writer, rows any) { bench.PrintAnalysisBench(w, rows.([]bench.AnalysisBenchRow)) },
-		explicitOnly: true,
-	},
-	{
-		name:         "phases",
-		compute:      func(e *bench.Engine, s bench.Scale) (any, error) { return e.Phases(s) },
-		print:        func(w io.Writer, rows any) { bench.PrintPhases(w, rows.([]bench.PhaseRow)) },
-		explicitOnly: true,
-	},
-	{
-		// The oicd service benchmark: cold vs warm compile throughput at
-		// fixed concurrency against an in-process server. Wall-clock, so
-		// explicit-only like "analysis" and "phases".
-		name: "serve",
-		compute: func(e *bench.Engine, s bench.Scale) (any, error) {
-			return serve.Run(serve.Options{Scale: s, Concurrency: 8})
-		},
-		print:        func(w io.Writer, rows any) { serve.Print(w, rows.(*serve.Result)) },
-		explicitOnly: true,
-	},
-	{
-		// The incremental-recompilation benchmark: cold pipeline vs a
-		// session absorbing payload edits, with byte-identity checked
-		// before any timing is reported. Wall-clock, so explicit-only
-		// (`make bench-incremental` emits BENCH_incremental.json).
-		name: "incremental",
-		compute: func(e *bench.Engine, s bench.Scale) (any, error) {
-			return e.IncrementalBench(s)
-		},
-		print:        func(w io.Writer, rows any) { bench.PrintIncremental(w, rows.([]bench.IncrementalRow)) },
-		explicitOnly: true,
-	},
-	{
 		// The cost-model cross-validation: predicted inlining speedups and
 		// allocation deltas (VM) vs measured ones (native tier). Builds
-		// and times real binaries, so explicit-only like the other
-		// wall-clock figures (`make bench-calibration` emits
-		// BENCH_calibration.json).
+		// and times real binaries, so explicit-only (`make
+		// bench-calibration` emits BENCH_calibration.json).
 		name: "calibration",
 		compute: func(e *bench.Engine, s bench.Scale) (any, error) {
 			return e.Calibration(s)
@@ -168,7 +128,7 @@ var figures = []figure{
 }
 
 func main() {
-	fig := flag.String("fig", "all", "which figure to regenerate: 14, 15, 16, 17, A1, A2, A3, analysis, phases, serve, payoff, incremental, calibration, cluster, or all")
+	fig := flag.String("fig", "all", "which figure to regenerate: 14, 15, 16, 17, A1, A2, A3, payoff, calibration, cluster, or all")
 	scaleName := flag.String("scale", "default", "workload scale: small, medium, or default")
 	jobs := flag.Int("jobs", 0, "worker-pool size for the measurement engine (0 = GOMAXPROCS)")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")

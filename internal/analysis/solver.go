@@ -60,7 +60,7 @@ package analysis
 // WorkStats counts solver effort. The counters make the solver's
 // complexity observable: the worklist's InstrEvals should drop
 // super-proportionally versus the sweep's on programs with many contours
-// (`objbench -fig analysis` and BENCH_analysis.json report both).
+// (BenchmarkAnalyze in internal/bench times both).
 type WorkStats struct {
 	// Rounds is the number of fixpoint rounds across all passes.
 	Rounds int

@@ -192,3 +192,15 @@ func TestSolverDefault(t *testing.T) {
 		t.Errorf("worklist run recorded no enqueues")
 	}
 }
+
+// TestWorkCountersPopulated checks both solvers report their effort:
+// rounds, contour evaluations and instruction evaluations are all
+// nonzero on a program that needs more than one round.
+func TestWorkCountersPopulated(t *testing.T) {
+	for _, solver := range []string{analysis.SolverWorklist, analysis.SolverSweep} {
+		w := analysis.Analyze(compile(t, chainSrc), analysis.Options{Solver: solver}).Work
+		if w.Rounds == 0 || w.ContourEvals == 0 || w.InstrEvals == 0 {
+			t.Errorf("%s: unpopulated work counters %+v", solver, w)
+		}
+	}
+}

@@ -162,8 +162,9 @@ func (s Snapshot) Quantile(q float64) time.Duration {
 // QuantileFromScrape estimates a quantile from Prometheus-style
 // cumulative histogram buckets: les are the `le` boundaries in seconds
 // (ascending, +Inf as math.Inf(1)) and cum the cumulative counts at each.
-// The serve benchmark uses it to turn a /metrics?format=prometheus
-// scrape back into the same estimate the server would compute.
+// The server's latency-agreement test uses it to turn a
+// /metrics?format=prometheus scrape back into the same estimate the
+// server would compute.
 func QuantileFromScrape(les []float64, cum []uint64, q float64) time.Duration {
 	if len(les) == 0 || len(les) != len(cum) {
 		return 0

@@ -36,12 +36,6 @@ const (
 	PhaseRun        Phase = "run"        // VM execution
 )
 
-// Phases lists every phase in pipeline order (the order tables render).
-var Phases = []Phase{
-	PhaseParse, PhaseCheck, PhaseLower, PhaseAnalysis,
-	PhaseOptimize, PhaseFuncInline, PhasePeephole, PhaseRun,
-}
-
 // Counter is one named per-phase measurement (instruction counts, contour
 // counts, ...). A slice, not a map, so JSON output and golden tests are
 // deterministic.
