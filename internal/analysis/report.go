@@ -44,18 +44,6 @@ func (r *Result) Stats() Stats {
 	return s
 }
 
-// DispatchTargets returns the resolved target functions of a dynamic call
-// site within a contour, sorted by name.
-func (r *Result) DispatchTargets(mc *MethodContour, instrID int) []*ir.Func {
-	set := mc.Targets[instrID]
-	out := make([]*ir.Func, 0, len(set))
-	for f := range set {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].FullName() < out[j].FullName() })
-	return out
-}
-
 // Callees returns the callee contours bound at a call site, sorted by ID.
 func (r *Result) Callees(mc *MethodContour, instrID int) []*MethodContour {
 	set := mc.Callees[instrID]

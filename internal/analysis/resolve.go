@@ -16,11 +16,6 @@ type Rep struct {
 	Raw      bool
 	Fields   map[FieldKey]bool
 	Confused bool
-
-	// Involved collects every candidate field consulted during
-	// resolution; when a value turns out inconsistent, these are the
-	// candidates the decision must reject.
-	Involved map[FieldKey]bool
 }
 
 // Add merges another rep into r.
@@ -30,16 +25,6 @@ func (r *Rep) Add(o Rep) {
 	for k := range o.Fields {
 		r.addField(k)
 	}
-	for k := range o.Involved {
-		r.involve(k)
-	}
-}
-
-func (r *Rep) involve(k FieldKey) {
-	if r.Involved == nil {
-		r.Involved = make(map[FieldKey]bool)
-	}
-	r.Involved[k] = true
 }
 
 func (r *Rep) addField(k FieldKey) {
@@ -109,7 +94,6 @@ func (rr *repResolver) resolve(t *Tag) Rep {
 	key := t.Head()
 	var rep Rep
 	if rr.inlined != nil && rr.inlined(key) {
-		rep.involve(key)
 		// The field is inlined: the value is the container's rep. The
 		// container itself is described by the base tag; its identity is
 		// what the *transformation* needs, but for representation

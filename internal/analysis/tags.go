@@ -301,16 +301,6 @@ func (s *TagSet) HasTop() bool {
 	return false
 }
 
-// HasNoField reports whether the set contains the NoField sentinel.
-func (s *TagSet) HasNoField() bool {
-	for t := range s.m {
-		if t.IsNoField() {
-			return true
-		}
-	}
-	return false
-}
-
 // List returns tags sorted by ID.
 func (s *TagSet) List() []*Tag {
 	out := make([]*Tag, 0, len(s.m))

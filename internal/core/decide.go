@@ -456,10 +456,7 @@ func pruneInconsistent(prog *ir.Program, res *analysis.Result, d *Decision) {
 		}
 		var confusedTS *analysis.TypeSet
 		remove := func(rep analysis.Rep, tags *analysis.TagSet, code ReasonCode, reason string, ev Step) {
-			victims := rep.Involved
-			if len(victims) == 0 {
-				victims = rep.Fields
-			}
+			victims := rep.Fields
 			if len(victims) == 0 {
 				// Confusion without attribution: fall back to raw heads.
 				heads, _, _ := tags.Heads()

@@ -6,177 +6,80 @@ import (
 	"objinline/internal/ir"
 )
 
-// The assignment-specialization evidence walker: a read-only re-traversal
-// of the PassByValue conditions that SafeStore checked, collecting *why*
-// the check failed as structured Steps instead of a bare bool. It runs
-// only on the diagnostic path (after SafeStore already said no, or to
-// record the positive evidence of an accepted store), so the hot decision
-// loop pays nothing for it.
+// Evidence for assignment specialization: ExplainStore runs safeHandoff,
+// the walk that decided, in its recording mode, so a rejected store's
+// chain names the exact origin, call site, or use that failed. It runs
+// only after SafeStore already said no; the decision path builds no
+// Steps.
 
-// explainMaxDepth bounds how far the walker follows parameters into their
-// call sites and factory returns; beyond it the chain ends with a summary
-// step. Three levels names the store, the offending call site, and the
-// offending use there — enough to act on without unbounded recursion.
+// explainMaxDepth bounds how far the walk follows parameters into their
+// call sites and factories into their returns. Three levels names the
+// store, the offending call site, and the offending use there — enough
+// to act on without unbounded recursion.
 const explainMaxDepth = 3
 
-// ExplainStore reconstructs the evidence chain for a store's PassByValue
-// check. For a failing store the chain ends at the exact use, origin, or
-// call site that killed the conversion; for a passing store it is a short
-// positive record.
+// evidence collects the violated conditions of one recording walk;
+// depth is the level of the handoff being walked (explainMaxDepth at the
+// store).
+type evidence struct {
+	steps []Step
+	depth int
+}
+
+func (ev *evidence) add(what, where, detail string, args ...any) {
+	ev.steps = append(ev.steps, Step{What: what, Where: where, Detail: fmt.Sprintf(detail, args...)})
+}
+
+// deeper runs f one level further down the chain, unless the depth is
+// spent.
+func (ev *evidence) deeper(f func()) {
+	if ev.depth <= 1 {
+		return
+	}
+	ev.depth--
+	f()
+	ev.depth++
+}
+
+// ExplainStore returns the evidence chain of a store that SafeStore
+// rejected: every violated PassByValue condition, ending at the use,
+// origin, or call site that killed the conversion.
 func (v *valuability) ExplainStore(fn *ir.Func, store *ir.Instr) []Step {
-	var valReg ir.Reg
-	switch store.Op {
-	case ir.OpSetField:
-		valReg = store.Args[1]
-	case ir.OpArrSet:
-		valReg = store.Args[2]
-	default:
+	valReg, ok := storedValue(store)
+	if !ok {
 		return []Step{{What: "not-a-store", Where: store.Pos.String()}}
 	}
-	if v.SafeStore(fn, store) {
-		return []Step{{
-			What:   "store-convertible",
-			Where:  store.Pos.String(),
-			Detail: "stored value passes PassByValue: fresh origin, never stored elsewhere, never used after the copy",
-		}}
-	}
-	steps := []Step{{
-		What:   "pass-by-value-failed",
-		Where:  store.Pos.String(),
-		Detail: fmt.Sprintf("store in %s cannot be converted to a copy", fn.FullName()),
-	}}
-	return append(steps, v.explainHandoff(fn, valReg, store, explainMaxDepth)...)
+	ev := &evidence{depth: explainMaxDepth}
+	ev.add("pass-by-value-failed", store.Pos.String(), "store in %s cannot be converted to a copy", fn.FullName())
+	v.safeHandoff(fn, valReg, store, ev)
+	return ev.steps
 }
 
-// explainHandoff mirrors safeHandoff's three condition groups (origins,
-// parameter by-value, uses) and reports the violated ones.
-func (v *valuability) explainHandoff(fn *ir.Func, reg ir.Reg, handoff *ir.Instr, depth int) []Step {
-	if depth <= 0 {
-		return []Step{{What: "chain-truncated", Detail: "evidence chain exceeds the explanation depth limit"}}
-	}
-	chain := v.defChain(fn, reg)
-	if chain == nil {
-		return []Step{{
-			What:   "untracked-flow",
-			Where:  fn.FullName(),
-			Detail: fmt.Sprintf("r%d's definitions are too tangled to track", reg),
-		}}
-	}
-	var steps []Step
-
-	// Origin check: every root definition must produce a fresh value.
-	for _, def := range chain.roots {
-		switch def.Op {
-		case ir.OpNewObject, ir.OpConstNil:
-			// By-value-producible.
-		case ir.OpCall:
-			if !v.FreshReturn(def.Callee) {
-				steps = append(steps, Step{
-					What:   "factory-not-fresh",
-					Where:  def.Pos.String(),
-					Detail: fmt.Sprintf("value returned by %s, whose returns are not all fresh local objects", def.Callee.FullName()),
-				})
-				steps = append(steps, v.explainFreshReturn(def.Callee, depth-1)...)
-			}
-		default:
-			steps = append(steps, Step{
-				What:   "origin-not-fresh",
-				Where:  def.Pos.String(),
-				Detail: fmt.Sprintf("value defined by %s, not a local allocation", def.Op),
-			})
-		}
-	}
-
-	// Parameter origins: CallByValue must hold at every call site.
-	for _, pr := range chain.params {
-		if v.ParamByValue(fn, pr) {
-			continue
-		}
-		steps = append(steps, Step{
-			What:   "param-not-call-by-value",
-			Where:  fn.FullName(),
-			Detail: fmt.Sprintf("parameter r%d cannot be passed by value from every call site", pr),
-		})
-		steps = append(steps, v.explainParam(fn, pr, depth-1)...)
-	}
-
-	// Use checks: no other use may store the value (DontStore) or run
-	// after the handoff.
-	fn.Instrs(func(_ *ir.Block, in *ir.Instr) {
-		if in == handoff || !usesAny(in, chain.regs) || chain.chainDefs[in] {
-			return
-		}
-		if v.useStores(fn, in, chain.regs) {
-			steps = append(steps, Step{
-				What:   "stored-elsewhere",
-				Where:  in.Pos.String(),
-				Detail: fmt.Sprintf("value also escapes through %s, so the copy would not capture all aliases", in.Op),
-			})
-			return
-		}
-		for _, a := range in.Args {
-			if chain.regs[a] && v.liveUseAfter(fn, handoff, in, a) {
-				steps = append(steps, Step{
-					What:   "used-after-handoff",
-					Where:  in.Pos.String(),
-					Detail: fmt.Sprintf("%s reads the value after the store, where the copy would expose stale state", in.Op),
-				})
-				return
-			}
+// explainFreshReturn records the first return of the factory fn that is
+// not fresh, and why.
+func (v *valuability) explainFreshReturn(fn *ir.Func, ev *evidence) {
+	ev.deeper(func() {
+		if ret := v.staleReturn(fn); ret != nil {
+			ev.add("return-not-fresh", ret.Pos.String(), "")
+			v.safeHandoff(fn, ret.Args[0], ret, ev)
 		}
 	})
-	if len(steps) == 0 {
-		// safeHandoff said no but every local condition re-checks clean:
-		// only possible if the caller asked about a passing handoff.
-		steps = append(steps, Step{What: "conditions-hold", Where: fn.FullName()})
-	}
-	return steps
 }
 
-// explainFreshReturn finds the first return of fn that fails the fresh-
-// value conditions and explains it.
-func (v *valuability) explainFreshReturn(fn *ir.Func, depth int) []Step {
-	if depth <= 0 {
-		return nil
-	}
-	var steps []Step
-	fn.Instrs(func(_ *ir.Block, in *ir.Instr) {
-		if steps != nil || in.Op != ir.OpReturn || len(in.Args) == 0 {
+// explainParam records the first call site that cannot pass fn's
+// parameter reg by value, and why.
+func (v *valuability) explainParam(fn *ir.Func, reg ir.Reg, ev *evidence) {
+	ev.deeper(func() {
+		site, argIdx, found := v.unsafeCallSite(fn, reg)
+		if !found {
 			return
 		}
-		if !v.safeHandoff(fn, in.Args[0], in, true) {
-			steps = append([]Step{{
-				What:  "return-not-fresh",
-				Where: in.Pos.String(),
-			}}, v.explainHandoff(fn, in.Args[0], in, depth)...)
+		if argIdx < 0 {
+			ev.add("arg-untracked", site.in.Pos.String(), "call site's argument list does not map onto the parameter")
+			return
 		}
+		ev.add("call-site-not-by-value", site.in.Pos.String(),
+			"argument %d in %s cannot be handed off by value", argIdx, site.fn.FullName())
+		v.safeHandoff(site.fn, site.in.Args[argIdx], site.in, ev)
 	})
-	return steps
-}
-
-// explainParam finds the first call site where fn's parameter cannot be
-// handed off by value and explains that site.
-func (v *valuability) explainParam(fn *ir.Func, reg ir.Reg, depth int) []Step {
-	if depth <= 0 {
-		return nil
-	}
-	for _, site := range v.callers[fn] {
-		argIdx := argIndexFor(site.in, fn, reg)
-		if argIdx < 0 || argIdx >= len(site.in.Args) {
-			return []Step{{
-				What:   "arg-untracked",
-				Where:  site.in.Pos.String(),
-				Detail: "call site's argument list does not map onto the parameter",
-			}}
-		}
-		if !v.safeHandoff(site.fn, site.in.Args[argIdx], site.in, false) {
-			steps := []Step{{
-				What:   "call-site-not-by-value",
-				Where:  site.in.Pos.String(),
-				Detail: fmt.Sprintf("argument %d in %s cannot be handed off by value", argIdx, site.fn.FullName()),
-			}}
-			return append(steps, v.explainHandoff(site.fn, site.in.Args[argIdx], site.in, depth)...)
-		}
-	}
-	return nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"objinline/internal/analysis"
@@ -298,22 +297,3 @@ func versionName(base string, n int) string {
 
 // Versions returns all versions in creation order.
 func (vs *versionSpace) Versions() []*ClassVersion { return vs.list }
-
-// ArrVersions returns array versions sorted by site.
-func (vs *versionSpace) ArrVersions() []*ArrVersion {
-	out := make([]*ArrVersion, 0, len(vs.arrs))
-	for _, av := range vs.arrs {
-		out = append(out, av)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key.ASiteUID < out[j].Key.ASiteUID })
-	return out
-}
-
-// relSlot returns the flattened offset of field name within a version
-// (used for interior references into inlined arrays). It reports false
-// when the field is itself inlined in this version (the access must then
-// extend the interior base instead).
-func (v *ClassVersion) relSlot(name string) (SlotInfo, bool) {
-	si, ok := v.Slots[name]
-	return si, ok
-}

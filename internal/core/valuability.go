@@ -21,6 +21,8 @@ import (
 // The predicates mirror the paper's: NoStore / DontStore over uses,
 // UsesBefore/UsesAfter over the intraprocedural CFG, PassByValue over a
 // handoff use, and CallByValue over every call edge of a parameter.
+// safeHandoff is the one place these conditions are tested; the evidence
+// that Explain reports is recorded by the same walk (explain.go).
 type valuability struct {
 	prog *ir.Program
 	res  *analysis.Result
@@ -31,12 +33,9 @@ type valuability struct {
 	// callers lists, per function, the call sites that may invoke it.
 	callers map[*ir.Func][]callSite
 
-	after map[*ir.Func][][]bool // after[fn][i][j]: instr j can run after instr i
-
-	readOnly  map[paramKey]bool
-	fresh     map[*ir.Func]int8 // 0 unknown, 1 yes, -1 no (FreshReturn)
-	byValue   map[paramKey]int8
-	byValMemo map[paramKey]bool
+	readOnly map[paramKey]bool
+	fresh    map[*ir.Func]int8 // 0 unknown, 1 yes, -1 no (FreshReturn)
+	byValue  map[paramKey]int8
 }
 
 type paramKey struct {
@@ -51,15 +50,13 @@ type callSite struct {
 
 func newValuability(prog *ir.Program, res *analysis.Result) *valuability {
 	v := &valuability{
-		prog:      prog,
-		res:       res,
-		callees:   make(map[*ir.Func]map[int][]*ir.Func),
-		callers:   make(map[*ir.Func][]callSite),
-		after:     make(map[*ir.Func][][]bool),
-		readOnly:  make(map[paramKey]bool),
-		fresh:     make(map[*ir.Func]int8),
-		byValue:   make(map[paramKey]int8),
-		byValMemo: make(map[paramKey]bool),
+		prog:     prog,
+		res:      res,
+		callees:  make(map[*ir.Func]map[int][]*ir.Func),
+		callers:  make(map[*ir.Func][]callSite),
+		readOnly: make(map[paramKey]bool),
+		fresh:    make(map[*ir.Func]int8),
+		byValue:  make(map[paramKey]int8),
 	}
 	v.buildCallGraph()
 	v.computeReadOnly()
@@ -114,8 +111,8 @@ func (v *valuability) buildCallGraph() {
 		}
 	}
 	// The seen map iterates in random order; sort each caller list so
-	// everything derived from it — including the explain walker's choice
-	// of which failing call site to show — is deterministic.
+	// everything derived from it — including which failing call site the
+	// evidence shows — is deterministic.
 	for _, sites := range v.callers {
 		sort.Slice(sites, func(i, j int) bool {
 			if sites[i].fn.ID != sites[j].fn.ID {
@@ -124,66 +121,6 @@ func (v *valuability) buildCallGraph() {
 			return sites[i].in.ID < sites[j].in.ID
 		})
 	}
-}
-
-// afterMatrix returns (building lazily) the instruction-level "may execute
-// after" relation of fn: after[i][j] is true when instruction j can
-// execute after instruction i in some run (same-block later instructions
-// plus everything in reachable successor blocks; loops make blocks
-// self-reachable).
-func (v *valuability) afterMatrix(fn *ir.Func) [][]bool {
-	if m, ok := v.after[fn]; ok {
-		return m
-	}
-	nb := len(fn.Blocks)
-	succ := make([][]int, nb)
-	for _, b := range fn.Blocks {
-		last := b.Instrs[len(b.Instrs)-1]
-		switch last.Op {
-		case ir.OpJump:
-			succ[b.ID] = []int{last.Target}
-		case ir.OpBranch:
-			succ[b.ID] = []int{last.Target, last.Else}
-		}
-	}
-	// Block-level reachability (strictly "via an edge", so a block is
-	// after itself only when on a cycle).
-	reach := make([][]bool, nb)
-	for i := range reach {
-		reach[i] = make([]bool, nb)
-		work := append([]int(nil), succ[i]...)
-		for len(work) > 0 {
-			b := work[len(work)-1]
-			work = work[:len(work)-1]
-			if reach[i][b] {
-				continue
-			}
-			reach[i][b] = true
-			work = append(work, succ[b]...)
-		}
-	}
-	m := make([][]bool, fn.NumInstrs)
-	for i := range m {
-		m[i] = make([]bool, fn.NumInstrs)
-	}
-	for _, b := range fn.Blocks {
-		for i, in := range b.Instrs {
-			// Later instructions in the same block.
-			for j := i + 1; j < len(b.Instrs); j++ {
-				m[in.ID][b.Instrs[j].ID] = true
-			}
-			// All instructions of blocks reachable from here.
-			for _, ob := range fn.Blocks {
-				if reach[b.ID][ob.ID] {
-					for _, oin := range ob.Instrs {
-						m[in.ID][oin.ID] = true
-					}
-				}
-			}
-		}
-	}
-	v.after[fn] = m
-	return m
 }
 
 // computeReadOnly computes, to a greatest fixpoint, whether each parameter
@@ -362,95 +299,132 @@ func (v *valuability) FreshReturn(fn *ir.Func) bool {
 		return false
 	}
 	v.fresh[fn] = -1 // pessimistic for recursion
-	ok := true
+	if v.staleReturn(fn) != nil {
+		return false
+	}
+	v.fresh[fn] = 1
+	return true
+}
+
+// staleReturn returns the first return of fn whose value cannot be
+// handed off by value, or nil when every return is fresh.
+func (v *valuability) staleReturn(fn *ir.Func) *ir.Instr {
+	var stale *ir.Instr
 	fn.Instrs(func(_ *ir.Block, in *ir.Instr) {
-		if !ok || in.Op != ir.OpReturn || len(in.Args) == 0 {
+		if stale != nil || in.Op != ir.OpReturn || len(in.Args) == 0 {
 			return
 		}
-		if !v.safeHandoff(fn, in.Args[0], in, true) {
-			ok = false
+		if !v.safeHandoff(fn, in.Args[0], in, nil) {
+			stale = in
 		}
 	})
-	if ok {
-		v.fresh[fn] = 1
-	}
-	return ok
+	return stale
 }
 
 // SafeStore reports whether the value stored by `store` (a SetField or
 // ArrSet instruction in fn) may be converted into a copy: the paper's
 // PassByValue condition applied at the mutator's store site.
 func (v *valuability) SafeStore(fn *ir.Func, store *ir.Instr) bool {
-	var valReg ir.Reg
+	valReg, ok := storedValue(store)
+	return ok && v.safeHandoff(fn, valReg, store, nil)
+}
+
+// storedValue returns the register whose value store writes, or false
+// when store is not a SetField or ArrSet.
+func storedValue(store *ir.Instr) (ir.Reg, bool) {
 	switch store.Op {
 	case ir.OpSetField:
-		valReg = store.Args[1]
+		return store.Args[1], true
 	case ir.OpArrSet:
-		valReg = store.Args[2]
-	default:
-		return false
+		return store.Args[2], true
 	}
-	return v.safeHandoff(fn, valReg, store, false)
+	return ir.NoReg, false
 }
 
 // safeHandoff checks the paper's PassByValue conditions for handing the
 // value in register reg to `handoff` (a store, call, or return): every
 // definition is by-value-producible, no other use stores it, and no use
 // can execute after the handoff.
-func (v *valuability) safeHandoff(fn *ir.Func, reg ir.Reg, handoff *ir.Instr, isReturn bool) bool {
+//
+// With ev == nil this is the decision: it stops at the first violation
+// and builds no Step. With ev set it records every violated condition
+// (origins, then parameters, then uses), following non-fresh factories
+// and non-by-value parameters to their first failing return or call
+// site.
+func (v *valuability) safeHandoff(fn *ir.Func, reg ir.Reg, handoff *ir.Instr, ev *evidence) bool {
 	chain := v.defChain(fn, reg)
 	if chain == nil {
+		if ev != nil {
+			ev.add("untracked-flow", fn.FullName(), "r%d's definitions are too tangled to track", reg)
+		}
 		return false
 	}
-	// Origin check: every root definition must produce a fresh value or a
-	// by-value parameter.
+	safe := true
+	// Origin check: every root definition must produce a fresh value.
 	for _, def := range chain.roots {
 		switch def.Op {
-		case ir.OpNewObject:
-			// Locally created.
+		case ir.OpNewObject, ir.OpConstNil:
+			// Locally created, or a nil initializer on a declaration.
 		case ir.OpCall:
-			if !v.FreshReturn(def.Callee) {
+			if v.FreshReturn(def.Callee) {
+				continue
+			}
+			safe = false
+			if ev == nil {
 				return false
 			}
-		case ir.OpConstNil:
-			// A nil initializer on a declaration; harmless.
+			ev.add("factory-not-fresh", def.Pos.String(),
+				"value returned by %s, whose returns are not all fresh local objects", def.Callee.FullName())
+			v.explainFreshReturn(def.Callee, ev)
 		default:
-			return false
+			safe = false
+			if ev == nil {
+				return false
+			}
+			ev.add("origin-not-fresh", def.Pos.String(), "value defined by %s, not a local allocation", def.Op)
 		}
 	}
+	// Parameter origins: CallByValue must hold at every call site.
 	for _, pr := range chain.params {
-		if !v.ParamByValue(fn, pr) {
+		if v.ParamByValue(fn, pr) {
+			continue
+		}
+		safe = false
+		if ev == nil {
 			return false
 		}
+		ev.add("param-not-call-by-value", fn.FullName(),
+			"parameter r%d cannot be passed by value from every call site", pr)
+		v.explainParam(fn, pr, ev)
 	}
-	// Use checks.
-	safe := true
+	// Use checks: no other use may store the value (DontStore), and no
+	// use of the *same value* may run after the handoff (the copy would
+	// expose stale state). A use is only dangerous when it is reachable
+	// from the handoff without the used register being redefined on the
+	// way — loop-carried re-creations are new values.
 	fn.Instrs(func(_ *ir.Block, in *ir.Instr) {
-		if !safe || in == handoff {
+		if !safe && ev == nil || in == handoff || !usesAny(in, chain.regs) || chain.chainDefs[in] {
 			return
-		}
-		if !usesAny(in, chain.regs) {
-			return
-		}
-		if chain.chainDefs[in] {
-			return // the internal moves of the chain
 		}
 		if v.useStores(fn, in, chain.regs) {
 			safe = false
+			if ev != nil {
+				ev.add("stored-elsewhere", in.Pos.String(),
+					"value also escapes through %s, so the copy would not capture all aliases", in.Op)
+			}
 			return
 		}
-		// No use of the *same value* may run after the handoff (the copy
-		// would expose stale state). A use is only dangerous when it is
-		// reachable from the handoff without the used register being
-		// redefined on the way — loop-carried re-creations are new values.
 		for _, a := range in.Args {
 			if chain.regs[a] && v.liveUseAfter(fn, handoff, in, a) {
 				safe = false
+				if ev != nil {
+					ev.add("used-after-handoff", in.Pos.String(),
+						"%s reads the value after the store, where the copy would expose stale state", in.Op)
+				}
 				return
 			}
 		}
 	})
-	_ = isReturn
 	return safe
 }
 
@@ -581,13 +555,8 @@ func (v *valuability) defsOf(fn *ir.Func, r ir.Reg) []*ir.Instr {
 // paper's "sub-objects are allocated with the container" savings (see
 // DESIGN.md §2).
 func (v *valuability) CollectRoots(fn *ir.Func, store *ir.Instr) []AllocSite {
-	var valReg ir.Reg
-	switch store.Op {
-	case ir.OpSetField:
-		valReg = store.Args[1]
-	case ir.OpArrSet:
-		valReg = store.Args[2]
-	default:
+	valReg, ok := storedValue(store)
+	if !ok {
 		return nil
 	}
 	var out []AllocSite
@@ -648,25 +617,28 @@ func (v *valuability) ParamByValue(fn *ir.Func, reg ir.Reg) bool {
 		return false
 	}
 	v.byValue[k] = -1 // pessimistic while in progress
-	sites := v.callers[fn]
-	if len(sites) == 0 {
-		// Never called (dead code): vacuously safe.
-		v.byValue[k] = 1
-		return true
+	if _, _, found := v.unsafeCallSite(fn, reg); found {
+		return false
 	}
-	for _, site := range sites {
+	v.byValue[k] = 1 // vacuously so when fn is never called (dead code)
+	return true
+}
+
+// unsafeCallSite returns the first call site of fn that cannot hand the
+// argument for parameter reg off by value, with that argument's index
+// (-1 when the argument list does not map onto the parameter). found is
+// false when every call site can.
+func (v *valuability) unsafeCallSite(fn *ir.Func, reg ir.Reg) (site callSite, argIdx int, found bool) {
+	for _, site := range v.callers[fn] {
 		argIdx := argIndexFor(site.in, fn, reg)
 		if argIdx < 0 || argIdx >= len(site.in.Args) {
-			v.byValue[k] = -1
-			return false
+			return site, -1, true
 		}
-		if !v.safeHandoff(site.fn, site.in.Args[argIdx], site.in, false) {
-			v.byValue[k] = -1
-			return false
+		if !v.safeHandoff(site.fn, site.in.Args[argIdx], site.in, nil) {
+			return site, argIdx, true
 		}
 	}
-	v.byValue[k] = 1
-	return true
+	return callSite{}, 0, false
 }
 
 // argIndexFor maps a callee parameter register back to the argument index

@@ -1,10 +1,12 @@
 package core
 
 // White-box tests for the assignment-specialization predicates (§4.2):
-// ReadOnlyParam, FreshReturn, ParamByValue, and the CFG-aware
-// use-after-handoff check, exercised directly on small programs.
+// ReadOnlyParam, FreshReturn, ParamByValue, the CFG-aware
+// use-after-handoff check, and the evidence ExplainStore records for a
+// failing store, exercised directly on small programs.
 
 import (
+	"slices"
 	"testing"
 
 	"objinline/internal/analysis"
@@ -113,6 +115,9 @@ func TestSafeStoreScenarios(t *testing.T) {
 		src  string
 		fn   string
 		want bool
+		// why is the What sequence of ExplainStore's evidence for a
+		// failing store.
+		why []string
 	}{
 		{
 			"fresh local store",
@@ -120,7 +125,7 @@ func TestSafeStoreScenarios(t *testing.T) {
 			 class H { p; def init(){ } }
 			 func put(h) { h.p = new C(1); }
 			 func main() { var h = new H(); put(h); print(h.p.x); }`,
-			"put", true,
+			"put", true, nil,
 		},
 		{
 			"store of globally kept value",
@@ -129,7 +134,7 @@ func TestSafeStoreScenarios(t *testing.T) {
 			 class H { p; def init(){ } }
 			 func put(h) { var c = new C(1); g = c; h.p = c; }
 			 func main() { var h = new H(); put(h); print(h.p.x); }`,
-			"put", false,
+			"put", false, []string{"pass-by-value-failed", "stored-elsewhere"},
 		},
 		{
 			"use after store",
@@ -137,7 +142,7 @@ func TestSafeStoreScenarios(t *testing.T) {
 			 class H { p; def init(){ } }
 			 func put(h) { var c = new C(1); h.p = c; c.x = 2; }
 			 func main() { var h = new H(); put(h); print(h.p.x); }`,
-			"put", false,
+			"put", false, []string{"pass-by-value-failed", "used-after-handoff"},
 		},
 		{
 			"loop-carried fresh store",
@@ -145,7 +150,7 @@ func TestSafeStoreScenarios(t *testing.T) {
 			 class H { p; def init(){ } }
 			 func put(h, n) { for (var i = 0; i < n; i = i + 1) { h.p = new C(i); } }
 			 func main() { var h = new H(); put(h, 3); print(h.p.x); }`,
-			"put", true,
+			"put", true, nil,
 		},
 		{
 			"read before store ok",
@@ -153,7 +158,34 @@ func TestSafeStoreScenarios(t *testing.T) {
 			 class H { p; def init(){ } }
 			 func put(h) { var c = new C(1); print(c.x); h.p = c; }
 			 func main() { var h = new H(); put(h); print(h.p.x); }`,
-			"put", true,
+			"put", true, nil,
+		},
+		{
+			"store of non-fresh factory result",
+			`var keep;
+			 class C { x; def init(x){ self.x = x; } }
+			 class H { p; def init(){ } }
+			 func make() { var c = new C(1); keep = c; return c; }
+			 func put(h) { h.p = make(); }
+			 func main() { var h = new H(); put(h); print(h.p.x); }`,
+			"put", false, []string{"pass-by-value-failed", "factory-not-fresh", "return-not-fresh", "stored-elsewhere"},
+		},
+		{
+			"store of value loaded from another field",
+			`class C { x; def init(x){ self.x = x; } }
+			 class H { p; def init(){ } }
+			 class S { q; def init(){ self.q = new C(1); } }
+			 func put(h, s) { h.p = s.q; }
+			 func main() { var h = new H(); put(h, new S()); print(h.p.x); }`,
+			"put", false, []string{"pass-by-value-failed", "origin-not-fresh"},
+		},
+		{
+			"store of parameter not passed by value",
+			`class C { x; def init(x){ self.x = x; } }
+			 class H { p; def init(){ } }
+			 func put(h, c) { h.p = c; }
+			 func main() { var h = new H(); var c = new C(1); put(h, c); print(c.x, h.p.x); }`,
+			"put", false, []string{"pass-by-value-failed", "param-not-call-by-value", "call-site-not-by-value", "used-after-handoff"},
 		},
 	}
 	for _, tc := range cases {
@@ -166,6 +198,16 @@ func TestSafeStoreScenarios(t *testing.T) {
 			}
 			if got := v.SafeStore(fn, store); got != tc.want {
 				t.Errorf("SafeStore = %v, want %v", got, tc.want)
+			}
+			if tc.want {
+				return
+			}
+			var why []string
+			for _, s := range v.ExplainStore(fn, store) {
+				why = append(why, s.What)
+			}
+			if !slices.Equal(why, tc.why) {
+				t.Errorf("ExplainStore = %q, want %q", why, tc.why)
 			}
 		})
 	}
