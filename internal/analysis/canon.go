@@ -72,13 +72,18 @@ func (a *analyzer) canonicalize() {
 	}
 
 	// Tags, after contours so String() renders canonical contour IDs.
-	tags := make([]*Tag, 0, len(a.tt.byKey))
-	for _, t := range a.tt.byKey {
-		tags = append(tags, t)
+	// Each tag is rendered once, not once per comparison.
+	type renderedTag struct {
+		t   *Tag
+		key string
 	}
-	sort.Slice(tags, func(i, j int) bool { return tags[i].String() < tags[j].String() })
-	for i, t := range tags {
-		t.ID = i + 2 // 0 and 1 are the NoField/Top sentinels
+	tags := make([]renderedTag, 0, len(a.tt.byKey))
+	for _, t := range a.tt.byKey {
+		tags = append(tags, renderedTag{t, t.String()})
+	}
+	sort.Slice(tags, func(i, j int) bool { return tags[i].key < tags[j].key })
+	for i, rt := range tags {
+		rt.t.ID = i + 2 // 0 and 1 are the NoField/Top sentinels
 	}
 
 	for _, mc := range a.mcList {

@@ -58,6 +58,13 @@ type StackSite struct {
 // unrealizable — the moral equivalent of the paper's demand-driven
 // iteration between analysis, cloning, and transformation.
 func Optimize(prog *ir.Program, res *analysis.Result, opts Options) (*Result, error) {
+	out, _, err := optimize(prog, res, opts)
+	return out, err
+}
+
+// optimize is Optimize, also returning the transformer of the attempt
+// that succeeded (its plans and tag memo are what tests inspect).
+func optimize(prog *ir.Program, res *analysis.Result, opts Options) (*Result, *transformer, error) {
 	val := newValuability(prog, res)
 	var d *Decision
 	if opts.Inline {
@@ -83,7 +90,7 @@ func Optimize(prog *ir.Program, res *analysis.Result, opts Options) (*Result, er
 				}
 			}
 			if !changed {
-				return nil, fmt.Errorf("core: version conflicts did not involve candidates: %v", vs.conflicts)
+				return nil, nil, fmt.Errorf("core: version conflicts did not involve candidates: %v", vs.conflicts)
 			}
 			pruneInconsistent(prog, res, d)
 			continue
@@ -91,7 +98,7 @@ func Optimize(prog *ir.Program, res *analysis.Result, opts Options) (*Result, er
 		tr := newTransformer(prog, res, d, vs, val, opts)
 		m, err := tr.materialize()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		switch {
 		case m.prog != nil:
@@ -104,7 +111,7 @@ func Optimize(prog *ir.Program, res *analysis.Result, opts Options) (*Result, er
 				StackSites:      len(tr.stackable),
 				Attempts:        attempt,
 				StackProvenance: tr.stackProvenance(),
-			}, nil
+			}, tr, nil
 		case len(m.rejects) > 0:
 			changed := false
 			for k, reason := range m.rejects {
@@ -114,7 +121,7 @@ func Optimize(prog *ir.Program, res *analysis.Result, opts Options) (*Result, er
 				}
 			}
 			if !changed {
-				return nil, fmt.Errorf("core: rewrite rejected non-candidates: %v", m.rejects)
+				return nil, nil, fmt.Errorf("core: rewrite rejected non-candidates: %v", m.rejects)
 			}
 			pruneInconsistent(prog, res, d)
 		case len(m.splitOCs) > 0:
@@ -125,8 +132,8 @@ func Optimize(prog *ir.Program, res *analysis.Result, opts Options) (*Result, er
 				}
 			}
 		default:
-			return nil, errors.New("core: materialization made no progress")
+			return nil, nil, errors.New("core: materialization made no progress")
 		}
 	}
-	return nil, errors.New("core: transformation did not converge")
+	return nil, nil, errors.New("core: transformation did not converge")
 }

@@ -428,8 +428,13 @@ func candidateContentClasses(res *analysis.Result, d *Decision) map[string][]ana
 // pruneInconsistent removes candidates until every object value's
 // representation is unambiguous, and opaque uses (builtins, mixed identity
 // comparisons, dynamic dispatch on array interiors) are rep-free.
+//
+// One resolver serves every round. Its predicate reads the live candidate
+// set, so its memo is dropped after each rejection: a value later in the
+// same round must see the rejected key as gone, exactly as a fresh
+// resolution would.
 func pruneInconsistent(prog *ir.Program, res *analysis.Result, d *Decision) {
-	has := func(k analysis.FieldKey) bool { return d.Inlined[k] }
+	rs := newPruneResolver(res, func(k analysis.FieldKey) bool { return d.Inlined[k] })
 	// budgetStep flags, on confusion-based rejections, that the analysis
 	// ran out of contour budget — the split that would have kept the tags
 	// apart never happened, so the confusion may be an artifact of the
@@ -483,6 +488,7 @@ func pruneInconsistent(prog *ir.Program, res *analysis.Result, d *Decision) {
 			for _, k := range keys {
 				if d.Inlined[k] {
 					d.reject(k, because(code, reason, evidence...))
+					rs.Reset()
 					removedAny = true
 				}
 			}
@@ -492,7 +498,7 @@ func pruneInconsistent(prog *ir.Program, res *analysis.Result, d *Decision) {
 				return
 			}
 			confusedTS = &v.TS
-			rep := res.RepsOf(&v.Tags, has)
+			rep := rs.RepsOf(&v.Tags)
 			switch {
 			case rep.Confused:
 				remove(rep, &v.Tags, ReasonTagConfusion, "value with confused provenance at "+where,
@@ -537,7 +543,7 @@ func pruneInconsistent(prog *ir.Program, res *analysis.Result, d *Decision) {
 							continue
 						}
 						confusedTS = &v.TS
-						rep := res.RepsOf(&v.Tags, has)
+						rep := rs.RepsOf(&v.Tags)
 						if !rep.PureRaw() && (len(rep.Fields) > 0 || rep.Confused) {
 							remove(rep, &v.Tags, ReasonEscapesBuiltin,
 								"inlined value escapes to a builtin at "+in.Pos.String(),
@@ -555,8 +561,8 @@ func pruneInconsistent(prog *ir.Program, res *analysis.Result, d *Decision) {
 						return
 					}
 					confusedTS = &x.TS
-					repX := res.RepsOf(&x.Tags, has)
-					repY := res.RepsOf(&y.Tags, has)
+					repX := rs.RepsOf(&x.Tags)
+					repY := rs.RepsOf(&y.Tags)
 					if len(repX.Fields) == 0 && len(repY.Fields) == 0 {
 						return
 					}
@@ -587,7 +593,7 @@ func pruneInconsistent(prog *ir.Program, res *analysis.Result, d *Decision) {
 						return
 					}
 					confusedTS = &recv.TS
-					rep := res.RepsOf(&recv.Tags, has)
+					rep := rs.RepsOf(&recv.Tags)
 					k, ok := rep.Unique()
 					if !ok || !k.Array {
 						return
@@ -605,6 +611,18 @@ func pruneInconsistent(prog *ir.Program, res *analysis.Result, d *Decision) {
 			return
 		}
 	}
+}
+
+// pruneResolver is the tag-set resolution pruneInconsistent shares across
+// its rounds: an *analysis.Resolver, behind an interface so tests can
+// check every answer against a fresh resolution.
+type pruneResolver interface {
+	RepsOf(tags *analysis.TagSet) analysis.Rep
+	Reset()
+}
+
+var newPruneResolver = func(res *analysis.Result, inlined func(analysis.FieldKey) bool) pruneResolver {
+	return res.NewResolver(inlined)
 }
 
 func fieldNames(fields map[analysis.FieldKey]bool) string {

@@ -76,6 +76,11 @@ type versionSpace struct {
 	list    []*ClassVersion
 	arrs    map[analysis.FieldKey]*ArrVersion
 
+	// byOC memoizes versionOf. A contour's shape depends only on the
+	// decision and subver, both fixed for the space's lifetime, so its
+	// version never changes once interned.
+	byOC map[*analysis.ObjContour]*ClassVersion
+
 	// subver forces selected object contours into their own class
 	// versions — the paper's class cloning "based upon the object
 	// contours", demanded when dynamic dispatch must discriminate method
@@ -94,6 +99,7 @@ func newVersionSpace(res *analysis.Result, d *Decision, layout Layout) *versionS
 		layout:    layout,
 		byShape:   make(map[string]*ClassVersion),
 		ocShape:   make(map[*analysis.ObjContour]string),
+		byOC:      make(map[*analysis.ObjContour]*ClassVersion),
 		arrs:      make(map[analysis.FieldKey]*ArrVersion),
 		conflicts: make(map[analysis.FieldKey]string),
 	}
@@ -190,7 +196,12 @@ func (vs *versionSpace) shapeOf(oc *analysis.ObjContour, path []*analysis.ObjCon
 
 // versionOf interns the class version of an object contour.
 func (vs *versionSpace) versionOf(oc *analysis.ObjContour) *ClassVersion {
-	return vs.versionFor(oc.Class, oc, len(oc.Class.Fields))
+	if v, ok := vs.byOC[oc]; ok {
+		return v
+	}
+	v := vs.versionFor(oc.Class, oc, len(oc.Class.Fields))
+	vs.byOC[oc] = v
+	return v
 }
 
 // versionFor builds the version of class c covering the first `upto`

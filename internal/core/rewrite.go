@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"objinline/internal/analysis"
@@ -228,8 +229,11 @@ func (t *transformer) resolveTag(tag *analysis.Tag, guard map[*analysis.Tag]bool
 		return &tagRes{err: errKeys("confused provenance")}
 	}
 	if guard[tag] {
-		// Least fixpoint: the cycle contributes no carriers (see
-		// analysis.RepsOf).
+		// The cycle contributes no carriers; its finite entry paths appear
+		// as sibling tags. Unlike analysis.Resolver, the memo keeps the
+		// partial answers of the cycle's other members;
+		// TestMemoizedResolutionMatchesFresh pins that no benchmark or
+		// fuzz program observes the difference.
 		return &tagRes{}
 	}
 	guard[tag] = true
@@ -519,7 +523,7 @@ func (t *transformer) buildPlan(mc *analysis.MethodContour) (*bodyPlan, *rewrite
 		p.numRegs++
 		return r
 	}
-	var sig strings.Builder
+	var sig []byte
 	for _, b := range fn.Blocks {
 		var out []*ir.Instr
 		emit := func(in *ir.Instr) *ir.Instr {
@@ -533,47 +537,77 @@ func (t *transformer) buildPlan(mc *analysis.MethodContour) (*bodyPlan, *rewrite
 		}
 		p.blocks = append(p.blocks, out)
 		for _, in := range out {
-			sigInstr(&sig, in)
+			sig = sigInstr(sig, in)
 		}
 	}
 	// Self versions participate in the signature (clones of different
 	// receiver versions must not merge even with identical bodies, since
 	// dispatch registration is per version).
 	for _, sv := range p.selfVersions {
-		sig.WriteString("self:" + sv.New.Name + "\n")
+		sig = append(sig, "self:"...)
+		sig = append(sig, sv.New.Name...)
+		sig = append(sig, '\n')
 	}
-	p.sig = sig.String()
+	p.sig = string(sig)
 	return p, nil
 }
 
-// sigInstr writes a canonical encoding of one rewritten instruction into
-// the grouping signature. Unlike Instr.String, it captures the *complete*
+// sigInstr appends a canonical encoding of one rewritten instruction to
+// the grouping signature b. Unlike Instr.String, it captures the *complete*
 // identity of field operands (owner class, slot, synthetic/interior flag):
 // a raw access `Leaf.f0@0` and an interior-relative access `.f0@+0` print
 // alike but address memory entirely differently, and merging their clones
 // would hand one representation's code the other's values.
-func sigInstr(b *strings.Builder, in *ir.Instr) {
-	fmt.Fprintf(b, "%d %d", int(in.Op), in.Dst)
+//
+// The bytes are exactly those of the fmt rendering
+// "%d %d[ %d...][ f=%s.%s@%d~%v][ c=%s][ t=%d][ m=%s] x=%d/%g/%q/%d/%d\n";
+// clone.Partition orders groups by signature, so any change to them could
+// renumber clones.
+func sigInstr(b []byte, in *ir.Instr) []byte {
+	b = strconv.AppendInt(b, int64(in.Op), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(in.Dst), 10)
 	for _, a := range in.Args {
-		fmt.Fprintf(b, " %d", a)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(a), 10)
 	}
 	if f := in.Field; f != nil {
 		owner := "-"
 		if f.Owner != nil {
 			owner = f.Owner.Name
 		}
-		fmt.Fprintf(b, " f=%s.%s@%d~%v", owner, f.Name, f.Slot, f.Synthetic)
+		b = append(b, " f="...)
+		b = append(b, owner...)
+		b = append(b, '.')
+		b = append(b, f.Name...)
+		b = append(b, '@')
+		b = strconv.AppendInt(b, int64(f.Slot), 10)
+		b = append(b, '~')
+		b = strconv.AppendBool(b, f.Synthetic)
 	}
 	if in.Class != nil {
-		fmt.Fprintf(b, " c=%s", in.Class.Name)
+		b = append(b, " c="...)
+		b = append(b, in.Class.Name...)
 	}
 	if in.Callee != nil {
-		fmt.Fprintf(b, " t=%d", in.Callee.ID)
+		b = append(b, " t="...)
+		b = strconv.AppendInt(b, int64(in.Callee.ID), 10)
 	}
 	if in.Method != "" {
-		fmt.Fprintf(b, " m=%s", in.Method)
+		b = append(b, " m="...)
+		b = append(b, in.Method...)
 	}
-	fmt.Fprintf(b, " x=%d/%g/%q/%d/%d\n", in.Aux, in.F, in.S, in.Target, in.Else)
+	b = append(b, " x="...)
+	b = strconv.AppendInt(b, in.Aux, 10)
+	b = append(b, '/')
+	b = strconv.AppendFloat(b, in.F, 'g', -1, 64)
+	b = append(b, '/')
+	b = strconv.AppendQuote(b, in.S)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(in.Target), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(in.Else), 10)
+	return append(b, '\n')
 }
 
 // rewriteInstr translates one instruction, appending the result(s) via

@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
 	"objinline/internal/emit"
+	"objinline/internal/fuzzgen"
 	"objinline/internal/pipeline"
 	"objinline/internal/vm"
 )
@@ -29,8 +29,7 @@ func TestNativeDifferentialFuzz(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
 			t.Parallel()
-			g := &progGen{r: rand.New(rand.NewSource(int64(seed)))}
-			src := g.generate()
+			src := fuzzgen.Program(int64(seed))
 
 			configs := []struct {
 				name string
