@@ -30,9 +30,6 @@
 //	                               deadline is enforced inside the
 //	                               analysis solvers and the VM step loop
 //	-parallel                      use the parallel inlined-array layout
-//	-solver worklist|sweep         contour-analysis fixpoint engine
-//	                               (default worklist); both produce
-//	                               byte-identical results
 //	-dump ir|analysis|report       print internals instead of metrics
 //	-explain Class.field           explain one field's inlining decision
 //	-trace                         record and print per-phase compile times
@@ -61,6 +58,7 @@ import (
 	"time"
 
 	"objinline"
+	"objinline/internal/pipeline"
 	"objinline/internal/server/api"
 	"objinline/internal/trace"
 )
@@ -86,7 +84,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	emitDir := fs.String("emit-dir", "", "native engine: keep the emitted Go package here")
 	timeout := fs.Duration("timeout", 0, "abort compilation or execution after this long (0 = no limit)")
 	parallel := fs.Bool("parallel", false, "use the parallel inlined-array layout")
-	solverName := fs.String("solver", "", "analysis solver: worklist or sweep (default worklist)")
 	dump := fs.String("dump", "", "dump internals: ir, analysis, or report")
 	explain := fs.String("explain", "", "explain one field's inlining decision (e.g. Rectangle.lower_left)")
 	doTrace := fs.Bool("trace", false, "record per-phase compile (and run) times")
@@ -157,18 +154,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	if err != nil {
 		return fail(err)
 	}
-	engine, err := objinline.ParseEngine(*engineName)
+	engine, err := pipeline.ParseEngine(*engineName)
 	if err != nil {
 		return fail(err)
 	}
 	if engine == objinline.EngineNative && *profile {
 		return fail(fmt.Errorf("-profile requires the vm engine: site attribution is VM instrumentation"))
 	}
-	solver, err := objinline.ParseSolver(*solverName)
-	if err != nil {
-		return fail(err)
-	}
-	cfg := objinline.Config{Mode: mode, ParallelArrays: *parallel, Solver: solver}
+	cfg := objinline.Config{Mode: mode, ParallelArrays: *parallel}
 
 	// The -timeout budget is one end-to-end deadline across compilation
 	// and execution, enforced inside the analysis solvers and the VM step

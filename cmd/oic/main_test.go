@@ -292,40 +292,3 @@ func TestNativeEngineRejectsProfile(t *testing.T) {
 		t.Errorf("diagnostic = %q", stderr.String())
 	}
 }
-
-// TestSolverFlag is the CLI half of solver-name validation: -solver
-// accepts the two solvers (identical analysis dumps) and rejects any other
-// name, the removed "parallel" included, with the library's error text
-// and exit code 1.
-func TestSolverFlag(t *testing.T) {
-	cases := []struct {
-		solver string
-		ok     bool
-	}{
-		{"worklist", true},
-		{"sweep", true},
-		{"parallel", false},
-		{"bogus", false},
-	}
-	var dumps []string
-	for _, tc := range cases {
-		var stdout, stderr bytes.Buffer
-		code := run([]string{"-solver", tc.solver, "-dump", "analysis", fixture}, strings.NewReader(""), &stdout, &stderr)
-		if tc.ok {
-			if code != 0 {
-				t.Errorf("-solver %s: exit code %d, stderr: %s", tc.solver, code, stderr.String())
-			}
-			dumps = append(dumps, stdout.String())
-			continue
-		}
-		if code != 1 {
-			t.Errorf("-solver %s: exit code %d, want 1", tc.solver, code)
-		}
-		if want := `unknown solver "` + tc.solver + `" (want worklist or sweep)`; !strings.Contains(stderr.String(), want) {
-			t.Errorf("-solver %s: diagnostic %q does not contain %q", tc.solver, stderr.String(), want)
-		}
-	}
-	if len(dumps) == 2 && dumps[0] != dumps[1] {
-		t.Errorf("worklist and sweep analysis dumps differ:\n%s\n---\n%s", dumps[0], dumps[1])
-	}
-}

@@ -7,12 +7,10 @@ package objinline_test
 // run to run.
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
 	"objinline"
-	"objinline/internal/server/api"
 )
 
 // TestFingerprintEquivalentConfigs pins the default-filling half of the
@@ -25,27 +23,9 @@ func TestFingerprintEquivalentConfigs(t *testing.T) {
 		Mode:      objinline.Inline,
 		TagDepth:  3, // the documented default
 		MaxPasses: 8, // the documented default
-		Solver:    objinline.SolverWorklist,
 	}
 	if got, want := explicit.Fingerprint(), zero.Fingerprint(); got != want {
 		t.Errorf("explicit defaults fingerprint differently from zero values:\n  zero:     %s\n  explicit: %s", want, got)
-	}
-}
-
-// TestFingerprintExcludesEngine pins the other direction of the
-// contract for the engine knob: Engine selects which tier executes the
-// program, never what is compiled, so configurations differing only in
-// Engine must share one fingerprint. If the engine leaked into the key,
-// every native run would recompile (and re-cache) work the server
-// already has under the VM key.
-func TestFingerprintExcludesEngine(t *testing.T) {
-	base := objinline.Config{Mode: objinline.Inline}
-	for _, e := range []objinline.Engine{objinline.EngineDefault, objinline.EngineVM, objinline.EngineNative} {
-		cfg := base
-		cfg.Engine = e
-		if got, want := cfg.Fingerprint(), base.Fingerprint(); got != want {
-			t.Errorf("engine %s changed the fingerprint:\n  base:   %s\n  engine: %s", e, want, got)
-		}
 	}
 }
 
@@ -58,7 +38,6 @@ func TestFingerprintDistinguishesKnobs(t *testing.T) {
 		"parallel_arrays": {Mode: objinline.Inline, ParallelArrays: true},
 		"tag_depth":       {Mode: objinline.Inline, TagDepth: 5},
 		"max_passes":      {Mode: objinline.Inline, MaxPasses: 2},
-		"solver":          {Mode: objinline.Inline, Solver: objinline.SolverSweep},
 	}
 	seen := map[string]string{base.Fingerprint(): "base"}
 	for name, cfg := range variants {
@@ -70,14 +49,17 @@ func TestFingerprintDistinguishesKnobs(t *testing.T) {
 	}
 }
 
-// TestFingerprintIsStable pins the encoding itself: versioned, and
-// repeatable within a process. (Cross-run stability follows from the
-// fixed field order — nothing in the encoding iterates a map.)
+// TestFingerprintIsStable pins the encoding itself: the exact versioned
+// string, repeatable within a process. (Cross-run stability follows from
+// the fixed field order — nothing in the encoding iterates a map.) The
+// v1 encoding also named the analysis solver; bumping the version keeps
+// an old v1 cache record from ever matching a new key.
 func TestFingerprintIsStable(t *testing.T) {
 	cfg := objinline.Config{Mode: objinline.Inline, ParallelArrays: true, TagDepth: 4}
 	fp := cfg.Fingerprint()
-	if !strings.HasPrefix(fp, "objinline.Config/v1;") {
-		t.Errorf("fingerprint %q lacks the version prefix", fp)
+	const want = "objinline.Config/v2;max_passes=8;mode=inline;parallel_arrays=true;tag_depth=4"
+	if fp != want {
+		t.Errorf("fingerprint = %q, want %q", fp, want)
 	}
 	for i := 0; i < 100; i++ {
 		if again := cfg.Fingerprint(); again != fp {
@@ -86,46 +68,18 @@ func TestFingerprintIsStable(t *testing.T) {
 	}
 }
 
-// TestSolverNames is the library half of solver-name validation (the oic
-// and oicd surfaces have their own tables): ParseSolver, Compile,
-// NewSession and the wire config's ToConfig accept exactly the two solver
-// names, the empty default included, and reject everything else — the
-// removed "parallel" among them — with one error text.
-func TestSolverNames(t *testing.T) {
+// TestUnknownModeRejected pins the range check that guards the Mode
+// alias: an out-of-range value fails both compile entry points instead
+// of running some pipeline.
+func TestUnknownModeRejected(t *testing.T) {
 	const src = "func main() { print(6 * 7); }"
-	cases := []struct {
-		name string
-		want string // canonical name; "" means rejected
-	}{
-		{"", objinline.SolverWorklist},
-		{"worklist", objinline.SolverWorklist},
-		{"sweep", objinline.SolverSweep},
-		{"parallel", ""},
-		{"Parallel", ""},
-		{"Worklist", ""},
-		{"bogus", ""},
-	}
-	for _, tc := range cases {
-		cfg := objinline.Config{Mode: objinline.Inline, Solver: tc.name}
-		got, err := objinline.ParseSolver(tc.name)
-		_, cerr := objinline.Compile("s.icc", src, cfg)
-		_, serr := objinline.NewSession("s.icc", src, cfg)
-		_, werr := api.Config{Solver: tc.name}.ToConfig()
-		if tc.want != "" {
-			if err != nil || got != tc.want {
-				t.Errorf("ParseSolver(%q) = %q, %v; want %q", tc.name, got, err, tc.want)
-			}
-			for surface, e := range map[string]error{"Compile": cerr, "NewSession": serr, "ToConfig": werr} {
-				if e != nil {
-					t.Errorf("%s with solver %q: %v", surface, tc.name, e)
-				}
-			}
-			continue
-		}
-		want := fmt.Sprintf("unknown solver %q (want worklist or sweep)", tc.name)
-		for surface, e := range map[string]error{"ParseSolver": err, "Compile": cerr, "NewSession": serr, "ToConfig": werr} {
-			if e == nil || !strings.Contains(e.Error(), want) {
-				t.Errorf("%s with solver %q: err = %v, want %q", surface, tc.name, e, want)
+	for _, mode := range []objinline.Mode{-1, 7} {
+		cfg := objinline.Config{Mode: mode}
+		_, cerr := objinline.Compile("m.icc", src, cfg)
+		_, serr := objinline.NewSession("m.icc", src, cfg)
+		for surface, err := range map[string]error{"Compile": cerr, "NewSession": serr} {
+			if err == nil || !strings.Contains(err.Error(), "unknown mode") {
+				t.Errorf("%s with Mode(%d): err = %v, want unknown mode", surface, mode, err)
 			}
 		}
 	}

@@ -1,10 +1,10 @@
 package objinline_test
 
 // End-to-end cancellation coverage: a deadline must stop a pathological
-// compile inside the analysis fixpoint (both solvers) and a runaway
-// program inside the VM step loop, promptly
-// — the oicd server's per-request deadlines are only as good as these
-// guarantees.
+// compile inside the analysis fixpoint and a runaway program inside the
+// VM step loop, promptly — the oicd server's per-request deadlines are
+// only as good as these guarantees. The public API runs the default
+// solver; internal/pipeline repeats these checks for each solver.
 
 import (
 	"context"
@@ -20,9 +20,6 @@ import (
 // cancelSlack is how far past its deadline a cancellation may return and
 // still count as prompt (the service-level acceptance bound).
 const cancelSlack = 100 * time.Millisecond
-
-// cancelSolvers enumerates the solvers the cancellation tests cover.
-var cancelSolvers = []string{objinline.SolverWorklist, objinline.SolverSweep}
 
 // contourBlowupSource generates a program whose contour analysis is
 // pathologically expensive: n classes × n mutually recursive methods,
@@ -52,71 +49,58 @@ func contourBlowupSource(n int) string {
 	return b.String()
 }
 
-// TestCompileCancelInAnalysis checks every fixpoint solver honors the
-// deadline mid-analysis: the blowup compile must return
-// context.DeadlineExceeded within cancelSlack of the deadline instead of
-// running the analysis (hundreds of milliseconds) to completion.
+// TestCompileCancelInAnalysis checks the fixpoint honors the deadline
+// mid-analysis: the blowup compile must return context.DeadlineExceeded
+// within cancelSlack of the deadline instead of running the analysis
+// (hundreds of milliseconds) to completion.
 func TestCompileCancelInAnalysis(t *testing.T) {
 	src := contourBlowupSource(20)
-	for _, solver := range cancelSolvers {
-		t.Run(solver, func(t *testing.T) {
-			const deadline = 20 * time.Millisecond
-			ctx, cancel := context.WithTimeout(context.Background(), deadline)
-			defer cancel()
-			start := time.Now()
-			_, err := objinline.CompileContext(ctx, "blowup.icc", src,
-				objinline.Config{Mode: objinline.Inline, Solver: solver})
-			elapsed := time.Since(start)
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-			}
-			if elapsed > deadline+cancelSlack {
-				t.Errorf("cancellation took %v, want under %v", elapsed, deadline+cancelSlack)
-			}
-		})
+	const deadline = 20 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	_, err := objinline.CompileContext(ctx, "blowup.icc", src, objinline.Config{Mode: objinline.Inline})
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed > deadline+cancelSlack {
+		t.Errorf("cancellation took %v, want under %v", elapsed, deadline+cancelSlack)
 	}
 }
 
 // TestCompileCancelExpiredContext checks an already-expired context stops
-// the compile before any work, in both solver modes.
+// the compile before any work.
 func TestCompileCancelExpiredContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, solver := range cancelSolvers {
-		_, err := objinline.CompileContext(ctx, "x.icc", "func main() { print(1); }",
-			objinline.Config{Mode: objinline.Inline, Solver: solver})
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("solver %s: err = %v, want context.Canceled", solver, err)
-		}
+	_, err := objinline.CompileContext(ctx, "x.icc", "func main() { print(1); }",
+		objinline.Config{Mode: objinline.Inline})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
 
 // TestRunCancelInfiniteLoop checks the VM's step loop honors the
 // deadline: an infinite loop must return context.DeadlineExceeded within
-// cancelSlack instead of grinding to the four-billion-step limit. Both
-// solver modes compile the loop, pinning the whole pipeline path.
+// cancelSlack instead of grinding to the four-billion-step limit.
 func TestRunCancelInfiniteLoop(t *testing.T) {
 	const src = "func main() { var i = 0; while (true) { i = i + 1; } }"
-	for _, solver := range cancelSolvers {
-		t.Run(solver, func(t *testing.T) {
-			prog, err := objinline.Compile("loop.icc", src,
-				objinline.Config{Mode: objinline.Inline, Solver: solver})
-			if err != nil {
-				t.Fatal(err)
-			}
-			const deadline = 50 * time.Millisecond
-			ctx, cancel := context.WithTimeout(context.Background(), deadline)
-			defer cancel()
-			start := time.Now()
-			_, err = prog.Execute(ctx, objinline.RunOptions{})
-			elapsed := time.Since(start)
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-			}
-			if elapsed > deadline+cancelSlack {
-				t.Errorf("cancellation took %v, want under %v", elapsed, deadline+cancelSlack)
-			}
-		})
+	prog, err := objinline.Compile("loop.icc", src, objinline.Config{Mode: objinline.Inline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const deadline = 50 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	_, err = prog.Execute(ctx, objinline.RunOptions{})
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed > deadline+cancelSlack {
+		t.Errorf("cancellation took %v, want under %v", elapsed, deadline+cancelSlack)
 	}
 }
 

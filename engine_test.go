@@ -1,9 +1,8 @@
 package objinline_test
 
-// The Engine API contract: Execute selects the tier (per-run option,
-// then the compile-time default, then the VM), both tiers agree on
-// program output, the deprecated Run wrappers stay VM-only, and the
-// engine names round-trip through their wire encoding.
+// The Engine API contract: RunOptions.Engine selects the tier per run
+// (the zero value is the VM), both tiers agree on program output, and
+// the engine names round-trip through their wire encoding.
 
 import (
 	"context"
@@ -12,6 +11,7 @@ import (
 	"testing"
 
 	"objinline"
+	"objinline/internal/pipeline"
 )
 
 func TestEngineNames(t *testing.T) {
@@ -19,7 +19,6 @@ func TestEngineNames(t *testing.T) {
 		e    objinline.Engine
 		name string
 	}{
-		{objinline.EngineDefault, "default"},
 		{objinline.EngineVM, "vm"},
 		{objinline.EngineNative, "native"},
 	}
@@ -27,22 +26,38 @@ func TestEngineNames(t *testing.T) {
 		if c.e.String() != c.name {
 			t.Errorf("Engine(%d).String() = %q, want %q", c.e, c.e.String(), c.name)
 		}
-		got, err := objinline.ParseEngine(c.name)
+		got, err := pipeline.ParseEngine(c.name)
 		if err != nil || got != c.e {
 			t.Errorf("ParseEngine(%q) = %v, %v; want %v", c.name, got, err, c.e)
 		}
+		text, err := c.e.MarshalText()
+		if err != nil || string(text) != c.name {
+			t.Errorf("%v.MarshalText() = %q, %v", c.e, text, err)
+		}
+		var back objinline.Engine
+		if err := back.UnmarshalText([]byte(c.name)); err != nil || back != c.e {
+			t.Errorf("UnmarshalText(%q) = %v, %v", c.name, back, err)
+		}
 	}
-	// The empty string is EngineDefault so wire formats can omit the field.
-	if got, err := objinline.ParseEngine(""); err != nil || got != objinline.EngineDefault {
-		t.Errorf("ParseEngine(\"\") = %v, %v", got, err)
+	// The empty string is the VM so wire formats can omit the field.
+	var zero objinline.Engine
+	if got, err := pipeline.ParseEngine(""); err != nil || got != objinline.EngineVM || zero != objinline.EngineVM {
+		t.Errorf("ParseEngine(\"\") = %v, %v; zero Engine = %v", got, err, zero)
 	}
-	if _, err := objinline.ParseEngine("jit"); err == nil {
-		t.Error("ParseEngine(\"jit\") succeeded")
+	// "default" is not an engine name: the zero value already is the VM.
+	for _, bad := range []string{"jit", "default"} {
+		if _, err := pipeline.ParseEngine(bad); err == nil || !strings.Contains(err.Error(), "unknown engine") {
+			t.Errorf("ParseEngine(%q) = %v, want unknown engine", bad, err)
+		}
+		var e objinline.Engine
+		if err := e.UnmarshalText([]byte(bad)); err == nil {
+			t.Errorf("UnmarshalText(%q) succeeded", bad)
+		}
 	}
 	// Engine fields are JSON-friendly in both directions.
-	data, err := json.Marshal(objinline.EngineNative)
-	if err != nil || string(data) != `"native"` {
-		t.Errorf("Marshal(EngineNative) = %s, %v", data, err)
+	data, err := json.Marshal(objinline.Result{Engine: objinline.EngineNative})
+	if err != nil || !strings.Contains(string(data), `"engine":"native"`) {
+		t.Errorf("Marshal(Result{Engine: EngineNative}) = %s, %v", data, err)
 	}
 	var e objinline.Engine
 	if err := json.Unmarshal([]byte(`"vm"`), &e); err != nil || e != objinline.EngineVM {
@@ -101,33 +116,6 @@ func TestExecuteNative(t *testing.T) {
 	// Reps > 1 must not multiply output.
 	if out.String() != "17\n" {
 		t.Errorf("output = %q, want %q", out.String(), "17\n")
-	}
-}
-
-func TestExecuteConfigEngineDefault(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds a native binary")
-	}
-	p, err := objinline.Compile("demo.icc", apiDemo,
-		objinline.Config{Mode: objinline.Inline, Engine: objinline.EngineNative})
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	// EngineDefault in the run options defers to the compile-time default.
-	res, err := p.Execute(context.Background(), objinline.RunOptions{})
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
-	if res.Engine != objinline.EngineNative || res.Native == nil {
-		t.Errorf("compile-time engine default not honored: %+v", res)
-	}
-	// An explicit per-run engine overrides it.
-	res, err = p.Execute(context.Background(), objinline.RunOptions{Engine: objinline.EngineVM})
-	if err != nil {
-		t.Fatalf("Execute(vm): %v", err)
-	}
-	if res.Engine != objinline.EngineVM || res.Metrics == nil {
-		t.Errorf("per-run engine override not honored: %+v", res)
 	}
 }
 

@@ -18,9 +18,7 @@ type Stats struct {
 	Passes         int
 	// ContoursPerMethod is MethodContours / ReachedFuncs.
 	ContoursPerMethod float64
-	// Solver names the fixpoint engine that produced the result;
 	// Converged is false when the final pass hit Options.MaxRounds.
-	Solver    string
 	Converged bool
 	// Work counts the solver's effort across all passes.
 	Work WorkStats
@@ -34,7 +32,6 @@ func (r *Result) Stats() Stats {
 		ObjContours:    len(r.Objs),
 		ArrContours:    len(r.Arrs),
 		Passes:         r.Passes,
-		Solver:         r.Opts.Solver,
 		Converged:      r.Converged,
 		Work:           r.Work,
 	}

@@ -185,8 +185,8 @@ func TestSolverDefault(t *testing.T) {
 		t.Errorf("default MaxRounds = %d, want 1000", o.MaxRounds)
 	}
 	res := analysis.Analyze(compile(t, chainSrc), analysis.Options{})
-	if got := res.Stats().Solver; got != analysis.SolverWorklist {
-		t.Errorf("Stats().Solver = %q, want %q", got, analysis.SolverWorklist)
+	if got := res.Opts.Solver; got != analysis.SolverWorklist {
+		t.Errorf("Opts.Solver = %q, want %q", got, analysis.SolverWorklist)
 	}
 	if res.Work.Enqueues == 0 {
 		t.Errorf("worklist run recorded no enqueues")

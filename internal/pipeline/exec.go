@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
 
 	"objinline/internal/emit"
 	"objinline/internal/vm"
@@ -10,7 +11,7 @@ import (
 // Engine selects the execution tier for a compiled program: the
 // instrumented reference VM (cycle cost model, counters, profiling) or
 // the native tier (emit Go from the optimized IR, go build, run on the
-// hardware; see internal/emit).
+// hardware; see internal/emit). The zero value is the VM.
 type Engine int
 
 // Execution engines.
@@ -24,6 +25,32 @@ func (e Engine) String() string {
 		return "native"
 	}
 	return "vm"
+}
+
+// ParseEngine parses an engine name as rendered by Engine.String. The
+// empty string is the VM, so wire formats can omit the field.
+func ParseEngine(s string) (Engine, error) {
+	switch s {
+	case "", "vm":
+		return EngineVM, nil
+	case "native":
+		return EngineNative, nil
+	}
+	return 0, fmt.Errorf("unknown engine %q (want vm or native)", s)
+}
+
+// MarshalText renders the engine name, making Engine fields
+// JSON-friendly ("vm" or "native").
+func (e Engine) MarshalText() ([]byte, error) { return []byte(e.String()), nil }
+
+// UnmarshalText parses an engine name via ParseEngine.
+func (e *Engine) UnmarshalText(b []byte) error {
+	v, err := ParseEngine(string(b))
+	if err != nil {
+		return err
+	}
+	*e = v
+	return nil
 }
 
 // ExecOptions configures Compiled.Execute.
@@ -50,12 +77,13 @@ type ExecOptions struct {
 
 // NativeRun is the native engine's measurement record: real wall time
 // and Go allocator deltas in place of the VM's modeled cycles.
+// JSON-serializable.
 type NativeRun struct {
-	WallNanos  int64  // run wall time, all reps
-	BuildNanos int64  // emit + go build wall time
-	Reps       int    // repetitions executed
-	Mallocs    uint64 // runtime.MemStats.Mallocs delta, all reps
-	AllocBytes uint64 // runtime.MemStats.TotalAlloc delta, all reps
+	WallNanos  int64  `json:"wall_nanos"`  // run wall time, all reps
+	BuildNanos int64  `json:"build_nanos"` // emit + go build wall time
+	Reps       int    `json:"reps"`        // repetitions executed
+	Mallocs    uint64 `json:"mallocs"`     // runtime.MemStats.Mallocs delta, all reps
+	AllocBytes uint64 `json:"alloc_bytes"` // runtime.MemStats.TotalAlloc delta, all reps
 }
 
 // ExecResult is one execution's outcome on either engine: Counters is

@@ -8,8 +8,10 @@ package api
 import "objinline"
 
 // Config is the wire form of objinline.Config. Zero values mean defaults
-// (mode "inline", solver "worklist", the analysis package's TagDepth and
-// MaxPasses defaults), exactly as the library treats them.
+// (mode "inline", the analysis package's TagDepth and MaxPasses
+// defaults), exactly as the library treats them. Fields this type does
+// not declare — among them the removed "solver" and "jobs" — are ignored
+// by the decoder and never reach the cache key.
 type Config struct {
 	// Mode is the pipeline: "direct", "baseline", or "inline" (default).
 	Mode string `json:"mode,omitempty"`
@@ -19,13 +21,9 @@ type Config struct {
 	TagDepth int `json:"tag_depth,omitempty"`
 	// MaxPasses bounds the analysis's iterative refinement (default 8).
 	MaxPasses int `json:"max_passes,omitempty"`
-	// Solver selects the analysis fixpoint engine: "worklist" (default)
-	// or "sweep".
-	Solver string `json:"solver,omitempty"`
 }
 
-// ToConfig converts the wire config to the library's, parsing the mode
-// and validating the solver name.
+// ToConfig converts the wire config to the library's, parsing the mode.
 func (c Config) ToConfig() (objinline.Config, error) {
 	mode := objinline.Inline
 	if c.Mode != "" {
@@ -34,15 +32,11 @@ func (c Config) ToConfig() (objinline.Config, error) {
 			return objinline.Config{}, err
 		}
 	}
-	if _, err := objinline.ParseSolver(c.Solver); err != nil {
-		return objinline.Config{}, err
-	}
 	return objinline.Config{
 		Mode:           mode,
 		ParallelArrays: c.ParallelArrays,
 		TagDepth:       c.TagDepth,
 		MaxPasses:      c.MaxPasses,
-		Solver:         c.Solver,
 	}, nil
 }
 

@@ -14,6 +14,7 @@ import (
 	"objinline"
 	"objinline/internal/emit"
 	"objinline/internal/obs"
+	"objinline/internal/pipeline"
 	"objinline/internal/server/api"
 	"objinline/internal/trace"
 )
@@ -275,7 +276,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	engine, err := objinline.ParseEngine(req.Engine)
+	engine, err := pipeline.ParseEngine(req.Engine)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
 		return

@@ -589,53 +589,35 @@ func TestGracefulShutdownDrain(t *testing.T) {
 	}
 }
 
-// TestUnknownSolverRejected checks every compiling endpoint validates the
-// solver name: an unknown one ("parallel" included, which older servers
-// accepted) is a 400, never a silent worklist compile cached under a
-// second key. A request that still carries the removed "jobs" field keeps
-// working — the decoder ignores unknown fields.
-func TestUnknownSolverRejected(t *testing.T) {
+// TestRemovedConfigFieldsIgnored checks that config fields the wire
+// format no longer declares ("solver", and the earlier "jobs") go
+// through the decoder's unknown-field path: the request compiles, it
+// answers with the bytes of the same request without them, and because
+// they are not part of the cache key they cannot split the cache.
+func TestRemovedConfigFieldsIgnored(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	src := "func main() { print(6 * 7); }"
-	for _, solver := range []string{"parallel", "Parallel", "bogus"} {
-		creq := api.CompileRequest{Source: src, Config: api.Config{Solver: solver}}
-		cases := []struct {
-			path string
-			req  any
-		}{
-			{"/v1/compile", creq},
-			{"/v1/explain", api.ExplainRequest{CompileRequest: creq, Field: "A.b"}},
-			{"/v1/run", api.RunRequest{CompileRequest: creq}},
-			{"/v1/session", creq},
-		}
-		for _, tc := range cases {
-			resp, body := postJSON(t, ts, tc.path, tc.req)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Errorf("%s solver=%q: status %d, want 400: %s", tc.path, solver, resp.StatusCode, body)
-				continue
-			}
-			var env api.Envelope
-			if err := json.Unmarshal(body, &env); err != nil || env.Error == nil || env.Error.Code != api.CodeBadRequest {
-				t.Errorf("%s solver=%q: no bad-request envelope: %s", tc.path, solver, body)
-				continue
-			}
-			want := fmt.Sprintf("unknown solver %q (want worklist or sweep)", solver)
-			if !strings.Contains(env.Error.Message, want) {
-				t.Errorf("%s solver=%q: message %q does not contain %q", tc.path, solver, env.Error.Message, want)
-			}
-		}
+	src := fixtureSource(t)
+	post := func(config string) (*http.Response, []byte) {
+		return postJSON(t, ts, "/v1/compile", map[string]any{
+			"filename": "explain.icc", "source": src, "config": json.RawMessage(config),
+		})
 	}
-	if m := getMetrics(t, ts); m["compiles_total"] != 0 {
-		t.Errorf("compiles_total = %v after rejected requests, want 0", m["compiles_total"])
-	}
-
-	legacy := `{"source": "func main() { print(6 * 7); }", "config": {"solver": "worklist", "jobs": 4}}`
-	resp, err := ts.Client().Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	resp, plain := post(`{}`)
 	if resp.StatusCode != http.StatusOK {
-		t.Errorf("request with the removed jobs field: status %d, want 200", resp.StatusCode)
+		t.Fatalf("plain compile: status %d: %s", resp.StatusCode, plain)
+	}
+	want := normalizeEnvelope(t, plain)
+	for _, config := range []string{`{"solver": "sweep"}`, `{"solver": "bogus"}`, `{"jobs": 4}`} {
+		resp, body := post(config)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("config %s: status %d, want 200: %s", config, resp.StatusCode, body)
+			continue
+		}
+		if got := normalizeEnvelope(t, body); !bytes.Equal(got, want) {
+			t.Errorf("config %s: envelope differs from the plain request's:\n%s\n--- want ---\n%s", config, got, want)
+		}
+	}
+	if m := getMetrics(t, ts); m["compiles_total"] != 1 {
+		t.Errorf("compiles_total = %v, want 1: a removed field split the cache", m["compiles_total"])
 	}
 }

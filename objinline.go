@@ -45,32 +45,21 @@ import (
 )
 
 // Mode selects the optimization pipeline.
-type Mode int
+type Mode = pipeline.Mode
 
 // Pipeline modes, mirroring the paper's measured configurations.
 const (
 	// Direct executes the uniform object model as-is: by-name field
 	// resolution and dynamic dispatch everywhere.
-	Direct Mode = iota
+	Direct = pipeline.ModeDirect
 	// Baseline runs Concert-style type inference and cloning
 	// (devirtualization and field-slot binding) without object inlining —
 	// the paper's "Concert Without Inlining".
-	Baseline
+	Baseline = pipeline.ModeBaseline
 	// Inline additionally performs automatic object inlining — the
 	// paper's "Concert With Inlining".
-	Inline
+	Inline = pipeline.ModeInline
 )
-
-func (m Mode) String() string {
-	switch m {
-	case Direct:
-		return "direct"
-	case Baseline:
-		return "baseline"
-	default:
-		return "inline"
-	}
-}
 
 // ParseMode parses a pipeline-mode name ("direct", "baseline", or
 // "inline") as rendered by Mode.String. It is the one place mode names
@@ -93,84 +82,18 @@ func ParseMode(s string) (Mode, error) {
 // optimized IR as a Go package, builds it with the go toolchain, and
 // runs the binary on the hardware, reporting real wall time and Go
 // allocator deltas. Both engines produce byte-identical program output
-// and identical runtime-error text.
-type Engine int
+// and identical runtime-error text. The zero value is the VM; engines
+// render as their names in JSON ("vm", "native").
+type Engine = pipeline.Engine
 
-// Execution engines. The zero value defers: a run with EngineDefault
-// uses the Config.Engine the program was compiled with, and a config
-// with EngineDefault means the VM — so existing code that never
-// mentions engines keeps its exact behavior.
+// Execution engines.
 const (
-	EngineDefault Engine = iota
-	EngineVM
-	EngineNative
+	EngineVM     = pipeline.EngineVM
+	EngineNative = pipeline.EngineNative
 )
 
-func (e Engine) String() string {
-	switch e {
-	case EngineVM:
-		return "vm"
-	case EngineNative:
-		return "native"
-	}
-	return "default"
-}
-
-// ParseEngine parses an engine name as rendered by Engine.String. The
-// empty string parses as EngineDefault, so wire formats can omit the
-// field entirely.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "default":
-		return EngineDefault, nil
-	case "vm":
-		return EngineVM, nil
-	case "native":
-		return EngineNative, nil
-	}
-	return 0, fmt.Errorf("objinline: unknown engine %q (want vm or native)", s)
-}
-
-// MarshalText renders the engine name, making Engine fields
-// JSON-friendly ("vm", "native", or "default").
-func (e Engine) MarshalText() ([]byte, error) { return []byte(e.String()), nil }
-
-// UnmarshalText parses an engine name via ParseEngine.
-func (e *Engine) UnmarshalText(b []byte) error {
-	v, err := ParseEngine(string(b))
-	if err != nil {
-		return err
-	}
-	*e = v
-	return nil
-}
-
-// Solver names for Config.Solver.
-const (
-	// SolverWorklist is the dependency-driven fixpoint solver (the
-	// default): only contours whose inputs changed are re-evaluated.
-	SolverWorklist = analysis.SolverWorklist
-	// SolverSweep is the naive global re-sweep, kept as the reference
-	// implementation; it computes identical results.
-	SolverSweep = analysis.SolverSweep
-)
-
-// ParseSolver validates an analysis solver name and returns it with the
-// default applied: "" selects SolverWorklist. It is the one place solver
-// names are interpreted; Compile, NewSession, and the CLI tools all go
-// through it, so an unknown name is an error rather than a silent
-// worklist run under a second cache key.
-func ParseSolver(s string) (string, error) {
-	switch s {
-	case "":
-		return SolverWorklist, nil
-	case SolverWorklist, SolverSweep:
-		return s, nil
-	}
-	return "", fmt.Errorf("objinline: unknown solver %q (want worklist or sweep)", s)
-}
-
-// Config configures compilation.
+// Config configures compilation. Every field changes the compiled
+// program; how a program runs is chosen per run (RunOptions).
 type Config struct {
 	Mode Mode
 	// ParallelArrays lays inlined arrays out as one column per field
@@ -181,17 +104,6 @@ type Config struct {
 	TagDepth int
 	// MaxPasses bounds the analysis's iterative refinement (default 8).
 	MaxPasses int
-	// Solver selects the analysis fixpoint engine: SolverWorklist
-	// (default) or SolverSweep. Any other name fails compilation (see
-	// ParseSolver).
-	Solver string
-	// Engine is the default execution tier for the compiled program's
-	// runs (EngineDefault means the VM); RunOptions.Engine overrides it
-	// per run. The engine never changes what is compiled — both tiers
-	// execute the same optimized IR — so it is deliberately not part of
-	// Fingerprint: selecting the native tier must not split the compile
-	// cache.
-	Engine Engine
 }
 
 // Fingerprint returns a stable, versioned, canonical encoding of the
@@ -201,17 +113,12 @@ type Config struct {
 // default-filled before encoding, so an explicit TagDepth 3 and an
 // implicit zero are the same key, and the fields are rendered in a fixed
 // order — no map iteration is involved. Any configuration change that can
-// alter compilation output (or its observable statistics, such as the
-// solver's work counters) changes the fingerprint, and the leading
+// alter compilation output changes the fingerprint, and the leading
 // version tag must be bumped whenever the encoding itself changes.
 func (c Config) Fingerprint() string {
-	a := analysis.Options{
-		TagDepth:  c.TagDepth,
-		MaxPasses: c.MaxPasses,
-		Solver:    c.Solver,
-	}.WithDefaults()
-	return fmt.Sprintf("objinline.Config/v1;max_passes=%d;mode=%s;parallel_arrays=%t;solver=%s;tag_depth=%d",
-		a.MaxPasses, c.Mode, c.ParallelArrays, a.Solver, a.TagDepth)
+	a := analysis.Options{TagDepth: c.TagDepth, MaxPasses: c.MaxPasses}.WithDefaults()
+	return fmt.Sprintf("objinline.Config/v2;max_passes=%d;mode=%s;parallel_arrays=%t;tag_depth=%d",
+		a.MaxPasses, c.Mode, c.ParallelArrays, a.TagDepth)
 }
 
 // Option is a functional compilation option (beyond the Config knobs that
@@ -253,9 +160,6 @@ func WriteChromeTrace(w io.Writer, events []PhaseStat) error {
 // Program is a compiled Mini-ICC program, ready to run.
 type Program struct {
 	c *pipeline.Compiled
-	// engine is the Config.Engine default for runs that leave
-	// RunOptions.Engine at EngineDefault.
-	engine Engine
 
 	// Profiled-run state from the most recent VM Execute with Profile set.
 	lastProfile  *vm.Profile
@@ -282,44 +186,28 @@ func CompileContext(ctx context.Context, filename, src string, cfg Config, opts 
 	if err != nil {
 		return nil, err
 	}
-	return &Program{c: c, engine: cfg.Engine}, nil
+	return &Program{c: c}, nil
 }
 
 // toPipeline maps the public configuration (plus options) onto the
 // internal pipeline's.
 func (c Config) toPipeline(opts []Option) (pipeline.Config, error) {
+	if c.Mode < Direct || c.Mode > Inline {
+		return pipeline.Config{}, fmt.Errorf("objinline: unknown mode %d", c.Mode)
+	}
 	var settings compileSettings
 	for _, o := range opts {
 		o(&settings)
-	}
-	var mode pipeline.Mode
-	switch c.Mode {
-	case Direct:
-		mode = pipeline.ModeDirect
-	case Baseline:
-		mode = pipeline.ModeBaseline
-	case Inline:
-		mode = pipeline.ModeInline
-	default:
-		return pipeline.Config{}, fmt.Errorf("objinline: unknown mode %d", c.Mode)
-	}
-	solver, err := ParseSolver(c.Solver)
-	if err != nil {
-		return pipeline.Config{}, err
 	}
 	layout := core.LayoutObjectOrder
 	if c.ParallelArrays {
 		layout = core.LayoutParallel
 	}
 	return pipeline.Config{
-		Mode:        mode,
+		Mode:        c.Mode,
 		ArrayLayout: layout,
-		Analysis: analysis.Options{
-			TagDepth:  c.TagDepth,
-			MaxPasses: c.MaxPasses,
-			Solver:    solver,
-		},
-		Trace: settings.trace,
+		Analysis:    analysis.Options{TagDepth: c.TagDepth, MaxPasses: c.MaxPasses},
+		Trace:       settings.trace,
 	}, nil
 }
 
@@ -336,9 +224,8 @@ func (c Config) toPipeline(opts []Option) (pipeline.Config, error) {
 // oicd server holds one mutex per session). Patch invalidates Programs
 // returned by earlier calls on the same session.
 type Session struct {
-	s      *pipeline.Session
-	p      *Program
-	engine Engine
+	s *pipeline.Session
+	p *Program
 }
 
 // IncrementalStats reports how a Session.Patch was absorbed: the tier
@@ -382,7 +269,7 @@ func NewSessionContext(ctx context.Context, filename, src string, cfg Config, op
 	if err != nil {
 		return nil, err
 	}
-	return &Session{s: ps, p: &Program{c: c, engine: cfg.Engine}, engine: cfg.Engine}, nil
+	return &Session{s: ps, p: &Program{c: c}}, nil
 }
 
 // Program returns the session's current compiled program.
@@ -405,7 +292,7 @@ func (s *Session) PatchContext(ctx context.Context, src string) (*Program, Incre
 	if err != nil {
 		return nil, st, err
 	}
-	s.p = &Program{c: c, engine: s.engine}
+	s.p = &Program{c: c}
 	return s.p, st, nil
 }
 
@@ -442,11 +329,10 @@ type RunOptions struct {
 	// run's timing separate from the shared compile-time sink.
 	Trace *TraceSink
 
-	// Engine selects the execution tier for this run; EngineDefault uses
-	// the Config.Engine the program was compiled with (the VM when that
-	// too is default). The VM-only knobs above (MaxSteps, Cache, Profile,
-	// Trace) apply only when the VM runs; combining Profile with the
-	// native engine is an error rather than a silent no-op.
+	// Engine selects the execution tier for this run (the zero value is
+	// the VM). The VM-only knobs above (MaxSteps, Cache, Profile, Trace)
+	// apply only when the VM runs; combining Profile with the native
+	// engine is an error rather than a silent no-op.
 	Engine Engine
 	// NativeReps, for the native engine, is how many times the program
 	// body executes inside one process for measurement stability
@@ -507,18 +393,7 @@ func metricsFrom(c vm.Counters) Metrics {
 // time and Go allocator deltas stand in for the VM's modeled cycles and
 // allocation counters. All measurement fields cover every repetition of
 // the run (see RunOptions.NativeReps).
-type NativeMetrics struct {
-	// WallNanos is the emitted binary's run wall time.
-	WallNanos int64 `json:"wall_nanos"`
-	// BuildNanos is the emit + go build wall time.
-	BuildNanos int64 `json:"build_nanos"`
-	// Reps is how many times the program body executed.
-	Reps int `json:"reps"`
-	// Mallocs is the runtime.MemStats.Mallocs delta across the run.
-	Mallocs uint64 `json:"mallocs"`
-	// AllocBytes is the runtime.MemStats.TotalAlloc delta across the run.
-	AllocBytes uint64 `json:"alloc_bytes"`
-}
+type NativeMetrics = pipeline.NativeRun
 
 // Result is one execution's outcome on either engine: Engine says which
 // tier ran, Metrics is populated by the VM, Native by the native tier.
@@ -530,44 +405,28 @@ type Result struct {
 }
 
 // Execute runs the program on the selected engine (RunOptions.Engine,
-// falling back to the Config.Engine the program was compiled with, then
-// the VM). On the VM the context is polled every few thousand
+// the VM by default). On the VM the context is polled every few thousand
 // instructions, so an infinite loop returns an error wrapping ctx.Err()
 // within microseconds of the deadline; on the native engine the context
 // bounds both the go build and the process, which is killed on expiry.
 // A Mini-ICC runtime failure returns an error whose text is identical
 // on both engines ("runtime error[ at pos]: msg").
 func (p *Program) Execute(ctx context.Context, opts RunOptions) (Result, error) {
-	engine := opts.Engine
-	if engine == EngineDefault {
-		engine = p.engine
+	eo := pipeline.ExecOptions{
+		Run:     pipeline.RunOptions{Out: opts.Output, MaxSteps: opts.MaxSteps, Trace: opts.Trace},
+		Engine:  opts.Engine,
+		Reps:    opts.NativeReps,
+		EmitDir: opts.EmitDir,
 	}
-	if engine == EngineNative {
-		if opts.Profile {
+	if opts.NativeBatcher != nil {
+		eo.Builder = opts.NativeBatcher.b
+	}
+	if opts.Profile {
+		if opts.Engine == EngineNative {
 			return Result{}, fmt.Errorf("objinline: RunOptions.Profile requires the VM engine (site attribution is VM instrumentation)")
 		}
-		eo := pipeline.ExecOptions{
-			Run:     pipeline.RunOptions{Out: opts.Output},
-			Engine:  pipeline.EngineNative,
-			Reps:    opts.NativeReps,
-			EmitDir: opts.EmitDir,
-		}
-		if opts.NativeBatcher != nil {
-			eo.Builder = opts.NativeBatcher.b
-		}
-		res, err := p.c.Execute(ctx, eo)
-		if err != nil {
-			return Result{Engine: EngineNative}, err
-		}
-		return Result{Engine: EngineNative, Native: &NativeMetrics{
-			WallNanos:  res.Native.WallNanos,
-			BuildNanos: res.Native.BuildNanos,
-			Reps:       res.Native.Reps,
-			Mallocs:    res.Native.Mallocs,
-			AllocBytes: res.Native.AllocBytes,
-		}}, nil
+		eo.Run.Profile = vm.NewProfile()
 	}
-	ro := pipeline.RunOptions{Out: opts.Output, MaxSteps: opts.MaxSteps, Trace: opts.Trace}
 	if !opts.DisableCache {
 		cfg := cachesim.DefaultConfig
 		geo := opts.Cache
@@ -583,20 +442,17 @@ func (p *Program) Execute(ctx context.Context, opts RunOptions) (Result, error) 
 		if geo.Ways > 0 {
 			cfg.Ways = geo.Ways
 		}
-		ro.Cache = &cfg
+		eo.Run.Cache = &cfg
 	}
-	if opts.Profile {
-		ro.Profile = vm.NewProfile()
+	res, err := p.c.Execute(ctx, eo)
+	if err != nil || res.Engine == EngineNative {
+		return Result{Engine: res.Engine, Native: res.Native}, err
 	}
-	counters, err := p.c.RunContext(ctx, ro)
-	if err != nil {
-		return Result{Engine: EngineVM}, err
+	if eo.Run.Profile != nil {
+		p.lastProfile = eo.Run.Profile
+		p.lastCounters = res.Counters
 	}
-	if ro.Profile != nil {
-		p.lastProfile = ro.Profile
-		p.lastCounters = counters
-	}
-	m := metricsFrom(counters)
+	m := metricsFrom(res.Counters)
 	return Result{Engine: EngineVM, Metrics: &m}, nil
 }
 
@@ -685,16 +541,7 @@ func PayoffReport(on, off *Program) (*RunReport, error) {
 }
 
 // Mode returns the pipeline the program was compiled under.
-func (p *Program) Mode() Mode {
-	switch p.c.Mode {
-	case pipeline.ModeDirect:
-		return Direct
-	case pipeline.ModeBaseline:
-		return Baseline
-	default:
-		return Inline
-	}
-}
+func (p *Program) Mode() Mode { return p.c.Mode }
 
 // ReasonCode classifies an inlining verdict; the values are stable
 // machine-readable identifiers (see the core package for the full set).
@@ -826,7 +673,6 @@ type AnalysisStats struct {
 	ArrContours       int     `json:"arr_contours"`
 	Passes            int     `json:"passes"`
 	ContoursPerMethod float64 `json:"contours_per_method"`
-	Solver            string  `json:"solver"`
 	Converged         bool    `json:"converged"`
 	Work              struct {
 		Rounds       int `json:"rounds"`
@@ -867,7 +713,6 @@ func (p *Program) CompileStats() CompileStats {
 			ArrContours:       st.ArrContours,
 			Passes:            st.Passes,
 			ContoursPerMethod: st.ContoursPerMethod,
-			Solver:            st.Solver,
 			Converged:         st.Converged,
 		}
 		as.Work.Rounds = st.Work.Rounds
@@ -941,8 +786,7 @@ func (p *Program) Report() string {
 		fmt.Fprintf(&b, "analysis: %d contours over %d methods (%.2f/method), %d object contours, %d passes\n",
 			st.MethodContours, st.ReachedFuncs, st.ContoursPerMethod, st.ObjContours, st.Passes)
 		if !st.Converged {
-			fmt.Fprintf(&b, "analysis: WARNING: %s solver hit the round limit before converging; the result is incomplete\n",
-				st.Solver)
+			b.WriteString("analysis: WARNING: the fixpoint hit the round limit before converging; the result is incomplete\n")
 		}
 	}
 	if p.c.Optimize != nil {

@@ -178,9 +178,6 @@ func TestCompileStatsJSON(t *testing.T) {
 	if string(raw) != string(raw2) {
 		t.Errorf("CompileStats does not round-trip:\n%s\n%s", raw, raw2)
 	}
-	if !strings.Contains(string(raw), `"solver":"worklist"`) {
-		t.Errorf("serialized stats missing solver: %s", raw)
-	}
 }
 
 func TestCompileStatsWithoutTracing(t *testing.T) {
@@ -239,23 +236,5 @@ func TestCacheConfigConsolidation(t *testing.T) {
 	}
 	if tiny.CacheMisses == 0 {
 		t.Error("tiny cache produced no misses; geometry likely ignored")
-	}
-}
-
-func TestSolverConfigPlumbed(t *testing.T) {
-	src, err := os.ReadFile("testdata/explain.icc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, solver := range []string{objinline.SolverWorklist, objinline.SolverSweep} {
-		prog, err := objinline.Compile("testdata/explain.icc", string(src),
-			objinline.Config{Mode: objinline.Inline, Solver: solver}, objinline.WithTracing())
-		if err != nil {
-			t.Fatal(err)
-		}
-		st := prog.CompileStats()
-		if st.Analysis.Solver != solver {
-			t.Errorf("Config.Solver=%q ran solver %q", solver, st.Analysis.Solver)
-		}
 	}
 }
