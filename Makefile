@@ -35,7 +35,7 @@ bench:
 # program at both Tags settings. Compile, edit and service timings come
 # from perfbench (perfbench/README.md).
 bench-analysis:
-	$(GO) test ./internal/bench -run '^$$' -bench BenchmarkAnalyze -benchtime 3x
+	$(GO) test ./internal/bench -run '^$$' -bench BenchmarkAnalyze -benchtime 3x -benchmem
 
 # Cost-model cross-validation: the VM's predicted inlining speedups and
 # allocation deltas vs the native tier's measured wall-time and

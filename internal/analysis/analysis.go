@@ -817,9 +817,7 @@ func (w *worker) bindReceiverCall(mc *MethodContour, fn *ir.Func, in *ir.Instr, 
 		}
 		self := VarState{}
 		self.TS.AddObj(oc)
-		for _, t := range recv.Tags.List() {
-			self.Tags.Add(t)
-		}
+		self.Tags.Union(&recv.Tags)
 		w.bindMethod(mc, in, target, baseKey, &self)
 	}
 }

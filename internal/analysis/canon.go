@@ -3,7 +3,8 @@ package analysis
 import "sort"
 
 // canonicalize renumbers the pass's contours and tags from
-// order-independent sort keys, and sorts every contour's in-edge list.
+// order-independent sort keys, sorts every contour's in-edge list, and
+// re-sorts every value set by the new IDs.
 // It runs at the end of every pass, for both solvers, before
 // updatePolicies reads the pass's state.
 //
@@ -95,4 +96,6 @@ func (a *analyzer) canonicalize() {
 			return x.Instr.ID < y.Instr.ID
 		})
 	}
+
+	a.resortStates()
 }

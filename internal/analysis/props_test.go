@@ -7,6 +7,7 @@ package analysis
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -31,13 +32,16 @@ func genPool() ([]*ObjContour, []*ArrContour) {
 
 var poolOCs, poolACs = genPool()
 
-// randTS draws a random type set.
-func randTS(r *rand.Rand) TypeSet {
+// randTS draws a random type set, returning also the object contours
+// added to it.
+func randTS(r *rand.Rand) (TypeSet, map[*ObjContour]bool) {
 	var ts TypeSet
+	added := make(map[*ObjContour]bool)
 	ts.AddPrim(PrimMask(r.Intn(32)))
 	for _, oc := range poolOCs {
 		if r.Intn(3) == 0 {
 			ts.AddObj(oc)
+			added[oc] = true
 		}
 	}
 	for _, ac := range poolACs {
@@ -45,7 +49,7 @@ func randTS(r *rand.Rand) TypeSet {
 			ts.AddArr(ac)
 		}
 	}
-	return ts
+	return ts, added
 }
 
 func cloneTS(ts *TypeSet) TypeSet {
@@ -54,28 +58,23 @@ func cloneTS(ts *TypeSet) TypeSet {
 	return out
 }
 
+// equalTS reports whether a and b hold the same primitives and the same
+// contours. Lists are strictly ascending by ID, so equal sets have
+// element-for-element equal lists.
 func equalTS(a, b *TypeSet) bool {
-	if a.Prims != b.Prims || len(a.Objs) != len(b.Objs) || len(a.Arrs) != len(b.Arrs) {
-		return false
-	}
-	for oc := range a.Objs {
-		if _, ok := b.Objs[oc]; !ok {
-			return false
-		}
-	}
-	for ac := range a.Arrs {
-		if _, ok := b.Arrs[ac]; !ok {
-			return false
-		}
-	}
-	return true
+	return a.Prims == b.Prims && slices.Equal(a.ObjList(), b.ObjList()) &&
+		slices.Equal(a.ArrList(), b.ArrList())
 }
 
-type tsValue struct{ TS TypeSet }
+type tsValue struct {
+	TS    TypeSet
+	added map[*ObjContour]bool // the object contours added to TS
+}
 
 // Generate implements quick.Generator.
 func (tsValue) Generate(r *rand.Rand, _ int) reflect.Value {
-	return reflect.ValueOf(tsValue{randTS(r)})
+	ts, added := randTS(r)
+	return reflect.ValueOf(tsValue{ts, added})
 }
 
 func TestTypeSetUnionCommutative(t *testing.T) {
@@ -131,13 +130,13 @@ func TestTypeSetUnionMonotone(t *testing.T) {
 		if small.Prims&^big.Prims != 0 {
 			return false
 		}
-		for oc := range small.Objs {
-			if _, ok := big.Objs[oc]; !ok {
+		for _, oc := range small.ObjList() {
+			if !slices.Contains(big.ObjList(), oc) {
 				return false
 			}
 		}
-		for ac := range small.Arrs {
-			if _, ok := big.Arrs[ac]; !ok {
+		for _, ac := range small.ArrList() {
+			if !slices.Contains(big.ArrList(), ac) {
 				return false
 			}
 		}
@@ -156,8 +155,13 @@ func TestTypeSetUnionMonotone(t *testing.T) {
 func TestObjListSortedAndComplete(t *testing.T) {
 	f := func(a tsValue) bool {
 		l := a.TS.ObjList()
-		if len(l) != len(a.TS.Objs) {
+		if len(l) != len(a.added) {
 			return false
+		}
+		for _, oc := range l {
+			if !a.added[oc] {
+				return false
+			}
 		}
 		for i := 1; i < len(l); i++ {
 			if l[i-1].ID >= l[i].ID {

@@ -83,7 +83,7 @@ func (r *Result) ObjectFields() []FieldKey {
 	for _, oc := range r.Objs {
 		for _, f := range oc.Class.Fields {
 			st := &oc.Fields[f.Slot]
-			if !st.TS.HasObjects() && len(st.TS.Arrs) == 0 {
+			if !st.TS.HasObjects() && !st.TS.HasArrays() {
 				continue
 			}
 			k := FieldKey{Class: f.Owner, Name: f.Name}

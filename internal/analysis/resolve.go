@@ -102,7 +102,7 @@ func (rs *Resolver) Reset() { clear(rs.memo) }
 // RepsOf resolves a tag set: the union of its tags' reps.
 func (rs *Resolver) RepsOf(tags *TagSet) Rep {
 	var out Rep
-	for t := range tags.m {
+	for _, t := range tags.List() {
 		rep, ok := rs.closed(t)
 		if !ok {
 			rs.visit(t)
@@ -154,7 +154,7 @@ func (rs *Resolver) visit(t *Tag) int {
 	} else {
 		// Not inlined: the load returns the stored reference, whose rep
 		// is the content's provenance.
-		for ct := range content.m {
+		for _, ct := range content.List() {
 			if c, ok := rs.closed(ct); ok {
 				rep.Add(c)
 				continue

@@ -75,7 +75,7 @@ func (a *analyzer) updatePolicies() bool {
 		if mc.Fn.Class == nil || len(mc.Regs) == 0 {
 			continue
 		}
-		if len(mc.Regs[0].TS.Objs) > 1 {
+		if len(mc.Regs[0].TS.ObjList()) > 1 {
 			pol := a.policy(mc.Fn)
 			if !pol.splitByRecvOC {
 				pol.splitByRecvOC = true
@@ -125,11 +125,11 @@ func fieldNeedsSplit(a *analyzer, fs *VarState) bool {
 // contour granularity — the analysis's "concrete types". Primitives are
 // collapsed: they never drive splitting.
 func classSig(ts *TypeSet) string {
-	ids := make([]int, 0, len(ts.Objs)+len(ts.Arrs))
-	for oc := range ts.Objs {
+	ids := make([]int, 0, len(ts.ObjList())+len(ts.ArrList()))
+	for _, oc := range ts.ObjList() {
 		ids = append(ids, oc.ID*2)
 	}
-	for ac := range ts.Arrs {
+	for _, ac := range ts.ArrList() {
 		ids = append(ids, ac.ID*2+1)
 	}
 	sort.Ints(ids)

@@ -137,7 +137,6 @@ func declaringClass(c *ir.Class, name string) *ir.Class {
 // tagTable interns tags for one analysis pass.
 type tagTable struct {
 	noField *Tag
-	top     *Tag
 	byKey   map[tagKey]*Tag
 	next    int
 	maxDep  int
@@ -160,7 +159,6 @@ const (
 func newTagTable(maxDepth int) *tagTable {
 	tt := &tagTable{
 		noField: &Tag{ID: tagNoFieldID, uid: tagNoFieldUID},
-		top:     &Tag{ID: tagTopID, uid: tagTopUID},
 		byKey:   make(map[tagKey]*Tag),
 		next:    2,
 		maxDep:  maxDepth,
@@ -193,7 +191,7 @@ func (tt *tagTable) make(k tagKey) *Tag {
 		// stay known or every deep access would conservatively block all
 		// inlining. A Top base means "container identity unknown", which
 		// rejects only candidates that need that identity.
-		k.base = tt.top
+		k.base = sharedTop
 		depth = tt.maxDep
 	}
 	if t, ok := tt.byKey[k]; ok {
@@ -218,9 +216,10 @@ func (tt *tagTable) make(k tagKey) *Tag {
 
 // TagSet is a set of tags, capped in size: overflowing sets collapse to
 // {Top} (confused), mirroring the paper's conservative treatment of
-// convergent data-flow paths it cannot split.
+// convergent data-flow paths it cannot split. The tags are a value set
+// (see valueset.go): sorted by ID and copy-on-write.
 type TagSet struct {
-	m map[*Tag]struct{}
+	tags []*Tag
 }
 
 // maxTagSet bounds tag sets before collapsing to Top.
@@ -233,23 +232,22 @@ func (s *TagSet) Add(t *Tag) bool {
 	if t == nil {
 		return false
 	}
-	if _, ok := s.m[t]; ok {
+	if s.Has(t) {
 		return false
 	}
-	if s.m == nil {
-		s.m = make(map[*Tag]struct{})
-	}
-	if len(s.m) >= maxTagSet && !t.IsTop() {
+	if len(s.tags) >= maxTagSet && !t.IsTop() {
 		return s.Add(topOf(t))
 	}
-	s.m[t] = struct{}{}
+	s.tags, _ = insert(s.tags, t)
 	return true
 }
 
-// topOf returns the Top sentinel reachable from any tag's table; since
-// sentinels are per-table we reconstruct via a shared instance.
+// sharedTop is the Top sentinel: every tag table uses it, so Top is one
+// pointer across passes and sets.
 var sharedTop = &Tag{ID: tagTopID, uid: tagTopUID}
 
+// topOf returns the Top sentinel that t collapses to (t itself if it is
+// Top).
 func topOf(t *Tag) *Tag {
 	if t.IsTop() {
 		return t
@@ -257,24 +255,25 @@ func topOf(t *Tag) *Tag {
 	return sharedTop
 }
 
-// Union adds all of o, reporting change. When the union could saturate,
-// iteration is in sorted tag order so that which members establish
-// themselves before the cap is deterministic; below the cap the result is
-// the exact set union, so the cheaper unordered walk gives the same set.
+// Union adds all of o, reporting change; it allocates only when o holds
+// tags s lacks. When the result stays within the cap it is the exact set
+// union. When it could exceed the cap, o's tags are added in ascending ID
+// order, so which members establish themselves before the cap is
+// deterministic.
 func (s *TagSet) Union(o *TagSet) bool {
-	if s == o || len(o.m) == 0 {
+	if s == o {
 		return false
 	}
-	changed := false
-	if len(s.m)+len(o.m) <= maxTagSet {
-		for t := range o.m {
-			if s.Add(t) {
-				changed = true
-			}
-		}
-		return changed
+	n := missing(s.tags, o.tags)
+	if n == 0 {
+		return false
 	}
-	for _, t := range o.List() {
+	if len(s.tags)+n <= maxTagSet {
+		s.tags = merge(s.tags, o.tags, n)
+		return true
+	}
+	changed := false
+	for _, t := range o.tags {
 		if s.Add(t) {
 			changed = true
 		}
@@ -283,39 +282,29 @@ func (s *TagSet) Union(o *TagSet) bool {
 }
 
 // Len returns the number of tags.
-func (s *TagSet) Len() int { return len(s.m) }
+func (s *TagSet) Len() int { return len(s.tags) }
 
 // Has reports membership.
 func (s *TagSet) Has(t *Tag) bool {
-	_, ok := s.m[t]
+	_, ok := search(s.tags, t.ID)
 	return ok
 }
 
 // HasTop reports whether the set contains the confusion sentinel.
 func (s *TagSet) HasTop() bool {
-	for t := range s.m {
-		if t.IsTop() {
-			return true
-		}
-	}
-	return false
+	_, ok := search(s.tags, tagTopID)
+	return ok
 }
 
-// List returns tags sorted by ID.
-func (s *TagSet) List() []*Tag {
-	out := make([]*Tag, 0, len(s.m))
-	for t := range s.m {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// List returns the tags in ascending ID order. The slice is the set's
+// own storage: callers must not modify it.
+func (s *TagSet) List() []*Tag { return s.tags }
 
 // Heads returns the distinct head field keys of the set's real tags,
 // plus flags for NoField and Top members.
 func (s *TagSet) Heads() (heads []FieldKey, noField, top bool) {
 	seen := make(map[FieldKey]bool)
-	for t := range s.m {
+	for _, t := range s.tags {
 		switch {
 		case t.IsNoField():
 			noField = true
@@ -335,8 +324,8 @@ func (s *TagSet) Heads() (heads []FieldKey, noField, top bool) {
 
 // String renders the set.
 func (s *TagSet) String() string {
-	parts := make([]string, 0, len(s.m))
-	for _, t := range s.List() {
+	parts := make([]string, 0, len(s.tags))
+	for _, t := range s.tags {
 		parts = append(parts, t.String())
 	}
 	return "{" + strings.Join(parts, " ") + "}"

@@ -34,10 +34,14 @@ var primNames = []struct {
 
 // TypeSet is a set of concrete types: primitive kinds plus object and
 // array contours. The zero value is the empty set.
+//
+// The contour lists are value sets (see valueset.go): sorted by ID and
+// copy-on-write, so reading them is free and a stored list never
+// changes under its reader.
 type TypeSet struct {
 	Prims PrimMask
-	Objs  map[*ObjContour]struct{}
-	Arrs  map[*ArrContour]struct{}
+	objs  []*ObjContour
+	arrs  []*ArrContour
 }
 
 // AddPrim adds primitive bits, reporting whether the set changed.
@@ -51,95 +55,59 @@ func (t *TypeSet) AddPrim(m PrimMask) bool {
 
 // AddObj adds an object contour, reporting whether the set changed.
 func (t *TypeSet) AddObj(oc *ObjContour) bool {
-	if _, ok := t.Objs[oc]; ok {
-		return false
-	}
-	if t.Objs == nil {
-		t.Objs = make(map[*ObjContour]struct{})
-	}
-	t.Objs[oc] = struct{}{}
-	return true
+	var changed bool
+	t.objs, changed = insert(t.objs, oc)
+	return changed
 }
 
 // AddArr adds an array contour, reporting whether the set changed.
 func (t *TypeSet) AddArr(ac *ArrContour) bool {
-	if _, ok := t.Arrs[ac]; ok {
-		return false
-	}
-	if t.Arrs == nil {
-		t.Arrs = make(map[*ArrContour]struct{})
-	}
-	t.Arrs[ac] = struct{}{}
-	return true
+	var changed bool
+	t.arrs, changed = insert(t.arrs, ac)
+	return changed
 }
 
-// Union adds all of o into t, reporting whether t changed. This is the
-// analysis fixpoint's innermost operation, so the common shapes are
-// fast-pathed: aliased or empty sources return without touching the maps,
-// and a first union into an empty destination sizes the maps to fit the
-// source instead of growing bucket by bucket.
+// Union adds all of o into t, reporting whether t changed. It allocates
+// only when o holds contours t lacks, and a union into an empty
+// destination shares o's lists.
 func (t *TypeSet) Union(o *TypeSet) bool {
 	if t == o || o.IsEmpty() {
 		return false
 	}
 	changed := t.AddPrim(o.Prims)
-	if len(o.Objs) > 0 {
-		if t.Objs == nil {
-			t.Objs = make(map[*ObjContour]struct{}, len(o.Objs))
-		}
-		for oc := range o.Objs {
-			if _, ok := t.Objs[oc]; !ok {
-				t.Objs[oc] = struct{}{}
-				changed = true
-			}
-		}
+	var c bool
+	if t.objs, c = union(t.objs, o.objs); c {
+		changed = true
 	}
-	if len(o.Arrs) > 0 {
-		if t.Arrs == nil {
-			t.Arrs = make(map[*ArrContour]struct{}, len(o.Arrs))
-		}
-		for ac := range o.Arrs {
-			if _, ok := t.Arrs[ac]; !ok {
-				t.Arrs[ac] = struct{}{}
-				changed = true
-			}
-		}
+	if t.arrs, c = union(t.arrs, o.arrs); c {
+		changed = true
 	}
 	return changed
 }
 
 // IsEmpty reports whether the set has no members.
 func (t *TypeSet) IsEmpty() bool {
-	return t.Prims == 0 && len(t.Objs) == 0 && len(t.Arrs) == 0
+	return t.Prims == 0 && len(t.objs) == 0 && len(t.arrs) == 0
 }
 
 // HasObjects reports whether any object contour is in the set.
-func (t *TypeSet) HasObjects() bool { return len(t.Objs) > 0 }
+func (t *TypeSet) HasObjects() bool { return len(t.objs) > 0 }
 
-// ObjList returns the object contours sorted by ID (deterministic order).
-func (t *TypeSet) ObjList() []*ObjContour {
-	out := make([]*ObjContour, 0, len(t.Objs))
-	for oc := range t.Objs {
-		out = append(out, oc)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// HasArrays reports whether any array contour is in the set.
+func (t *TypeSet) HasArrays() bool { return len(t.arrs) > 0 }
 
-// ArrList returns the array contours sorted by ID.
-func (t *TypeSet) ArrList() []*ArrContour {
-	out := make([]*ArrContour, 0, len(t.Arrs))
-	for ac := range t.Arrs {
-		out = append(out, ac)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// ObjList returns the object contours in ascending ID order. The slice
+// is the set's own storage: callers must not modify it.
+func (t *TypeSet) ObjList() []*ObjContour { return t.objs }
+
+// ArrList returns the array contours in ascending ID order. The slice is
+// the set's own storage: callers must not modify it.
+func (t *TypeSet) ArrList() []*ArrContour { return t.arrs }
 
 // Classes returns the distinct object classes in the set, sorted by name.
 func (t *TypeSet) Classes() []string {
 	seen := make(map[string]bool)
-	for oc := range t.Objs {
+	for _, oc := range t.objs {
 		seen[oc.Class.Name] = true
 	}
 	out := make([]string, 0, len(seen))

@@ -5,7 +5,8 @@ import "testing"
 // The Union benchmarks cover the shapes the fixpoint hits most: unioning
 // an empty or identical set (no-op), pouring a populated set into an
 // empty one (first flow into a fresh contour register), and re-unioning
-// an already-converged pair (steady-state passes).
+// an already-converged pair (steady-state passes). The List benchmarks
+// cover the reads every field load and call binding makes.
 
 func benchContours(n int) []*ObjContour {
 	out := make([]*ObjContour, n)
@@ -77,4 +78,27 @@ func BenchmarkVarStateMergeConverged(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		dst.Merge(src)
 	}
+}
+
+func BenchmarkObjList(b *testing.B) {
+	t := populated(benchContours(8))
+	b.ReportAllocs()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		n += len(t.ObjList())
+	}
+	_ = n
+}
+
+func BenchmarkTagSetList(b *testing.B) {
+	var s TagSet
+	for _, t := range tagPool(8) {
+		s.Add(t)
+	}
+	b.ReportAllocs()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		n += len(s.List())
+	}
+	_ = n
 }

@@ -164,7 +164,7 @@ func fieldLocallyInlinable(k analysis.FieldKey, ocs []*analysis.ObjContour) ([]S
 			return nil, because(ReasonHoldsPrimitives, "field may hold nil or primitives",
 				Step{What: "content-primitives", Where: where, Detail: "abstract content " + st.TS.String()})
 		}
-		if len(st.TS.Arrs) > 0 {
+		if st.TS.HasArrays() {
 			return nil, because(ReasonHoldsArrays, "field holds arrays (array-into-object inlining unsupported)",
 				Step{What: "content-array", Where: where, Detail: "abstract content " + st.TS.String()})
 		}
@@ -211,7 +211,7 @@ func arrayLocallyInlinable(acs []*analysis.ArrContour) ([]Step, Reason) {
 			continue
 		}
 		where := ac.String()
-		if st.TS.Prims != 0 || len(st.TS.Arrs) > 0 {
+		if st.TS.Prims != 0 || st.TS.HasArrays() {
 			return nil, because(ReasonHoldsPrimitives, "elements may hold nil, primitives, or arrays",
 				Step{What: "content-primitives", Where: where, Detail: "abstract element content " + st.TS.String()})
 		}
@@ -452,7 +452,7 @@ func pruneInconsistent(prog *ir.Program, res *analysis.Result, d *Decision) {
 		byClass := candidateContentClasses(res, d)
 		repable := repableContours(res, d)
 		couldBeRep := func(ts *analysis.TypeSet) bool {
-			for oc := range ts.Objs {
+			for _, oc := range ts.ObjList() {
 				if repable[oc] {
 					return true
 				}

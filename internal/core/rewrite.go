@@ -350,7 +350,7 @@ func (t *transformer) repOfState(st *analysis.VarState) (*regRep, *rewriteErr) {
 	// A value none of whose possible objects can flow into a candidate is
 	// necessarily raw: tags (even saturated ones) cannot make it a rep.
 	anyRepable := false
-	for oc := range st.TS.Objs {
+	for _, oc := range st.TS.ObjList() {
 		if t.repable[oc] {
 			anyRepable = true
 			break
