@@ -123,31 +123,26 @@ func (e *Engine) MeasureNative(p Program, v Variant, s Scale, cfg pipeline.Confi
 // native, baseline and inline), joined into predicted-vs-measured rows.
 func (e *Engine) Calibration(scale Scale) (*Calibration, error) {
 	reps := calibrationReps(scale)
-	baseCfg := pipeline.Config{Mode: pipeline.ModeBaseline}
-	inlCfg := pipeline.Config{Mode: pipeline.ModeInline}
-	results, err := Collect(len(Programs)*4, func(i int) (any, error) {
-		p := Programs[i/4]
-		switch i % 4 {
-		case 0:
-			return e.Measure(p, VariantAuto, scale, baseCfg)
-		case 1:
-			return e.Measure(p, VariantAuto, scale, inlCfg)
-		case 2:
-			return e.MeasureNative(p, VariantAuto, scale, baseCfg, reps)
-		default:
-			return e.MeasureNative(p, VariantAuto, scale, inlCfg, reps)
-		}
+	cfgs := [2]pipeline.Config{{Mode: pipeline.ModeBaseline}, {Mode: pipeline.ModeInline}}
+	vms, err := Collect(len(Programs)*2, func(i int) (*Measurement, error) {
+		return e.Measure(Programs[i/2], VariantAuto, scale, cfgs[i%2])
 	})
 	if err != nil {
 		return nil, err
 	}
+	// The native runs go one at a time, after the VM runs: a binary's
+	// timed run must not share the CPUs with another build or run.
+	natives := make([]*pipeline.NativeRun, len(Programs)*2)
+	for i := range natives {
+		if natives[i], err = e.MeasureNative(Programs[i/2], VariantAuto, scale, cfgs[i%2], reps); err != nil {
+			return nil, err
+		}
+	}
 
 	cal := &Calibration{}
 	for i, p := range Programs {
-		vmBase := results[i*4].(*Measurement)
-		vmInl := results[i*4+1].(*Measurement)
-		natBase := results[i*4+2].(*pipeline.NativeRun)
-		natInl := results[i*4+3].(*pipeline.NativeRun)
+		vmBase, vmInl := vms[i*2], vms[i*2+1]
+		natBase, natInl := natives[i*2], natives[i*2+1]
 		row := CalibrationRow{
 			Program:               p.Name,
 			PredictedBaseCycles:   vmBase.Counters.Cycles,

@@ -149,9 +149,9 @@ func TestCostReplayMatchesFreshRun(t *testing.T) {
 	}
 }
 
-// TestEngineErrorsAreDeterministic: a configuration that cannot compile
-// reports the same error regardless of worker count, with the
-// configuration named.
+// TestEngineErrorsDescribeConfig: a configuration that cannot compile
+// fails, and a second request replays the cached error instead of
+// compiling again.
 func TestEngineErrorsDescribeConfig(t *testing.T) {
 	bad := bench.Program{Name: "broken", File: "nosuch.icc"}
 	e := bench.NewEngine(4)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"text/tabwriter"
 
+	"objinline/internal/analysis"
 	"objinline/internal/core"
 	"objinline/internal/pipeline"
 )
@@ -231,7 +232,7 @@ func (e *Engine) AblationTagDepth(scale Scale) ([]AblationTagDepthRow, error) {
 		p, depth := Programs[i/maxDepth], i%maxDepth+1
 		c, err := e.Compile(p, VariantAuto, scale, pipeline.Config{
 			Mode:     pipeline.ModeInline,
-			Analysis: analysisOptionsWithDepth(depth),
+			Analysis: analysis.Options{TagDepth: depth},
 		})
 		if err != nil {
 			return AblationTagDepthRow{}, fmt.Errorf("%s depth %d: %w", p.Name, depth, err)

@@ -41,9 +41,6 @@ type Built struct {
 	BuildNanos int64  // emit + go build wall time
 
 	keep bool
-	// cleanup, when non-nil, releases a shared batch directory instead of
-	// the Dir/keep policy (see BatchBuilder).
-	cleanup func()
 }
 
 // goModSrc pins the emitted package's module identity; it has no
@@ -161,14 +158,8 @@ func (b *Built) Run(ctx context.Context, out io.Writer, reps int) (*RunStats, er
 }
 
 // Close removes the package directory unless Build was given an explicit
-// output directory to keep. A batch-built artifact instead drops its
-// reference on the shared module directory, which is removed when the
-// last batch member closes.
+// output directory to keep.
 func (b *Built) Close() error {
-	if b.cleanup != nil {
-		b.cleanup()
-		return nil
-	}
 	if b.keep {
 		return nil
 	}

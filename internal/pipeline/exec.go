@@ -69,10 +69,6 @@ type ExecOptions struct {
 	// EmitDir, when non-empty, keeps the emitted native package (main.go,
 	// go.mod, binary) in this directory instead of a removed temp dir.
 	EmitDir string
-	// Builder, when non-nil, routes the native build (callers share an
-	// emit.BatchBuilder to coalesce concurrent builds into one toolchain
-	// invocation); nil builds directly.
-	Builder emit.Builder
 }
 
 // NativeRun is the native engine's measurement record: real wall time
@@ -105,11 +101,7 @@ func (c *Compiled) Execute(ctx context.Context, opts ExecOptions) (ExecResult, e
 		counters, err := c.RunContext(ctx, opts.Run)
 		return ExecResult{Engine: EngineVM, Counters: counters}, err
 	}
-	builder := opts.Builder
-	if builder == nil {
-		builder = emit.DirectBuilder{}
-	}
-	built, err := builder.Build(ctx, c.Prog, emit.BuildOptions{Dir: opts.EmitDir})
+	built, err := emit.Build(ctx, c.Prog, emit.BuildOptions{Dir: opts.EmitDir})
 	if err != nil {
 		return ExecResult{Engine: EngineNative}, err
 	}

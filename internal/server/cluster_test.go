@@ -408,7 +408,6 @@ func TestClusterMetricsExposition(t *testing.T) {
 		"# TYPE oicd_cluster_peers_total gauge",
 		"oicd_forwards_total 0",
 		"oicd_disk_appends_total 1",
-		"oicd_native_batch_invocations_total 0",
 	} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("prometheus exposition missing %q", want)

@@ -456,9 +456,6 @@ func (s *Server) nativeRunInto(ctx context.Context, e *entry, prog *objinline.Pr
 	ro := objinline.RunOptions{
 		Engine:     objinline.EngineNative,
 		NativeReps: reps,
-		// Concurrent native misses coalesce their go-build invocations
-		// through the server's shared batcher.
-		NativeBatcher: s.batcher,
 	}
 	if req.IncludeOutput {
 		ro.Output = &out

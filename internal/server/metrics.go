@@ -95,10 +95,6 @@ func newMetrics(s *Server) *metrics {
 			func(sc *scrape) int64 { return sc.native.hits }),
 		counter("native_cache_misses_total", "Native-run result-cache misses.",
 			func(sc *scrape) int64 { return sc.native.misses }),
-		counter("native_batch_invocations_total", "Go toolchain invocations by the native build batcher.",
-			func(*scrape) int64 { return s.batcher.ToolchainInvocations() }),
-		counter("native_batched_programs_total", "Programs built through shared batched invocations.",
-			func(*scrape) int64 { return s.batcher.BatchedPrograms() }),
 
 		gauge("sessions_active", "Incremental sessions resident.",
 			func(sc *scrape) int64 { return int64(sc.sessions.active) }),

@@ -6,9 +6,14 @@ package server
 // combinations fail fast with 400 before any work is admitted.
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"objinline/internal/server/api"
@@ -181,5 +186,73 @@ func TestRunNativeTrapCached(t *testing.T) {
 	}
 	if string(secondBody) != string(firstBody) {
 		t.Errorf("cached trap not byte-identical:\nfirst:  %s\nsecond: %s", firstBody, secondBody)
+	}
+}
+
+// TestRunNativeConcurrentMisses sends distinct native runs at once: each
+// is its own go build under the admission pool, each response carries
+// its own program's output, and every emitted package directory is gone
+// once the responses are back.
+func TestRunNativeConcurrentMisses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds native binaries")
+	}
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	_, ts := newTestServer(t, Config{})
+
+	const n = 4
+	want := make([]string, n)
+	bodies := make([][]byte, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		src := strings.Replace(nativeDemo, "new Point(20, 22)", fmt.Sprintf("new Point(%d, 22)", 100*(i+1)), 1)
+		want[i] = fmt.Sprintf("%d\n", 100*(i+1)+22)
+		req, err := json.Marshal(api.RunRequest{
+			CompileRequest: api.CompileRequest{Source: src, DeadlineMillis: 120_000},
+			Engine:         "native",
+			IncludeOutput:  true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(req))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			bodies[i], errs[i] = io.ReadAll(resp.Body)
+			if errs[i] == nil && resp.StatusCode != http.StatusOK {
+				errs[i] = fmt.Errorf("status %d: %s", resp.StatusCode, bodies[i])
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := range n {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		var env api.Envelope
+		if err := json.Unmarshal(bodies[i], &env); err != nil {
+			t.Fatal(err)
+		}
+		if env.Engine != "native" || env.Output != want[i] {
+			t.Errorf("request %d: engine=%q output=%q, want native %q", i, env.Engine, env.Output, want[i])
+		}
+	}
+	if m := getMetrics(t, ts); m["native_runs_total"] != n {
+		t.Errorf("native_runs_total = %v, want %d", m["native_runs_total"], n)
+	}
+	left, err := filepath.Glob(filepath.Join(tmp, "oicnative-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) > 0 {
+		t.Errorf("emitted package directories left behind: %v", left)
 	}
 }

@@ -48,7 +48,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"objinline"
 	"objinline/internal/cluster"
 	"objinline/internal/obs"
 	"objinline/internal/trace"
@@ -184,13 +183,11 @@ type Server struct {
 	// Distributed tier (all nil/zero on a standalone instance): cluster
 	// routes keys to owners, disk is the WAL-backed warm cache, fwdLat
 	// feeds the hedge delay with observed forward latencies, compacting
-	// guards the single background compaction, batcher coalesces
-	// concurrent native builds into one toolchain invocation.
+	// guards the single background compaction.
 	cluster    *cluster.Cluster
 	disk       *cluster.Store
 	fwdLat     *obs.HistogramVec
 	compacting atomic.Bool
-	batcher    *objinline.NativeBatcher
 }
 
 // New builds a server with cfg (zero values defaulted).
@@ -208,7 +205,6 @@ func New(cfg Config) *Server {
 		cluster:    cfg.Cluster,
 		disk:       cfg.Disk,
 		fwdLat:     obs.NewHistogramVec(),
-		batcher:    objinline.NewNativeBatcher(),
 	}
 	s.seedFromDisk()
 	s.obs = obs.New(obs.Options{RingEntries: cfg.RequestRingEntries, Logger: cfg.AccessLog})

@@ -38,7 +38,6 @@ import (
 	"objinline/internal/bench"
 	"objinline/internal/cachesim"
 	"objinline/internal/core"
-	"objinline/internal/emit"
 	"objinline/internal/pipeline"
 	"objinline/internal/trace"
 	"objinline/internal/vm"
@@ -343,11 +342,6 @@ type RunOptions struct {
 	// package (main.go, go.mod, binary) in this directory for inspection
 	// instead of a temp dir that is removed after the run.
 	EmitDir string
-	// NativeBatcher, when non-nil, coalesces this run's native build with
-	// other concurrent runs sharing the same batcher into one toolchain
-	// invocation (see NewNativeBatcher). Ignored when EmitDir is set — an
-	// explicitly placed package cannot live inside the shared module.
-	NativeBatcher *NativeBatcher
 }
 
 // Metrics summarizes one execution's dynamic behavior. Cycles is the
@@ -418,9 +412,6 @@ func (p *Program) Execute(ctx context.Context, opts RunOptions) (Result, error) 
 		Reps:    opts.NativeReps,
 		EmitDir: opts.EmitDir,
 	}
-	if opts.NativeBatcher != nil {
-		eo.Builder = opts.NativeBatcher.b
-	}
 	if opts.Profile {
 		if opts.Engine == EngineNative {
 			return Result{}, fmt.Errorf("objinline: RunOptions.Profile requires the VM engine (site attribution is VM instrumentation)")
@@ -455,28 +446,6 @@ func (p *Program) Execute(ctx context.Context, opts RunOptions) (Result, error) 
 	m := metricsFrom(res.Counters)
 	return Result{Engine: EngineVM, Metrics: &m}, nil
 }
-
-// NativeBatcher coalesces concurrent native-engine builds into one go
-// toolchain invocation per drain cycle: the toolchain's fixed overhead
-// (process start, module load, link) dominates a tiny program's build,
-// so callers executing many programs concurrently (the oicd server's
-// /v1/run tier) share one batcher across their runs via
-// RunOptions.NativeBatcher. Safe for concurrent use.
-type NativeBatcher struct{ b *emit.BatchBuilder }
-
-// NewNativeBatcher returns an empty batcher.
-func NewNativeBatcher() *NativeBatcher {
-	return &NativeBatcher{b: emit.NewBatchBuilder()}
-}
-
-// ToolchainInvocations reports how many times this batcher has run the
-// go toolchain — under concurrent load it is smaller than the number of
-// programs built.
-func (n *NativeBatcher) ToolchainInvocations() int64 { return n.b.ToolchainInvocations() }
-
-// BatchedPrograms reports how many programs were compiled as part of a
-// multi-program toolchain invocation.
-func (n *NativeBatcher) BatchedPrograms() int64 { return n.b.BatchedPrograms() }
 
 // SiteProfile is one allocation site's aggregated run attribution.
 type SiteProfile = vm.SiteProfile
