@@ -58,7 +58,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	self := fs.String("self", "", "this instance's base URL as peers reach it (defaults to http://<addr>)")
 	cacheDir := fs.String("cache-dir", "", "directory for the persistent cache tier (WAL + snapshot); empty disables it")
 	probeInterval := fs.Duration("probe-interval", time.Second, "cluster peer health-probe interval")
-	noHedge := fs.Bool("no-hedge", false, "disable hedged reads on cluster forwards")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -129,7 +128,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 		AccessLog:          logger,
 		Cluster:            cl,
 		Disk:               store,
-		DisableHedge:       *noHedge,
 	})
 	hs := &http.Server{Handler: srv}
 	serveErr := make(chan error, 1)

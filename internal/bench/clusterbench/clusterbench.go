@@ -149,15 +149,11 @@ func BuildBinary(dir string) (string, error) {
 // start boots one instance and waits for /healthz.
 func start(bin string, inst *instance, peers string) error {
 	inst.logs = &bytes.Buffer{}
-	// Hedged reads are off: a hedge duplicates a slow compile on purpose,
-	// which would blur the dedup factor this figure exists to measure
-	// (hedging itself is covered by the server tests).
 	cmd := exec.Command(bin,
 		"-addr", inst.addr,
 		"-peers", peers,
 		"-cache-dir", inst.dir,
 		"-probe-interval", "200ms",
-		"-no-hedge",
 		"-log-level", "error",
 	)
 	cmd.Stdout = inst.logs

@@ -152,25 +152,22 @@ func (c *Cluster) Client() *http.Client { return c.client }
 // Ring returns the current ring (never nil).
 func (c *Cluster) Ring() *Ring { return c.ring.Load() }
 
-// Route computes key's replica preference list on the current ring:
-// owner first, then the next distinct nodes clockwise. Local reports
-// whether this instance is the owner.
+// Route is key's placement on the current ring: its owner, and whether
+// that owner is this instance.
 type Route struct {
-	Owner    string
-	Replicas []string // owner first; len ≥ 1 on a non-empty ring
-	Local    bool
+	Owner string
+	Local bool
 }
 
 // RouteKey returns the Route for key. On an empty ring (cannot happen:
 // self is always a member) Local is true so the caller just serves
 // locally.
 func (c *Cluster) RouteKey(key string) Route {
-	r := c.Ring()
-	reps := r.Successors(key, 3)
-	if len(reps) == 0 {
-		return Route{Owner: c.cfg.Self, Replicas: []string{c.cfg.Self}, Local: true}
+	owner, ok := c.Ring().Owner(key)
+	if !ok {
+		return Route{Owner: c.cfg.Self, Local: true}
 	}
-	return Route{Owner: reps[0], Replicas: reps, Local: reps[0] == c.cfg.Self}
+	return Route{Owner: owner, Local: owner == c.cfg.Self}
 }
 
 // PeersUp returns how many peers (self excluded) are currently in the
@@ -231,8 +228,8 @@ func (c *Cluster) probeLoop() {
 // thresholds. A peer answering /healthz with 200 is healthy; a 503
 // (draining) or any error counts as down — that is the graceful drain
 // handoff: BeginDrain flips /healthz to 503, peers eject the drainer
-// within FailAfter probes, and its keys re-home to their next replica
-// while it finishes in-flight work.
+// within FailAfter probes, and its keys re-home to the rebuilt ring's
+// owners while it finishes in-flight work.
 func (c *Cluster) probeAll() {
 	c.mu.Lock()
 	peers := make([]string, 0, len(c.health))

@@ -115,26 +115,3 @@ func (r *Ring) at(key string) int {
 	}
 	return i
 }
-
-// Successors returns up to n distinct nodes clockwise from key's hash,
-// the owner first. This is the key's replica preference list: the second
-// entry is where a hedged read goes and where the key re-homes when the
-// owner is ejected.
-func (r *Ring) Successors(key string, n int) []string {
-	if len(r.points) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	for i, start := 0, r.at(key); i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
-		}
-	}
-	return out
-}

@@ -39,34 +39,6 @@ func TestRingEmpty(t *testing.T) {
 	if _, ok := r.Owner("k"); ok {
 		t.Fatal("empty ring claimed an owner")
 	}
-	if s := r.Successors("k", 2); s != nil {
-		t.Fatalf("empty ring returned successors %v", s)
-	}
-}
-
-func TestRingSuccessorsDistinctOwnerFirst(t *testing.T) {
-	r := NewRing(nodeNames(5), 0)
-	for _, k := range testKeys(100) {
-		owner, _ := r.Owner(k)
-		succ := r.Successors(k, 3)
-		if len(succ) != 3 {
-			t.Fatalf("want 3 successors, got %v", succ)
-		}
-		if succ[0] != owner {
-			t.Fatalf("successors[0]=%q, owner=%q", succ[0], owner)
-		}
-		seen := map[string]bool{}
-		for _, s := range succ {
-			if seen[s] {
-				t.Fatalf("duplicate successor %q in %v", s, succ)
-			}
-			seen[s] = true
-		}
-	}
-	// Asking for more replicas than nodes caps at the node count.
-	if got := len(r.Successors("k", 10)); got != 5 {
-		t.Fatalf("successors capped at %d, want 5", got)
-	}
 }
 
 // TestRingBoundedChurnOnLeave is the consistent-hashing contract: when a

@@ -44,10 +44,8 @@ const (
 	SpanSession trace.Phase = "session"
 	SpanPatch   trace.Phase = "patch"
 	// SpanForward covers proxying a request to its key's owner instance
-	// on the cluster ring; SpanHedge marks that a hedged read fired to
-	// the next replica while the primary forward was still in flight.
+	// on the cluster ring.
 	SpanForward trace.Phase = "forward"
-	SpanHedge   trace.Phase = "hedge"
 )
 
 // TierCounterPrefix marks span counters that carry cumulative

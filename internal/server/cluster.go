@@ -6,34 +6,27 @@ package server
 //
 //   - forwardIfRemote proxies a request whose content-addressed key is
 //     owned by another instance to that owner, so the owner's in-process
-//     singleflight becomes cluster-wide dedup. The proxied response is
-//     written verbatim — byte-identity holds across front-ends.
-//   - After a p95-derived delay a hedged read fires to the key's next
-//     ring replica; first answer wins and the loser is cancelled. A fired
-//     hedge can duplicate a compile on purpose: tail latency is bought
-//     with bounded extra work (hedges fire on ~5% of forwards by
-//     construction).
-//   - If both owner and hedge replica are unreachable the front-end
-//     compiles locally — the compiler is deterministic, so availability
-//     costs no correctness.
+//     singleflight becomes cluster-wide dedup. A forward is one request:
+//     the proxied response is written verbatim, so byte-identity holds
+//     across front-ends.
+//   - If the owner is unreachable the front-end compiles locally — the
+//     compiler is deterministic, so availability costs no correctness
+//     (only the envelope's phase timings differ from the owner's).
 //   - persist/seed move completed compile envelopes through the WAL-backed
 //     disk store so a restart comes up warm; entryProgram lazily rebuilds
 //     the *Program behind a disk-seeded entry when explain/run need one.
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
-	"time"
 
 	"objinline"
 	"objinline/internal/cluster"
 	"objinline/internal/obs"
-	"objinline/internal/trace"
 )
 
 const (
@@ -43,40 +36,13 @@ const (
 	// headerOwner names the instance that owns (or served) the request's
 	// key — how operators and the failover smoke test find a key's home.
 	headerOwner = "X-Oicd-Owner"
-	// headerHedge marks a response won by the hedged replica read rather
-	// than the primary forward.
-	headerHedge = "X-Oicd-Hedge"
 )
-
-// hedgeDefaultDelay is the hedge trigger before the forward-latency
-// histogram has enough samples to estimate a p95.
-const hedgeDefaultDelay = 50 * time.Millisecond
-
-// hedgeMinSamples is how many forward latencies must be observed before
-// the p95 estimate replaces the default delay.
-const hedgeMinSamples = 16
-
-// hedgeDelay returns how long the primary forward to an owner runs alone
-// before a hedged read fires to the next replica: the p95 of observed
-// forward latencies for this endpoint, so hedges fire on roughly the
-// slowest 5% of forwards.
-func (s *Server) hedgeDelay(endpoint string) time.Duration {
-	snap := s.fwdLat.Endpoint(endpoint)
-	if snap.Count < hedgeMinSamples {
-		return hedgeDefaultDelay
-	}
-	d := snap.Quantile(0.95)
-	if d <= 0 {
-		return hedgeDefaultDelay
-	}
-	return d
-}
 
 // forwardIfRemote routes a prepared request to its key's owner when that
 // owner is another instance. It returns true when it wrote the response
 // (the request was served remotely) and false when the caller should
 // proceed locally — because clustering is off, this instance owns the
-// key, the request already is a forward, or every remote replica failed
+// key, the request already is a forward, or the owner was unreachable
 // (availability fallback: local compile).
 func (s *Server) forwardIfRemote(w http.ResponseWriter, r *http.Request, p *prepared, endpoint string, payload any) bool {
 	if s.cluster == nil {
@@ -96,147 +62,51 @@ func (s *Server) forwardIfRemote(w http.ResponseWriter, r *http.Request, p *prep
 	if err != nil {
 		return false // unreachable for the wire structs; compile locally
 	}
-	if s.forward(w, r, p, endpoint, body, route) {
+	if s.forward(w, r, p, endpoint, body, route.Owner) {
 		return true
 	}
-	// Owner (and hedge replica, if any) unreachable: serve locally so the
-	// cluster degrades to extra work, not errors. The local compile is
-	// deterministic, so the response bytes still match the owner's.
+	// Owner unreachable: serve locally so the cluster degrades to extra
+	// work, not errors. The local compile is deterministic, so the
+	// response matches the owner's up to its phase timings.
 	s.metrics.forwardFallbacks.Add(1)
 	w.Header().Set(headerOwner, s.cluster.SelfURL())
 	return false
 }
 
-// fwdResult is one forward attempt's outcome.
-type fwdResult struct {
-	resp    *http.Response
-	err     error
-	hedge   bool
-	started time.Time
-}
-
-// forward proxies the request to route.Owner, hedging to the next
-// distinct replica after hedgeDelay. It returns true once a response has
-// been written; false means every attempt failed to produce an HTTP
-// response and the caller should fall back.
-func (s *Server) forward(w http.ResponseWriter, r *http.Request, p *prepared, endpoint string, body []byte, route cluster.Route) bool {
-	oreq := obs.FromContext(r.Context())
-	var span trace.Span
-	if oreq != nil {
-		span = oreq.Sink.Start(obs.SpanForward)
+// forward proxies the request to owner under the request context.
+// It returns true once a response has been written — the owner's answer
+// is authoritative whatever its status (a cached 422 is as final as a
+// 200); false means the owner produced no HTTP response and the caller
+// should fall back.
+func (s *Server) forward(w http.ResponseWriter, r *http.Request, p *prepared, endpoint string, body []byte, owner string) bool {
+	if oreq := obs.FromContext(r.Context()); oreq != nil {
+		defer oreq.Sink.Start(obs.SpanForward).End()
 	}
-	defer span.End()
 	s.metrics.forwards.Add(1)
-
-	// Pick the hedge target: the first replica after the owner that is
-	// neither the owner nor this instance.
-	hedgeTarget := ""
-	for _, rep := range route.Replicas[1:] {
-		if rep != route.Owner && rep != s.cluster.SelfURL() {
-			hedgeTarget = rep
-			break
-		}
-	}
-
-	// Both attempts share one cancel scope bounded by the request
-	// deadline; the loser is cancelled as soon as a winner is chosen.
-	ctx, cancel := context.WithCancel(p.ctx)
-	results := make(chan fwdResult, 2) // buffered: attempts never block
-	outstanding := 1
-	go s.attempt(ctx, r, route.Owner, endpoint, body, false, results)
-
-	var hedgeTimer *time.Timer
-	var hedgeC <-chan time.Time
-	if hedgeTarget != "" && !s.cfg.DisableHedge {
-		hedgeTimer = time.NewTimer(s.hedgeDelay(endpoint))
-		hedgeC = hedgeTimer.C
-		defer hedgeTimer.Stop()
-	}
-
-	// reap cancels any attempt still in flight and drains its result so
-	// the transport's connection (and the attempt goroutine) is released —
-	// the test suite counts goroutines, and a leaked hedge would fail it.
-	reap := func(n int) {
-		cancel()
-		if n == 0 {
-			return
-		}
-		go func() {
-			for i := 0; i < n; i++ {
-				res := <-results
-				if res.resp != nil {
-					io.Copy(io.Discard, res.resp.Body)
-					res.resp.Body.Close()
-				}
-			}
-		}()
-	}
-
-	for {
-		select {
-		case res := <-results:
-			outstanding--
-			if res.err != nil {
-				s.metrics.forwardErrors.Add(1)
-				if outstanding > 0 {
-					continue // the other attempt may still answer
-				}
-				reap(0)
-				return false
-			}
-			// First completed HTTP response wins — the owner's answer is
-			// authoritative whatever its status (a cached 422 is as final
-			// as a 200).
-			s.fwdLat.Observe(obs.Labels{Endpoint: endpoint}, time.Since(res.started))
-			if res.hedge {
-				s.metrics.hedgeWins.Add(1)
-				w.Header().Set(headerHedge, "1")
-				if oreq != nil {
-					oreq.Sink.Start(obs.SpanHedge).End()
-				}
-			}
-			// Stream the winner before cancelling the shared context: the
-			// winner's body read rides the same context, so reaping first
-			// would truncate any response not yet fully buffered.
-			s.writeForwarded(w, res.resp, route.Owner)
-			reap(outstanding)
-			return true
-		case <-hedgeC:
-			hedgeC = nil
-			s.metrics.hedges.Add(1)
-			outstanding++
-			go s.attempt(ctx, r, hedgeTarget, endpoint, body, true, results)
-		case <-p.ctx.Done():
-			// Deadline while forwarding: fall back to the local path, whose
-			// admission check will turn the dead context into the usual 504.
-			reap(outstanding)
-			return false
-		}
-	}
-}
-
-// attempt runs one proxied request and delivers its outcome. The results
-// channel is buffered for every attempt, so this never blocks after the
-// caller has moved on.
-func (s *Server) attempt(ctx context.Context, src *http.Request, target, endpoint string, body []byte, hedge bool, results chan<- fwdResult) {
-	started := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+endpoint, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(p.ctx, http.MethodPost, owner+endpoint, bytes.NewReader(body))
 	if err != nil {
-		results <- fwdResult{err: err, hedge: hedge, started: started}
-		return
+		s.metrics.forwardErrors.Add(1)
+		return false
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(headerForwarded, "1")
-	if id := src.Header.Get(obs.RequestIDHeader); id != "" {
+	if id := r.Header.Get(obs.RequestIDHeader); id != "" {
 		// Propagate the caller's request id so the owner's trace ring and
 		// access log correlate with this front-end's.
 		req.Header.Set(obs.RequestIDHeader, id)
 	}
 	resp, err := s.cluster.Client().Do(req)
-	results <- fwdResult{resp: resp, err: err, hedge: hedge, started: started}
+	if err != nil {
+		// Also the deadline landing mid-forward: the local path's
+		// admission check turns the dead context into the usual 504.
+		s.metrics.forwardErrors.Add(1)
+		return false
+	}
+	s.writeForwarded(w, resp, owner)
+	return true
 }
 
-// writeForwarded proxies the winning response to the client verbatim:
+// writeForwarded proxies the owner's response to the client verbatim:
 // same status, same body bytes (byte-identity across front-ends), and
 // the response headers a client of this instance would rely on.
 func (s *Server) writeForwarded(w http.ResponseWriter, resp *http.Response, owner string) {

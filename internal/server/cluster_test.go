@@ -2,9 +2,10 @@ package server
 
 // Distributed-tier tests over real HTTP: forwarding must make the
 // owner's singleflight a cluster-wide dedup with byte-identical
-// responses through every front-end, hedged reads must win against a
-// slow owner, a dead owner must degrade to local compute (not errors),
-// and the disk tier must bring a restarted instance up warm.
+// responses through every front-end, a forward must be one request to
+// the owner however slow it is, a dead owner must degrade to local
+// compute (not errors), and the disk tier must bring a restarted
+// instance up warm.
 
 import (
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -223,32 +225,32 @@ func TestClusterOwnerDownLocalFallback(t *testing.T) {
 	}
 }
 
-// TestClusterHedgeWin wires a front-end to two stub peers: the key's
-// owner answers slowly, the next replica instantly. The hedge must
-// fire after the (default) delay, win, and mark the response.
-func TestClusterHedgeWin(t *testing.T) {
-	stubBody := func(marker string) string {
-		return fmt.Sprintf("{\"file\":\"%s\"}\n", marker)
-	}
-	newStub := func(delay time.Duration, marker string) *httptest.Server {
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			// Drain the body so the server watches the connection and
-			// cancels r.Context() when the reaped loser hangs up.
-			io.Copy(io.Discard, r.Body)
-			select {
-			case <-time.After(delay):
-			case <-r.Context().Done():
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-Oicd-Cache", "hit")
-			io.WriteString(w, stubBody(marker))
-		}))
-	}
-	slow := newStub(2*time.Second, "slow-owner")
+// TestClusterForwardSingleAttempt wires a front-end to two stub peers:
+// the key's owner answers slowly, another peer instantly. A forward is
+// one request to the owner — however slow it is, no second request goes
+// anywhere else — and the owner's answer is what the client gets.
+func TestClusterForwardSingleAttempt(t *testing.T) {
+	ownerBody := "{\"file\":\"slow-owner\"}\n"
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		select {
+		case <-time.After(300 * time.Millisecond):
+		case <-r.Context().Done():
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("X-Oicd-Cache", "hit")
+		io.WriteString(w, ownerBody)
+	}))
 	defer slow.Close()
-	fast := newStub(0, "fast-replica")
-	defer fast.Close()
+	var otherHits atomic.Int64
+	other := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		otherHits.Add(1)
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, "{\"file\":\"other-peer\"}\n")
+	}))
+	defer other.Close()
 
 	before := runtime.NumGoroutine()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -258,7 +260,7 @@ func TestClusterHedgeWin(t *testing.T) {
 	self := "http://" + l.Addr().String()
 	cl := cluster.New(cluster.Config{
 		Self:          self,
-		Peers:         []string{self, slow.URL, fast.URL},
+		Peers:         []string{self, slow.URL, other.URL},
 		ProbeInterval: time.Hour,
 		Logger:        quietLog(),
 	})
@@ -277,7 +279,7 @@ func TestClusterHedgeWin(t *testing.T) {
 		for runtime.NumGoroutine() > before+2 {
 			if time.Now().After(deadline) {
 				buf := make([]byte, 1<<20)
-				t.Errorf("goroutine leak after hedge test\n%s", buf[:runtime.Stack(buf, true)])
+				t.Errorf("goroutine leak after forward test\n%s", buf[:runtime.Stack(buf, true)])
 				return
 			}
 			time.Sleep(10 * time.Millisecond)
@@ -288,18 +290,16 @@ func TestClusterHedgeWin(t *testing.T) {
 	fn := filenameOwnedBy(t, cl, slow.URL, src)
 	resp, body := postJSON(t, ts, "/v1/compile", api.CompileRequest{Filename: fn, Source: src})
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("hedged compile: status %d\n%s", resp.StatusCode, body)
+		t.Fatalf("forwarded compile: status %d\n%s", resp.StatusCode, body)
 	}
-	if string(body) != stubBody("fast-replica") {
-		t.Errorf("hedged response body = %s, want the fast replica's", body)
+	if string(body) != ownerBody {
+		t.Errorf("forwarded response body = %s, want the owner's", body)
 	}
-	if got := resp.Header.Get("X-Oicd-Hedge"); got != "1" {
-		t.Errorf("X-Oicd-Hedge = %q, want 1", got)
+	if n := otherHits.Load(); n != 0 {
+		t.Errorf("non-owner peer saw %d requests, want 0", n)
 	}
-	m := getMetrics(t, ts)
-	if m["hedges_total"] != 1 || m["hedge_wins_total"] != 1 {
-		t.Errorf("hedges_total=%v hedge_wins_total=%v, want 1 and 1",
-			m["hedges_total"], m["hedge_wins_total"])
+	if m := getMetrics(t, ts); m["forwards_total"] != 1 {
+		t.Errorf("forwards_total = %v, want 1", m["forwards_total"])
 	}
 }
 

@@ -89,71 +89,70 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	return true
 }
 
-// ensureCompiled resolves p to a completed cache entry, compiling as the
-// singleflight leader when the key is new and waiting on the in-flight
-// leader otherwise. It returns ok=false after writing an error response
-// (shed, or the deadline landed while waiting). An ok entry may still
-// hold a compile failure — check entry.failed().
+// ensureCompiled resolves p to a completed compile-cache entry through
+// singleflight. It returns ok=false after writing an error response. An
+// ok entry may still hold a compile failure — check entry.failed().
 func (s *Server) ensureCompiled(w http.ResponseWriter, r *http.Request, p *prepared) (*entry, bool) {
-	e, leader := s.results.claim(p.key)
 	w.Header().Set("X-Oicd-Cache-Key", p.key)
-	oreq := obs.FromContext(r.Context())
+	e, ok := s.singleflight(w, r, p, s.results, p.key, "X-Oicd-Cache", "compilation",
+		func(ctx context.Context, e *entry) { s.compileInto(ctx, e, p) })
+	// The request's cache label is the compile cache's hit or miss; a
+	// native run's own cache status travels only in X-Oicd-Run-Cache.
+	if oreq := obs.FromContext(r.Context()); oreq != nil {
+		oreq.Cache = w.Header().Get("X-Oicd-Cache")
+	}
+	return e, ok
+}
+
+// singleflight resolves key in c to a settled entry. A request that
+// finds the key already claimed waits for the in-flight leader; the one
+// that claims it leads: it takes a worker token and calls fill, which
+// settles e and closes e.done. The leader queues and fills under a
+// context detached from its client's connection (WithoutCancel) — the
+// result is shared with every coalesced request, so one client hanging
+// up must not fail the others — but still bounded by the request
+// deadline. cacheHeader reports hit or miss; what names the work in a
+// follower's deadline message. It returns ok=false after writing an
+// error response (shed, or the deadline landed while waiting).
+func (s *Server) singleflight(w http.ResponseWriter, r *http.Request, p *prepared, c *cache, key, cacheHeader, what string, fill func(ctx context.Context, e *entry)) (*entry, bool) {
+	e, leader := c.claim(key)
 	if !leader {
-		w.Header().Set("X-Oicd-Cache", "hit")
-		if oreq != nil {
-			oreq.Cache = "hit"
-		}
-		// Waiting on another request's in-flight compile is its own span:
-		// a trace reader should see coalescing, not an unexplained gap.
+		w.Header().Set(cacheHeader, "hit")
+		// Waiting on another request's in-flight work is its own span: a
+		// trace reader should see coalescing, not an unexplained gap.
 		var await trace.Span
-		if oreq != nil {
+		if oreq := obs.FromContext(r.Context()); oreq != nil {
 			await = oreq.Sink.Start(obs.SpanAwait)
 		}
+		defer await.End()
 		select {
 		case <-e.done:
-			await.End()
 			return e, true
 		case <-p.ctx.Done():
-			await.End()
 			s.metrics.deadlineExceeded.Add(1)
 			s.writeError(w, http.StatusGatewayTimeout, api.CodeDeadlineExceeded,
-				"deadline exceeded waiting for in-flight compilation: "+p.ctx.Err().Error())
+				"deadline exceeded waiting for in-flight "+what+": "+p.ctx.Err().Error())
 			return nil, false
 		}
 	}
 
-	w.Header().Set("X-Oicd-Cache", "miss")
-	if oreq != nil {
-		oreq.Cache = "miss"
-	}
-	if err := s.acquire(p.ctx); err != nil {
+	w.Header().Set(cacheHeader, "miss")
+	ctx, cancel := context.WithDeadline(context.WithoutCancel(r.Context()), p.deadline)
+	defer cancel()
+	if err := s.acquire(ctx); err != nil {
 		// The claim installed an entry other requests may already be
 		// waiting on: give it the same fate this request got, then drop
 		// it so the key is retried fresh.
-		status := http.StatusTooManyRequests
-		env := api.Envelope{Error: s.overloadedError(err)}
-		if !errors.Is(err, errOverloaded) {
-			status = http.StatusGatewayTimeout
-			env.Error = &api.Error{Code: api.CodeDeadlineExceeded, Message: "deadline exceeded waiting for a worker: " + err.Error()}
-			s.metrics.deadlineExceeded.Add(1)
-		} else {
-			s.metrics.shed.Add(1)
-		}
-		e.status = status
+		var env api.Envelope
+		e.status, env = s.admissionError(err)
 		e.body = marshalEnvelope(env)
-		s.results.drop(e)
+		c.drop(e)
 		close(e.done)
 		s.replay(w, e)
 		return nil, false
 	}
 	defer s.release()
-
-	// Compile detached from the client connection (WithoutCancel): the
-	// result is shared with every coalesced request, so one client
-	// hanging up must not cancel it. The deadline still applies.
-	ctx, cancel := context.WithDeadline(context.WithoutCancel(r.Context()), p.deadline)
-	defer cancel()
-	s.compileInto(ctx, e, p)
+	fill(ctx, e)
 	return e, true
 }
 
@@ -400,50 +399,11 @@ func (s *Server) runNative(w http.ResponseWriter, r *http.Request, p *prepared, 
 		reps = 1
 	}
 	key := nativeRunKey(p.key, reps, req.IncludeOutput)
-	e, leader := s.nativeRuns.claim(key)
-	if !leader {
-		w.Header().Set("X-Oicd-Run-Cache", "hit")
-		select {
-		case <-e.done:
-			s.replay(w, e)
-		case <-p.ctx.Done():
-			s.metrics.deadlineExceeded.Add(1)
-			s.writeError(w, http.StatusGatewayTimeout, api.CodeDeadlineExceeded,
-				"deadline exceeded waiting for in-flight native run: "+p.ctx.Err().Error())
-		}
-		return
-	}
-
-	w.Header().Set("X-Oicd-Run-Cache", "miss")
-	if err := s.acquire(p.ctx); err != nil {
-		// Same treatment as a shed compile leader: settle the entry for
-		// anyone already waiting, then drop it so the key retries fresh.
-		status := http.StatusTooManyRequests
-		env := api.Envelope{Error: s.overloadedError(err)}
-		if !errors.Is(err, errOverloaded) {
-			status = http.StatusGatewayTimeout
-			env.Error = &api.Error{Code: api.CodeDeadlineExceeded, Message: "deadline exceeded waiting for a worker: " + err.Error()}
-			s.metrics.deadlineExceeded.Add(1)
-		} else {
-			s.metrics.shed.Add(1)
-		}
-		e.status = status
-		e.body = marshalEnvelope(env)
-		s.nativeRuns.drop(e)
-		close(e.done)
+	e, ok := s.singleflight(w, r, p, s.nativeRuns, key, "X-Oicd-Run-Cache", "native run",
+		func(ctx context.Context, e *entry) { s.nativeRunInto(ctx, e, prog, p, req, reps) })
+	if ok {
 		s.replay(w, e)
-		return
 	}
-	defer s.release()
-	s.metrics.nativeRuns.Add(1)
-
-	// Like a compile, the result is shared with every coalesced request,
-	// so the build-and-run detaches from this client's connection; only
-	// the deadline cancels it.
-	ctx, cancel := context.WithDeadline(context.WithoutCancel(r.Context()), p.deadline)
-	defer cancel()
-	s.nativeRunInto(ctx, e, prog, p, req, reps)
-	s.replay(w, e)
 }
 
 // nativeRunInto executes the native run and fills e, closing e.done.
@@ -452,6 +412,7 @@ func (s *Server) runNative(w http.ResponseWriter, r *http.Request, p *prepared, 
 // can be retried.
 func (s *Server) nativeRunInto(ctx context.Context, e *entry, prog *objinline.Program, p *prepared, req *api.RunRequest, reps int) {
 	defer close(e.done)
+	s.metrics.nativeRuns.Add(1)
 	out := capWriter{max: s.cfg.MaxOutputBytes}
 	ro := objinline.RunOptions{
 		Engine:     objinline.EngineNative,
@@ -589,22 +550,33 @@ func (s *Server) writeEnvelope(w http.ResponseWriter, status int, env api.Envelo
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, code, msg string) {
-	e := &api.Error{Code: code, Message: msg}
-	if status == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", s.retryAfterSeconds())
-		e.QueueDepth = s.queued.Load()
-	}
-	s.writeEnvelope(w, status, api.Envelope{Error: e})
+	s.writeEnvelope(w, status, api.Envelope{Error: &api.Error{Code: code, Message: msg}})
 }
 
-// overloadedError builds the 429 error body, including the queue depth
-// observed at shed time so clients can size their backoff.
-func (s *Server) overloadedError(err error) *api.Error {
-	return &api.Error{
-		Code:       api.CodeOverloaded,
-		Message:    err.Error(),
-		QueueDepth: s.queued.Load(),
+// admissionError maps an acquire failure to 429 (shed, with the queue
+// depth observed at shed time so clients can size their backoff) or 504
+// (the deadline landed while queued) and its envelope, bumping the
+// matching counter.
+func (s *Server) admissionError(err error) (int, api.Envelope) {
+	if errors.Is(err, errOverloaded) {
+		s.metrics.shed.Add(1)
+		return http.StatusTooManyRequests, api.Envelope{Error: &api.Error{
+			Code: api.CodeOverloaded, Message: err.Error(), QueueDepth: s.queued.Load(),
+		}}
 	}
+	s.metrics.deadlineExceeded.Add(1)
+	return http.StatusGatewayTimeout, api.Envelope{Error: &api.Error{
+		Code: api.CodeDeadlineExceeded, Message: "deadline exceeded waiting for a worker: " + err.Error(),
+	}}
+}
+
+// writeAdmissionError writes admissionError's response.
+func (s *Server) writeAdmissionError(w http.ResponseWriter, err error) {
+	status, env := s.admissionError(err)
+	if status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", s.retryAfterSeconds())
+	}
+	s.writeEnvelope(w, status, env)
 }
 
 // replay writes a cache entry's stored response verbatim.

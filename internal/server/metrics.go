@@ -16,7 +16,7 @@ type metrics struct {
 	requests, compiles, runs, nativeRuns, shed, deadlineExceeded, inflight atomic.Int64
 
 	// Cluster tier.
-	forwards, forwardErrors, forwardFallbacks, hedges, hedgeWins, diskUpgrades atomic.Int64
+	forwards, forwardErrors, forwardFallbacks, diskUpgrades atomic.Int64
 
 	registry *obs.Registry[scrape]
 }
@@ -110,8 +110,6 @@ func newMetrics(s *Server) *metrics {
 		counter("forwards_total", "Requests forwarded to the key's ring owner.", load(&m.forwards)),
 		counter("forward_errors_total", "Forward attempts that failed (network or peer error).", load(&m.forwardErrors)),
 		counter("forward_local_fallback_total", "Forwards abandoned in favor of local compute.", load(&m.forwardFallbacks)),
-		counter("hedges_total", "Hedged second requests launched after the p95 delay.", load(&m.hedges)),
-		counter("hedge_wins_total", "Hedged requests that answered before the primary.", load(&m.hedgeWins)),
 		gauge("cluster_peers_up", "Cluster peers currently passing health probes.",
 			func(sc *scrape) int64 { return int64(sc.peersUp) }),
 		gauge("cluster_peers_total", "Cluster peers configured.",

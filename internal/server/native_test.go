@@ -256,3 +256,78 @@ func TestRunNativeConcurrentMisses(t *testing.T) {
 		t.Errorf("emitted package directories left behind: %v", left)
 	}
 }
+
+// TestRunNativeFollowerAwaitSpan coalesces two identical native runs
+// onto one build: with the only worker held, the first leads and
+// queues, the second waits on it. Both get the leader's envelope, and
+// the follower's trace shows its wait as an await span.
+func TestRunNativeFollowerAwaitSpan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds native binaries")
+	}
+	t.Setenv("TMPDIR", t.TempDir())
+	srv, ts := newTestServer(t, Config{PoolSize: 1})
+	if resp, body := postJSON(t, ts, "/v1/compile", api.CompileRequest{Source: nativeDemo}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warmup compile: status %d: %s", resp.StatusCode, body)
+	}
+	req := api.RunRequest{
+		CompileRequest: api.CompileRequest{Source: nativeDemo, DeadlineMillis: 120_000},
+		Engine:         "native",
+	}
+	type result struct {
+		resp *http.Response
+		body []byte
+	}
+	run := func() chan result {
+		out := make(chan result, 1)
+		go func() {
+			resp, body := postJSON(t, ts, "/v1/run", req)
+			out <- result{resp, body}
+		}()
+		return out
+	}
+
+	srv.workers <- struct{}{} // hold the only worker
+	leader := run()
+	waitForMetrics(t, ts, "native leader queued", func(m map[string]float64) bool { return m["queue_depth"] == 1 })
+	follower := run()
+	waitForMetrics(t, ts, "native follower coalesced", func(m map[string]float64) bool { return m["native_cache_hits_total"] == 1 })
+	<-srv.workers
+	l, f := <-leader, <-follower
+	if l.resp.StatusCode != http.StatusOK || f.resp.StatusCode != http.StatusOK || !bytes.Equal(l.body, f.body) {
+		t.Fatalf("leader %d, follower %d; bodies equal %v\n%s",
+			l.resp.StatusCode, f.resp.StatusCode, bytes.Equal(l.body, f.body), f.body)
+	}
+	if got := f.resp.Header.Get("X-Oicd-Run-Cache"); got != "hit" {
+		t.Errorf("follower X-Oicd-Run-Cache = %q, want hit", got)
+	}
+
+	// Both requests await the warm compile entry; only the follower also
+	// awaits the leader's native run.
+	awaits := func(r result) int {
+		tresp, err := ts.Client().Get(ts.URL + "/debug/requests/" + r.resp.Header.Get("X-Oicd-Request-Id") + "/trace")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tresp.Body.Close()
+		var tr struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+				Ph   string `json:"ph"`
+			} `json:"traceEvents"`
+		}
+		if err := json.NewDecoder(tresp.Body).Decode(&tr); err != nil {
+			t.Fatalf("trace not JSON: %v", err)
+		}
+		n := 0
+		for _, ev := range tr.TraceEvents {
+			if ev.Ph == "X" && ev.Name == "await" {
+				n++
+			}
+		}
+		return n
+	}
+	if nl, nf := awaits(l), awaits(f); nf != nl+1 {
+		t.Errorf("await spans: leader %d, follower %d; want the follower to have one more", nl, nf)
+	}
+}

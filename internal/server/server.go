@@ -97,19 +97,16 @@ type Config struct {
 	AccessLog *slog.Logger
 	// Cluster, when non-nil, puts this instance on a consistent-hash ring:
 	// compile/explain/run requests whose content-addressed key another
-	// instance owns are forwarded there (with hedged reads), so the
-	// owner's in-process singleflight dedups compiles cluster-wide. The
-	// caller owns the Cluster's lifecycle (Start before serving, Close
-	// after). See docs/CLUSTER.md.
+	// instance owns are forwarded there, so the owner's in-process
+	// singleflight dedups compiles cluster-wide. The caller owns the
+	// Cluster's lifecycle (Start before serving, Close after). See
+	// docs/CLUSTER.md.
 	Cluster *cluster.Cluster
 	// Disk, when non-nil, is the persistent cache tier: completed compile
 	// envelopes are appended to its WAL, and its replayed records seed the
 	// result cache at New so a restart comes up warm. The caller opens the
 	// store; Close compacts and closes it.
 	Disk *cluster.Store
-	// DisableHedge turns off hedged reads on forwards (for benchmarks
-	// isolating the hedging policy; default off = hedging on).
-	DisableHedge bool
 }
 
 func (c Config) withDefaults() Config {
@@ -181,12 +178,10 @@ type Server struct {
 	svcRate *rateEstimator
 
 	// Distributed tier (all nil/zero on a standalone instance): cluster
-	// routes keys to owners, disk is the WAL-backed warm cache, fwdLat
-	// feeds the hedge delay with observed forward latencies, compacting
+	// routes keys to owners, disk is the WAL-backed warm cache, compacting
 	// guards the single background compaction.
 	cluster    *cluster.Cluster
 	disk       *cluster.Store
-	fwdLat     *obs.HistogramVec
 	compacting atomic.Bool
 }
 
@@ -204,7 +199,6 @@ func New(cfg Config) *Server {
 		svcRate:    newRateEstimator(),
 		cluster:    cfg.Cluster,
 		disk:       cfg.Disk,
-		fwdLat:     obs.NewHistogramVec(),
 	}
 	s.seedFromDisk()
 	s.obs = obs.New(obs.Options{RingEntries: cfg.RequestRingEntries, Logger: cfg.AccessLog})

@@ -95,6 +95,19 @@ func getMetrics(t *testing.T, ts *httptest.Server) map[string]float64 {
 	return m
 }
 
+// waitForMetrics polls /metrics until cond holds, failing the test
+// after 5s.
+func waitForMetrics(t *testing.T, ts *httptest.Server, what string, cond func(m map[string]float64) bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond(getMetrics(t, ts)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never happened: %v", what, getMetrics(t, ts))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // normalizeEnvelope zeroes the wall-clock fields (phase timings) so the
 // rest of the envelope can be compared byte for byte.
 func normalizeEnvelope(t *testing.T, body []byte) []byte {
@@ -212,6 +225,77 @@ func TestSingleflightDedup(t *testing.T) {
 	}
 	if m := getMetrics(t, ts); m["compiles_total"] != 1 {
 		t.Errorf("compiles_total = %v, want 1 (singleflight should dedupe)", m["compiles_total"])
+	}
+}
+
+// TestLeaderHangupKeepsFollower checks that a singleflight leader's
+// client hanging up cannot fail the requests coalesced onto it. With
+// the only worker held, request A leads and queues, B coalesces onto A,
+// then A's client cancels and the worker is released: B must get the
+// cold compile's 200, and the hang-up is not a deadline.
+func TestLeaderHangupKeepsFollower(t *testing.T) {
+	srv, ts := newTestServer(t, Config{PoolSize: 1})
+	req := api.CompileRequest{Filename: "explain.icc", Source: fixtureSource(t)}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.workers <- struct{}{} // hold the only worker
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		r, _ := http.NewRequestWithContext(ctxA, http.MethodPost, ts.URL+"/v1/compile", bytes.NewReader(body))
+		r.Header.Set("Content-Type", "application/json")
+		if resp, err := ts.Client().Do(r); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitForMetrics(t, ts, "leader queued for the worker", func(m map[string]float64) bool { return m["queue_depth"] == 1 })
+
+	type result struct {
+		status int
+		body   []byte
+	}
+	follower := make(chan result, 1)
+	go func() {
+		resp, err := ts.Client().Post(ts.URL+"/v1/compile", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			follower <- result{}
+			return
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		follower <- result{resp.StatusCode, b}
+	}()
+	waitForMetrics(t, ts, "follower coalesced", func(m map[string]float64) bool { return m["cache_hits_total"] == 1 })
+
+	cancelA()
+	<-leaderDone
+	// Give the server time to see the hang-up before the worker frees: a
+	// leader that queues under its client's context fails here, and its
+	// follower answers early.
+	var got result
+	select {
+	case got = <-follower:
+	case <-time.After(300 * time.Millisecond):
+	}
+	<-srv.workers
+	if got.status == 0 {
+		got = <-follower
+	}
+	if got.status != http.StatusOK {
+		t.Fatalf("follower: status %d, want 200\n%s", got.status, got.body)
+	}
+	if resp, warm := postJSON(t, ts, "/v1/compile", req); resp.StatusCode != http.StatusOK || !bytes.Equal(warm, got.body) {
+		t.Errorf("follower body is not the cached cold compile (status %d)", resp.StatusCode)
+	}
+	m := getMetrics(t, ts)
+	if m["compiles_total"] != 1 || m["deadline_exceeded_total"] != 0 {
+		t.Errorf("compiles_total=%v deadline_exceeded_total=%v, want 1 and 0",
+			m["compiles_total"], m["deadline_exceeded_total"])
 	}
 }
 

@@ -341,19 +341,6 @@ func (s *Server) deadlineContext(parent context.Context, deadlineMillis int64) (
 	return context.WithTimeout(parent, d)
 }
 
-// writeAdmissionError maps an acquire failure to 429 (shed) or 504
-// (deadline landed while queued), bumping the matching counter.
-func (s *Server) writeAdmissionError(w http.ResponseWriter, err error) {
-	if errors.Is(err, errOverloaded) {
-		s.metrics.shed.Add(1)
-		s.writeError(w, http.StatusTooManyRequests, api.CodeOverloaded, err.Error())
-		return
-	}
-	s.metrics.deadlineExceeded.Add(1)
-	s.writeError(w, http.StatusGatewayTimeout, api.CodeDeadlineExceeded,
-		"deadline exceeded waiting for a worker: "+err.Error())
-}
-
 // writeCompileError maps a compile failure to 504 on deadline/cancel and
 // 422 otherwise, matching /v1/compile's status discipline.
 func (s *Server) writeCompileError(w http.ResponseWriter, filename string, err error) {
