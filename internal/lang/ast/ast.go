@@ -52,6 +52,9 @@ type FuncDecl struct {
 	Name    string
 	Params  []*Param
 	Body    *BlockStmt
+	// Text is the declaration's source from its name through the closing
+	// brace of its body: a substring of the parsed source.
+	Text string
 }
 
 // Pos returns the position of the function name.
@@ -83,6 +86,9 @@ type VarStmt struct {
 	VarPos source.Pos
 	Name   string
 	Init   Expr // may be nil
+	// Text is a top-level declaration's source from "var" through ";"
+	// (empty for locals): a substring of the parsed source.
+	Text string
 }
 
 // AssignStmt assigns to a variable, field, or array element.

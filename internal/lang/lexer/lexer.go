@@ -11,6 +11,7 @@ type Lexer struct {
 	file string
 	src  string
 	off  int // byte offset of the next unread character
+	tok  int // byte offset of the last returned token's first character
 	line int
 	col  int
 	errs *source.ErrorList
@@ -94,6 +95,7 @@ func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 // tokens indefinitely.
 func (l *Lexer) Next() token.Token {
 	l.skipSpaceAndComments()
+	l.tok = l.off
 	pos := l.pos()
 	if l.off >= len(l.src) {
 		return token.Token{Kind: token.EOF, Pos: pos}
@@ -247,6 +249,10 @@ func (l *Lexer) stringLit(pos source.Pos) token.Token {
 	}
 	return token.Token{Kind: token.String, Lit: string(buf), Pos: pos}
 }
+
+// Span returns the byte offsets [start, end) of the token the last call
+// to Next returned.
+func (l *Lexer) Span() (start, end int) { return l.tok, l.off }
 
 // All scans the remaining input and returns every token up to and including
 // the EOF token. It is a convenience for tests and tools.

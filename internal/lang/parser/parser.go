@@ -14,21 +14,29 @@ import (
 // partial) tree together with any accumulated diagnostics.
 func Parse(file, src string) (*ast.Program, error) {
 	var errs source.ErrorList
-	p := &parser{lex: lexer.New(file, src, &errs), errs: &errs}
+	p := &parser{src: src, lex: lexer.New(file, src, &errs), errs: &errs}
 	p.next()
 	prog := p.parseProgram(file)
 	return prog, errs.Err()
 }
 
 type parser struct {
+	src  string
 	lex  *lexer.Lexer
 	tok  token.Token
 	errs *source.ErrorList
+	// tokStart is tok's byte offset; prevEnd is the offset just past the
+	// token consumed before it. Declarations record their text with them.
+	tokStart, prevEnd int
 	// panicking suppresses cascading diagnostics until resynchronization.
 	panicking bool
 }
 
-func (p *parser) next() { p.tok = p.lex.Next() }
+func (p *parser) next() {
+	_, p.prevEnd = p.lex.Span()
+	p.tok = p.lex.Next()
+	p.tokStart, _ = p.lex.Span()
+}
 
 func (p *parser) errorf(pos source.Pos, format string, args ...any) {
 	if p.panicking {
@@ -83,10 +91,10 @@ func (p *parser) parseProgram(file string) *ast.Program {
 		case token.KwFunc:
 			prog.Funcs = append(prog.Funcs, p.parseFunc(token.KwFunc))
 		case token.KwVar:
+			start := p.tokStart
 			g := p.parseVarStmt()
-			if g != nil {
-				prog.Globals = append(prog.Globals, g)
-			}
+			g.Text = p.src[start:p.prevEnd]
+			prog.Globals = append(prog.Globals, g)
 		default:
 			p.errorf(p.tok.Pos, "expected declaration, found %s", p.tok)
 			// Consume the offending token before resynchronizing: sync()
@@ -133,6 +141,7 @@ func (p *parser) parseClass() *ast.ClassDecl {
 
 func (p *parser) parseFunc(kw token.Kind) *ast.FuncDecl {
 	p.expect(kw)
+	start := p.tokStart
 	name := p.expect(token.Ident)
 	f := &ast.FuncDecl{NamePos: name.Pos, Name: name.Lit}
 	p.expect(token.LParen)
@@ -147,6 +156,8 @@ func (p *parser) parseFunc(kw token.Kind) *ast.FuncDecl {
 	}
 	p.expect(token.RParen)
 	f.Body = p.parseBlock()
+	// max: a malformed declaration may consume nothing after the keyword.
+	f.Text = p.src[start:max(start, p.prevEnd)]
 	return f
 }
 

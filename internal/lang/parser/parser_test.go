@@ -211,3 +211,33 @@ func TestEmptyStatementsTolerated(t *testing.T) {
 func TestNestedBlocks(t *testing.T) {
 	roundTrip(t, `func main() { { var x = 1; { x = 2; } } }`)
 }
+
+// TestDeclText checks the source text each declaration records: a
+// function or method from its name through its closing brace, a global
+// from "var" through ";", comments inside included.
+func TestDeclText(t *testing.T) {
+	prog := parse(t, `// header
+var g = 1 + 2; // trailing
+class C {
+  x;
+  def get() { return self.x; /* in */ }
+}
+func   main(a, b) {
+  print(a);
+}
+`)
+	if got, want := prog.Globals[0].Text, "var g = 1 + 2;"; got != want {
+		t.Errorf("global text %q, want %q", got, want)
+	}
+	if got, want := prog.Classes[0].Methods[0].Text, "get() { return self.x; /* in */ }"; got != want {
+		t.Errorf("method text %q, want %q", got, want)
+	}
+	if got, want := prog.Funcs[0].Text, "main(a, b) {\n  print(a);\n}"; got != want {
+		t.Errorf("func text %q, want %q", got, want)
+	}
+	// A declaration cut off after its keyword records no text (and does
+	// not slice out of range).
+	if _, err := parser.Parse("t.icc", "func   "); err == nil {
+		t.Error("expected a parse error")
+	}
+}

@@ -4,21 +4,24 @@ package lower
 // plus the state needed to absorb edits function-by-function: the
 // lowerer's name tables (so re-lowered bodies resolve against the *same*
 // class, function, field-anchor, and global identities as the retained
-// IR) and a content hash per function declaration.
+// IR) and each declaration's source text with its start position.
 //
 // Patch re-parses nothing itself — the caller hands it the new checked
 // sem.Info — and then:
 //
-//   - a function whose declaration hash is unchanged keeps its prior IR
-//     untouched (the hash covers structure, names, literals, and source
-//     positions, so "unchanged" means lowering would reproduce it bit for
-//     bit);
+//   - a function whose declarations have the same text at the same start
+//     position keeps its prior IR untouched (equal text at an equal start
+//     means identical tokens at identical positions, and the name tables
+//     are pinned by the structural hash, so lowering would reproduce it
+//     bit for bit);
 //   - a changed function is re-lowered into a scratch body and shape-
 //     compared against its prior IR. When only payload fields differ —
 //     constant values, string/float literals, positions: fields the
 //     contour analysis provably never reads — the payloads are patched
 //     onto the existing instructions, preserving every pointer the prior
-//     analysis result may hold into the program;
+//     analysis result may hold into the program. An edit to a comment or
+//     to spacing that moves no instruction lands here too, with nothing
+//     to patch;
 //   - a function whose shape changed has its blocks spliced in wholesale
 //     (same *ir.Func object, so callers' Callee pointers stay valid),
 //     which invalidates the prior analysis;
@@ -35,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"objinline/internal/ir"
 	"objinline/internal/lang/ast"
@@ -51,7 +55,14 @@ type Snapshot struct {
 	prog       *ir.Program
 	l          *lowerer
 	structural uint64
-	hashes     map[string]uint64 // qualified decl name → ast content hash
+	texts      map[string][]declText // qualified decl name → its source
+}
+
+// declText is one declaration's source text and where it starts. $init
+// has one per global, every other function exactly one.
+type declText struct {
+	pos  source.Pos
+	text string
 }
 
 // PatchStats reports what one Patch did.
@@ -90,7 +101,7 @@ func NewSnapshot(info *sem.Info) (*Snapshot, error) {
 		prog:       prog,
 		l:          l,
 		structural: structuralHash(info),
-		hashes:     declHashes(info),
+		texts:      declTexts(info),
 	}, nil
 }
 
@@ -120,15 +131,15 @@ func (s *Snapshot) Patch(info *sem.Info) (PatchStats, error) {
 	}
 	type work struct {
 		qname string
-		hash  uint64
+		texts []declText
 		fn    *ir.Func // the retained function to update
 		tmp   *ir.Func // freshly lowered body
 	}
 	var pending []work
-	newHashes := declHashes(info)
+	var texts []declText
 	for _, d := range declsInOrder(info) {
-		h := newHashes[d.qname]
-		if h == s.hashes[d.qname] {
+		texts = appendTexts(texts[:0], d, info.Program.Globals)
+		if slices.Equal(texts, s.texts[d.qname]) {
 			ps.Reused++
 			continue
 		}
@@ -143,7 +154,7 @@ func (s *Snapshot) Patch(info *sem.Info) (PatchStats, error) {
 		} else {
 			sl.lowerFunc(tmp, d.decl)
 		}
-		pending = append(pending, work{d.qname, h, fn, tmp})
+		pending = append(pending, work{d.qname, slices.Clone(texts), fn, tmp})
 	}
 	if err := errs.Err(); err != nil {
 		return PatchStats{}, err
@@ -163,7 +174,7 @@ func (s *Snapshot) Patch(info *sem.Info) (PatchStats, error) {
 			w.fn.NumRegs = w.tmp.NumRegs
 			ps.Respliced++
 		}
-		s.hashes[w.qname] = w.hash
+		s.texts[w.qname] = w.texts
 	}
 	if len(pending) > 0 {
 		if err := s.prog.Verify(); err != nil {
@@ -217,17 +228,25 @@ func declsInOrder(info *sem.Info) []orderedDecl {
 	return out
 }
 
-// declHashes fingerprints every declaration.
-func declHashes(info *sem.Info) map[string]uint64 {
-	hashes := make(map[string]uint64)
+// declTexts maps every declaration to its source texts.
+func declTexts(info *sem.Info) map[string][]declText {
+	texts := make(map[string][]declText)
 	for _, d := range declsInOrder(info) {
-		if d.qname == InitFuncName {
-			hashes[d.qname] = ast.HashGlobalInits(info.Program.Globals)
-		} else {
-			hashes[d.qname] = ast.HashFuncDecl(d.decl)
-		}
+		texts[d.qname] = appendTexts(nil, d, info.Program.Globals)
 	}
-	return hashes
+	return texts
+}
+
+// appendTexts appends the texts d is lowered from to dst: its own
+// declaration's, or for $init every global's.
+func appendTexts(dst []declText, d orderedDecl, globals []*ast.VarStmt) []declText {
+	if d.qname != InitFuncName {
+		return append(dst, declText{d.decl.NamePos, d.decl.Text})
+	}
+	for _, g := range globals {
+		dst = append(dst, declText{g.VarPos, g.Text})
+	}
+	return dst
 }
 
 // structuralHash digests everything that shapes program identity beyond

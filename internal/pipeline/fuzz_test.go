@@ -127,7 +127,7 @@ var intLiteral = regexp.MustCompile(`\b\d+\b`)
 // the tier the session must absorb it at ("" = don't assert: the edit
 // may be a no-op or land on several tiers legitimately).
 func mutate(r *rand.Rand, src string, step int) (edited, wantTier string) {
-	switch r.Intn(4) {
+	switch r.Intn(5) {
 	case 0: // payload: same-width rewrite of one integer literal
 		locs := intLiteral.FindAllStringIndex(src, -1)
 		if len(locs) == 0 {
@@ -138,7 +138,7 @@ func mutate(r *rand.Rand, src string, step int) (edited, wantTier string) {
 		digits := []byte(old)
 		digits[len(digits)-1] = byte('0' + r.Intn(10))
 		if string(digits) == old {
-			return src, "" // may hash identical → reuse
+			return src, "" // the same digit: identical source
 		}
 		return src[:loc[0]] + string(digits) + src[loc[1]:], pipeline.TierPatch
 	case 1: // position shift: a comment line above everything
@@ -150,6 +150,13 @@ func mutate(r *rand.Rand, src string, step int) (edited, wantTier string) {
 			return src, ""
 		}
 		return src[:i] + fmt.Sprintf("  print(%d);\n", 4000+step) + src[i:], pipeline.TierSolve
+	case 3: // spacing: a block comment before the last function's closing
+		// "}" changes its text but moves no instruction
+		i := strings.LastIndex(src, "}")
+		if i < 0 {
+			return src, ""
+		}
+		return src[:i] + fmt.Sprintf("/* edit %d */", step) + src[i:], pipeline.TierPatch
 	default: // structural: a new top-level function
 		return src + fmt.Sprintf("func fz%d(x) { return x + %d; }\n", step, step), pipeline.TierCold
 	}

@@ -85,10 +85,28 @@ func Compile(file, src string, cfg Config) (*Compiled, error) {
 // of the deadline. A canceled compilation returns an error wrapping
 // ctx.Err(); whatever phase events completed remain on cfg.Trace.
 func CompileContext(ctx context.Context, file, src string, cfg Config) (*Compiled, error) {
+	info, err := frontEnd(ctx, file, src, cfg.Trace)
+	if err != nil {
+		return nil, err
+	}
+	sp := cfg.Trace.Start(trace.PhaseLower)
+	prog, err := lower.Lower(info)
+	if err != nil {
+		sp.End()
+		return nil, fmt.Errorf("lower: %w", err)
+	}
+	sp.Counter("instrs", int64(prog.CodeSize()))
+	sp.End()
+	return compileLowered(ctx, prog, nil, cfg)
+}
+
+// frontEnd parses and checks src, one traced phase each, polling ctx
+// before, between and after them. It is the shared front half of
+// CompileContext and Session patches.
+func frontEnd(ctx context.Context, file, src string, tr *trace.Sink) (*sem.Info, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("compile canceled: %w", err)
 	}
-	tr := cfg.Trace
 	sp := tr.Start(trace.PhaseParse)
 	tree, err := parser.Parse(file, src)
 	sp.End()
@@ -107,15 +125,7 @@ func CompileContext(ctx context.Context, file, src string, cfg Config) (*Compile
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("compile canceled: %w", err)
 	}
-	sp = tr.Start(trace.PhaseLower)
-	prog, err := lower.Lower(info)
-	if err != nil {
-		sp.End()
-		return nil, fmt.Errorf("lower: %w", err)
-	}
-	sp.Counter("instrs", int64(prog.CodeSize()))
-	sp.End()
-	return compileLowered(ctx, prog, nil, cfg)
+	return info, nil
 }
 
 // compileLowered runs every phase after lowering: contour analysis (unless

@@ -6,8 +6,6 @@ import (
 	"fmt"
 
 	"objinline/internal/analysis"
-	"objinline/internal/lang/parser"
-	"objinline/internal/lang/sem"
 	"objinline/internal/lower"
 	"objinline/internal/trace"
 )
@@ -83,7 +81,10 @@ type IncrementalStats struct {
 	// "patch", "reopt", "solve", or "cold".
 	Tier string `json:"tier"`
 	// ChangedFuncs lists re-lowered functions ("f", "Class.m", "$init")
-	// in declaration order; empty on reuse and cold tiers.
+	// in declaration order; empty on reuse and cold tiers. A function is
+	// re-lowered when its declaration's source text or start position
+	// changed ($init: any global's), so an edit confined to a comment or
+	// spacing inside a body lists it too, and it counts as patched.
 	ChangedFuncs []string `json:"changed_funcs,omitempty"`
 	// ReusedFuncs counts functions whose IR was kept untouched.
 	ReusedFuncs int `json:"reused_funcs"`
@@ -143,33 +144,16 @@ func (s *Session) PatchContext(ctx context.Context, src string) (*Compiled, Incr
 		st.AnalysisReused = s.compiled.Analysis != nil
 		return s.compiled, st, nil
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, st, fmt.Errorf("compile canceled: %w", err)
+	info, err := frontEnd(ctx, s.File, src, s.Cfg.Trace)
+	if err != nil {
+		return nil, st, err
 	}
 
-	tr := s.Cfg.Trace
-	sp := tr.Start(trace.PhaseParse)
-	tree, err := parser.Parse(s.File, src)
-	sp.End()
-	if err != nil {
-		return nil, st, fmt.Errorf("parse: %w", err)
-	}
-	sp = tr.Start(trace.PhaseCheck)
-	info, err := sem.Check(tree)
-	sp.End()
-	if err != nil {
-		return nil, st, fmt.Errorf("check: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, st, fmt.Errorf("compile canceled: %w", err)
-	}
-
-	sp = tr.Start(trace.PhaseLower)
+	sp := s.Cfg.Trace.Start(trace.PhaseLower)
 	ps, err := s.snap.Patch(info)
 	sp.End()
 	if errors.Is(err, lower.ErrStructural) {
-		c, stats, err := s.rebuild(ctx, src)
-		return c, stats, err
+		return s.rebuild(ctx, src)
 	}
 	if err != nil {
 		return nil, st, fmt.Errorf("lower: %w", err)
@@ -222,26 +206,11 @@ func (s *Session) PatchContext(ctx context.Context, src string) (*Compiled, Incr
 // optimize, replacing the snapshot.
 func (s *Session) rebuild(ctx context.Context, src string) (*Compiled, IncrementalStats, error) {
 	st := IncrementalStats{Tier: TierCold}
-	if err := ctx.Err(); err != nil {
-		return nil, st, fmt.Errorf("compile canceled: %w", err)
-	}
-	tr := s.Cfg.Trace
-	sp := tr.Start(trace.PhaseParse)
-	tree, err := parser.Parse(s.File, src)
-	sp.End()
+	info, err := frontEnd(ctx, s.File, src, s.Cfg.Trace)
 	if err != nil {
-		return nil, st, fmt.Errorf("parse: %w", err)
+		return nil, st, err
 	}
-	sp = tr.Start(trace.PhaseCheck)
-	info, err := sem.Check(tree)
-	sp.End()
-	if err != nil {
-		return nil, st, fmt.Errorf("check: %w", err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, st, fmt.Errorf("compile canceled: %w", err)
-	}
-	sp = tr.Start(trace.PhaseLower)
+	sp := s.Cfg.Trace.Start(trace.PhaseLower)
 	snap, err := lower.NewSnapshot(info)
 	if err != nil {
 		sp.End()

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -103,8 +104,6 @@ func sessionConfigs() map[string]Config {
 		"direct":   {Mode: ModeDirect},
 		"baseline": {Mode: ModeBaseline},
 		"inline":   {Mode: ModeInline},
-		"inline-worklist": {Mode: ModeInline,
-			Analysis: analysis.Options{Solver: analysis.SolverWorklist}},
 		"inline-sweep": {Mode: ModeInline,
 			Analysis: analysis.Options{Solver: analysis.SolverSweep}},
 	}
@@ -179,6 +178,32 @@ func TestSessionTiers(t *testing.T) {
 				t.Fatalf("line shift ran analysis: %+v", st)
 			}
 		})
+	}
+}
+
+// TestSessionChangedFuncs pins which functions an edit re-lowers: those
+// whose declaration text or start position changed. A comment that moves
+// no instruction still re-lowers its function, which then patches with
+// nothing to change; a global initializer edit re-lowers only $init.
+func TestSessionChangedFuncs(t *testing.T) {
+	const base = `var g = 5;
+func f(x) { return x * g; }
+func main() { print(f(7)); }
+`
+	cfg := Config{Mode: ModeInline}
+	sess, _, err := NewSession("sess.icc", base, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comment := strings.Replace(base, "return x * g; }", "return x * g; /* note */ }", 1)
+	st := expectIdentical(t, sess, comment, cfg, TierPatch)
+	if !slices.Equal(st.ChangedFuncs, []string{"f"}) || st.PatchedFuncs != 1 {
+		t.Fatalf("comment edit: changed %v, patched %d; want [f], 1", st.ChangedFuncs, st.PatchedFuncs)
+	}
+	global := strings.Replace(comment, "var g = 5;", "var g = 6;", 1)
+	st = expectIdentical(t, sess, global, cfg, TierPatch)
+	if !slices.Equal(st.ChangedFuncs, []string{"$init"}) {
+		t.Fatalf("global initializer edit: changed %v, want [$init]", st.ChangedFuncs)
 	}
 }
 

@@ -50,7 +50,6 @@ type entry struct {
 	status int    // HTTP status of the compile response
 	body   []byte // serialized compile envelope, written verbatim on hits
 	prog   *objinline.Program
-	stats  objinline.CompileStats
 
 	// runMu serializes profiled runs of prog: Program keeps the last
 	// profile as state, so profile extraction must not interleave.

@@ -235,7 +235,6 @@ func (s *Server) entryProgram(w http.ResponseWriter, p *prepared, e *entry) (*ob
 		return nil, false
 	}
 	e.prog = prog
-	e.stats = prog.CompileStats()
 	return prog, true
 }
 

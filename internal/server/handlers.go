@@ -36,13 +36,7 @@ type prepared struct {
 // the error response and returns ok=false. On success the caller must
 // defer p.cancel().
 func (s *Server) prepare(w http.ResponseWriter, r *http.Request, req *api.CompileRequest) (p prepared, ok bool) {
-	if req.Source == "" {
-		s.writeError(w, http.StatusBadRequest, api.CodeBadRequest, "missing source field")
-		return p, false
-	}
-	if len(req.Source) > s.cfg.MaxSourceBytes {
-		s.writeError(w, http.StatusRequestEntityTooLarge, api.CodeBadRequest,
-			fmt.Sprintf("source is %d bytes; the limit is %d", len(req.Source), s.cfg.MaxSourceBytes))
+	if !s.checkSource(w, req.Source) {
 		return p, false
 	}
 	cfg, err := req.Config.ToConfig()
@@ -58,16 +52,35 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request, req *api.Compil
 	p.cfg = cfg
 	p.key = cacheKey(cfg, p.filename, p.source)
 
-	d := s.cfg.DefaultDeadline
-	if req.DeadlineMillis > 0 {
-		d = time.Duration(req.DeadlineMillis) * time.Millisecond
-	}
-	if d > s.cfg.MaxDeadline {
-		d = s.cfg.MaxDeadline
-	}
-	p.deadline = time.Now().Add(d)
+	p.deadline = time.Now().Add(s.deadline(req.DeadlineMillis))
 	p.ctx, p.cancel = context.WithDeadline(r.Context(), p.deadline)
 	return p, true
+}
+
+// checkSource enforces a request's source field: present, and within
+// MaxSourceBytes. On failure it writes the error response and returns
+// false.
+func (s *Server) checkSource(w http.ResponseWriter, src string) bool {
+	if src == "" {
+		s.writeError(w, http.StatusBadRequest, api.CodeBadRequest, "missing source field")
+		return false
+	}
+	if len(src) > s.cfg.MaxSourceBytes {
+		s.writeError(w, http.StatusRequestEntityTooLarge, api.CodeBadRequest,
+			fmt.Sprintf("source is %d bytes; the limit is %d", len(src), s.cfg.MaxSourceBytes))
+		return false
+	}
+	return true
+}
+
+// deadline is a request's compile budget: its own deadline_ms, else the
+// default, clamped to the maximum.
+func (s *Server) deadline(millis int64) time.Duration {
+	d := s.cfg.DefaultDeadline
+	if millis > 0 {
+		d = time.Duration(millis) * time.Millisecond
+	}
+	return min(d, s.cfg.MaxDeadline)
 }
 
 // decode unmarshals the request body into dst, bounding its size. It
@@ -179,34 +192,48 @@ func (s *Server) compileInto(ctx context.Context, e *entry, p *prepared) {
 		oreq.Sink.Merge(sink.Epoch(), sink.Events())
 	}
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.metrics.deadlineExceeded.Add(1)
-			e.status = http.StatusGatewayTimeout
-			e.body = marshalEnvelope(api.Envelope{
-				File:  p.filename,
-				Error: &api.Error{Code: api.CodeDeadlineExceeded, Message: err.Error()},
-			})
+		var env api.Envelope
+		e.status, env = s.compileError(p.filename, err)
+		e.body = marshalEnvelope(env)
+		if e.status == http.StatusGatewayTimeout {
 			s.results.drop(e)
-			return
 		}
-		e.status = http.StatusUnprocessableEntity
-		e.body = marshalEnvelope(api.Envelope{
-			File:  p.filename,
-			Error: &api.Error{Code: api.CodeCompileError, Message: err.Error()},
-		})
 		return
 	}
 	e.prog = prog
-	e.stats = prog.CompileStats()
 	e.status = http.StatusOK
-	e.body = marshalEnvelope(api.Envelope{
-		File:     p.filename,
+	e.body = marshalEnvelope(compileEnvelope(p.filename, prog))
+}
+
+// compileEnvelope is a successful compile's envelope: the body
+// /v1/compile caches, and the base of every session response.
+func compileEnvelope(file string, prog *objinline.Program) api.Envelope {
+	cs := prog.CompileStats()
+	return api.Envelope{
+		File:     file,
 		Mode:     prog.Mode().String(),
 		CodeSize: prog.CodeSize(),
 		Inlined:  prog.InlinedFields(),
 		Rejected: prog.RejectedFields(),
-		Stats:    &e.stats,
-	})
+		Stats:    &cs,
+	}
+}
+
+// compileError maps a compile failure to its response: 504 on a
+// deadline or cancel (counted in deadline_exceeded_total), 422 otherwise.
+func (s *Server) compileError(filename string, err error) (int, api.Envelope) {
+	status, code := http.StatusUnprocessableEntity, api.CodeCompileError
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		s.metrics.deadlineExceeded.Add(1)
+		status, code = http.StatusGatewayTimeout, api.CodeDeadlineExceeded
+	}
+	return status, api.Envelope{File: filename, Error: &api.Error{Code: code, Message: err.Error()}}
+}
+
+// writeCompileError writes compileError's response.
+func (s *Server) writeCompileError(w http.ResponseWriter, filename string, err error) {
+	status, env := s.compileError(filename, err)
+	s.writeEnvelope(w, status, env)
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {

@@ -15,8 +15,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"errors"
-	"fmt"
 	"maps"
 	"net/http"
 	"sync"
@@ -225,17 +223,9 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	ss := &session{id: newSessionID(), filename: p.filename, sess: sess}
 	s.sessions.put(ss)
 
-	prog := sess.Program()
-	cs := prog.CompileStats()
-	s.writeEnvelope(w, http.StatusOK, api.Envelope{
-		File:      p.filename,
-		Mode:      prog.Mode().String(),
-		CodeSize:  prog.CodeSize(),
-		Inlined:   prog.InlinedFields(),
-		Rejected:  prog.RejectedFields(),
-		Stats:     &cs,
-		SessionID: ss.id,
-	})
+	env := compileEnvelope(p.filename, sess.Program())
+	env.SessionID = ss.id
+	s.writeEnvelope(w, http.StatusOK, env)
 }
 
 // handleSessionPatch is PATCH /v1/session/{id}: recompile the session at
@@ -248,13 +238,7 @@ func (s *Server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	if req.Source == "" {
-		s.writeError(w, http.StatusBadRequest, api.CodeBadRequest, "missing source field")
-		return
-	}
-	if len(req.Source) > s.cfg.MaxSourceBytes {
-		s.writeError(w, http.StatusRequestEntityTooLarge, api.CodeBadRequest,
-			fmt.Sprintf("source is %d bytes; the limit is %d", len(req.Source), s.cfg.MaxSourceBytes))
+	if !s.checkSource(w, req.Source) {
 		return
 	}
 	ss := s.sessions.get(id)
@@ -264,7 +248,7 @@ func (s *Server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := s.deadlineContext(r.Context(), req.DeadlineMillis)
+	ctx, cancel := context.WithTimeout(r.Context(), s.deadline(req.DeadlineMillis))
 	defer cancel()
 	// A patch occupies a compiler worker like any other compile; the
 	// per-session mutex then serializes concurrent patches to one
@@ -304,17 +288,10 @@ func (s *Server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	span.End()
-	cs := prog.CompileStats()
-	s.writeEnvelope(w, http.StatusOK, api.Envelope{
-		File:        ss.filename,
-		Mode:        prog.Mode().String(),
-		CodeSize:    prog.CodeSize(),
-		Inlined:     prog.InlinedFields(),
-		Rejected:    prog.RejectedFields(),
-		Stats:       &cs,
-		SessionID:   id,
-		Incremental: &st,
-	})
+	env := compileEnvelope(ss.filename, prog)
+	env.SessionID = id
+	env.Incremental = &st
+	s.writeEnvelope(w, http.StatusOK, env)
 }
 
 // handleSessionDelete is DELETE /v1/session/{id}: release the session.
@@ -326,34 +303,4 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeEnvelope(w, http.StatusOK, api.Envelope{SessionID: id})
-}
-
-// deadlineContext applies the request's deadline discipline (default,
-// then clamp to the maximum) without the full compile-request prepare.
-func (s *Server) deadlineContext(parent context.Context, deadlineMillis int64) (context.Context, context.CancelFunc) {
-	d := s.cfg.DefaultDeadline
-	if deadlineMillis > 0 {
-		d = time.Duration(deadlineMillis) * time.Millisecond
-	}
-	if d > s.cfg.MaxDeadline {
-		d = s.cfg.MaxDeadline
-	}
-	return context.WithTimeout(parent, d)
-}
-
-// writeCompileError maps a compile failure to 504 on deadline/cancel and
-// 422 otherwise, matching /v1/compile's status discipline.
-func (s *Server) writeCompileError(w http.ResponseWriter, filename string, err error) {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-		s.metrics.deadlineExceeded.Add(1)
-		s.writeEnvelope(w, http.StatusGatewayTimeout, api.Envelope{
-			File:  filename,
-			Error: &api.Error{Code: api.CodeDeadlineExceeded, Message: err.Error()},
-		})
-		return
-	}
-	s.writeEnvelope(w, http.StatusUnprocessableEntity, api.Envelope{
-		File:  filename,
-		Error: &api.Error{Code: api.CodeCompileError, Message: err.Error()},
-	})
 }

@@ -14,6 +14,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -90,6 +93,49 @@ func decodeSessionEnv(t *testing.T, body []byte) sessionEnv {
 		t.Fatalf("envelope is not JSON: %v\n%s", err, body)
 	}
 	return env
+}
+
+// TestSessionExampleDocumented replays the session example in
+// docs/SERVER.md — its create and PATCH request bodies — and requires the
+// live incremental block to equal the JSON the doc shows.
+func TestSessionExampleDocumented(t *testing.T) {
+	text, err := os.ReadFile("../../docs/SERVER.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(text), "\n### Sessions: ")
+	if !ok {
+		t.Fatal("docs/SERVER.md has no Sessions section")
+	}
+	section, _, _ = strings.Cut(section, "\n### ")
+	bodies := regexp.MustCompile(`(?s)-d '(\{.*?\})'`).FindAllStringSubmatch(section, -1)
+	block := regexp.MustCompile("(?s)```json\n(\"incremental\": \\{.*?\\})\n```").FindStringSubmatch(section)
+	if len(bodies) != 2 || block == nil {
+		t.Fatalf("Sessions section lost its example: %d request bodies, incremental block found %v", len(bodies), block != nil)
+	}
+	var want map[string]any
+	if err := json.Unmarshal([]byte("{"+block[1]+"}"), &want); err != nil {
+		t.Fatalf("documented incremental block is not JSON: %v", err)
+	}
+
+	_, ts := newTestServer(t, Config{})
+	resp, body := postJSON(t, ts, "/v1/session", json.RawMessage(bodies[0][1]))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("create: status %d: %s", resp.StatusCode, body)
+	}
+	sid := decodeSessionEnv(t, body).SessionID
+	resp, body = doJSON(t, ts, http.MethodPatch, "/v1/session/"+sid, json.RawMessage(bodies[1][1]))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("patch: status %d: %s", resp.StatusCode, body)
+	}
+	var got map[string]any
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got["incremental"], want["incremental"]) {
+		live, _ := json.Marshal(got["incremental"])
+		t.Errorf("docs/SERVER.md shows\n%s\nbut the live incremental block is\n%s", block[1], live)
+	}
 }
 
 // TestSessionLifecycle drives one session through the tier ladder —

@@ -212,8 +212,8 @@ func (c Config) toPipeline(opts []Option) (pipeline.Config, error) {
 
 // Session pins a compilation across source edits for incremental
 // recompiles. Create one with NewSession, then feed each edited full
-// source text to Patch: unchanged functions keep their prior IR
-// (identity-checked by content hash), payload-only edits additionally
+// source text to Patch: functions whose source text and start position
+// are unchanged keep their prior IR, payload-only edits additionally
 // reuse the prior contour-analysis result verbatim, and only structural
 // edits (classes, fields, globals, function signatures) fall back to a
 // cold compile. Every patch's output is byte-identical to a cold compile
