@@ -1,10 +1,12 @@
 package pipeline_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"objinline/internal/pipeline"
+	"objinline/internal/vm"
 )
 
 func TestCompileErrorStages(t *testing.T) {
@@ -55,6 +57,27 @@ func main() {
 		}
 		if out.String() != "1\n" {
 			t.Errorf("%v: output before trap = %q", mode, out.String())
+		}
+	}
+}
+
+func TestRunawayRecursionIsRuntimeError(t *testing.T) {
+	// Unbounded recursion must end in a runtime error at the call-depth
+	// bound in every pipeline, not in a Go stack overflow that kills the
+	// process.
+	src := `
+func f(x) { return f(x + 1); }
+func main() { print(f(1)); }
+`
+	for _, mode := range []pipeline.Mode{pipeline.ModeDirect, pipeline.ModeBaseline, pipeline.ModeInline} {
+		c, err := pipeline.Compile("t.icc", src, pipeline.Config{Mode: mode})
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		_, err = c.Run(pipeline.RunOptions{MaxSteps: 10_000_000})
+		var re *vm.RuntimeError
+		if !errors.As(err, &re) || !strings.HasPrefix(re.Msg, "call depth exceeded (") || !strings.HasSuffix(re.Msg, ") in f") {
+			t.Errorf("%v: err = %v, want a call-depth runtime error in f", mode, err)
 		}
 	}
 }

@@ -458,6 +458,34 @@ func TestRunDeadline(t *testing.T) {
 	}
 }
 
+// TestRunRunawayRecursion checks a request whose program recurses without
+// bound answers 422 runtime_error at the VM's call-depth bound instead of
+// overflowing the daemon's Go stack, and that the server still answers the
+// next request.
+func TestRunRunawayRecursion(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, body := postJSON(t, ts, "/v1/run", api.RunRequest{
+		CompileRequest: api.CompileRequest{Source: "func f(x) { return f(x + 1); }\nfunc main() { print(f(1)); }"},
+	})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %s", resp.StatusCode, body)
+	}
+	var env api.Envelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatal(err)
+	}
+	if env.Error == nil || env.Error.Code != api.CodeRuntimeError || !strings.Contains(env.Error.Message, "call depth exceeded") {
+		t.Errorf("error envelope = %s", body)
+	}
+	resp, body = postJSON(t, ts, "/v1/run", api.RunRequest{
+		CompileRequest: api.CompileRequest{Source: "func main() { print(6 * 7); }"},
+		IncludeOutput:  true,
+	})
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"output":"42\n"`) {
+		t.Errorf("next request: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestRunOutputTruncated checks the output cap flags truncation instead
 // of ballooning the envelope.
 func TestRunOutputTruncated(t *testing.T) {
