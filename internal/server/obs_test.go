@@ -82,60 +82,48 @@ func TestRequestIDOnEveryPath(t *testing.T) {
 func TestShedCarriesRequestIDAndQueueDepth(t *testing.T) {
 	_, ts := newTestServer(t, Config{PoolSize: 1, QueueDepth: 1})
 
-	// Occupy the worker with a slow compile, then a queued one, then force
-	// a shed. The big-source compile is slow enough to hold the token.
-	slow := strings.Builder{}
-	slow.WriteString("func main() { var x int; ")
-	for i := 0; i < 4000; i++ {
-		slow.WriteString("x = x + 1; ")
+	// Occupy the worker and the queue slot with two runs of an infinite
+	// loop, bounded by their deadlines, so the probe below is shed however
+	// fast this machine compiles. Warm the loop's compile first so both
+	// runs go straight to admission.
+	const loop = "func main() { var i = 0; while (true) { i = i + 1; } }"
+	if resp, body := postJSON(t, ts, "/v1/compile", api.CompileRequest{Source: loop}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warmup compile: status %d: %s", resp.StatusCode, body)
 	}
-	slow.WriteString("print(x); }")
-
-	release := make(chan struct{})
-	done := make(chan struct{}, 8)
-	for i := 0; i < 6; i++ {
-		i := i
+	runBody, _ := json.Marshal(api.RunRequest{CompileRequest: api.CompileRequest{Source: loop, DeadlineMillis: 1000}})
+	done := make(chan struct{}, 2)
+	for i := 0; i < 2; i++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
-			body, _ := json.Marshal(api.CompileRequest{
-				Filename: "slow-" + strconv.Itoa(i) + ".icc",
-				Source:   slow.String(),
-			})
-			<-release
-			resp, err := ts.Client().Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(string(body)))
+			resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json", strings.NewReader(string(runBody)))
 			if err == nil {
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
 			}
 		}()
 	}
-	close(release)
-
-	// Keep firing distinct compiles until one sheds (the background ones
-	// saturate pool+queue quickly).
-	var shedResp *http.Response
-	var shedBody []byte
-	deadline := time.Now().Add(10 * time.Second)
-	for i := 0; shedResp == nil && time.Now().Before(deadline); i++ {
-		reqBody, _ := json.Marshal(api.CompileRequest{
-			Filename: "probe-" + strconv.Itoa(i) + ".icc",
-			Source:   slow.String(),
-		})
-		resp, err := ts.Client().Post(ts.URL+"/v1/compile", "application/json", strings.NewReader(string(reqBody)))
-		if err != nil {
-			t.Fatal(err)
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		m := getMetrics(t, ts)
+		if m["workers_busy"] >= 1 && m["queue_depth"] >= 1 {
+			break
 		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode == http.StatusTooManyRequests {
-			shedResp, shedBody = resp, b
+		if time.Now().After(deadline) {
+			t.Fatalf("saturation never established: %v", m)
 		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	for i := 0; i < 6; i++ {
+
+	// A compile of a new source needs a worker token, so it is shed.
+	shedResp, shedBody := postJSON(t, ts, "/v1/compile", api.CompileRequest{
+		Filename: "probe.icc",
+		Source:   "func main() { print(42); }",
+	})
+	for i := 0; i < 2; i++ {
 		<-done
 	}
-	if shedResp == nil {
-		t.Skip("could not provoke a shed on this machine")
+	if shedResp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("probe: status %d, want 429: %s", shedResp.StatusCode, shedBody)
 	}
 	if shedResp.Header.Get(obs.RequestIDHeader) == "" {
 		t.Error("shed response missing request id")
