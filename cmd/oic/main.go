@@ -159,7 +159,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 		return fail(err)
 	}
 	if engine == objinline.EngineNative && *profile {
-		return fail(fmt.Errorf("-profile requires the vm engine: site attribution is VM instrumentation"))
+		return fail(objinline.ErrProfileNeedsVM)
 	}
 	cfg := objinline.Config{Mode: mode, ParallelArrays: *parallel}
 
@@ -244,7 +244,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 			env.Engine = res.Engine.String()
 			env.Metrics = res.Metrics
 			env.Native = res.Native
-			env.Profile = prog.Profile()
+			env.Profile = res.Profile
 		} else {
 			if *metrics && res.Metrics != nil {
 				printMetrics(stderr, *res.Metrics)
@@ -253,7 +253,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 				printNativeMetrics(stderr, res.Native)
 			}
 			if *profile {
-				printProfile(stderr, prog.Profile())
+				printProfile(stderr, res.Profile)
 			}
 		}
 	} else if !*asJSON && *explain == "" {

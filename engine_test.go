@@ -7,6 +7,7 @@ package objinline_test
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -125,7 +126,7 @@ func TestExecuteNativeRejectsProfile(t *testing.T) {
 		Engine:  objinline.EngineNative,
 		Profile: true,
 	})
-	if err == nil || !strings.Contains(err.Error(), "VM engine") {
-		t.Errorf("Profile+native error = %v, want a VM-engine complaint", err)
+	if !errors.Is(err, objinline.ErrProfileNeedsVM) {
+		t.Errorf("Profile+native error = %v, want ErrProfileNeedsVM", err)
 	}
 }

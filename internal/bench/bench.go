@@ -204,7 +204,7 @@ type Measurement struct {
 	Counters vm.Counters
 	// Profile is the run's site/field attribution; nil unless the
 	// measurement came from the profiled path (Engine.MeasureProfiled).
-	Profile *vm.Profile
+	Profile *vm.RunProfile
 }
 
 // CyclesUnder replays the measurement's charge events against a
@@ -227,14 +227,18 @@ func compileConfig(p Program, v Variant, s Scale, cfg pipeline.Config) (*pipelin
 	return c, nil
 }
 
-// runCompiled executes a compiled configuration with the default cost
-// model and cache simulator.
-func runCompiled(p Program, v Variant, s Scale, cfg pipeline.Config, c *pipeline.Compiled) (*Measurement, error) {
+// measure executes a compiled configuration with the default cost model and
+// cache simulator, attributing it to sites when prof is non-nil.
+// Profiling never perturbs the counters (pinned by the vm tests), so a
+// profiled measurement is interchangeable with an unprofiled one except
+// for the extra attribution.
+func measure(p Program, v Variant, s Scale, cfg pipeline.Config, c *pipeline.Compiled, prof *vm.Profile) (*Measurement, error) {
 	var out strings.Builder
 	counters, err := c.Run(pipeline.RunOptions{
 		Out:      &out,
 		Cache:    &cachesim.DefaultConfig,
 		MaxSteps: RunMaxSteps,
+		Profile:  prof,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s/%s/%s run: %w", p.Name, v, cfg.Mode, s, err)
@@ -246,33 +250,7 @@ func runCompiled(p Program, v Variant, s Scale, cfg pipeline.Config, c *pipeline
 		Compiled: c,
 		Output:   out.String(),
 		Counters: counters,
-	}, nil
-}
-
-// runProfiled executes a compiled configuration like runCompiled but with
-// a site profiler attached. Profiling never perturbs the counters (pinned
-// by the vm tests), so a profiled measurement is interchangeable with an
-// unprofiled one except for the extra attribution.
-func runProfiled(p Program, v Variant, s Scale, cfg pipeline.Config, c *pipeline.Compiled) (*Measurement, error) {
-	prof := vm.NewProfile()
-	var out strings.Builder
-	counters, err := c.Run(pipeline.RunOptions{
-		Out:      &out,
-		Cache:    &cachesim.DefaultConfig,
-		MaxSteps: RunMaxSteps,
-		Profile:  prof,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%s/%s/%s/%s profiled run: %w", p.Name, v, cfg.Mode, s, err)
-	}
-	return &Measurement{
-		Program:  p.Name,
-		Variant:  v,
-		Mode:     cfg.Mode,
-		Compiled: c,
-		Output:   out.String(),
-		Counters: counters,
-		Profile:  prof,
+		Profile:  prof.Summary(),
 	}, nil
 }
 
@@ -285,5 +263,5 @@ func RunConfig(p Program, v Variant, s Scale, cfg pipeline.Config) (*Measurement
 	if err != nil {
 		return nil, err
 	}
-	return runCompiled(p, v, s, cfg, c)
+	return measure(p, v, s, cfg, c, nil)
 }

@@ -85,38 +85,16 @@ func calibrationReps(s Scale) int {
 // request's measurement — the calibration figure uses one reps value per
 // scale, which keeps the cache coherent.
 func (e *Engine) MeasureNative(p Program, v Variant, s Scale, cfg pipeline.Config, reps int) (*pipeline.NativeRun, error) {
-	key := NewCompileKey(p, v, s, cfg)
-	e.mu.Lock()
-	if f, ok := e.nativeRuns[key]; ok {
-		e.stats.RunHits++
-		e.mu.Unlock()
-		<-f.done
-		return f.val, f.err
-	}
-	f := &inflight[*pipeline.NativeRun]{done: make(chan struct{})}
-	e.nativeRuns[key] = f
-	e.stats.Runs++
-	e.mu.Unlock()
-
-	c, err := e.Compile(p, v, s, cfg)
-	if err != nil {
-		f.err = err
-		close(f.done)
-		return nil, err
-	}
-	e.acquire()
-	res, err := c.Execute(context.Background(), pipeline.ExecOptions{
-		Engine: pipeline.EngineNative,
-		Reps:   reps,
+	return execute(e, e.nativeRuns, p, v, s, cfg, func(c *pipeline.Compiled) (*pipeline.NativeRun, error) {
+		res, err := c.Execute(context.Background(), pipeline.ExecOptions{
+			Engine: pipeline.EngineNative,
+			Reps:   reps,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s/%s/%s/%s native: %w", p.Name, v, cfg.Mode, s, err)
+		}
+		return res.Native, nil
 	})
-	e.release()
-	if err != nil {
-		f.err = fmt.Errorf("%s/%s/%s/%s native: %w", p.Name, v, cfg.Mode, s, err)
-	} else {
-		f.val = res.Native
-	}
-	close(f.done)
-	return f.val, f.err
 }
 
 // Calibration computes the figure: four executions per benchmark (VM and

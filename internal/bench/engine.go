@@ -8,6 +8,7 @@ import (
 	"objinline/internal/analysis"
 	"objinline/internal/core"
 	"objinline/internal/pipeline"
+	"objinline/internal/vm"
 )
 
 // CompileKey identifies one compilation configuration up to result
@@ -113,27 +114,52 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) acquire() { e.sem <- struct{}{} }
 func (e *Engine) release() { <-e.sem }
 
-// Compile returns the memoized compilation of one configuration,
-// compiling it (at most once, under a worker slot) on first request.
-func (e *Engine) Compile(p Program, v Variant, s Scale, cfg pipeline.Config) (*pipeline.Compiled, error) {
-	key := NewCompileKey(p, v, s, cfg)
+// memo is the engine's single-flight step: the first request for key in
+// m is counted in misses and leads, filling the entry; every later one is
+// counted in hits and waits for the leader's result.
+func memo[T any](e *Engine, m map[CompileKey]*inflight[T], key CompileKey, hits, misses *uint64, fill func() (T, error)) (T, error) {
 	e.mu.Lock()
-	if f, ok := e.compiles[key]; ok {
-		e.stats.CompileHits++
+	if f, ok := m[key]; ok {
+		*hits++
 		e.mu.Unlock()
 		<-f.done
 		return f.val, f.err
 	}
-	f := &inflight[*pipeline.Compiled]{done: make(chan struct{})}
-	e.compiles[key] = f
-	e.stats.Compiles++
+	f := &inflight[T]{done: make(chan struct{})}
+	m[key] = f
+	*misses++
 	e.mu.Unlock()
 
-	e.acquire()
-	f.val, f.err = compileConfig(p, v, s, cfg)
-	e.release()
+	f.val, f.err = fill()
 	close(f.done)
 	return f.val, f.err
+}
+
+// execute memoizes one execution of a configuration in m: run gets the
+// configuration's compilation and a worker slot. The compilation is
+// resolved first, outside any slot — Compile manages its own, so no slot
+// is held while (possibly) waiting on it.
+func execute[T any](e *Engine, m map[CompileKey]*inflight[T], p Program, v Variant, s Scale, cfg pipeline.Config, run func(*pipeline.Compiled) (T, error)) (T, error) {
+	return memo(e, m, NewCompileKey(p, v, s, cfg), &e.stats.RunHits, &e.stats.Runs, func() (T, error) {
+		c, err := e.Compile(p, v, s, cfg)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		e.acquire()
+		defer e.release()
+		return run(c)
+	})
+}
+
+// Compile returns the memoized compilation of one configuration,
+// compiling it (at most once, under a worker slot) on first request.
+func (e *Engine) Compile(p Program, v Variant, s Scale, cfg pipeline.Config) (*pipeline.Compiled, error) {
+	return memo(e, e.compiles, NewCompileKey(p, v, s, cfg), &e.stats.CompileHits, &e.stats.Compiles, func() (*pipeline.Compiled, error) {
+		e.acquire()
+		defer e.release()
+		return compileConfig(p, v, s, cfg)
+	})
 }
 
 // Measure returns the memoized execution of one configuration under the
@@ -142,32 +168,9 @@ func (e *Engine) Compile(p Program, v Variant, s Scale, cfg pipeline.Config) (*p
 // model do not need a fresh execution: replay the returned counters with
 // Measurement.CyclesUnder.
 func (e *Engine) Measure(p Program, v Variant, s Scale, cfg pipeline.Config) (*Measurement, error) {
-	key := NewCompileKey(p, v, s, cfg)
-	e.mu.Lock()
-	if f, ok := e.runs[key]; ok {
-		e.stats.RunHits++
-		e.mu.Unlock()
-		<-f.done
-		return f.val, f.err
-	}
-	f := &inflight[*Measurement]{done: make(chan struct{})}
-	e.runs[key] = f
-	e.stats.Runs++
-	e.mu.Unlock()
-
-	// Resolve the compilation first — Compile manages its own worker
-	// slot, so no slot is held while (possibly) waiting on it.
-	c, err := e.Compile(p, v, s, cfg)
-	if err != nil {
-		f.err = err
-		close(f.done)
-		return nil, err
-	}
-	e.acquire()
-	f.val, f.err = runCompiled(p, v, s, cfg, c)
-	e.release()
-	close(f.done)
-	return f.val, f.err
+	return execute(e, e.runs, p, v, s, cfg, func(c *pipeline.Compiled) (*Measurement, error) {
+		return measure(p, v, s, cfg, c, nil)
+	})
 }
 
 // MeasureProfiled is Measure with a site profiler attached to the run. It
@@ -175,28 +178,7 @@ func (e *Engine) Measure(p Program, v Variant, s Scale, cfg pipeline.Config) (*M
 // separately — a profiled measurement carries per-site state the plain
 // cache must not pay for, and the plain cache's entries carry no profile.
 func (e *Engine) MeasureProfiled(p Program, v Variant, s Scale, cfg pipeline.Config) (*Measurement, error) {
-	key := NewCompileKey(p, v, s, cfg)
-	e.mu.Lock()
-	if f, ok := e.profRuns[key]; ok {
-		e.stats.RunHits++
-		e.mu.Unlock()
-		<-f.done
-		return f.val, f.err
-	}
-	f := &inflight[*Measurement]{done: make(chan struct{})}
-	e.profRuns[key] = f
-	e.stats.Runs++
-	e.mu.Unlock()
-
-	c, err := e.Compile(p, v, s, cfg)
-	if err != nil {
-		f.err = err
-		close(f.done)
-		return nil, err
-	}
-	e.acquire()
-	f.val, f.err = runProfiled(p, v, s, cfg, c)
-	e.release()
-	close(f.done)
-	return f.val, f.err
+	return execute(e, e.profRuns, p, v, s, cfg, func(c *pipeline.Compiled) (*Measurement, error) {
+		return measure(p, v, s, cfg, c, vm.NewProfile())
+	})
 }

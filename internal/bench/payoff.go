@@ -264,8 +264,8 @@ func ComputePayoff(on, off *Measurement) (*ProgramPayoff, error) {
 		array      bool
 	}
 	sites := make(map[siteKey][2]vm.SiteProfile)
-	for i, prof := range []*vm.Profile{off.Profile, on.Profile} {
-		for _, s := range prof.Sites() {
+	for i, prof := range []*vm.RunProfile{off.Profile, on.Profile} {
+		for _, s := range prof.Sites {
 			k := siteKey{s.Pos, s.Class, s.Array}
 			pair := sites[k]
 			pair[i] = s
@@ -331,8 +331,8 @@ func ComputePayoff(on, off *Measurement) (*ProgramPayoff, error) {
 	// child-class provenance.
 	type pathKey struct{ class, field string }
 	paths := make(map[pathKey][2]vm.FieldProfile)
-	for i, prof := range []*vm.Profile{off.Profile, on.Profile} {
-		for _, f := range prof.FieldPaths() {
+	for i, prof := range []*vm.RunProfile{off.Profile, on.Profile} {
+		for _, f := range prof.Fields {
 			k := pathKey{f.Class, f.Field}
 			pair := paths[k]
 			pair[i] = f
@@ -366,16 +366,13 @@ func ComputePayoff(on, off *Measurement) (*ProgramPayoff, error) {
 		misses[assign(pk.class, pk.field)] += int64(pair[0].Misses) - int64(pair[1].Misses)
 	}
 
-	_, offDispatch := off.Profile.Dispatch()
-	_, onDispatch := on.Profile.Dispatch()
-
 	out := &ProgramPayoff{
 		Program:               on.Program,
-		DispatchMissesAvoided: int64(offDispatch) - int64(onDispatch),
+		DispatchMissesAvoided: int64(off.Profile.DispatchMisses) - int64(on.Profile.DispatchMisses),
 		AllocsDelta:           int64(off.Counters.ObjectsAllocated+off.Counters.ArraysAllocated) - int64(on.Counters.ObjectsAllocated+on.Counters.ArraysAllocated),
 		BytesDelta:            int64(off.Counters.BytesAllocated) - int64(on.Counters.BytesAllocated),
 		MissesDelta:           int64(off.Counters.CacheMisses) - int64(on.Counters.CacheMisses),
-		HeapPeakDelta:         int64(off.Profile.HeapPeakBytes()) - int64(on.Profile.HeapPeakBytes()),
+		HeapPeakDelta:         int64(off.Profile.HeapPeakBytes) - int64(on.Profile.HeapPeakBytes),
 	}
 	for _, ks := range keyStrs {
 		row := FieldPayoff{

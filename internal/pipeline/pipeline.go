@@ -7,10 +7,8 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"objinline/internal/analysis"
-	"objinline/internal/cachesim"
 	"objinline/internal/core"
 	"objinline/internal/funcinline"
 	"objinline/internal/ir"
@@ -225,19 +223,9 @@ func analyzePhase(ctx context.Context, prog *ir.Program, cfg Config) (*analysis.
 	return res, nil
 }
 
-// RunOptions configures one execution.
-type RunOptions struct {
-	Out      io.Writer
-	Cache    *cachesim.Config
-	Cost     *vm.CostModel
-	MaxSteps uint64
-	// Trace overrides the sink the run phase reports to; nil falls back to
-	// the compilation's sink (which may itself be nil).
-	Trace *trace.Sink
-	// Profile, when non-nil, receives per-allocation-site and per-field-path
-	// attribution for the run. A nil profile costs nothing.
-	Profile *vm.Profile
-}
+// RunOptions configures one execution: the VM's options, with a nil
+// Trace falling back to the compilation's sink (which may itself be nil).
+type RunOptions = vm.Options
 
 // Run executes the compiled program and returns its dynamic counters.
 func (c *Compiled) Run(opts RunOptions) (vm.Counters, error) {
@@ -248,19 +236,10 @@ func (c *Compiled) Run(opts RunOptions) (vm.Counters, error) {
 // context, so an infinite loop returns an error wrapping ctx.Err() within
 // microseconds of the deadline (see vm.Machine.RunContext).
 func (c *Compiled) RunContext(ctx context.Context, opts RunOptions) (vm.Counters, error) {
-	tr := opts.Trace
-	if tr == nil {
-		tr = c.Trace
+	if opts.Trace == nil {
+		opts.Trace = c.Trace
 	}
-	m := vm.New(c.Prog, vm.Options{
-		Out:      opts.Out,
-		Cache:    opts.Cache,
-		Cost:     opts.Cost,
-		MaxSteps: opts.MaxSteps,
-		Trace:    tr,
-		Profile:  opts.Profile,
-	})
-	return m.RunContext(ctx)
+	return vm.New(c.Prog, opts).RunContext(ctx)
 }
 
 // CodeSize returns the executable program's instruction count (the

@@ -41,7 +41,9 @@ func nativeRunKey(compileKey string, reps int, includeOutput bool) string {
 // fills the result fields and closes done; every other request for the
 // same key waits on done and reads them. The stored body is the compile
 // endpoint's exact response bytes, so warm responses are byte-identical
-// to the cold one.
+// to the cold one. The program is immutable once compiled — each run
+// returns its own metrics and profile — so any number of runs share it
+// without a lock.
 type entry struct {
 	key  string
 	done chan struct{}
@@ -50,11 +52,6 @@ type entry struct {
 	status int    // HTTP status of the compile response
 	body   []byte // serialized compile envelope, written verbatim on hits
 	prog   *objinline.Program
-
-	// runMu serializes profiled runs of prog: Program keeps the last
-	// profile as state, so profile extraction must not interleave.
-	// Unprofiled runs touch no shared Program state and need no lock.
-	runMu sync.Mutex
 
 	// fromDisk marks an entry seeded from the persistent cache tier: it
 	// holds the response bytes but no *Program (replay works; explain and

@@ -308,8 +308,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if engine == objinline.EngineNative && req.Profile {
-		s.writeError(w, http.StatusBadRequest, api.CodeBadRequest,
-			"profile requires the vm engine: site attribution is VM instrumentation")
+		s.writeError(w, http.StatusBadRequest, api.CodeBadRequest, objinline.ErrProfileNeedsVM.Error())
 		return
 	}
 	p, ok := s.prepare(w, r, &req.CompileRequest)
@@ -374,22 +373,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if req.IncludeOutput {
 		ro.Output = &out
 	}
-	var (
-		res     objinline.Result
-		profile *objinline.RunProfile
-	)
-	if req.Profile {
-		// Profiled runs read their attribution back off the Program, so
-		// they are serialized per entry.
-		e.runMu.Lock()
-		res, err = prog.Execute(p.ctx, ro)
-		if err == nil {
-			profile = prog.Profile()
-		}
-		e.runMu.Unlock()
-	} else {
-		res, err = prog.Execute(p.ctx, ro)
-	}
+	res, err := prog.Execute(p.ctx, ro)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 			s.metrics.deadlineExceeded.Add(1)
@@ -404,7 +388,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		Mode:    prog.Mode().String(),
 		Engine:  objinline.EngineVM.String(),
 		Metrics: res.Metrics,
-		Profile: profile,
+		Profile: res.Profile,
 	}
 	if req.IncludeOutput {
 		env.Output = out.buf.String()

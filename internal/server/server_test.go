@@ -439,6 +439,69 @@ func TestRunEndpoint(t *testing.T) {
 	}
 }
 
+// TestConcurrentProfiledRuns sends profiled runs of one cached key at
+// once: the program is shared without a lock, so each envelope must carry
+// its own run's profile, byte-equal to a lone run's (run it under -race).
+func TestConcurrentProfiledRuns(t *testing.T) {
+	const runs = 4
+	_, ts := newTestServer(t, Config{PoolSize: runs})
+	req, err := json.Marshal(api.RunRequest{
+		CompileRequest: api.CompileRequest{Filename: "explain.icc", Source: fixtureSource(t)},
+		Profile:        true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	profileOf := func() (json.RawMessage, error) {
+		resp, err := ts.Client().Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(req))
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return nil, err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return nil, fmt.Errorf("status %d: %s", resp.StatusCode, body)
+		}
+		var env struct{ Profile json.RawMessage }
+		if err := json.Unmarshal(body, &env); err != nil {
+			return nil, err
+		}
+		if len(env.Profile) == 0 {
+			return nil, fmt.Errorf("envelope carries no profile: %s", body)
+		}
+		return env.Profile, nil
+	}
+	want, err := profileOf()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]json.RawMessage, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = profileOf()
+		}()
+	}
+	wg.Wait()
+	for i := range runs {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(got[i], want) {
+			t.Errorf("run %d profile differs from a lone run's:\n got %s\nwant %s", i, got[i], want)
+		}
+	}
+	if m := getMetrics(t, ts); m["compiles_total"] != 1 || m["runs_total"] != runs+1 {
+		t.Errorf("compiles_total = %v, runs_total = %v; want 1 and %d", m["compiles_total"], m["runs_total"], runs+1)
+	}
+}
+
 // TestRunDeadline checks an infinite loop is canceled at the request
 // deadline with 504.
 func TestRunDeadline(t *testing.T) {

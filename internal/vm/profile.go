@@ -327,19 +327,32 @@ func (p *Profile) FieldPaths() []FieldProfile {
 	return out
 }
 
-// HeapPeakBytes returns the heap-footprint high-water mark of the run.
-func (p *Profile) HeapPeakBytes() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.heapPeak
+// RunProfile is a profile's aggregated, JSON-ready view: what one
+// profiled run reports and what the payoff join consumes.
+type RunProfile struct {
+	// Sites is the allocation-site table, ordered by source position.
+	Sites []SiteProfile `json:"sites"`
+	// Fields is the per-Class.field traffic table.
+	Fields []FieldProfile `json:"fields"`
+	// DispatchAccesses/DispatchMisses count dynamic dispatches' receiver-
+	// header touches and how many of them missed the cache.
+	DispatchAccesses uint64 `json:"dispatch_accesses"`
+	DispatchMisses   uint64 `json:"dispatch_misses"`
+	// HeapPeakBytes is the run's heap-footprint high-water mark.
+	HeapPeakBytes uint64 `json:"heap_peak_bytes"`
 }
 
-// Dispatch returns the dispatch header-touch traffic: every dynamic
-// dispatch reads the receiver's header, and some of those reads miss.
-func (p *Profile) Dispatch() (accesses, misses uint64) {
+// Summary aggregates the profile into its reported view; nil for a nil
+// profile.
+func (p *Profile) Summary() *RunProfile {
 	if p == nil {
-		return 0, 0
+		return nil
 	}
-	return p.dispatchReads, p.dispatchMisses
+	return &RunProfile{
+		Sites:            p.Sites(),
+		Fields:           p.FieldPaths(),
+		DispatchAccesses: p.dispatchReads,
+		DispatchMisses:   p.dispatchMisses,
+		HeapPeakBytes:    p.heapPeak,
+	}
 }

@@ -34,7 +34,7 @@ func TestNilProfileHooksAllocateNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("nil-profile hook sequence allocates %v allocs/op, want 0", allocs)
 	}
-	if p.Sites() != nil || p.FieldPaths() != nil || p.HeapPeakBytes() != 0 {
+	if p.Sites() != nil || p.FieldPaths() != nil || p.Summary() != nil {
 		t.Error("nil profile reported data")
 	}
 }
@@ -140,7 +140,8 @@ func TestProfileAttributionPartitionsTraffic(t *testing.T) {
 		heapBytes += s.Bytes
 		heapSlots += s.Slots
 	}
-	_, dispatchMisses := prof.Dispatch()
+	sum := prof.Summary()
+	dispatchMisses := sum.DispatchMisses
 
 	if got := fieldMisses + arrMisses + dispatchMisses; got != c.CacheMisses {
 		t.Errorf("miss partition: fields %d + arrays %d + dispatch %d = %d, want CacheMisses %d",
@@ -162,8 +163,8 @@ func TestProfileAttributionPartitionsTraffic(t *testing.T) {
 		t.Errorf("site slots %d != SlotsAllocated %d", heapSlots, c.SlotsAllocated)
 	}
 	// Bump allocation makes the high-water mark the total heap footprint.
-	if prof.HeapPeakBytes() != c.BytesAllocated {
-		t.Errorf("heap peak %d != BytesAllocated %d", prof.HeapPeakBytes(), c.BytesAllocated)
+	if sum.HeapPeakBytes != c.BytesAllocated {
+		t.Errorf("heap peak %d != BytesAllocated %d", sum.HeapPeakBytes, c.BytesAllocated)
 	}
 
 	// The field table must name the source-level class and both fields.

@@ -29,6 +29,7 @@ package objinline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -156,13 +157,11 @@ func WriteChromeTrace(w io.Writer, events []PhaseStat) error {
 	return trace.WriteChrome(w, events)
 }
 
-// Program is a compiled Mini-ICC program, ready to run.
+// Program is a compiled Mini-ICC program, ready to run. It holds only
+// compiled state: everything a run measures comes back in its Result, so
+// one Program may run on any number of goroutines at once.
 type Program struct {
 	c *pipeline.Compiled
-
-	// Profiled-run state from the most recent VM Execute with Profile set.
-	lastProfile  *vm.Profile
-	lastCounters vm.Counters
 }
 
 // Compile builds a program from Mini-ICC source text.
@@ -318,9 +317,10 @@ type RunOptions struct {
 	Cache *CacheConfig
 	// Profile attaches a site profiler to the run: allocations, field
 	// traffic, and cache misses are attributed to allocation sites and
-	// Class.field paths, readable afterwards via Program.Profile (and
-	// joinable across runs with PayoffReport). Off by default; the VM's
-	// hot loop pays nothing when disabled.
+	// Class.field paths, returned in Result.Profile (and joinable across
+	// runs with PayoffReport). Off by default; the VM's hot loop pays
+	// nothing when disabled. VM only: with the native engine Execute
+	// returns ErrProfileNeedsVM.
 	Profile bool
 	// Trace, when non-nil, receives this run's phase event instead of the
 	// sink the program was compiled with. Callers that execute one
@@ -330,8 +330,7 @@ type RunOptions struct {
 
 	// Engine selects the execution tier for this run (the zero value is
 	// the VM). The VM-only knobs above (MaxSteps, Cache, Profile, Trace)
-	// apply only when the VM runs; combining Profile with the native
-	// engine is an error rather than a silent no-op.
+	// apply only when the VM runs.
 	Engine Engine
 	// NativeReps, for the native engine, is how many times the program
 	// body executes inside one process for measurement stability
@@ -383,6 +382,25 @@ func metricsFrom(c vm.Counters) Metrics {
 	}
 }
 
+// counters is metricsFrom's inverse over the counters Metrics carries.
+func (m *Metrics) counters() vm.Counters {
+	return vm.Counters{
+		Instructions:     m.Instructions,
+		Cycles:           m.Cycles,
+		Dereferences:     m.Dereferences,
+		DynFieldLookups:  m.DynFieldLookups,
+		Dispatches:       m.Dispatches,
+		StaticCalls:      m.StaticCalls,
+		Calls:            m.Calls,
+		ObjectsAllocated: m.HeapObjects,
+		StackAllocated:   m.StackObjects,
+		ArraysAllocated:  m.Arrays,
+		BytesAllocated:   m.BytesAllocated,
+		CacheHits:        m.CacheHits,
+		CacheMisses:      m.CacheMisses,
+	}
+}
+
 // NativeMetrics is the native engine's measurement record: real wall
 // time and Go allocator deltas stand in for the VM's modeled cycles and
 // allocation counters. All measurement fields cover every repetition of
@@ -390,13 +408,19 @@ func metricsFrom(c vm.Counters) Metrics {
 type NativeMetrics = pipeline.NativeRun
 
 // Result is one execution's outcome on either engine: Engine says which
-// tier ran, Metrics is populated by the VM, Native by the native tier.
+// tier ran, Metrics is populated by the VM, Native by the native tier,
+// and Profile by a VM run with RunOptions.Profile set.
 // JSON-serializable (Engine renders as its name).
 type Result struct {
 	Engine  Engine         `json:"engine"`
 	Metrics *Metrics       `json:"metrics,omitempty"`
 	Native  *NativeMetrics `json:"native,omitempty"`
+	Profile *RunProfile    `json:"profile,omitempty"`
 }
+
+// ErrProfileNeedsVM is returned by Execute when RunOptions.Profile is set
+// for the native engine: site attribution is VM instrumentation.
+var ErrProfileNeedsVM = errors.New("profiling requires the vm engine: site attribution is VM instrumentation")
 
 // Execute runs the program on the selected engine (RunOptions.Engine,
 // the VM by default). On the VM the context is polled every few thousand
@@ -414,7 +438,7 @@ func (p *Program) Execute(ctx context.Context, opts RunOptions) (Result, error) 
 	}
 	if opts.Profile {
 		if opts.Engine == EngineNative {
-			return Result{}, fmt.Errorf("objinline: RunOptions.Profile requires the VM engine (site attribution is VM instrumentation)")
+			return Result{}, ErrProfileNeedsVM
 		}
 		eo.Run.Profile = vm.NewProfile()
 	}
@@ -439,12 +463,8 @@ func (p *Program) Execute(ctx context.Context, opts RunOptions) (Result, error) 
 	if err != nil || res.Engine == EngineNative {
 		return Result{Engine: res.Engine, Native: res.Native}, err
 	}
-	if eo.Run.Profile != nil {
-		p.lastProfile = eo.Run.Profile
-		p.lastCounters = res.Counters
-	}
 	m := metricsFrom(res.Counters)
-	return Result{Engine: EngineVM, Metrics: &m}, nil
+	return Result{Engine: EngineVM, Metrics: &m, Profile: eo.Run.Profile.Summary()}, nil
 }
 
 // SiteProfile is one allocation site's aggregated run attribution.
@@ -454,34 +474,7 @@ type SiteProfile = vm.SiteProfile
 type FieldProfile = vm.FieldProfile
 
 // RunProfile is the site/field attribution of one profiled execution.
-type RunProfile struct {
-	// Sites is the allocation-site table, ordered by source position.
-	Sites []SiteProfile `json:"sites"`
-	// Fields is the per-Class.field traffic table.
-	Fields []FieldProfile `json:"fields"`
-	// DispatchAccesses/DispatchMisses count dynamic dispatches' receiver-
-	// header touches and how many of them missed the cache.
-	DispatchAccesses uint64 `json:"dispatch_accesses"`
-	DispatchMisses   uint64 `json:"dispatch_misses"`
-	// HeapPeakBytes is the run's heap-footprint high-water mark.
-	HeapPeakBytes uint64 `json:"heap_peak_bytes"`
-}
-
-// Profile returns the attribution of the most recent Execute with
-// RunOptions.Profile set, or nil if no profiled run has happened.
-func (p *Program) Profile() *RunProfile {
-	if p.lastProfile == nil {
-		return nil
-	}
-	accesses, misses := p.lastProfile.Dispatch()
-	return &RunProfile{
-		Sites:            p.lastProfile.Sites(),
-		Fields:           p.lastProfile.FieldPaths(),
-		DispatchAccesses: accesses,
-		DispatchMisses:   misses,
-		HeapPeakBytes:    p.lastProfile.HeapPeakBytes(),
-	}
-}
+type RunProfile = vm.RunProfile
 
 // FieldPayoff is one inlined field's measured payoff in a RunReport.
 type FieldPayoff = bench.FieldPayoff
@@ -492,20 +485,21 @@ type FieldPayoff = bench.FieldPayoff
 type RunReport = bench.ProgramPayoff
 
 // PayoffReport joins two profiled runs of the same source — on compiled
-// with Inline, off with Baseline or Direct — into a per-field payoff
-// table: what each inlined field actually saved, attributed through the
-// optimizer's stack-site provenance and the runs' site profiles. Both
-// programs must have executed with RunOptions.Profile set.
-func PayoffReport(on, off *Program) (*RunReport, error) {
+// with Inline, off with Baseline or Direct, each with the Result of its
+// Execute — into a per-field payoff table: what each inlined field
+// actually saved, attributed through the optimizer's stack-site
+// provenance and the runs' site profiles. Both runs must have executed
+// on the VM with RunOptions.Profile set.
+func PayoffReport(on *Program, onRun Result, off *Program, offRun Result) (*RunReport, error) {
 	if on == nil || off == nil {
 		return nil, fmt.Errorf("objinline: PayoffReport needs two programs")
 	}
-	if on.lastProfile == nil || off.lastProfile == nil {
-		return nil, fmt.Errorf("objinline: PayoffReport needs profiled runs (set RunOptions.Profile)")
+	if onRun.Profile == nil || offRun.Profile == nil || onRun.Metrics == nil || offRun.Metrics == nil {
+		return nil, fmt.Errorf("objinline: PayoffReport needs profiled VM runs (set RunOptions.Profile)")
 	}
 	return bench.ComputePayoff(
-		&bench.Measurement{Mode: on.c.Mode, Compiled: on.c, Counters: on.lastCounters, Profile: on.lastProfile},
-		&bench.Measurement{Mode: off.c.Mode, Compiled: off.c, Counters: off.lastCounters, Profile: off.lastProfile},
+		&bench.Measurement{Mode: on.c.Mode, Compiled: on.c, Counters: onRun.Metrics.counters(), Profile: onRun.Profile},
+		&bench.Measurement{Mode: off.c.Mode, Compiled: off.c, Counters: offRun.Metrics.counters(), Profile: offRun.Profile},
 	)
 }
 

@@ -1,13 +1,16 @@
 package objinline_test
 
 // Tests for the runtime-profiling surface: RunOptions.Profile feeding
-// Program.Profile, the Chrome trace export, the caller-owned trace sink,
+// Result.Profile, the Chrome trace export, the caller-owned trace sink,
 // and PayoffReport joining an inline and a baseline run.
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 
 	"objinline"
@@ -22,16 +25,17 @@ func fixtureSource(t *testing.T) string {
 	return string(src)
 }
 
-func runProfiled(t *testing.T, mode objinline.Mode) *objinline.Program {
+func runProfiled(t *testing.T, mode objinline.Mode) (*objinline.Program, objinline.Result) {
 	t.Helper()
 	p, err := objinline.Compile("explain.icc", fixtureSource(t), objinline.Config{Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := vmRun(p, objinline.RunOptions{Profile: true}); err != nil {
+	res, err := p.Execute(context.Background(), objinline.RunOptions{Profile: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return p, res
 }
 
 func TestRunProfile(t *testing.T) {
@@ -39,20 +43,18 @@ func TestRunProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Profile() != nil {
-		t.Fatal("Profile non-nil before any profiled run")
-	}
-	if _, err := vmRun(p, objinline.RunOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if p.Profile() != nil {
-		t.Fatal("unprofiled run produced a profile")
-	}
-	m, err := vmRun(p, objinline.RunOptions{Profile: true})
+	plain, err := p.Execute(context.Background(), objinline.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := p.Profile()
+	if plain.Profile != nil {
+		t.Fatal("unprofiled run produced a profile")
+	}
+	res, err := p.Execute(context.Background(), objinline.RunOptions{Profile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, prof := res.Metrics, res.Profile
 	if prof == nil {
 		t.Fatal("profiled run produced no profile")
 	}
@@ -82,11 +84,47 @@ func TestRunProfile(t *testing.T) {
 	}
 }
 
-func TestPayoffReport(t *testing.T) {
-	on := runProfiled(t, objinline.Inline)
-	off := runProfiled(t, objinline.Baseline)
+// TestConcurrentProfiledRuns runs one Program profiled on several
+// goroutines at once: each run's Result must carry its own profile, equal
+// to a lone run's, with no state shared through the Program (run it under
+// -race).
+func TestConcurrentProfiledRuns(t *testing.T) {
+	p, lone := runProfiled(t, objinline.Inline)
+	want, err := json.Marshal(lone.Profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 4
+	got := make([][]byte, runs)
+	errs := make([]error, runs)
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := p.Execute(context.Background(), objinline.RunOptions{Profile: true})
+			if err == nil {
+				got[i], err = json.Marshal(res.Profile)
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for i := range runs {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(got[i], want) {
+			t.Errorf("run %d profile differs from a lone run's:\n got %s\nwant %s", i, got[i], want)
+		}
+	}
+}
 
-	rep, err := objinline.PayoffReport(on, off)
+func TestPayoffReport(t *testing.T) {
+	on, onRun := runProfiled(t, objinline.Inline)
+	off, offRun := runProfiled(t, objinline.Baseline)
+
+	rep, err := objinline.PayoffReport(on, onRun, off, offRun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,16 +150,16 @@ func TestPayoffReport(t *testing.T) {
 		t.Errorf("misses rows %d != delta %d", got, rep.MissesDelta)
 	}
 
-	// Swapped arguments must be rejected, as must unprofiled programs.
-	if _, err := objinline.PayoffReport(off, on); err == nil {
+	// Swapped arguments must be rejected, as must unprofiled runs.
+	if _, err := objinline.PayoffReport(off, offRun, on, onRun); err == nil {
 		t.Error("PayoffReport accepted a non-inline 'on' program")
 	}
-	plain, err := objinline.Compile("explain.icc", fixtureSource(t), objinline.Config{Mode: objinline.Inline})
+	plainRun, err := on.Execute(context.Background(), objinline.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := objinline.PayoffReport(plain, off); err == nil {
-		t.Error("PayoffReport accepted an unprofiled program")
+	if _, err := objinline.PayoffReport(on, plainRun, off, offRun); err == nil {
+		t.Error("PayoffReport accepted an unprofiled run")
 	}
 }
 
