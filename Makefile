@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet check-json bench bench-analysis bench-calibration bench-cluster payoff figs serve
+.PHONY: check build test race vet check-json bench bench-vm bench-analysis bench-calibration bench-cluster payoff figs serve
 
 check: build vet race check-json
 
@@ -30,6 +30,13 @@ race:
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
+
+# Benchmark the VM and cache simulator: run every suite program's baseline
+# and inline build (compiled outside the timer) with the default cache,
+# reporting ns/op, allocations and modeled cycles five times each, so two
+# revisions can be compared side by side.
+bench-vm:
+	$(GO) test -run '^$$' -bench BenchmarkSuite -benchmem -count 5 .
 
 # Benchmark the analysis phase itself: worklist vs sweep solver on every
 # program at both Tags settings. Compile, edit and service timings come

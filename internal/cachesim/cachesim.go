@@ -24,12 +24,15 @@ var DefaultConfig = Config{SizeBytes: 16 * 1024, LineBytes: 32, Ways: 4}
 type Cache struct {
 	lineShift uint
 	numSets   uint64
-	ways      int
+	// pow2 reports numSets is a power of two (DefaultConfig's is), so the
+	// set index is line&setMask instead of a divide; other geometries take
+	// line%numSets.
+	pow2    bool
+	setMask uint64
+	ways    int
 	// tags[set*ways+way], ordered most-recently-used first within a set;
 	// 0 means empty.
 	tags []uint64
-
-	hits, misses uint64
 }
 
 // New builds a cache for the given configuration.
@@ -50,44 +53,38 @@ func New(cfg Config) *Cache {
 	for 1<<shift < cfg.LineBytes {
 		shift++
 	}
-	return &Cache{lineShift: shift, numSets: uint64(sets), ways: ways, tags: make([]uint64, sets*ways)}
+	c := &Cache{lineShift: shift, numSets: uint64(sets), ways: ways, tags: make([]uint64, sets*ways)}
+	if sets&(sets-1) == 0 {
+		c.pow2, c.setMask = true, uint64(sets-1)
+	}
+	return c
 }
 
 // Access simulates one access to addr and reports whether it hit.
 func (c *Cache) Access(addr uint64) bool {
 	line := addr >> c.lineShift
-	set := int(line % c.numSets)
+	set := line & c.setMask
+	if !c.pow2 {
+		set = line % c.numSets
+	}
 	tag := line + 1 // avoid the zero "empty" encoding
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+w] == tag {
-			// Move to MRU position.
-			copy(c.tags[base+1:base+w+1], c.tags[base:base+w])
-			c.tags[base] = tag
-			c.hits++
+	base := int(set) * c.ways
+	ways := c.tags[base : base+c.ways : base+c.ways]
+	if ways[0] == tag {
+		return true // already most recently used
+	}
+	// Shift each way down one until the hit way (a hit) or the LRU way (a
+	// miss, evicting it) is overwritten, then install tag at MRU.
+	prev := ways[0]
+	for w := 1; w < len(ways); w++ {
+		cur := ways[w]
+		ways[w] = prev
+		if cur == tag {
+			ways[0] = tag
 			return true
 		}
+		prev = cur
 	}
-	// Miss: install at MRU, evicting LRU.
-	copy(c.tags[base+1:base+c.ways], c.tags[base:base+c.ways-1])
-	c.tags[base] = tag
-	c.misses++
+	ways[0] = tag
 	return false
-}
-
-// Hits returns the number of hits so far.
-func (c *Cache) Hits() uint64 { return c.hits }
-
-// Misses returns the number of misses so far.
-func (c *Cache) Misses() uint64 { return c.misses }
-
-// Accesses returns hits + misses.
-func (c *Cache) Accesses() uint64 { return c.hits + c.misses }
-
-// Reset clears contents and counters.
-func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-	}
-	c.hits, c.misses = 0, 0
 }

@@ -23,10 +23,11 @@ type CostModel struct {
 }
 
 // CostDim indexes one dimension of the cost model. The VM counts events
-// per dimension (Counters.CostEvents) as it charges them, which makes
-// total cycles a dot product of the event vector and the model's
-// constants — so a run measured once can be *replayed* under any other
-// cost model without re-executing (see Counters.CyclesUnder).
+// per dimension (Counters.CostEvents) as it charges them, and nothing
+// else for them: total cycles are the dot product of the event vector and
+// the model's constants, computed when the run ends — so a run measured
+// once can also be *replayed* under any other cost model without
+// re-executing (see Counters.CyclesUnder).
 type CostDim int
 
 // Cost-model dimensions, one per CostModel field.
@@ -87,31 +88,34 @@ var DefaultCostModel = CostModel{
 }
 
 // Counters accumulates dynamic execution metrics; these are the raw data
-// behind EXPERIMENTS.md and Figure 17.
+// behind EXPERIMENTS.md and Figure 17. Counters that mirror one cost
+// dimension are not counted separately: the VM derives them, and Cycles,
+// from CostEvents when the run ends (the dimension is named beside each).
 type Counters struct {
-	Instructions uint64
-	Cycles       int64
+	Instructions uint64 // DimBase
+	Cycles       int64  // CyclesUnder the run's cost model
 
 	Dereferences    uint64 // heap loads/stores of object fields & array elems
-	DynFieldLookups uint64 // field accesses resolved by name at run time
-	Dispatches      uint64 // dynamic method calls
-	StaticCalls     uint64
-	Calls           uint64 // all function/method calls
-	Builtins        uint64
+	DynFieldLookups uint64 // field accesses resolved by name at run time; DimDynFieldExtra
+	Dispatches      uint64 // dynamic method calls; DimDispatch
+	StaticCalls     uint64 // DimStaticCall
+	Calls           uint64 // all function/method calls; DimCallFrame
+	Builtins        uint64 // DimBuiltin
 
 	ObjectsAllocated uint64 // heap objects
-	StackAllocated   uint64 // elided temporaries (cheap stack/arena allocation)
+	StackAllocated   uint64 // elided temporaries (cheap stack/arena allocation); DimStackAlloc
 	ArraysAllocated  uint64
 	SlotsAllocated   uint64
 	BytesAllocated   uint64
 
-	CacheHits   uint64
-	CacheMisses uint64
+	CacheHits   uint64 // DimCacheHit with a cache; 0 without one
+	CacheMisses uint64 // DimCacheMiss
 
 	// CostEvents counts, per cost-model dimension, how many times that
 	// dimension was charged (for DimAllocPerSlot, the number of slots).
-	// Cycles is always the dot product of this vector and the run's cost
-	// model, which is what CyclesUnder exploits.
+	// Without a cache every access is charged to DimCacheHit. Cycles is
+	// always the dot product of this vector and the run's cost model,
+	// which is what CyclesUnder exploits.
 	CostEvents [NumCostDims]uint64
 }
 

@@ -2,3 +2,9 @@ package vm
 
 // MaxCallDepth exposes the call-depth bound to the external tests.
 const MaxCallDepth = maxCallDepth
+
+// Chunk sizes of the object allocator, for the allocation gate.
+const (
+	ChunkObjects = chunkObjects
+	ChunkValues  = chunkValues
+)

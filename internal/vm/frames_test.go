@@ -1,12 +1,14 @@
 package vm_test
 
 // Tests for the interpreter's own data layout: the size of a Value, the
-// register stack that makes a call allocate nothing, and the call-depth
-// bound that turns runaway recursion into a runtime error.
+// register stack that makes a call allocate nothing, the chunks objects
+// are carved from, and the call-depth bound that turns runaway recursion
+// into a runtime error.
 
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -90,6 +92,75 @@ func TestStringConstantsAllocateNothing(t *testing.T) {
 	}
 	if few, many := allocs(10), allocs(10_000); few != many {
 		t.Errorf("10 iterations allocate %v times, 10,000 iterations %v times", few, many)
+	}
+}
+
+// TestObjectsAllocateByChunk runs a loop that allocates K one-slot heap
+// objects and K stacked ones, with K chosen so the 2K objects fill whole
+// chunks, and gates the Go allocations it makes against the same loop run
+// zero times: at most one per chunk, and bytes within 2% of the 2K
+// Objects' and slots' own size. A chunk that spills into a larger size
+// class (256 Values with Go 1.24's malloc header take the 9,472-byte
+// class) breaks the byte bound.
+func TestObjectsAllocateByChunk(t *testing.T) {
+	// 2K = 10,710 objects fill 170 Object chunks and 42 Value chunks.
+	const k = vm.ChunkObjects * vm.ChunkValues / 3
+	build := func(n int) *ir.Program {
+		p := compile(t, fmt.Sprintf(`class C { x; }
+func main() { var i = 0; while (i < %d) { var a = new C(); var b = new C(); i = i + 1; } }`, n))
+		var news []*ir.Instr
+		for _, b := range p.Main.Blocks {
+			for _, in := range b.Instrs {
+				if in.Op == ir.OpNewObject {
+					news = append(news, in)
+				}
+			}
+		}
+		if len(news) != 2 {
+			t.Fatalf("main has %d allocations, want 2:\n%s", len(news), p.String())
+		}
+		news[1].Aux = 1 // stacked, as the inliner marks an elided temporary
+		return p
+	}
+	run := func(p *ir.Program) {
+		if _, err := vm.New(p, vm.Options{}).Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// bytes returns the bytes one run of p allocates, averaged over runs.
+	bytes := func(p *ir.Program) float64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		run(p)
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run(p)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	none, many := build(0), build(k)
+	c, err := vm.New(many, vm.Options{}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.ObjectsAllocated != k || c.StackAllocated != k {
+		t.Fatalf("%d heap and %d stacked objects, want %d of each", c.ObjectsAllocated, c.StackAllocated, k)
+	}
+
+	// The first collection of a process starts the GC's worker goroutines,
+	// which the allocation count would otherwise include.
+	runtime.GC()
+	const objects = 2 * k
+	chunks := float64(objects/vm.ChunkObjects + objects/vm.ChunkValues)
+	allocs := testing.AllocsPerRun(5, func() { run(many) }) - testing.AllocsPerRun(5, func() { run(none) })
+	if allocs > chunks {
+		t.Errorf("%d objects make %v Go allocations, want at most %v (one per chunk)", objects, allocs, chunks)
+	}
+	own := float64(objects * (unsafe.Sizeof(vm.Object{}) + unsafe.Sizeof(vm.Value{})))
+	if got := bytes(many) - bytes(none); got > 1.02*own {
+		t.Errorf("%d objects allocate %.0f bytes, want within 2%% of their own %.0f", objects, got, own)
 	}
 }
 

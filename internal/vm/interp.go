@@ -36,17 +36,28 @@ type Machine struct {
 	prog    *ir.Program
 	out     io.Writer
 	cost    CostModel
-	costVec [NumCostDims]int64
 	cache   *cachesim.Cache
 	maxStep uint64
 
-	globals  []Value
-	counts   Counters
+	globals []Value
+	// counts holds the run's counters. The step loop charges only
+	// CostEvents and the counters no dimension mirrors; counters() derives
+	// Cycles and the rest when the run ends.
+	counts Counters
+	// nextPoll is the instruction count at which the step loop next calls
+	// poll: the next multiple of cancelCheckMask+1, or the first count past
+	// the step limit if that comes sooner.
+	nextPoll uint64
 	stack    []Value // register stack: each activation claims a window
 	sp       int     // first free slot of stack
 	depth    int     // active activations
 	nextAdr  uint64
 	stackAdr uint64
+
+	// objChunk and slotChunk are the unused tails of the current chunks
+	// allocObject carves Objects and their slots from.
+	objChunk  []Object
+	slotChunk []Value
 
 	tr   *trace.Sink
 	prof *Profile
@@ -71,6 +82,16 @@ const maxCallDepth = 10_000
 // polling overhead and how far past a deadline a runaway program can run
 // (a few thousand interpreted instructions — microseconds).
 const cancelCheckMask = 0x3FF
+
+// Chunk sizes for allocObject. Go 1.24 prefixes every pointer-holding
+// allocation over 512 bytes with an 8-byte malloc header, so each chunk is
+// sized to fill its size class with that header included: 255 Values are
+// 8,160 bytes (size class 8,192) and 63 48-byte Objects are 3,024 bytes
+// (size class 3,072). 256 Values would land in the 9,472-byte class.
+const (
+	chunkValues  = 255
+	chunkObjects = 63
+)
 
 // New prepares a machine for prog.
 func New(prog *ir.Program, opts Options) *Machine {
@@ -98,12 +119,32 @@ func New(prog *ir.Program, opts Options) *Machine {
 	if m.maxStep == 0 {
 		m.maxStep = DefaultMaxSteps
 	}
-	m.costVec = m.cost.Vec()
 	return m
 }
 
-// Counters returns the metrics accumulated so far.
-func (m *Machine) Counters() Counters { return m.counts }
+// counters finalizes the run's counters and returns them. The step loop
+// counts each event once, on its cost dimension; the counters that mirror
+// one dimension and Cycles, the dot product of CostEvents and the run's
+// cost model, are derived here.
+func (m *Machine) counters() Counters {
+	c := &m.counts
+	e := &c.CostEvents
+	c.Instructions = e[DimBase]
+	c.Calls = e[DimCallFrame]
+	c.StaticCalls = e[DimStaticCall]
+	c.Dispatches = e[DimDispatch]
+	c.Builtins = e[DimBuiltin]
+	c.StackAllocated = e[DimStackAlloc]
+	c.DynFieldLookups = e[DimDynFieldExtra]
+	c.CacheMisses = e[DimCacheMiss]
+	if m.cache != nil {
+		// Without a cache every access is charged as a hit, but none is
+		// simulated, so CacheHits stays 0.
+		c.CacheHits = e[DimCacheHit]
+	}
+	c.Cycles = c.CyclesUnder(&m.cost)
+	return *c
+}
 
 // RuntimeError is a Mini-ICC runtime failure with a source position.
 type RuntimeError struct {
@@ -145,62 +186,82 @@ func (m *Machine) RunContext(ctx context.Context) (c Counters, err error) {
 	m.done = ctx.Done()
 	sp := m.tr.Start(trace.PhaseRun)
 	defer func() {
-		sp.Counter("instructions", int64(m.counts.Instructions))
-		sp.Counter("cycles", m.counts.Cycles)
-		sp.Counter("cache-misses", int64(m.counts.CacheMisses))
+		// Every return, failure and cancellation included, hands back the
+		// finalized counters.
+		c = m.counters()
+		sp.Counter("instructions", int64(c.Instructions))
+		sp.Counter("cycles", c.Cycles)
+		sp.Counter("cache-misses", int64(c.CacheMisses))
 		sp.End()
 		m.prof.finish(m.nextAdr - binBytes)
 	}()
 	defer func() {
 		if r := recover(); r != nil {
-			if vp, ok := r.(vmPanic); ok {
-				err = vp.err
-				c = m.counts
-				return
+			switch p := r.(type) {
+			case vmPanic:
+				err = p.err
+			case cancelPanic:
+				err = p.err
+			default:
+				panic(r)
 			}
-			if cp, ok := r.(cancelPanic); ok {
-				err = cp.err
-				c = m.counts
-				return
-			}
-			panic(r)
 		}
 	}()
 	if m.prog.Main == nil {
-		return m.counts, errors.New("vm: program has no main")
+		return c, errors.New("vm: program has no main")
 	}
 	// The step loop only polls every cancelCheckMask+1 instructions, so a
 	// context that is already dead would let a short program run to
 	// completion; check once up front.
 	if err := ctx.Err(); err != nil {
-		return m.counts, fmt.Errorf("vm: execution canceled: %w", err)
+		return c, fmt.Errorf("vm: execution canceled: %w", err)
 	}
+	m.setNextPoll()
 	if init := m.prog.FuncNamed(lower.InitFuncName); init != nil {
 		m.exec(init, nil, nil)
 	}
 	m.exec(m.prog.Main, nil, nil)
-	return m.counts, nil
+	return c, nil
 }
 
-// charge records n events on cost dimension d and adds their cycles.
-func (m *Machine) charge(d CostDim, n int64) {
-	m.counts.CostEvents[d] += uint64(n)
-	m.counts.Cycles += n * m.costVec[d]
+// poll runs when the instruction count reaches nextPoll. It fails the
+// run at the first instruction past the step limit and selects on the
+// context's Done channel every cancelCheckMask+1 instructions.
+func (m *Machine) poll(in *ir.Instr) {
+	n := m.counts.CostEvents[DimBase]
+	if n > m.maxStep {
+		m.fail(in.Pos, "step limit exceeded (%d)", m.maxStep)
+	}
+	if m.done != nil && n&cancelCheckMask == 0 {
+		select {
+		case <-m.done:
+			panic(cancelPanic{fmt.Errorf("vm: execution canceled at %s: %w", in.Pos, m.ctx.Err())})
+		default:
+		}
+	}
+	m.setNextPoll()
+}
+
+// setNextPoll sets nextPoll from the current instruction count.
+func (m *Machine) setNextPoll() {
+	m.nextPoll = (m.counts.CostEvents[DimBase] | cancelCheckMask) + 1
+	if m.maxStep < m.nextPoll {
+		m.nextPoll = m.maxStep + 1
+	}
+}
+
+// charge records n events on cost dimension d.
+func (m *Machine) charge(d CostDim, n uint64) {
+	m.counts.CostEvents[d] += n
 }
 
 // mem simulates one memory access at addr, charges its cost, and reports
 // whether the access missed (for the profiler's attribution).
 func (m *Machine) mem(addr uint64) bool {
-	if m.cache == nil {
+	if m.cache == nil || m.cache.Access(addr) {
 		m.charge(DimCacheHit, 1)
 		return false
 	}
-	if m.cache.Access(addr) {
-		m.counts.CacheHits++
-		m.charge(DimCacheHit, 1)
-		return false
-	}
-	m.counts.CacheMisses++
 	m.charge(DimCacheMiss, 1)
 	return true
 }
@@ -224,6 +285,7 @@ func (m *Machine) slotByName(c *ir.Class, name string) (int, bool) {
 // charged only a cheap stack/arena cost (DESIGN.md §2).
 func (m *Machine) allocObject(in *ir.Instr, c *ir.Class, stacked bool) *Object {
 	n := c.NumSlots()
+	o := m.newObject(c, n)
 	if stacked {
 		// Elided temporaries live on a hot stack page: their addresses
 		// cycle within a small window instead of consuming heap address
@@ -232,22 +294,43 @@ func (m *Machine) allocObject(in *ir.Instr, c *ir.Class, stacked bool) *Object {
 		if m.stackAdr+size > stackBase+stackWindow {
 			m.stackAdr = stackBase
 		}
-		o := &Object{Class: c, Slots: make([]Value, n), Addr: m.stackAdr}
+		o.Addr = m.stackAdr
 		m.stackAdr += size
-		m.counts.StackAllocated++
 		m.charge(DimStackAlloc, 1)
 		m.prof.noteObjAlloc(in, o, true, 0)
 		return o
 	}
-	o := &Object{Class: c, Slots: make([]Value, n), Addr: m.nextAdr}
+	o.Addr = m.nextAdr
 	size := padAlloc(uint64(headerBytes + n*slotBytes))
 	m.nextAdr += size
 	m.counts.ObjectsAllocated++
 	m.counts.SlotsAllocated += uint64(n)
 	m.counts.BytesAllocated += size
 	m.charge(DimAllocBase, 1)
-	m.charge(DimAllocPerSlot, int64(n))
+	m.charge(DimAllocPerSlot, uint64(n))
 	m.prof.noteObjAlloc(in, o, false, size)
+	return o
+}
+
+// newObject carves an Object of class c and its n nil slots from the
+// machine's chunks, starting a new chunk when the current one is used up.
+// An object with more slots than a chunk holds gets its own slice.
+func (m *Machine) newObject(c *ir.Class, n int) *Object {
+	if len(m.objChunk) == 0 {
+		m.objChunk = make([]Object, chunkObjects)
+	}
+	o := &m.objChunk[0]
+	m.objChunk = m.objChunk[1:]
+	o.Class = c
+	if n > chunkValues {
+		o.Slots = make([]Value, n)
+		return o
+	}
+	if n > len(m.slotChunk) {
+		m.slotChunk = make([]Value, chunkValues)
+	}
+	o.Slots = m.slotChunk[:n:n]
+	m.slotChunk = m.slotChunk[n:]
 	return o
 }
 
@@ -271,7 +354,7 @@ func (m *Machine) allocArray(in *ir.Instr, length, stride int, parallel bool, el
 	m.counts.SlotsAllocated += uint64(slots)
 	m.counts.BytesAllocated += size
 	m.charge(DimAllocBase, 1)
-	m.charge(DimAllocPerSlot, int64(slots))
+	m.charge(DimAllocPerSlot, uint64(slots))
 	m.prof.noteArrAlloc(in, a, slots, size)
 	return a
 }
@@ -284,7 +367,6 @@ func (m *Machine) exec(fn *ir.Func, call *ir.Instr, caller []Value) Value {
 	if m.depth == maxCallDepth {
 		m.fail(call.Pos, "call depth exceeded (%d) in %s", maxCallDepth, fn.FullName())
 	}
-	m.counts.Calls++
 	m.charge(DimCallFrame, 1)
 	base, top := m.sp, m.sp+fn.NumRegs
 	if top > len(m.stack) {
@@ -310,18 +392,10 @@ func (m *Machine) exec(fn *ir.Func, call *ir.Instr, caller []Value) Value {
 		}
 		in := blk.Instrs[ip]
 		ip++
-		m.counts.Instructions++
-		if m.counts.Instructions > m.maxStep {
-			m.fail(in.Pos, "step limit exceeded (%d)", m.maxStep)
+		m.counts.CostEvents[DimBase]++
+		if m.counts.CostEvents[DimBase] >= m.nextPoll {
+			m.poll(in)
 		}
-		if m.done != nil && m.counts.Instructions&cancelCheckMask == 0 {
-			select {
-			case <-m.done:
-				panic(cancelPanic{fmt.Errorf("vm: execution canceled at %s: %w", in.Pos, m.ctx.Err())})
-			default:
-			}
-		}
-		m.charge(DimBase, 1)
 
 		switch in.Op {
 		case ir.OpConstInt:
@@ -337,7 +411,7 @@ func (m *Machine) exec(fn *ir.Func, call *ir.Instr, caller []Value) Value {
 		case ir.OpMove:
 			regs[in.Dst] = regs[in.Args[0]]
 		case ir.OpBin:
-			regs[in.Dst] = m.binop(in, regs[in.Args[0]], regs[in.Args[1]])
+			regs[in.Dst] = m.binop(in, &regs[in.Args[0]], &regs[in.Args[1]])
 		case ir.OpUn:
 			regs[in.Dst] = m.unop(in, regs[in.Args[0]])
 		case ir.OpNewObject:
@@ -366,7 +440,6 @@ func (m *Machine) exec(fn *ir.Func, call *ir.Instr, caller []Value) Value {
 		case ir.OpArrInterior:
 			regs[in.Dst] = m.arrInterior(in, regs[in.Args[0]], regs[in.Args[1]])
 		case ir.OpCall, ir.OpCallStatic:
-			m.counts.StaticCalls++
 			m.charge(DimStaticCall, 1)
 			regs[in.Dst] = m.exec(in.Callee, in, regs)
 		case ir.OpCallMethod:
@@ -382,7 +455,6 @@ func (m *Machine) exec(fn *ir.Func, call *ir.Instr, caller []Value) Value {
 			if target.NumParams != len(in.Args)-1 {
 				m.fail(in.Pos, "%s takes %d arguments, got %d", target.FullName(), target.NumParams, len(in.Args)-1)
 			}
-			m.counts.Dispatches++
 			m.charge(DimDispatch, 1)
 			// Touch the object header (the class pointer read the lookup
 			// needs).
@@ -500,7 +572,6 @@ func (m *Machine) resolveSlot(in *ir.Instr, c *ir.Class) int {
 		}
 		// Bound to a different class version: fall back to by-name lookup.
 	}
-	m.counts.DynFieldLookups++
 	m.charge(DimDynFieldExtra, 1)
 	if s, ok := m.slotByName(c, f.Name); ok {
 		return s
@@ -562,14 +633,17 @@ func (m *Machine) arrInterior(in *ir.Instr, av, iv Value) Value {
 	return InteriorValue(a, i*a.Stride)
 }
 
-func (m *Machine) binop(in *ir.Instr, x, y Value) Value {
+// binop evaluates in's binary operator on *x and *y. The operands are
+// passed by pointer into the register window: the result is computed
+// before the caller stores it, so Dst may alias either one.
+func (m *Machine) binop(in *ir.Instr, x, y *Value) Value {
 	op := ir.BinOp(in.Aux)
 	m.charge(DimArith, 1)
 	switch op {
 	case ir.BinEq:
-		return BoolValue(Identical(x, y))
+		return BoolValue(Identical(*x, *y))
 	case ir.BinNe:
-		return BoolValue(!Identical(x, y))
+		return BoolValue(!Identical(*x, *y))
 	}
 	if x.kind == KStr && y.kind == KStr {
 		switch op {
@@ -586,7 +660,7 @@ func (m *Machine) binop(in *ir.Instr, x, y Value) Value {
 		}
 		m.fail(in.Pos, "operator %s not defined on strings", op)
 	}
-	if !isNum(x) || !isNum(y) {
+	if !isNum(*x) || !isNum(*y) {
 		m.fail(in.Pos, "operator %s on %s and %s", op, x.kind, y.kind)
 	}
 	if x.kind == KInt && y.kind == KInt {
@@ -618,7 +692,7 @@ func (m *Machine) binop(in *ir.Instr, x, y Value) Value {
 			return BoolValue(a >= b)
 		}
 	}
-	a, b := toF(x), toF(y)
+	a, b := toF(*x), toF(*y)
 	switch op {
 	case ir.BinAdd:
 		return FloatValue(a + b)
@@ -662,24 +736,22 @@ func (m *Machine) unop(in *ir.Instr, x Value) Value {
 }
 
 func (m *Machine) builtin(in *ir.Instr, regs []Value) Value {
-	m.counts.Builtins++
 	m.charge(DimBuiltin, 1)
 	b := ir.Builtin(in.Aux)
-	arg := func(i int) Value { return regs[in.Args[i]] }
 	switch b {
 	case ir.BPrint:
 		parts := make([]string, len(in.Args))
 		for i := range in.Args {
-			parts[i] = arg(i).String()
+			parts[i] = regs[in.Args[i]].String()
 		}
 		fmt.Fprintln(m.out, strings.Join(parts, " "))
 		return NilValue()
 	case ir.BSqrt:
-		return FloatValue(math.Sqrt(m.wantNum(in, arg(0))))
+		return FloatValue(math.Sqrt(m.wantNum(in, regs[in.Args[0]])))
 	case ir.BFloor:
-		return FloatValue(math.Floor(m.wantNum(in, arg(0))))
+		return FloatValue(math.Floor(m.wantNum(in, regs[in.Args[0]])))
 	case ir.BAbs:
-		v := arg(0)
+		v := regs[in.Args[0]]
 		switch v.kind {
 		case KInt:
 			if v.Int() < 0 {
@@ -691,7 +763,7 @@ func (m *Machine) builtin(in *ir.Instr, regs []Value) Value {
 		}
 		m.fail(in.Pos, "abs of %s value", v.kind)
 	case ir.BMin, ir.BMax:
-		x, y := arg(0), arg(1)
+		x, y := regs[in.Args[0]], regs[in.Args[1]]
 		if x.kind == KInt && y.kind == KInt {
 			if (b == ir.BMin) == (x.Int() < y.Int()) {
 				return x
@@ -704,7 +776,7 @@ func (m *Machine) builtin(in *ir.Instr, regs []Value) Value {
 		}
 		return FloatValue(c)
 	case ir.BLen:
-		v := arg(0)
+		v := regs[in.Args[0]]
 		switch v.kind {
 		case KArr:
 			return IntValue(int64(v.Arr().Length))
@@ -713,7 +785,7 @@ func (m *Machine) builtin(in *ir.Instr, regs []Value) Value {
 		}
 		m.fail(in.Pos, "len of %s value", v.kind)
 	case ir.BIntOf:
-		v := arg(0)
+		v := regs[in.Args[0]]
 		switch v.kind {
 		case KInt:
 			return v
@@ -722,17 +794,17 @@ func (m *Machine) builtin(in *ir.Instr, regs []Value) Value {
 		}
 		m.fail(in.Pos, "intof of %s value", v.kind)
 	case ir.BFloatOf:
-		return FloatValue(m.wantNum(in, arg(0)))
+		return FloatValue(m.wantNum(in, regs[in.Args[0]]))
 	case ir.BAssert:
-		if !arg(0).Truthy() {
+		if !regs[in.Args[0]].Truthy() {
 			m.fail(in.Pos, "assertion failed")
 		}
 		return NilValue()
 	case ir.BStrCat:
-		x, y := arg(0), arg(1)
+		x, y := regs[in.Args[0]], regs[in.Args[1]]
 		return StrValue(x.String() + y.String())
 	case ir.BXor:
-		x, y := arg(0), arg(1)
+		x, y := regs[in.Args[0]], regs[in.Args[1]]
 		if x.kind != KInt || y.kind != KInt {
 			m.fail(in.Pos, "bxor needs ints, got %s and %s", x.kind, y.kind)
 		}
