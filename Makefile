@@ -1,19 +1,28 @@
 # Tier-1 gate: `make check` is what every PR must keep green (build,
-# vet, and the full test suite under the race detector — the engine's
-# worker pool makes concurrency a correctness feature, so -race is not
-# optional).
+# vet, gofmt, and the full test suite under the race detector — the
+# engine's worker pool makes concurrency a correctness feature, so -race
+# is not optional).
 
 GO ?= go
 
-.PHONY: check build test race vet check-json bench bench-vm bench-analysis bench-calibration bench-cluster payoff figs serve
+.PHONY: check build test race vet fmt loc check-json bench bench-vm bench-analysis bench-calibration bench-cluster payoff figs serve
 
-check: build vet race check-json
+check: build vet fmt race check-json
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Fails, naming the files, when gofmt would change any tracked Go file.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
+
+# Non-test Go lines over tracked files (ROADMAP's line budget).
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | xargs cat | wc -l
 
 # Golden JSON schema check: the serialized shapes of Explain decisions,
 # CompileStats, and the structured rejection reasons are public contract

@@ -202,7 +202,12 @@ type analyzer struct {
 	dirtyNext   []bool // by contour ID: scheduled for the next round
 	pendingNext int
 	converged   bool
-	work        WorkStats
+
+	// Per-evaluation state, reset by each pass.
+	cur      *MethodContour // contour being evaluated (dep registration)
+	curInstr int            // flattened position of the instruction being evaluated
+	pollN    int            // contour evals until the next context poll
+	work     WorkStats      // summed over all passes
 }
 
 type edgeKey struct {
@@ -286,15 +291,16 @@ func (a *analyzer) resetPass() {
 	a.dirtyCur, a.dirtyNext = nil, nil
 	a.pendingNext = 0
 	a.converged = true
+	a.cur, a.curInstr, a.pollN = nil, -1, 1
 }
 
 // seed creates the root contours every pass starts from.
-func (a *analyzer) seed(w *worker) {
+func (a *analyzer) seed() {
 	if init := a.prog.FuncNamed(lower.InitFuncName); init != nil {
-		w.getMC(init, "")
+		a.getMC(init, "")
 	}
 	if a.prog.Main != nil {
-		w.getMC(a.prog.Main, "")
+		a.getMC(a.prog.Main, "")
 	}
 }
 
@@ -303,14 +309,12 @@ func (a *analyzer) seed(w *worker) {
 // canonically (canon.go).
 func (a *analyzer) runPass() {
 	a.resetPass()
-	w := newWorker(a)
-	a.seed(w)
+	a.seed()
 	if a.sweep {
-		a.runSweep(w)
+		a.runSweep()
 	} else {
-		a.runWorklist(w)
+		a.runWorklist()
 	}
-	a.work.add(w.work)
 	if a.ctxErr == nil {
 		a.canonicalize()
 	}
@@ -318,8 +322,7 @@ func (a *analyzer) runPass() {
 
 // getMC returns (creating if needed) the contour of fn for the given
 // context key.
-func (w *worker) getMC(fn *ir.Func, key string) *MethodContour {
-	a := w.a
+func (a *analyzer) getMC(fn *ir.Func, key string) *MethodContour {
 	if len(a.mcList) >= a.opts.MaxContours {
 		a.overflow = true
 		key = "" // stop splitting; merge into the base contour
@@ -343,9 +346,9 @@ func (w *worker) getMC(fn *ir.Func, key string) *MethodContour {
 		}
 		a.dirtyCur = append(a.dirtyCur, true)
 		a.dirtyNext = append(a.dirtyNext, false)
-		w.work.Enqueues++
+		a.work.Enqueues++
 		if len(a.mcList) == a.opts.MaxContours {
-			w.redirtyCallSites()
+			a.redirtyCallSites()
 		}
 	}
 	return mc
@@ -362,8 +365,8 @@ func (w *worker) getMC(fn *ir.Func, key string) *MethodContour {
 // replays exactly those visits (ahead-of-cursor sites this round, the
 // rest next round, per enqueue's routing), keeping the two solvers
 // bit-identical through the overflow transition.
-func (w *worker) redirtyCallSites() {
-	for _, mc := range w.a.mcList {
+func (a *analyzer) redirtyCallSites() {
+	for _, mc := range a.mcList {
 		sched := false
 		pos := 0
 		for _, b := range mc.Fn.Blocks {
@@ -374,7 +377,7 @@ func (w *worker) redirtyCallSites() {
 					// A site ahead of the in-progress scan of the contour
 					// currently evaluating is reached by this very visit;
 					// any other site needs its contour (re-)scheduled.
-					if mc != w.cur || pos <= w.curInstr {
+					if mc != a.cur || pos <= a.curInstr {
 						sched = true
 					}
 				}
@@ -382,13 +385,12 @@ func (w *worker) redirtyCallSites() {
 			}
 		}
 		if sched {
-			w.enqueue(mc)
+			a.enqueue(mc)
 		}
 	}
 }
 
-func (w *worker) getOC(fn *ir.Func, in *ir.Instr, mc *MethodContour) *ObjContour {
-	a := w.a
+func (a *analyzer) getOC(fn *ir.Func, in *ir.Instr, mc *MethodContour) *ObjContour {
 	creator := -1
 	key := ""
 	if a.classSplit[in.Class] {
@@ -411,8 +413,7 @@ func (w *worker) getOC(fn *ir.Func, in *ir.Instr, mc *MethodContour) *ObjContour
 	return oc
 }
 
-func (w *worker) getAC(fn *ir.Func, in *ir.Instr, mc *MethodContour) *ArrContour {
-	a := w.a
+func (a *analyzer) getAC(fn *ir.Func, in *ir.Instr, mc *MethodContour) *ArrContour {
 	creator := -1
 	key := ""
 	if a.arrSplit[siteUID(fn, in)] {
@@ -439,7 +440,7 @@ func (w *worker) getAC(fn *ir.Func, in *ir.Instr, mc *MethodContour) *ArrContour
 // Keys are memoized per call site on the caller contour: they are
 // recomputed on every re-evaluation of a call instruction, the inputs
 // (the caller's own key and the site) are immutable within a pass.
-func (w *worker) siteKey(caller *MethodContour, in *ir.Instr) string {
+func (a *analyzer) siteKey(caller *MethodContour, in *ir.Instr) string {
 	if k, ok := caller.siteKeyMemo[in.ID]; ok {
 		return k
 	}
@@ -473,14 +474,14 @@ func computeSiteKey(fnID int, callerKey string, instrID int) string {
 // in a data slot gets the matching partial re-merge, and a clean
 // instruction is skipped. Skipped work has unchanged inputs, so skipping
 // it is a no-op (see solver.go).
-func (w *worker) evalContour(mc *MethodContour) {
-	w.cur = mc
-	w.work.ContourEvals++
+func (a *analyzer) evalContour(mc *MethodContour) {
+	a.cur = mc
+	a.work.ContourEvals++
 	fn := mc.Fn
 	if mc.dirty == nil {
 		for _, b := range fn.Blocks {
 			for _, in := range b.Instrs {
-				w.evalInstr(mc, fn, in)
+				a.evalInstr(mc, fn, in)
 			}
 		}
 	} else {
@@ -492,28 +493,28 @@ func (w *worker) evalContour(mc *MethodContour) {
 					mc.dirty[base] = false
 					mc.dirty[base+slotArgs] = false
 					mc.dirty[base+slotRet] = false
-					w.curInstr = pos
-					w.evalInstr(mc, fn, in)
+					a.curInstr = pos
+					a.evalInstr(mc, fn, in)
 				} else {
 					// Partial order mirrors the full evaluation: argument
 					// merges precede the return merge.
 					if mc.dirty[base+slotArgs] {
 						mc.dirty[base+slotArgs] = false
-						w.curInstr = pos
-						w.evalArgs(mc, in)
+						a.curInstr = pos
+						a.evalArgs(mc, in)
 					}
 					if mc.dirty[base+slotRet] {
 						mc.dirty[base+slotRet] = false
-						w.curInstr = pos
-						w.evalRet(mc, in)
+						a.curInstr = pos
+						a.evalRet(mc, in)
 					}
 				}
 				pos++
 			}
 		}
-		w.curInstr = -1
+		a.curInstr = -1
 	}
-	w.cur = nil
+	a.cur = nil
 }
 
 // evalArgs is the slotArgs partial evaluation: one of the instruction's
@@ -525,8 +526,8 @@ func (w *worker) evalContour(mc *MethodContour) {
 // on why order matters) — reproduces the full evaluation's effect on
 // those cells. Only instructions that register slotArgs readers get
 // here.
-func (w *worker) evalArgs(mc *MethodContour, in *ir.Instr) {
-	w.work.PartialEvals++
+func (a *analyzer) evalArgs(mc *MethodContour, in *ir.Instr) {
+	a.work.PartialEvals++
 	switch in.Op {
 	case ir.OpGetField:
 		base := mc.Reg(in.Args[0]) // registered slotFull by the full eval
@@ -536,15 +537,15 @@ func (w *worker) evalArgs(mc *MethodContour, in *ir.Instr) {
 			if fs == nil {
 				continue
 			}
-			w.useArg(fs)
-			w.unionTS(dst, fs)
+			a.useArg(fs)
+			a.unionTS(dst, fs)
 		}
 	case ir.OpArrGet:
 		base := mc.Reg(in.Args[0])
 		dst := mc.Reg(in.Dst)
 		for _, ac := range base.TS.ArrList() {
-			w.useArg(&ac.Elem)
-			w.unionTS(dst, &ac.Elem)
+			a.useArg(&ac.Elem)
+			a.unionTS(dst, &ac.Elem)
 		}
 	case ir.OpCall, ir.OpCallStatic, ir.OpCallMethod:
 		// The self argument (when present) derives from the receiver — a
@@ -554,10 +555,10 @@ func (w *worker) evalArgs(mc *MethodContour, in *ir.Instr) {
 			start = 1
 		}
 		for _, cmc := range mc.calleeOrder[in.ID] {
-			e := w.edge(mc, in, cmc)
+			e := a.edge(mc, in, cmc)
 			for i := start; i < len(in.Args); i++ {
-				src := w.useArg(mc.Reg(in.Args[i]))
-				w.merge(cmc.Reg(cmc.Fn.ParamReg(i-start)), src)
+				src := a.useArg(mc.Reg(in.Args[i]))
+				a.merge(cmc.Reg(cmc.Fn.ParamReg(i-start)), src)
 				e.Args[i].Merge(src)
 			}
 		}
@@ -570,64 +571,63 @@ func (w *worker) evalArgs(mc *MethodContour, in *ir.Instr) {
 // callees — and the order a full re-run would merge their returns in —
 // are exactly those calleeOrder recorded at the site's last full
 // evaluation.
-func (w *worker) evalRet(mc *MethodContour, in *ir.Instr) {
-	w.work.PartialEvals++
+func (a *analyzer) evalRet(mc *MethodContour, in *ir.Instr) {
+	a.work.PartialEvals++
 	if in.Dst == ir.NoReg {
 		return
 	}
 	dst := mc.Reg(in.Dst)
 	for _, cmc := range mc.calleeOrder[in.ID] {
-		w.merge(dst, w.useRet(&cmc.Ret))
+		a.merge(dst, a.useRet(&cmc.Ret))
 	}
 }
 
-func (w *worker) evalInstr(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
-	a := w.a
-	w.work.InstrEvals++
+func (a *analyzer) evalInstr(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
+	a.work.InstrEvals++
 	reg := func(r ir.Reg) *VarState { return mc.Reg(r) }
 	// use marks a register as an input of this instruction's evaluation
 	// before reading it (dependency registration; see solver.go).
-	use := func(r ir.Reg) *VarState { return w.use(mc.Reg(r)) }
+	use := func(r ir.Reg) *VarState { return a.use(mc.Reg(r)) }
 	switch in.Op {
 	case ir.OpConstInt:
-		w.addPrim(reg(in.Dst), PInt)
+		a.addPrim(reg(in.Dst), PInt)
 	case ir.OpConstFloat:
-		w.addPrim(reg(in.Dst), PFloat)
+		a.addPrim(reg(in.Dst), PFloat)
 	case ir.OpConstStr:
-		w.addPrim(reg(in.Dst), PStr)
+		a.addPrim(reg(in.Dst), PStr)
 	case ir.OpConstBool:
-		w.addPrim(reg(in.Dst), PBool)
+		a.addPrim(reg(in.Dst), PBool)
 	case ir.OpConstNil:
-		w.addPrim(reg(in.Dst), PNil)
+		a.addPrim(reg(in.Dst), PNil)
 	case ir.OpMove:
-		w.merge(reg(in.Dst), use(in.Args[0]))
+		a.merge(reg(in.Dst), use(in.Args[0]))
 	case ir.OpBin:
-		w.evalBin(mc, in)
+		a.evalBin(mc, in)
 	case ir.OpUn:
 		x := use(in.Args[0])
 		if ir.UnOp(in.Aux) == ir.UnNot {
-			w.addPrim(reg(in.Dst), PBool)
+			a.addPrim(reg(in.Dst), PBool)
 		} else {
-			w.addPrim(reg(in.Dst), x.TS.Prims&(PInt|PFloat))
+			a.addPrim(reg(in.Dst), x.TS.Prims&(PInt|PFloat))
 		}
 	case ir.OpNewObject:
-		oc := w.getOC(fn, in, mc)
+		oc := a.getOC(fn, in, mc)
 		if mc.NewObjs == nil {
 			mc.NewObjs = make(map[int]*ObjContour)
 		}
 		mc.NewObjs[in.ID] = oc
 		dst := reg(in.Dst)
-		w.addObj(dst, oc)
-		w.addTag(dst, a.tt.noField)
+		a.addObj(dst, oc)
+		a.addTag(dst, a.tt.noField)
 	case ir.OpNewArray:
-		ac := w.getAC(fn, in, mc)
+		ac := a.getAC(fn, in, mc)
 		if mc.NewArrs == nil {
 			mc.NewArrs = make(map[int]*ArrContour)
 		}
 		mc.NewArrs[in.ID] = ac
 		dst := reg(in.Dst)
-		w.addArr(dst, ac)
-		w.addTag(dst, a.tt.noField)
+		a.addArr(dst, ac)
+		a.addTag(dst, a.tt.noField)
 	case ir.OpGetField:
 		base := use(in.Args[0])
 		dst := reg(in.Dst)
@@ -636,17 +636,17 @@ func (w *worker) evalInstr(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 			if fs == nil {
 				continue
 			}
-			w.useArg(fs)
+			a.useArg(fs)
 			// Types flow through the field; the loaded value is tagged
 			// MakeTag(f, tag(o)) per §4.1. Content provenance is *not*
 			// unioned in: it stays recorded on the field state and is
 			// resolved on demand (Result.RepsOf), exactly as the paper's
 			// field-confluence partitions associate a content tag with
 			// each split object contour.
-			w.unionTS(dst, fs)
+			a.unionTS(dst, fs)
 			if a.opts.Tags {
 				for _, t := range base.Tags.List() {
-					w.addTag(dst, a.tt.makeObj(oc, in.Field.Name, t))
+					a.addTag(dst, a.tt.makeObj(oc, in.Field.Name, t))
 				}
 			}
 		}
@@ -658,17 +658,17 @@ func (w *worker) evalInstr(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 			if fs == nil {
 				continue
 			}
-			w.merge(fs, val)
+			a.merge(fs, val)
 		}
 	case ir.OpArrGet:
 		base := use(in.Args[0])
 		dst := reg(in.Dst)
 		for _, ac := range base.TS.ArrList() {
-			w.useArg(&ac.Elem)
-			w.unionTS(dst, &ac.Elem)
+			a.useArg(&ac.Elem)
+			a.unionTS(dst, &ac.Elem)
 			if a.opts.Tags {
 				for _, t := range base.Tags.List() {
-					w.addTag(dst, a.tt.makeArr(ac, t))
+					a.addTag(dst, a.tt.makeArr(ac, t))
 				}
 			}
 		}
@@ -676,32 +676,32 @@ func (w *worker) evalInstr(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 		base := use(in.Args[0])
 		val := use(in.Args[2])
 		for _, ac := range base.TS.ArrList() {
-			w.merge(&ac.Elem, val)
+			a.merge(&ac.Elem, val)
 		}
 	case ir.OpCall:
 		if !a.sweep {
 			mc.resetCalleeOrder(in.ID)
 		}
-		w.bindTopLevel(mc, fn, in)
+		a.bindTopLevel(mc, fn, in)
 	case ir.OpCallStatic:
 		if !a.sweep {
 			mc.resetCalleeOrder(in.ID)
 		}
-		w.bindReceiverCall(mc, fn, in, in.Callee)
+		a.bindReceiverCall(mc, fn, in, in.Callee)
 	case ir.OpCallMethod:
 		if !a.sweep {
 			mc.resetCalleeOrder(in.ID)
 		}
-		w.bindReceiverCall(mc, fn, in, nil)
+		a.bindReceiverCall(mc, fn, in, nil)
 	case ir.OpGetGlobal:
-		w.merge(reg(in.Dst), w.use(&a.globals[in.Global]))
+		a.merge(reg(in.Dst), a.use(&a.globals[in.Global]))
 	case ir.OpSetGlobal:
-		w.merge(&a.globals[in.Global], use(in.Args[0]))
+		a.merge(&a.globals[in.Global], use(in.Args[0]))
 	case ir.OpBuiltin:
-		w.evalBuiltin(mc, in)
+		a.evalBuiltin(mc, in)
 	case ir.OpReturn:
 		if len(in.Args) > 0 {
-			w.merge(&mc.Ret, use(in.Args[0]))
+			a.merge(&mc.Ret, use(in.Args[0]))
 		}
 	case ir.OpJump, ir.OpBranch, ir.OpTrap:
 		// No value flow.
@@ -710,12 +710,12 @@ func (w *worker) evalInstr(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 	}
 }
 
-func (w *worker) evalBin(mc *MethodContour, in *ir.Instr) {
-	x, y := w.use(mc.Reg(in.Args[0])), w.use(mc.Reg(in.Args[1]))
+func (a *analyzer) evalBin(mc *MethodContour, in *ir.Instr) {
+	x, y := a.use(mc.Reg(in.Args[0])), a.use(mc.Reg(in.Args[1]))
 	dst := mc.Reg(in.Dst)
 	switch ir.BinOp(in.Aux) {
 	case ir.BinEq, ir.BinNe, ir.BinLt, ir.BinLe, ir.BinGt, ir.BinGe:
-		w.addPrim(dst, PBool)
+		a.addPrim(dst, PBool)
 	default:
 		xp, yp := x.TS.Prims, y.TS.Prims
 		var m PrimMask
@@ -728,52 +728,51 @@ func (w *worker) evalBin(mc *MethodContour, in *ir.Instr) {
 		if xp&PStr != 0 && yp&PStr != 0 && ir.BinOp(in.Aux) == ir.BinAdd {
 			m |= PStr
 		}
-		w.addPrim(dst, m)
+		a.addPrim(dst, m)
 	}
 }
 
-func (w *worker) evalBuiltin(mc *MethodContour, in *ir.Instr) {
+func (a *analyzer) evalBuiltin(mc *MethodContour, in *ir.Instr) {
 	dst := mc.Reg(in.Dst)
 	switch ir.Builtin(in.Aux) {
 	case ir.BPrint, ir.BAssert:
-		w.addPrim(dst, PNil)
+		a.addPrim(dst, PNil)
 	case ir.BSqrt, ir.BFloor, ir.BFloatOf:
-		w.addPrim(dst, PFloat)
+		a.addPrim(dst, PFloat)
 	case ir.BLen, ir.BIntOf, ir.BXor:
-		w.addPrim(dst, PInt)
+		a.addPrim(dst, PInt)
 	case ir.BStrCat:
-		w.addPrim(dst, PStr)
+		a.addPrim(dst, PStr)
 	case ir.BAbs:
-		w.addPrim(dst, w.use(mc.Reg(in.Args[0])).TS.Prims&(PInt|PFloat))
+		a.addPrim(dst, a.use(mc.Reg(in.Args[0])).TS.Prims&(PInt|PFloat))
 	case ir.BMin, ir.BMax:
-		m := (w.use(mc.Reg(in.Args[0])).TS.Prims | w.use(mc.Reg(in.Args[1])).TS.Prims) & (PInt | PFloat)
-		w.addPrim(dst, m)
+		m := (a.use(mc.Reg(in.Args[0])).TS.Prims | a.use(mc.Reg(in.Args[1])).TS.Prims) & (PInt | PFloat)
+		a.addPrim(dst, m)
 	}
 }
 
 // bindTopLevel handles calls to top-level functions.
-func (w *worker) bindTopLevel(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
-	a := w.a
+func (a *analyzer) bindTopLevel(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 	callee := in.Callee
 	key := ""
 	if a.policies[callee].splitBySite {
-		key = w.siteKey(mc, in)
+		key = a.siteKey(mc, in)
 	}
-	cmc := w.getMC(callee, key)
+	cmc := a.getMC(callee, key)
 	if mc.addCallee(in.ID, cmc) {
 		a.changed = true
 	}
 	if !a.sweep {
 		mc.noteCallee(in.ID, cmc)
 	}
-	e := w.edge(mc, in, cmc)
+	e := a.edge(mc, in, cmc)
 	for i, r := range in.Args {
-		src := w.useArg(mc.Reg(r))
-		w.merge(cmc.Reg(callee.ParamReg(i)), src)
+		src := a.useArg(mc.Reg(r))
+		a.merge(cmc.Reg(callee.ParamReg(i)), src)
 		e.Args[i].Merge(src)
 	}
 	if in.Dst != ir.NoReg {
-		w.merge(mc.Reg(in.Dst), w.useRet(&cmc.Ret))
+		a.merge(mc.Reg(in.Dst), a.useRet(&cmc.Ret))
 	}
 }
 
@@ -782,9 +781,8 @@ func (w *worker) bindTopLevel(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 // calls (fixed != nil). Receiver-based contour selection restricts the
 // callee's self state to the enumerated (object contour, tag) pair, which
 // is what makes the selection monotone within a pass.
-func (w *worker) bindReceiverCall(mc *MethodContour, fn *ir.Func, in *ir.Instr, fixed *ir.Func) {
-	a := w.a
-	recv := w.use(mc.Reg(in.Args[0]))
+func (a *analyzer) bindReceiverCall(mc *MethodContour, fn *ir.Func, in *ir.Instr, fixed *ir.Func) {
+	recv := a.use(mc.Reg(in.Args[0]))
 	for _, oc := range recv.TS.ObjList() {
 		target := fixed
 		if target == nil {
@@ -800,7 +798,7 @@ func (w *worker) bindReceiverCall(mc *MethodContour, fn *ir.Func, in *ir.Instr, 
 		pol := a.policies[target]
 		baseKey := ""
 		if pol.splitBySite {
-			baseKey = w.siteKey(mc, in)
+			baseKey = a.siteKey(mc, in)
 		}
 		if pol.splitByRecvOC {
 			baseKey += "|o" + hashKeyStr(oc.ctxHash)
@@ -811,41 +809,39 @@ func (w *worker) bindReceiverCall(mc *MethodContour, fn *ir.Func, in *ir.Instr, 
 				self := VarState{}
 				self.TS.AddObj(oc)
 				self.Tags.Add(t)
-				w.bindMethod(mc, in, target, key, &self)
+				a.bindMethod(mc, in, target, key, &self)
 			}
 			continue
 		}
 		self := VarState{}
 		self.TS.AddObj(oc)
 		self.Tags.Union(&recv.Tags)
-		w.bindMethod(mc, in, target, baseKey, &self)
+		a.bindMethod(mc, in, target, baseKey, &self)
 	}
 }
 
-func (w *worker) bindMethod(mc *MethodContour, in *ir.Instr, target *ir.Func, key string, self *VarState) {
-	a := w.a
-	cmc := w.getMC(target, key)
+func (a *analyzer) bindMethod(mc *MethodContour, in *ir.Instr, target *ir.Func, key string, self *VarState) {
+	cmc := a.getMC(target, key)
 	if mc.addCallee(in.ID, cmc) {
 		a.changed = true
 	}
 	if !a.sweep {
 		mc.noteCallee(in.ID, cmc)
 	}
-	e := w.edge(mc, in, cmc)
-	w.merge(cmc.Reg(0), self)
+	e := a.edge(mc, in, cmc)
+	a.merge(cmc.Reg(0), self)
 	e.Args[0].Merge(self)
 	for i := 1; i < len(in.Args); i++ {
-		src := w.useArg(mc.Reg(in.Args[i]))
-		w.merge(cmc.Reg(target.ParamReg(i-1)), src)
+		src := a.useArg(mc.Reg(in.Args[i]))
+		a.merge(cmc.Reg(target.ParamReg(i-1)), src)
 		e.Args[i].Merge(src)
 	}
 	if in.Dst != ir.NoReg {
-		w.merge(mc.Reg(in.Dst), w.useRet(&cmc.Ret))
+		a.merge(mc.Reg(in.Dst), a.useRet(&cmc.Ret))
 	}
 }
 
-func (w *worker) edge(from *MethodContour, in *ir.Instr, to *MethodContour) *Edge {
-	a := w.a
+func (a *analyzer) edge(from *MethodContour, in *ir.Instr, to *MethodContour) *Edge {
 	k := edgeKey{from: from, instr: in.ID, to: to}
 	if e, ok := a.edges[k]; ok {
 		return e

@@ -10,21 +10,22 @@ import (
 	"testing"
 )
 
-func pollWorker(ctx context.Context) *worker {
-	a := &analyzer{ctx: ctx, done: ctx.Done()}
-	return newWorker(a)
+// pollAnalyzer returns an analyzer whose poll state is what resetPass
+// leaves at the start of a pass.
+func pollAnalyzer(ctx context.Context) *analyzer {
+	return &analyzer{ctx: ctx, done: ctx.Done(), curInstr: -1, pollN: 1}
 }
 
 // TestPollCancelledAllocFree pins the checkpoint to zero allocations, on
 // both the background-context fast path and the live-context poll path.
 func TestPollCancelledAllocFree(t *testing.T) {
-	bg := pollWorker(context.Background())
+	bg := pollAnalyzer(context.Background())
 	if n := testing.AllocsPerRun(1000, func() { bg.pollCancelled() }); n != 0 {
 		t.Errorf("background-context poll allocates %v per call, want 0", n)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	live := pollWorker(ctx)
+	live := pollAnalyzer(ctx)
 	if n := testing.AllocsPerRun(1000, func() { live.pollCancelled() }); n != 0 {
 		t.Errorf("live-context poll allocates %v per call, want 0", n)
 	}
@@ -36,20 +37,20 @@ func TestPollCancelledAllocFree(t *testing.T) {
 // the next poll — the bounded-staleness contract the solvers rely on.
 func TestPollCancelledAmortized(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	w := pollWorker(ctx)
-	if w.pollCancelled() {
+	a := pollAnalyzer(ctx)
+	if a.pollCancelled() {
 		t.Fatal("fresh context reported cancelled")
 	}
 	cancel()
 	for i := 0; i < cancelPollInterval-1; i++ {
-		if w.pollCancelled() {
+		if a.pollCancelled() {
 			t.Fatalf("cancellation observed %d checkpoints into the interval; poll is not amortized", i+1)
 		}
 	}
-	if !w.pollCancelled() {
+	if !a.pollCancelled() {
 		t.Fatal("cancellation not observed at the interval boundary")
 	}
-	if w.a.ctxErr == nil {
+	if a.ctxErr == nil {
 		t.Fatal("sequential poll did not latch the context error")
 	}
 }
@@ -58,15 +59,15 @@ func TestPollCancelledAmortized(t *testing.T) {
 // down (pollN stays put), so a no-deadline analysis pays one nil
 // comparison per checkpoint and nothing else.
 func TestPollCancelledNilDone(t *testing.T) {
-	w := pollWorker(context.Background())
-	before := w.pollN
+	a := pollAnalyzer(context.Background())
+	before := a.pollN
 	for i := 0; i < 3*cancelPollInterval; i++ {
-		if w.pollCancelled() {
+		if a.pollCancelled() {
 			t.Fatal("background context reported cancelled")
 		}
 	}
-	if w.pollN != before {
-		t.Errorf("background path consumed the poll countdown (%d -> %d)", before, w.pollN)
+	if a.pollN != before {
+		t.Errorf("background path consumed the poll countdown (%d -> %d)", before, a.pollN)
 	}
 }
 
@@ -75,19 +76,19 @@ func TestPollCancelledNilDone(t *testing.T) {
 // background fast path on average.
 func BenchmarkCancelledPoll(b *testing.B) {
 	b.Run("background", func(b *testing.B) {
-		w := pollWorker(context.Background())
+		a := pollAnalyzer(context.Background())
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			w.pollCancelled()
+			a.pollCancelled()
 		}
 	})
 	b.Run("live", func(b *testing.B) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		w := pollWorker(ctx)
+		a := pollAnalyzer(ctx)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			w.pollCancelled()
+			a.pollCancelled()
 		}
 	})
 }

@@ -186,6 +186,12 @@ type ArrContour struct {
 	ctxHash uint64
 }
 
+// ElemKey returns the FieldKey of the elements of ac's allocation site,
+// which every contour of that site shares.
+func (ac *ArrContour) ElemKey() FieldKey {
+	return FieldKey{Array: true, ASiteUID: siteUID(ac.SiteFn, ac.Site)}
+}
+
 func (ac *ArrContour) String() string {
 	return fmt.Sprintf("arr#%d@%s/%d%s", ac.ID, ac.SiteFn.FullName(), ac.Site.ID, ac.Key)
 }

@@ -1,0 +1,31 @@
+package analysis
+
+import "objinline/internal/ir"
+
+// MonomorphicSites counts dynamic dispatch sites (over all contours) whose
+// target set resolved to exactly one function, and the total number of
+// dispatch-site/contour pairs — a devirtualization-precision metric.
+func (r *Result) MonomorphicSites() (mono, total int) {
+	for _, mc := range r.Mcs {
+		mc.Fn.Instrs(func(_ *ir.Block, in *ir.Instr) {
+			if in.Op != ir.OpCallMethod {
+				return
+			}
+			set := mc.Targets[in.ID]
+			if len(set) == 0 {
+				return // unreached
+			}
+			total++
+			if len(set) == 1 {
+				mono++
+			}
+		})
+	}
+	return mono, total
+}
+
+// HasTop reports whether the set contains the confusion sentinel.
+func (s *TagSet) HasTop() bool {
+	_, ok := search(s.tags, tagTopID)
+	return ok
+}

@@ -52,28 +52,6 @@ func (r *Result) Callees(mc *MethodContour, instrID int) []*MethodContour {
 	return out
 }
 
-// MonomorphicSites counts dynamic dispatch sites (over all contours) whose
-// target set resolved to exactly one function, and the total number of
-// dispatch-site/contour pairs — a devirtualization-precision metric.
-func (r *Result) MonomorphicSites() (mono, total int) {
-	for _, mc := range r.Mcs {
-		mc.Fn.Instrs(func(_ *ir.Block, in *ir.Instr) {
-			if in.Op != ir.OpCallMethod {
-				return
-			}
-			set := mc.Targets[in.ID]
-			if len(set) == 0 {
-				return // unreached
-			}
-			total++
-			if len(set) == 1 {
-				mono++
-			}
-		})
-	}
-	return mono, total
-}
-
 // ObjectFields enumerates every (declaring class, field) pair whose
 // abstract state ever holds an object or array — the denominator of the
 // paper's Figure 14 ("fields which hold objects").
@@ -106,7 +84,7 @@ func (r *Result) ObjectArraySites() []FieldKey {
 		if !ac.Elem.TS.HasObjects() {
 			continue
 		}
-		k := FieldKey{Array: true, ASiteUID: siteUID(ac.SiteFn, ac.Site)}
+		k := ac.ElemKey()
 		if !seen[k] {
 			seen[k] = true
 			out = append(out, k)

@@ -10,11 +10,10 @@ import (
 	"objinline/internal/ir"
 )
 
-// benchWorker builds a minimal worker with contours whose keys force
+// benchAnalyzer builds a minimal analyzer with contours whose keys force
 // both the short-key and the hash-collapsed (len > 72) paths.
-func benchWorker() (*worker, []*MethodContour, *ir.Instr) {
-	a := &analyzer{opts: Options{}.WithDefaults()}
-	w := newWorker(a)
+func benchAnalyzer() (*analyzer, []*MethodContour, *ir.Instr) {
+	a := &analyzer{opts: Options{}.WithDefaults(), curInstr: -1, pollN: 1}
 	fn := &ir.Func{ID: 7, Name: "f"}
 	in := &ir.Instr{ID: 13}
 	mcs := []*MethodContour{
@@ -22,19 +21,19 @@ func benchWorker() (*worker, []*MethodContour, *ir.Instr) {
 		{ID: 1, Fn: fn, Key: "s1.2/s3.4"},
 		{ID: 2, Fn: fn, Key: "s1.2/s3.4/s5.6/s7.8/s9.10/s11.12/s13.14/s15.16/s17.18/s19.20/s21.22"},
 	}
-	return w, mcs, in
+	return a, mcs, in
 }
 
 func BenchmarkSiteKeyMemo(b *testing.B) {
-	w, mcs, in := benchWorker()
+	a, mcs, in := benchAnalyzer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w.siteKey(mcs[i%len(mcs)], in)
+		a.siteKey(mcs[i%len(mcs)], in)
 	}
 }
 
 func BenchmarkSiteKeyCompute(b *testing.B) {
-	_, mcs, in := benchWorker()
+	_, mcs, in := benchAnalyzer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		mc := mcs[i%len(mcs)]
@@ -45,14 +44,14 @@ func BenchmarkSiteKeyCompute(b *testing.B) {
 // TestSiteKeyMemoMatchesCompute pins the memoized keys to the direct
 // construction, including the hash-collapse of over-long chains.
 func TestSiteKeyMemoMatchesCompute(t *testing.T) {
-	w, mcs, in := benchWorker()
+	a, mcs, in := benchAnalyzer()
 	for _, mc := range mcs {
 		want := computeSiteKey(mc.Fn.ID, mc.Key, in.ID)
-		if got := w.siteKey(mc, in); got != want {
+		if got := a.siteKey(mc, in); got != want {
 			t.Errorf("siteKey(%q) = %q, want %q", mc.Key, got, want)
 		}
 		// Second lookup must serve the memo, not recompute.
-		if got := w.siteKey(mc, in); got != want {
+		if got := a.siteKey(mc, in); got != want {
 			t.Errorf("memoized siteKey(%q) = %q, want %q", mc.Key, got, want)
 		}
 	}

@@ -80,15 +80,7 @@ type WorkStats struct {
 	Enqueues int
 }
 
-func (w *WorkStats) add(o WorkStats) {
-	w.Rounds += o.Rounds
-	w.ContourEvals += o.ContourEvals
-	w.InstrEvals += o.InstrEvals
-	w.PartialEvals += o.PartialEvals
-	w.Enqueues += o.Enqueues
-}
-
-// cancelPollInterval is how many contour evaluations a worker runs
+// cancelPollInterval is how many contour evaluations a pass runs
 // between context polls. Amortizing the poll keeps the channel select off
 // the drain loop's hot path while still aborting within a few dozen
 // contour evaluations — microseconds each — of the deadline.
@@ -113,55 +105,37 @@ func (a *analyzer) cancelled() bool {
 	}
 }
 
-// worker is one evaluation context: the transfer functions in analysis.go
-// run as its methods, reading analysis state through w.a and keeping
-// everything per-evaluation — the contour and instruction being
-// evaluated, work counters, the cancellation poll countdown — on the
-// worker itself. Each pass drives a single worker.
-type worker struct {
-	a *analyzer
-
-	cur      *MethodContour // contour being evaluated (dep registration)
-	curInstr int            // flattened position of the instruction being evaluated
-	work     WorkStats
-	pollN    int // contour evals until the next context poll
-}
-
-func newWorker(a *analyzer) *worker {
-	return &worker{a: a, curInstr: -1, pollN: 1}
-}
-
 // pollCancelled is the amortized cancellation checkpoint, called once per
 // contour evaluation (the drain loops' innermost schedulable unit). With
 // no cancelable context it is a single nil comparison; with one, the
 // channel poll runs every cancelPollInterval evaluations.
-func (w *worker) pollCancelled() bool {
-	if w.a.done == nil {
+func (a *analyzer) pollCancelled() bool {
+	if a.done == nil {
 		return false
 	}
-	w.pollN--
-	if w.pollN > 0 {
+	a.pollN--
+	if a.pollN > 0 {
 		return false
 	}
-	w.pollN = cancelPollInterval
-	return w.a.cancelled()
+	a.pollN = cancelPollInterval
+	return a.cancelled()
 }
 
 // runSweep is the naive solver: global rounds over every contour until a
 // whole round changes nothing. Kept as the reference implementation
 // (Options.Solver == SolverSweep) for differential testing.
-func (a *analyzer) runSweep(w *worker) {
+func (a *analyzer) runSweep() {
 	for round := 0; round < a.opts.MaxRounds; round++ {
-		w.work.Rounds++
+		a.work.Rounds++
 		a.changed = false
 		// The list grows while we iterate; newly created contours are
 		// evaluated within the same round.
 		for i := 0; i < len(a.mcList); i++ {
-			if w.pollCancelled() {
+			if a.pollCancelled() {
 				a.converged = false
 				return
 			}
-			w.evalContour(a.mcList[i])
+			a.evalContour(a.mcList[i])
 		}
 		if !a.changed {
 			return
@@ -172,21 +146,21 @@ func (a *analyzer) runSweep(w *worker) {
 
 // runWorklist drains rounds of dirty contours in ascending ID order; see
 // the package comment above for why this reproduces the sweep exactly.
-func (a *analyzer) runWorklist(w *worker) {
+func (a *analyzer) runWorklist() {
 	for round := 0; round < a.opts.MaxRounds; round++ {
-		w.work.Rounds++
+		a.work.Rounds++
 		for i := 0; i < len(a.mcList); i++ {
 			if !a.dirtyCur[i] {
 				continue
 			}
-			if w.pollCancelled() {
+			if a.pollCancelled() {
 				a.converged = false
 				a.curIdx = -1
 				return
 			}
 			a.dirtyCur[i] = false
 			a.curIdx = i
-			w.evalContour(a.mcList[i])
+			a.evalContour(a.mcList[i])
 		}
 		a.curIdx = -1
 		if a.pendingNext == 0 {
@@ -250,15 +224,15 @@ const (
 // helpers, which bump readers on change. The common case — an
 // instruction re-reading the register it always reads — hits the
 // single-reader fast path (one comparison).
-func (w *worker) use(vs *VarState) *VarState    { return w.register(vs, slotFull) }
-func (w *worker) useArg(vs *VarState) *VarState { return w.register(vs, slotArgs) }
-func (w *worker) useRet(vs *VarState) *VarState { return w.register(vs, slotRet) }
+func (a *analyzer) use(vs *VarState) *VarState    { return a.register(vs, slotFull) }
+func (a *analyzer) useArg(vs *VarState) *VarState { return a.register(vs, slotArgs) }
+func (a *analyzer) useRet(vs *VarState) *VarState { return a.register(vs, slotRet) }
 
-func (w *worker) register(vs *VarState, slot int) *VarState {
-	if w.a.sweep || w.cur == nil {
+func (a *analyzer) register(vs *VarState, slot int) *VarState {
+	if a.sweep || a.cur == nil {
 		return vs
 	}
-	r := uint64(w.cur.ID)<<32 | uint64(numSlots*w.curInstr+slot+1)
+	r := uint64(a.cur.ID)<<32 | uint64(numSlots*a.curInstr+slot+1)
 	if vs.dep0 == r {
 		return vs
 	}
@@ -278,16 +252,16 @@ func (w *worker) register(vs *VarState, slot int) *VarState {
 // bump records that vs changed: the sweep flips the global changed bit;
 // the worklist reschedules exactly the instruction slots that have read
 // vs.
-func (w *worker) bump(vs *VarState) {
-	w.a.changed = true
-	if w.a.sweep {
+func (a *analyzer) bump(vs *VarState) {
+	a.changed = true
+	if a.sweep {
 		return
 	}
 	if vs.dep0 != 0 {
-		w.mark(vs.dep0)
+		a.mark(vs.dep0)
 	}
 	for r := range vs.deps {
-		w.mark(r)
+		a.mark(r)
 	}
 }
 
@@ -297,33 +271,31 @@ func (w *worker) bump(vs *VarState) {
 // reach it with the change applied, exactly the in-place visibility the
 // sweep has. Otherwise the reader's contour is (re-)scheduled at round
 // granularity and the bit tells its next visit what to re-run.
-func (w *worker) mark(r uint64) {
-	a := w.a
+func (a *analyzer) mark(r uint64) {
 	mc := a.mcList[r>>32]
 	bit := int(uint32(r)) - 1
 	mc.dirty[bit] = true
-	if mc == w.cur && bit/numSlots > w.curInstr {
+	if mc == a.cur && bit/numSlots > a.curInstr {
 		return
 	}
-	w.enqueue(mc)
+	a.enqueue(mc)
 }
 
 // enqueue schedules a contour: into the current round if it has not run
 // yet this round (ID above the cursor), else into the next round. Map
 // iteration order in bump never matters — marking dirty bits is
 // idempotent and the drain order is always ascending ID.
-func (w *worker) enqueue(mc *MethodContour) {
-	a := w.a
+func (a *analyzer) enqueue(mc *MethodContour) {
 	id := mc.ID
 	if id > a.curIdx {
 		if !a.dirtyCur[id] {
 			a.dirtyCur[id] = true
-			w.work.Enqueues++
+			a.work.Enqueues++
 		}
 	} else if !a.dirtyNext[id] {
 		a.dirtyNext[id] = true
 		a.pendingNext++
-		w.work.Enqueues++
+		a.work.Enqueues++
 	}
 }
 
@@ -333,43 +305,43 @@ func (w *worker) enqueue(mc *MethodContour) {
 // cell that actually changes bumps its readers (see bump).
 
 // merge wraps VarState.Merge with change tracking.
-func (w *worker) merge(dst, src *VarState) {
+func (a *analyzer) merge(dst, src *VarState) {
 	if dst.Merge(src) {
-		w.bump(dst)
+		a.bump(dst)
 	}
 }
 
 // unionTS unions src's TypeSet (only) into dst, as the field/element load
 // transfer functions do.
-func (w *worker) unionTS(dst, src *VarState) {
+func (a *analyzer) unionTS(dst, src *VarState) {
 	if dst.TS.Union(&src.TS) {
-		w.bump(dst)
+		a.bump(dst)
 	}
 }
 
-func (w *worker) addPrim(dst *VarState, m PrimMask) {
+func (a *analyzer) addPrim(dst *VarState, m PrimMask) {
 	if dst.TS.AddPrim(m) {
-		w.bump(dst)
+		a.bump(dst)
 	}
 }
 
-func (w *worker) addObj(dst *VarState, oc *ObjContour) {
+func (a *analyzer) addObj(dst *VarState, oc *ObjContour) {
 	if dst.TS.AddObj(oc) {
-		w.bump(dst)
+		a.bump(dst)
 	}
 }
 
-func (w *worker) addArr(dst *VarState, ac *ArrContour) {
+func (a *analyzer) addArr(dst *VarState, ac *ArrContour) {
 	if dst.TS.AddArr(ac) {
-		w.bump(dst)
+		a.bump(dst)
 	}
 }
 
-func (w *worker) addTag(dst *VarState, t *Tag) {
-	if !w.a.opts.Tags {
+func (a *analyzer) addTag(dst *VarState, t *Tag) {
+	if !a.opts.Tags {
 		return
 	}
 	if dst.Tags.Add(t) {
-		w.bump(dst)
+		a.bump(dst)
 	}
 }

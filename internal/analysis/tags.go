@@ -55,9 +55,9 @@ func (t *Tag) Head() FieldKey {
 		return FieldKey{}
 	}
 	if t.AC != nil {
-		return FieldKey{Array: true, ASiteUID: siteUID(t.AC.SiteFn, t.AC.Site)}
+		return t.AC.ElemKey()
 	}
-	return FieldKey{Class: declaringClass(t.OC.Class, t.Field), Name: t.Field}
+	return FieldKey{Class: DeclaringClass(t.OC.Class, t.Field), Name: t.Field}
 }
 
 // HeadOC returns the object contour holding the head field (nil for array
@@ -120,8 +120,10 @@ func (k FieldKey) String() string {
 	return k.Class.Name + "." + k.Name
 }
 
-// declaringClass walks up from c to the class that declares field name.
-func declaringClass(c *ir.Class, name string) *ir.Class {
+// DeclaringClass returns the class that declares field name in c's
+// layout (the last field of that name), or c when no field names its
+// owner.
+func DeclaringClass(c *ir.Class, name string) *ir.Class {
 	var owner *ir.Class
 	for _, f := range c.Fields {
 		if f.Name == name {
@@ -287,12 +289,6 @@ func (s *TagSet) Len() int { return len(s.tags) }
 // Has reports membership.
 func (s *TagSet) Has(t *Tag) bool {
 	_, ok := search(s.tags, t.ID)
-	return ok
-}
-
-// HasTop reports whether the set contains the confusion sentinel.
-func (s *TagSet) HasTop() bool {
-	_, ok := search(s.tags, tagTopID)
 	return ok
 }
 

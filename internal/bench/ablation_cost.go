@@ -32,11 +32,11 @@ type costVariant struct {
 func costVariants() []costVariant {
 	return []costVariant{
 		{"default", func(c *vm.CostModel) {}},
-		{"cheap-memory (miss 12)", func(c *vm.CostModel) { c.CacheMiss = 12 }},
-		{"dear-memory (miss 80)", func(c *vm.CostModel) { c.CacheMiss = 80 }},
-		{"cheap-alloc (base 20)", func(c *vm.CostModel) { c.AllocBase = 20 }},
-		{"dear-alloc (base 120)", func(c *vm.CostModel) { c.AllocBase = 120 }},
-		{"dear-dispatch (24)", func(c *vm.CostModel) { c.Dispatch = 24 }},
+		{"cheap-memory (miss 12)", func(c *vm.CostModel) { c[vm.DimCacheMiss] = 12 }},
+		{"dear-memory (miss 80)", func(c *vm.CostModel) { c[vm.DimCacheMiss] = 80 }},
+		{"cheap-alloc (base 20)", func(c *vm.CostModel) { c[vm.DimAllocBase] = 20 }},
+		{"dear-alloc (base 120)", func(c *vm.CostModel) { c[vm.DimAllocBase] = 120 }},
+		{"dear-dispatch (24)", func(c *vm.CostModel) { c[vm.DimDispatch] = 24 }},
 	}
 }
 

@@ -115,7 +115,7 @@ func ComputePayoff(on, off *Measurement) (*ProgramPayoff, error) {
 	arrPos := make(map[string]string)
 	posOfArr := make(map[string]string)
 	for _, ac := range on.Compiled.Analysis.Arrs {
-		k := analysis.FieldKey{Array: true, ASiteUID: ac.SiteFn.ID*1_000_000 + ac.Site.ID}
+		k := ac.ElemKey()
 		if isKey[k.String()] {
 			arrPos[ac.Site.Pos.String()] = k.String()
 			posOfArr[k.String()] = ac.Site.Pos.String()
@@ -128,7 +128,7 @@ func ComputePayoff(on, off *Measurement) (*ProgramPayoff, error) {
 	// when a class feeds several keys.
 	childOf := make(map[string]string)
 	claim := func(class *ir.Class, key string) {
-		name := srcClassName(class)
+		name := class.Source().Name
 		if _, ok := childOf[name]; !ok {
 			childOf[name] = key
 		}
@@ -136,8 +136,7 @@ func ComputePayoff(on, off *Measurement) (*ProgramPayoff, error) {
 	for _, k := range keys {
 		if k.Array {
 			for _, ac := range on.Compiled.Analysis.Arrs {
-				uid := ac.SiteFn.ID*1_000_000 + ac.Site.ID
-				if uid != k.ASiteUID {
+				if ac.ElemKey() != k {
 					continue
 				}
 				for _, oc := range ac.Elem.TS.ObjList() {
@@ -147,7 +146,7 @@ func ComputePayoff(on, off *Measurement) (*ProgramPayoff, error) {
 			continue
 		}
 		for _, oc := range on.Compiled.Analysis.Objs {
-			if declOwner(oc.Class, k.Name) != k.Class {
+			if analysis.DeclaringClass(oc.Class, k.Name) != k.Class {
 				continue
 			}
 			st := oc.FieldState(k.Name)
@@ -176,10 +175,7 @@ func ComputePayoff(on, off *Measurement) (*ProgramPayoff, error) {
 		if c.Origin == nil {
 			continue
 		}
-		orig := c.Origin
-		for orig.Origin != nil {
-			orig = orig.Origin
-		}
+		orig := c.Source()
 		perKey := make(map[string]int64)
 		for _, f := range c.Fields {
 			if !f.Synthetic {
@@ -344,7 +340,7 @@ func ComputePayoff(on, off *Measurement) (*ProgramPayoff, error) {
 		if dollar := strings.IndexByte(field, '$'); dollar > 0 {
 			prefix := field[:dollar]
 			owner := class
-			if c := classNamed(src, class); c != nil {
+			if c := src.ClassNamed(class); c != nil {
 				if g := c.FieldNamed(prefix); g != nil && g.Owner != nil {
 					owner = g.Owner.Name
 				}
@@ -397,41 +393,6 @@ func ComputePayoff(on, off *Measurement) (*ProgramPayoff, error) {
 		MissesAvoided:    misses[other],
 	}
 	return out, nil
-}
-
-// srcClassName resolves a class to its source-level name.
-func srcClassName(c *ir.Class) string {
-	if c == nil {
-		return ""
-	}
-	for c.Origin != nil {
-		c = c.Origin
-	}
-	return c.Name
-}
-
-// declOwner walks c's layout for the declaring class of field name.
-func declOwner(c *ir.Class, name string) *ir.Class {
-	var owner *ir.Class
-	for _, f := range c.Fields {
-		if f.Name == name {
-			owner = f.Owner
-		}
-	}
-	if owner == nil {
-		return c
-	}
-	return owner
-}
-
-// classNamed finds a class by name in a program.
-func classNamed(p *ir.Program, name string) *ir.Class {
-	for _, c := range p.Classes {
-		if c.Name == name {
-			return c
-		}
-	}
-	return nil
 }
 
 // Payoff measures one benchmark's per-field payoff at the given scale:

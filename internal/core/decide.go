@@ -99,7 +99,7 @@ func decide(prog *ir.Program, res *analysis.Result, val *valuability) *Decision 
 	}
 	acsByKey := make(map[analysis.FieldKey][]*analysis.ArrContour)
 	for _, ac := range res.Arrs {
-		k := arrKey(ac)
+		k := ac.ElemKey()
 		acsByKey[k] = append(acsByKey[k], ac)
 	}
 	for _, k := range res.ObjectArraySites() {
@@ -135,10 +135,6 @@ func decide(prog *ir.Program, res *analysis.Result, val *valuability) *Decision 
 		})
 	}
 	return d
-}
-
-func arrKey(ac *analysis.ArrContour) analysis.FieldKey {
-	return analysis.FieldKey{Array: true, ASiteUID: ac.SiteFn.ID*1_000_000 + ac.Site.ID}
 }
 
 // fieldLocallyInlinable checks the per-contour content conditions for an
@@ -294,7 +290,7 @@ func checkStores(prog *ir.Program, res *analysis.Result, val *valuability, d *De
 			case ir.OpArrSet:
 				base := mc.Reg(in.Args[0])
 				for _, ac := range base.TS.ArrList() {
-					check(fn, in, arrKey(ac),
+					check(fn, in, ac.ElemKey(),
 						fmt.Sprintf("element store at %s not convertible to a copy", in.Pos))
 				}
 			}
@@ -418,7 +414,7 @@ func candidateContentClasses(res *analysis.Result, d *Decision) map[string][]ana
 		}
 	}
 	for _, ac := range res.Arrs {
-		if k := arrKey(ac); d.Has(k) {
+		if k := ac.ElemKey(); d.Has(k) {
 			add(k, &ac.Elem)
 		}
 	}

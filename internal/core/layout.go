@@ -123,7 +123,7 @@ func (vs *versionSpace) build() bool {
 		return false
 	}
 	for _, ac := range vs.res.Arrs {
-		k := arrKey(ac)
+		k := ac.ElemKey()
 		if !vs.decision.Has(k) {
 			continue
 		}

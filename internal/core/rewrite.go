@@ -128,7 +128,7 @@ func repableContours(res *analysis.Result, d *Decision) map[*analysis.ObjContour
 		}
 	}
 	for _, ac := range res.Arrs {
-		if !d.Has(arrKey(ac)) {
+		if !d.Has(ac.ElemKey()) {
 			continue
 		}
 		for _, child := range ac.Elem.TS.ObjList() {
@@ -161,7 +161,7 @@ func (t *transformer) findStackable() {
 			case ir.OpArrSet:
 				base := mc.Reg(in.Args[0])
 				for _, ac := range base.TS.ArrList() {
-					if k := arrKey(ac); t.d.Has(k) {
+					if k := ac.ElemKey(); t.d.Has(k) {
 						keys = appendKeyOnce(keys, k)
 					}
 				}
@@ -636,7 +636,7 @@ func (t *transformer) rewriteInstr(mc *analysis.MethodContour, in *ir.Instr, emi
 	case ir.OpNewArray:
 		ac := mc.NewArrs[in.ID]
 		if ac != nil {
-			if av := t.vs.arrs[arrKey(ac)]; av != nil {
+			if av := t.vs.arrs[ac.ElemKey()]; av != nil {
 				cp := in.Clone()
 				cp.Op = ir.OpNewArrayInl
 				cp.Class = av.Elem.New
@@ -1007,7 +1007,7 @@ func (t *transformer) arrInlined(mc *analysis.MethodContour, reg ir.Reg) (*ArrVe
 	var av *ArrVersion
 	plain := false
 	for _, ac := range st.TS.ArrList() {
-		k := arrKey(ac)
+		k := ac.ElemKey()
 		if t.d.Has(k) {
 			v := t.vs.arrs[k]
 			if av == nil {

@@ -220,11 +220,7 @@ func (e *emitter) tables() {
 	e.p("// versions must be observationally identical to their origin).")
 	e.p("var printNames = []string{")
 	for _, c := range e.classes {
-		pn := c.Name
-		if c.Origin != nil {
-			pn = c.Origin.Name
-		}
-		e.p("\t%s,", strconv.Quote(pn))
+		e.p("\t%s,", strconv.Quote(c.Source().Name))
 	}
 	e.p("}")
 	e.p("")

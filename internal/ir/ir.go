@@ -38,6 +38,15 @@ type Class struct {
 	Origin *Class
 }
 
+// Source returns the source-level class c was (transitively) cloned from,
+// or c itself when c is one.
+func (c *Class) Source() *Class {
+	for c.Origin != nil {
+		c = c.Origin
+	}
+	return c
+}
+
 // NumSlots returns the instance size in slots.
 func (c *Class) NumSlots() int { return len(c.Fields) }
 
@@ -125,14 +134,6 @@ func (f *Func) FullName() string {
 		return f.Class.Name + "::" + f.Name
 	}
 	return f.Name
-}
-
-// SelfReg returns the register holding the receiver, or NoReg.
-func (f *Func) SelfReg() Reg {
-	if f.Class == nil {
-		return NoReg
-	}
-	return 0
 }
 
 // ParamReg returns the register holding parameter i (0-based).

@@ -4,7 +4,7 @@ package obs
 // compiler's phase tracing: every request's end-to-end latency lands in
 // one histogram cell keyed by {endpoint, cache status, engine, session
 // tier}, cheap enough to run on every request (atomic bucket increments,
-// lock-striped label lookup) and rich enough to answer "what is p99 for
+// a read-locked label lookup) and rich enough to answer "what is p99 for
 // warm compile hits" without a client-side measurement.
 //
 // Buckets are fixed at construction: powers of two from 10µs up, so two
@@ -16,7 +16,6 @@ package obs
 // comparison accounts for exactly that.
 
 import (
-	"hash/fnv"
 	"math"
 	"sort"
 	"sync"
@@ -212,58 +211,36 @@ type Labels struct {
 	Tier     string // session tier (reuse/patch/reopt/solve/cold) or "none"
 }
 
-// vecStripes is the lock-stripe count: label lookups hash onto one of
-// these shards so concurrent requests with different labels rarely
-// contend. Power of two for cheap masking.
-const vecStripes = 16
-
-type vecStripe struct {
+// HistogramVec is a set of Histograms keyed by Labels. Steady-state
+// lookups take the read lock; only a label set's first observation takes
+// the write lock. One lock is enough: on a 2-CPU Xeon (Go 1.24), two
+// goroutines calling Observe back to back took 250–310 ns per call under
+// it against 190–230 ns with 16 FNV-hashed lock stripes, and one took
+// 100–120 ns against 160–170 ns. Either gap is under 0.05% of a served
+// request (~0.2 ms at the serve benchmark's median).
+type HistogramVec struct {
 	mu sync.RWMutex
 	m  map[Labels]*Histogram
 }
 
-// HistogramVec is a set of Histograms keyed by Labels, lock-striped so
-// Observe contends only within one label-hash shard (and there only on
-// first creation — steady-state lookups take a read lock).
-type HistogramVec struct {
-	stripes [vecStripes]vecStripe
-}
-
 // NewHistogramVec returns an empty vec.
 func NewHistogramVec() *HistogramVec {
-	v := &HistogramVec{}
-	for i := range v.stripes {
-		v.stripes[i].m = make(map[Labels]*Histogram)
-	}
-	return v
-}
-
-func (v *HistogramVec) stripe(l Labels) *vecStripe {
-	h := fnv.New32a()
-	h.Write([]byte(l.Endpoint))
-	h.Write([]byte{0})
-	h.Write([]byte(l.Cache))
-	h.Write([]byte{0})
-	h.Write([]byte(l.Engine))
-	h.Write([]byte{0})
-	h.Write([]byte(l.Tier))
-	return &v.stripes[h.Sum32()&(vecStripes-1)]
+	return &HistogramVec{m: make(map[Labels]*Histogram)}
 }
 
 // Get returns the histogram for l, creating it on first use.
 func (v *HistogramVec) Get(l Labels) *Histogram {
-	st := v.stripe(l)
-	st.mu.RLock()
-	h := st.m[l]
-	st.mu.RUnlock()
+	v.mu.RLock()
+	h := v.m[l]
+	v.mu.RUnlock()
 	if h != nil {
 		return h
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if h = st.m[l]; h == nil {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if h = v.m[l]; h == nil {
 		h = &Histogram{}
-		st.m[l] = h
+		v.m[l] = h
 	}
 	return h
 }
@@ -283,14 +260,11 @@ type LabeledSnapshot struct {
 // order (the Prometheus exposition depends on scrape stability).
 func (v *HistogramVec) Snapshots() []LabeledSnapshot {
 	var out []LabeledSnapshot
-	for i := range v.stripes {
-		st := &v.stripes[i]
-		st.mu.RLock()
-		for l, h := range st.m {
-			out = append(out, LabeledSnapshot{Labels: l, Snapshot: h.Snapshot()})
-		}
-		st.mu.RUnlock()
+	v.mu.RLock()
+	for l, h := range v.m {
+		out = append(out, LabeledSnapshot{Labels: l, Snapshot: h.Snapshot()})
 	}
+	v.mu.RUnlock()
 	sort.Slice(out, func(a, b int) bool {
 		la, lb := out[a].Labels, out[b].Labels
 		if la.Endpoint != lb.Endpoint {
@@ -312,15 +286,12 @@ func (v *HistogramVec) Snapshots() []LabeledSnapshot {
 // p50/p95/p99 come from here.
 func (v *HistogramVec) Endpoint(endpoint string) Snapshot {
 	var agg Snapshot
-	for i := range v.stripes {
-		st := &v.stripes[i]
-		st.mu.RLock()
-		for l, h := range st.m {
-			if l.Endpoint == endpoint {
-				agg.Merge(h.Snapshot())
-			}
+	v.mu.RLock()
+	for l, h := range v.m {
+		if l.Endpoint == endpoint {
+			agg.Merge(h.Snapshot())
 		}
-		st.mu.RUnlock()
 	}
+	v.mu.RUnlock()
 	return agg
 }

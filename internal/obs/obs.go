@@ -48,12 +48,6 @@ const (
 	SpanForward trace.Phase = "forward"
 )
 
-// TierCounterPrefix marks span counters that carry cumulative
-// session-tier totals (e.g. "tier_patch"). The Chrome trace export folds
-// counters with this prefix into one multi-series "session/tiers" track
-// so Perfetto shows the incremental-tier mix over time.
-const TierCounterPrefix = "tier_"
-
 // NewRequestID mints a 64-bit random request id (16 hex chars). Random,
 // not sequential: ids must be unguessable enough that /debug/requests
 // lookups can't be enumerated and log correlation across instances never

@@ -174,47 +174,73 @@ func removeDeadPure(fn *ir.Func) bool {
 	}
 }
 
-// threadJumps redirects edges that land on single-jump blocks.
+// threadJumps redirects edges that land on single-jump blocks to the end
+// of their chain. A block on a cycle of single jumps resolves to itself;
+// a block leading into such a cycle resolves to the first cycle block its
+// chain reaches.
 func threadJumps(fn *ir.Func) bool {
-	target := make([]int, len(fn.Blocks))
-	for i, b := range fn.Blocks {
-		target[i] = i
-		if len(b.Instrs) == 1 && b.Instrs[0].Op == ir.OpJump {
-			target[i] = b.Instrs[0].Target
-		}
-	}
-	// Collapse chains, guarding against cycles of empty jumps.
-	resolve := func(i int) int {
-		seen := map[int]bool{}
-		for !seen[i] {
-			seen[i] = true
-			if target[i] == i {
-				return i
-			}
-			i = target[i]
-		}
-		return i
-	}
+	resolve := resolveJumps(fn)
 	changed := false
 	fn.Instrs(func(_ *ir.Block, in *ir.Instr) {
 		switch in.Op {
 		case ir.OpJump:
-			if n := resolve(in.Target); n != in.Target {
+			if n := resolve[in.Target]; n != in.Target {
 				in.Target = n
 				changed = true
 			}
 		case ir.OpBranch:
-			if n := resolve(in.Target); n != in.Target {
+			if n := resolve[in.Target]; n != in.Target {
 				in.Target = n
 				changed = true
 			}
-			if n := resolve(in.Else); n != in.Else {
+			if n := resolve[in.Else]; n != in.Else {
 				in.Else = n
 				changed = true
 			}
 		}
 	})
 	return changed
+}
+
+// resolveJumps returns where each block's chain of single-jump blocks
+// ends, in time linear in the number of blocks: a walk stops at the first
+// block already resolved, then resolves every block it passed.
+func resolveJumps(fn *ir.Func) []int {
+	const unresolved, onPath = -1, -2
+	next := func(i int) int {
+		if b := fn.Blocks[i]; len(b.Instrs) == 1 && b.Instrs[0].Op == ir.OpJump {
+			return b.Instrs[0].Target
+		}
+		return i
+	}
+	res := make([]int, len(fn.Blocks))
+	for i := range res {
+		res[i] = unresolved
+	}
+	for i := range res {
+		j := i
+		for res[j] == unresolved {
+			if next(j) == j {
+				res[j] = j
+				break
+			}
+			res[j] = onPath
+			j = next(j)
+		}
+		end := res[j]
+		if end == onPath {
+			// The walk closed a cycle at j: the blocks on it resolve to
+			// themselves, the ones before it to j.
+			for c := j; res[c] == onPath; c = next(c) {
+				res[c] = c
+			}
+			end = j
+		}
+		for k := i; res[k] == onPath; k = next(k) {
+			res[k] = end
+		}
+	}
+	return res
 }
 
 // dropUnreachable removes blocks not reachable from the entry and

@@ -284,7 +284,7 @@ func (s *Server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 			objinline.TierReuse, objinline.TierPatch, objinline.TierReopt,
 			objinline.TierSolve, objinline.TierCold,
 		} {
-			span.Counter(obs.TierCounterPrefix+tier, totals[tier])
+			span.Counter(trace.TierCounterPrefix+tier, totals[tier])
 		}
 	}
 	span.End()

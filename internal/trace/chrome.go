@@ -64,10 +64,11 @@ type Track struct {
 	Events []Event
 }
 
-// tierCounterPrefix marks the cumulative session-tier counters folded
-// into the combined "session/tiers" track (kept in sync with the obs
-// package's TierCounterPrefix).
-const tierCounterPrefix = "tier_"
+// TierCounterPrefix marks span counters that carry cumulative
+// session-tier totals (e.g. "tier_patch"). WriteChrome folds counters
+// with this prefix into one multi-series "session/tiers" track so
+// Perfetto shows the incremental-tier mix over time.
+const TierCounterPrefix = "tier_"
 
 // WriteChrome serializes the events as Chrome trace-event JSON. The output
 // is deterministic for a given event slice: events in recorded order, each
@@ -117,7 +118,7 @@ func WriteChromeTracks(w io.Writer, tracks []Track) error {
 			// so the tier mix renders stacked over time.
 			var tiers map[string]any
 			for _, c := range ev.Counters {
-				if t, ok := strings.CutPrefix(c.Name, tierCounterPrefix); ok {
+				if t, ok := strings.CutPrefix(c.Name, TierCounterPrefix); ok {
 					if tiers == nil {
 						tiers = make(map[string]any)
 					}

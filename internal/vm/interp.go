@@ -18,7 +18,6 @@ import (
 // Options configures a Machine.
 type Options struct {
 	Out      io.Writer        // print target; defaults to io.Discard
-	Cost     *CostModel       // defaults to DefaultCostModel
 	Cache    *cachesim.Config // nil disables the cache model (hits assumed)
 	MaxSteps uint64           // 0 means the default limit
 	Trace    *trace.Sink      // optional phase-event sink; nil records nothing
@@ -35,7 +34,6 @@ const DefaultMaxSteps = 4_000_000_000
 type Machine struct {
 	prog    *ir.Program
 	out     io.Writer
-	cost    CostModel
 	cache   *cachesim.Cache
 	maxStep uint64
 
@@ -98,7 +96,6 @@ func New(prog *ir.Program, opts Options) *Machine {
 	m := &Machine{
 		prog:     prog,
 		out:      opts.Out,
-		cost:     DefaultCostModel,
 		maxStep:  opts.MaxSteps,
 		globals:  make([]Value, len(prog.Globals)),
 		nextAdr:  binBytes, // bin-aligned; keep address 0 unused
@@ -109,9 +106,6 @@ func New(prog *ir.Program, opts Options) *Machine {
 	}
 	if m.out == nil {
 		m.out = io.Discard
-	}
-	if opts.Cost != nil {
-		m.cost = *opts.Cost
 	}
 	if opts.Cache != nil {
 		m.cache = cachesim.New(*opts.Cache)
@@ -124,8 +118,8 @@ func New(prog *ir.Program, opts Options) *Machine {
 
 // counters finalizes the run's counters and returns them. The step loop
 // counts each event once, on its cost dimension; the counters that mirror
-// one dimension and Cycles, the dot product of CostEvents and the run's
-// cost model, are derived here.
+// one dimension and Cycles, the dot product of CostEvents and
+// DefaultCostModel, are derived here.
 func (m *Machine) counters() Counters {
 	c := &m.counts
 	e := &c.CostEvents
@@ -142,7 +136,7 @@ func (m *Machine) counters() Counters {
 		// simulated, so CacheHits stays 0.
 		c.CacheHits = e[DimCacheHit]
 	}
-	c.Cycles = c.CyclesUnder(&m.cost)
+	c.Cycles = c.CyclesUnder(&DefaultCostModel)
 	return *c
 }
 

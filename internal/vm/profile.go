@@ -193,19 +193,6 @@ func (p *Profile) finish(heapBytes uint64) {
 	}
 }
 
-// originName resolves a (possibly cloned/restructured) class to its
-// source-level name, so profiles from differently-specialized runs of the
-// same program join on the same class names.
-func originName(c *ir.Class) string {
-	if c == nil {
-		return ""
-	}
-	for c.Origin != nil {
-		c = c.Origin
-	}
-	return c.Name
-}
-
 // SiteProfile is one allocation site's aggregated attribution: all records
 // with the same source position and source-level class merged (clones of
 // the same source instruction report as one site).
@@ -258,7 +245,12 @@ func (p *Profile) Sites() []SiteProfile {
 	agg := make(map[aggKey]*SiteProfile)
 	var order []aggKey
 	for _, r := range p.recs {
-		k := aggKey{r.pos, originName(r.class), r.array}
+		// Source-level class names, so profiles from differently
+		// specialized runs of the same program join on the same names.
+		k := aggKey{pos: r.pos, array: r.array}
+		if r.class != nil {
+			k.class = r.class.Source().Name
+		}
 		s := agg[k]
 		if s == nil {
 			s = &SiteProfile{Pos: r.pos.String(), Class: k.class, Array: r.array}
@@ -304,7 +296,7 @@ func (p *Profile) FieldPaths() []FieldProfile {
 	type aggKey struct{ class, field string }
 	agg := make(map[aggKey]*FieldProfile)
 	for k, r := range p.fields {
-		ak := aggKey{originName(k.owner), k.name}
+		ak := aggKey{k.owner.Source().Name, k.name}
 		f := agg[ak]
 		if f == nil {
 			f = &FieldProfile{Class: ak.class, Field: ak.field}

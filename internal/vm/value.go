@@ -136,11 +136,7 @@ func (v Value) String() string {
 	case KObj:
 		// Print the source-level class name: restructured class versions
 		// must be observationally identical to the original program.
-		c := v.Obj().Class
-		if c.Origin != nil {
-			c = c.Origin
-		}
-		return "<" + c.Name + ">"
+		return "<" + v.Obj().Class.Source().Name + ">"
 	case KArr:
 		return fmt.Sprintf("<array len=%d>", v.Arr().Length)
 	case KInterior:
