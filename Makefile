@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet fmt loc check-json bench bench-vm bench-analysis bench-calibration bench-cluster payoff figs serve
+.PHONY: check build test race vet fmt loc check-json bench bench-vm bench-analysis bench-calibration payoff figs serve
 
 check: build vet fmt race check-json
 
@@ -75,11 +75,3 @@ figs:
 # Run the oicd compile-and-explain service locally (docs/SERVER.md).
 serve:
 	$(GO) run ./cmd/oicd
-
-# Benchmark the cluster tier: a real 3-process cluster measured for
-# cross-instance dedup, per-instance and cluster-wide latency,
-# byte-identity through every front, SIGKILL failover, and
-# warm-from-disk restart.
-bench-cluster:
-	$(GO) run ./cmd/objbench -fig cluster -json > BENCH_cluster.json
-	$(GO) run ./cmd/objbench -fig cluster

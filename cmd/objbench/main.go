@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	objbench [-fig 14|15|16|17|A1|A2|A3|payoff|calibration|cluster|all] [-scale small|medium|default]
+//	objbench [-fig 14|15|16|17|A1|A2|A3|payoff|calibration|all] [-scale small|medium|default]
 //	         [-jobs N] [-json] [-stats] [-cpuprofile f] [-memprofile f]
 //
 // "payoff" joins profiled inlining-on/off runs into a per-field table of
@@ -28,7 +28,6 @@ import (
 	"runtime/pprof"
 
 	"objinline/internal/bench"
-	"objinline/internal/bench/clusterbench"
 )
 
 // figure is one regenerable table: its -fig name, how to compute its rows
@@ -38,7 +37,7 @@ type figure struct {
 	compute func(*bench.Engine, bench.Scale) (any, error)
 	print   func(io.Writer, any)
 	// explicitOnly excludes the figure from -fig all (figures that build
-	// binaries, boot processes, or keep their own run cache).
+	// binaries or keep their own run cache).
 	explicitOnly bool
 }
 
@@ -112,23 +111,10 @@ var figures = []figure{
 		print:        func(w io.Writer, rows any) { bench.PrintPayoff(w, rows.([]*bench.ProgramPayoff)) },
 		explicitOnly: true,
 	},
-	{
-		// The distributed-oicd benchmark: a real multi-process cluster
-		// exercised for cross-instance dedup, byte-identity through every
-		// front, SIGKILL failover, and warm-from-disk restart. Builds and
-		// boots the oicd binary, so explicit-only (`make bench-cluster`
-		// emits BENCH_cluster.json).
-		name: "cluster",
-		compute: func(e *bench.Engine, s bench.Scale) (any, error) {
-			return clusterbench.Run(clusterbench.Options{Scale: s})
-		},
-		print:        func(w io.Writer, rows any) { clusterbench.Print(w, rows.(*clusterbench.Result)) },
-		explicitOnly: true,
-	},
 }
 
 func main() {
-	fig := flag.String("fig", "all", "which figure to regenerate: 14, 15, 16, 17, A1, A2, A3, payoff, calibration, cluster, or all")
+	fig := flag.String("fig", "all", "which figure to regenerate: 14, 15, 16, 17, A1, A2, A3, payoff, calibration, or all")
 	scaleName := flag.String("scale", "default", "workload scale: small, medium, or default")
 	jobs := flag.Int("jobs", 0, "worker-pool size for the measurement engine (0 = GOMAXPROCS)")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of tables")

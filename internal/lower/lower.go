@@ -163,7 +163,7 @@ func (l *lowerer) lowerGlobalInit(globals []*ast.VarStmt) {
 // lowerGlobalInitInto lowers the global initializers into fn's body; the
 // incremental path reuses it to rebuild $init in place after an edit.
 func (l *lowerer) lowerGlobalInitInto(fn *ir.Func, globals []*ast.VarStmt) {
-	fb := &funcBuilder{l: l, fn: fn}
+	fb := &funcBuilder{l: l, fn: fn, vars: make(map[string]binding)}
 	fb.pushScope()
 	fb.cur = fb.newBlock()
 	for _, g := range globals {
@@ -189,28 +189,60 @@ type funcBuilder struct {
 	fn      *ir.Func
 	cur     *ir.Block
 	nextReg ir.Reg
-	scopes  []map[string]ir.Reg
-	loops   []loopCtx
+	// vars maps each visible local to its innermost binding. Every
+	// declaration logs the binding it shadowed in undo, and popScope
+	// restores the entries logged since the scope's mark, so a lookup is
+	// one map probe whatever the nesting depth.
+	vars  map[string]binding
+	undo  []shadowed
+	marks []int
+	loops []loopCtx
 }
 
-func (fb *funcBuilder) pushScope() { fb.scopes = append(fb.scopes, make(map[string]ir.Reg)) }
-func (fb *funcBuilder) popScope()  { fb.scopes = fb.scopes[:len(fb.scopes)-1] }
+// binding is a local's register and the depth of the scope declaring it.
+type binding struct {
+	reg   ir.Reg
+	depth int
+}
+
+// shadowed is one declaration's undo entry: the binding name had before
+// it (ok is false when name was unbound).
+type shadowed struct {
+	name string
+	prev binding
+	ok   bool
+}
+
+func (fb *funcBuilder) pushScope() { fb.marks = append(fb.marks, len(fb.undo)) }
+
+func (fb *funcBuilder) popScope() {
+	mark := fb.marks[len(fb.marks)-1]
+	for i := len(fb.undo) - 1; i >= mark; i-- {
+		if u := fb.undo[i]; u.ok {
+			fb.vars[u.name] = u.prev
+		} else {
+			delete(fb.vars, u.name)
+		}
+	}
+	fb.undo = fb.undo[:mark]
+	fb.marks = fb.marks[:len(fb.marks)-1]
+}
 
 func (fb *funcBuilder) declare(name string, pos source.Pos) ir.Reg {
-	top := fb.scopes[len(fb.scopes)-1]
-	if _, dup := top[name]; dup {
+	depth := len(fb.marks)
+	prev, ok := fb.vars[name]
+	if ok && prev.depth == depth {
 		fb.l.errs.Add(pos, "%s redeclared in this scope", name)
 	}
 	r := fb.newReg()
-	top[name] = r
+	fb.undo = append(fb.undo, shadowed{name: name, prev: prev, ok: ok})
+	fb.vars[name] = binding{reg: r, depth: depth}
 	return r
 }
 
 func (fb *funcBuilder) lookup(name string) (ir.Reg, bool) {
-	for i := len(fb.scopes) - 1; i >= 0; i-- {
-		if r, ok := fb.scopes[i][name]; ok {
-			return r, true
-		}
+	if b, ok := fb.vars[name]; ok {
+		return b.reg, true
 	}
 	return ir.NoReg, false
 }
@@ -244,7 +276,7 @@ func (fb *funcBuilder) jump(to *ir.Block, pos source.Pos) {
 }
 
 func (l *lowerer) lowerFunc(fn *ir.Func, decl *ast.FuncDecl) {
-	fb := &funcBuilder{l: l, fn: fn}
+	fb := &funcBuilder{l: l, fn: fn, vars: make(map[string]binding)}
 	fb.pushScope()
 	if fn.Class != nil {
 		fb.nextReg = 1 // r0 = self

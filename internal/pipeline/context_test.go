@@ -9,11 +9,13 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"objinline/internal/analysis"
 	"objinline/internal/pipeline"
+	"objinline/internal/trace"
 )
 
 // cancelSlack is how far past its deadline a cancellation may return and
@@ -110,5 +112,77 @@ func TestRunCancelInfiniteLoop(t *testing.T) {
 				t.Errorf("cancellation took %v, want under %v", elapsed, deadline+cancelSlack)
 			}
 		})
+	}
+}
+
+// phaseDeadline is a context whose deadline passes as the compile starts
+// its k-th traced phase (k counts from 1): from then on Err reports
+// context.Canceled and Done is closed. Its clock is the compile's own
+// trace sink, so a test can land the deadline inside any phase,
+// deterministically.
+type phaseDeadline struct {
+	context.Context
+	sink *trace.Sink
+	k    int
+	once sync.Once
+	done chan struct{}
+}
+
+func newPhaseDeadline(sink *trace.Sink, k int) *phaseDeadline {
+	return &phaseDeadline{Context: context.Background(), sink: sink, k: k, done: make(chan struct{})}
+}
+
+func (c *phaseDeadline) passed() bool {
+	if len(c.sink.Events()) < c.k {
+		return false
+	}
+	c.once.Do(func() { close(c.done) })
+	return true
+}
+
+func (c *phaseDeadline) Done() <-chan struct{} {
+	c.passed()
+	return c.done
+}
+
+func (c *phaseDeadline) Err() error {
+	if c.passed() {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCompileNeverReturnsLate lands the deadline in every phase of a
+// direct, baseline and inline compile, and one past the last. Whenever
+// the deadline has passed by the time the compile returns, the compile
+// must return a cancellation error and no Compiled, however little of
+// the work was left when it passed.
+func TestCompileNeverReturnsLate(t *testing.T) {
+	const src = "class P { v; def init(v) { self.v = v; } }\nfunc main() { var p = new P(6); print(p.v * 7); }\n"
+	for _, mode := range []pipeline.Mode{pipeline.ModeDirect, pipeline.ModeBaseline, pipeline.ModeInline} {
+		full := &trace.Sink{}
+		if _, err := pipeline.Compile("late.icc", src, pipeline.Config{Mode: mode, Trace: full}); err != nil {
+			t.Fatal(err)
+		}
+		phases := full.Events()
+		for k := 1; k <= len(phases)+1; k++ {
+			sink := &trace.Sink{}
+			ctx := newPhaseDeadline(sink, k)
+			c, err := pipeline.CompileContext(ctx, "late.icc", src, pipeline.Config{Mode: mode, Trace: sink})
+			in := "after the last phase"
+			if k <= len(phases) {
+				in = "in " + string(phases[k-1].Phase)
+			}
+			if ctx.Err() == nil {
+				if err != nil || c == nil {
+					t.Errorf("%v, deadline %s never passed: got %v, %v; want a Compiled", mode, in, c, err)
+				}
+				continue
+			}
+			if c != nil || !errors.Is(err, context.Canceled) {
+				t.Errorf("%v, deadline passed %s: got Compiled %v, err %v; want no Compiled and context.Canceled",
+					mode, in, c != nil, err)
+			}
+		}
 	}
 }

@@ -77,10 +77,11 @@ func Compile(file, src string, cfg Config) (*Compiled, error) {
 }
 
 // CompileContext is Compile with cancellation: the context is checked
-// between phases and threaded into the contour analysis (whose fixpoint
-// solvers poll it between contour evaluations), so a compile of an
-// adversarial or pathological input stops within a bounded amount of work
-// of the deadline. A canceled compilation returns an error wrapping
+// between phases and after the last one, and threaded into the contour
+// analysis (whose fixpoint solvers poll it between contour evaluations),
+// so a compile of an adversarial or pathological input stops within a
+// bounded amount of work of the deadline, and one that finishes past it
+// returns no Compiled. A canceled compilation returns an error wrapping
 // ctx.Err(); whatever phase events completed remain on cfg.Trace.
 func CompileContext(ctx context.Context, file, src string, cfg Config) (*Compiled, error) {
 	info, err := frontEnd(ctx, file, src, cfg.Trace)
@@ -98,12 +99,21 @@ func CompileContext(ctx context.Context, file, src string, cfg Config) (*Compile
 	return compileLowered(ctx, prog, nil, cfg)
 }
 
+// canceled wraps ctx's error as a canceled compile, or is nil while ctx
+// is live.
+func canceled(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("compile canceled: %w", err)
+	}
+	return nil
+}
+
 // frontEnd parses and checks src, one traced phase each, polling ctx
 // before, between and after them. It is the shared front half of
 // CompileContext and Session patches.
 func frontEnd(ctx context.Context, file, src string, tr *trace.Sink) (*sem.Info, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("compile canceled: %w", err)
+	if err := canceled(ctx); err != nil {
+		return nil, err
 	}
 	sp := tr.Start(trace.PhaseParse)
 	tree, err := parser.Parse(file, src)
@@ -111,8 +121,8 @@ func frontEnd(ctx context.Context, file, src string, tr *trace.Sink) (*sem.Info,
 	if err != nil {
 		return nil, fmt.Errorf("parse: %w", err)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("compile canceled: %w", err)
+	if err := canceled(ctx); err != nil {
+		return nil, err
 	}
 	sp = tr.Start(trace.PhaseCheck)
 	info, err := sem.Check(tree)
@@ -120,8 +130,8 @@ func frontEnd(ctx context.Context, file, src string, tr *trace.Sink) (*sem.Info,
 	if err != nil {
 		return nil, fmt.Errorf("check: %w", err)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("compile canceled: %w", err)
+	if err := canceled(ctx); err != nil {
+		return nil, err
 	}
 	return info, nil
 }
@@ -136,6 +146,10 @@ func compileLowered(ctx context.Context, prog *ir.Program, prior *analysis.Resul
 	tr := cfg.Trace
 	c := &Compiled{Source: prog, Prog: prog, Mode: cfg.Mode, Trace: tr}
 	if cfg.Mode == ModeDirect {
+		// A compile that finishes past its deadline is canceled, not late.
+		if err := canceled(ctx); err != nil {
+			return nil, err
+		}
 		return c, nil
 	}
 
@@ -149,8 +163,8 @@ func compileLowered(ctx context.Context, prog *ir.Program, prior *analysis.Resul
 	}
 	c.Analysis = res
 
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("compile canceled: %w", err)
+	if err := canceled(ctx); err != nil {
+		return nil, err
 	}
 	sp := tr.Start(trace.PhaseOptimize)
 	opt, err := core.Optimize(prog, res, core.Options{
@@ -177,8 +191,8 @@ func compileLowered(ctx context.Context, prog *ir.Program, prior *analysis.Resul
 	// specialized methods are absorbed into their callers (§6.2.1's "most
 	// of the specialized methods are inlined"), then the peephole pass
 	// sweeps up the debris.
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("compile canceled: %w", err)
+	if err := canceled(ctx); err != nil {
+		return nil, err
 	}
 	sp = tr.Start(trace.PhaseFuncInline)
 	funcinline.Program(c.Prog, funcinline.DefaultOptions)
@@ -187,12 +201,18 @@ func compileLowered(ctx context.Context, prog *ir.Program, prior *analysis.Resul
 	if err := c.Prog.Verify(); err != nil {
 		return nil, fmt.Errorf("function inlining broke the program: %w", err)
 	}
+	if err := canceled(ctx); err != nil {
+		return nil, err
+	}
 	sp = tr.Start(trace.PhasePeephole)
 	peephole.Program(c.Prog)
 	sp.Counter("instrs", int64(c.Prog.CodeSize()))
 	sp.End()
 	if err := c.Prog.Verify(); err != nil {
 		return nil, fmt.Errorf("peephole broke the program: %w", err)
+	}
+	if err := canceled(ctx); err != nil {
+		return nil, err
 	}
 	return c, nil
 }

@@ -8,6 +8,8 @@ package server
 // instance up warm.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -16,6 +18,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -159,6 +162,77 @@ func TestClusterForwardDedup(t *testing.T) {
 	}
 	if forwards != 2 {
 		t.Errorf("cluster-wide forwards_total = %v, want 2 (two non-owner fronts)", forwards)
+	}
+}
+
+// TestClusterConcurrentDedup sends K distinct sources through all three
+// front-ends at once. Whichever front a key's first request reaches, the
+// owner's singleflight must compile each key exactly once cluster-wide,
+// every front must answer 200 with the same bytes for a key, and each
+// key's two non-owner fronts forward exactly once each.
+func TestClusterConcurrentDedup(t *testing.T) {
+	const keys = 4
+	nodes := newTestCluster(t, 3, nil)
+	src := fixtureSource(t)
+
+	type answer struct {
+		status int
+		body   []byte
+		err    error
+	}
+	answers := make([][]answer, keys)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for k := range answers {
+		answers[k] = make([]answer, len(nodes))
+		body, err := json.Marshal(api.CompileRequest{Source: fmt.Sprintf("%s\n// key %d\n", src, k)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f, nd := range nodes {
+			wg.Add(1)
+			go func(a *answer, nd *clusterNode) {
+				defer wg.Done()
+				<-start
+				resp, err := nd.ts.Client().Post(nd.url+"/v1/compile", "application/json", bytes.NewReader(body))
+				if err != nil {
+					a.err = err
+					return
+				}
+				defer resp.Body.Close()
+				a.status = resp.StatusCode
+				a.body, a.err = io.ReadAll(resp.Body)
+			}(&answers[k][f], nd)
+		}
+	}
+	close(start)
+	wg.Wait()
+
+	for k, byFront := range answers {
+		for f, a := range byFront {
+			switch {
+			case a.err != nil:
+				t.Errorf("key %d via front %d: %v", k, f, a.err)
+			case a.status != http.StatusOK:
+				t.Errorf("key %d via front %d: status %d\n%s", k, f, a.status, a.body)
+			case !bytes.Equal(a.body, byFront[0].body):
+				t.Errorf("key %d: front %d returned different bytes than front 0:\n%s\nvs\n%s",
+					k, f, a.body, byFront[0].body)
+			}
+		}
+	}
+
+	var compiles, forwards float64
+	for _, nd := range nodes {
+		m := getMetrics(t, nd.ts)
+		compiles += m["compiles_total"]
+		forwards += m["forwards_total"]
+	}
+	if compiles != keys {
+		t.Errorf("cluster-wide compiles_total = %v, want %d (one per key)", compiles, keys)
+	}
+	if forwards != 2*keys {
+		t.Errorf("cluster-wide forwards_total = %v, want %d (two non-owner fronts per key)", forwards, 2*keys)
 	}
 }
 

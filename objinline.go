@@ -294,27 +294,15 @@ func (s *Session) PatchContext(ctx context.Context, src string) (*Program, Incre
 	return s.p, st, nil
 }
 
-// CacheConfig is the simulated data cache's geometry.
-type CacheConfig struct {
-	// SizeBytes is the total capacity (default 16 KiB).
-	SizeBytes int `json:"size_bytes"`
-	// LineBytes is the cache-line size (default 32).
-	LineBytes int `json:"line_bytes"`
-	// Ways is the set associativity (default 4).
-	Ways int `json:"ways"`
-}
-
 // RunOptions configures one execution.
 type RunOptions struct {
 	// Output receives everything the program prints (default: discard).
 	Output io.Writer
 	// MaxSteps bounds execution (default: 4e9 instructions).
 	MaxSteps uint64
-	// DisableCache turns the cache simulator off (all accesses hit).
+	// DisableCache turns the cache simulator off (all accesses hit). Runs
+	// otherwise simulate the default 16 KiB, 32-byte-line, 4-way cache.
 	DisableCache bool
-	// Cache overrides the simulated cache geometry; nil (or zero fields)
-	// uses the default 16 KiB, 32-byte-line, 4-way configuration.
-	Cache *CacheConfig
 	// Profile attaches a site profiler to the run: allocations, field
 	// traffic, and cache misses are attributed to allocation sites and
 	// Class.field paths, returned in Result.Profile (and joinable across
@@ -443,21 +431,7 @@ func (p *Program) Execute(ctx context.Context, opts RunOptions) (Result, error) 
 		eo.Run.Profile = vm.NewProfile()
 	}
 	if !opts.DisableCache {
-		cfg := cachesim.DefaultConfig
-		geo := opts.Cache
-		if geo == nil {
-			geo = &CacheConfig{}
-		}
-		if geo.SizeBytes > 0 {
-			cfg.SizeBytes = geo.SizeBytes
-		}
-		if geo.LineBytes > 0 {
-			cfg.LineBytes = geo.LineBytes
-		}
-		if geo.Ways > 0 {
-			cfg.Ways = geo.Ways
-		}
-		eo.Run.Cache = &cfg
+		eo.Run.Cache = &cachesim.DefaultConfig
 	}
 	res, err := p.c.Execute(ctx, eo)
 	if err != nil || res.Engine == EngineNative {

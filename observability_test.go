@@ -212,29 +212,3 @@ func TestParseMode(t *testing.T) {
 		t.Error("ParseMode should reject unknown names")
 	}
 }
-
-func TestCacheConfigConsolidation(t *testing.T) {
-	prog := compileFixture(t)
-	// CacheConfig is the one geometry knob: a nil config and an all-zero
-	// one both mean the default cache.
-	viaNil, err := vmRun(prog, objinline.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaZero, err := vmRun(prog, objinline.RunOptions{Cache: &objinline.CacheConfig{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaNil != viaZero {
-		t.Errorf("nil and zero CacheConfig disagree:\n%+v\n%+v", viaNil, viaZero)
-	}
-	tiny, err := vmRun(prog, objinline.RunOptions{
-		Cache: &objinline.CacheConfig{SizeBytes: 1 << 12, LineBytes: 16, Ways: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tiny.CacheMisses == 0 {
-		t.Error("tiny cache produced no misses; geometry likely ignored")
-	}
-}
