@@ -334,7 +334,7 @@ func printMetrics(w io.Writer, m objinline.Metrics) {
 	fmt.Fprintf(w, "dereferences: %d (dynamic lookups %d)\n", m.Dereferences, m.DynFieldLookups)
 	fmt.Fprintf(w, "dispatches: %d, static calls: %d\n", m.Dispatches, m.StaticCalls)
 	fmt.Fprintf(w, "heap objects: %d, stack temporaries: %d, arrays: %d (%d bytes)\n",
-		m.HeapObjects, m.StackObjects, m.Arrays, m.BytesAllocated)
+		m.ObjectsAllocated, m.StackAllocated, m.ArraysAllocated, m.BytesAllocated)
 	fmt.Fprintf(w, "cache: %d hits, %d misses\n", m.CacheHits, m.CacheMisses)
 }
 

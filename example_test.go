@@ -68,7 +68,7 @@ func main() {
 	bres, _ := base.Execute(ctx, objinline.RunOptions{})
 	ires, _ := inl.Execute(ctx, objinline.RunOptions{})
 	bm, im := bres.Metrics, ires.Metrics
-	fmt.Println("fewer heap objects:", im.HeapObjects < bm.HeapObjects)
+	fmt.Println("fewer heap objects:", im.ObjectsAllocated < bm.ObjectsAllocated)
 	fmt.Println("fewer cycles:", im.Cycles < bm.Cycles)
 	// Output:
 	// fewer heap objects: true

@@ -42,7 +42,7 @@ func main() {
 		fmt.Println("inlined:", strings.Join(prog.InlinedFields(), ", "))
 		fmt.Printf("cycles: %d -> %d (%.2fx), heap objects: %d -> %d, cache misses: %d -> %d\n\n",
 			base.Cycles, inl.Cycles, float64(base.Cycles)/float64(inl.Cycles),
-			base.HeapObjects, inl.HeapObjects, base.CacheMisses, inl.CacheMisses)
+			base.ObjectsAllocated, inl.ObjectsAllocated, base.CacheMisses, inl.CacheMisses)
 	}
 
 	// Layout ablation on the array version.

@@ -69,7 +69,7 @@ func main() {
 	fmt.Println("\n== baseline vs inlined ==")
 	fmt.Printf("%-22s %12s %12s\n", "", "baseline", "inlined")
 	fmt.Printf("%-22s %12d %12d\n", "modeled cycles", bm.Cycles, im.Cycles)
-	fmt.Printf("%-22s %12d %12d\n", "heap objects", bm.HeapObjects, im.HeapObjects)
+	fmt.Printf("%-22s %12d %12d\n", "heap objects", bm.ObjectsAllocated, im.ObjectsAllocated)
 	fmt.Printf("%-22s %12d %12d\n", "dereferences", bm.Dereferences, im.Dereferences)
 	fmt.Printf("%-22s %12d %12d\n", "cache misses", bm.CacheMisses, im.CacheMisses)
 	fmt.Printf("speedup: %.2fx\n", float64(bm.Cycles)/float64(im.Cycles))

@@ -49,7 +49,7 @@ func main() {
 	fmt.Printf("\n%-10s %14s %14s %12s %12s\n", "mode", "cycles", "dereferences", "dispatches", "heap objs")
 	for _, r := range results {
 		fmt.Printf("%-10s %14d %14d %12d %12d\n",
-			r.mode, r.metrics.Cycles, r.metrics.Dereferences, r.metrics.Dispatches, r.metrics.HeapObjects)
+			r.mode, r.metrics.Cycles, r.metrics.Dereferences, r.metrics.Dispatches, r.metrics.ObjectsAllocated)
 	}
 
 	inl := results[2].prog

@@ -9,19 +9,20 @@ import (
 )
 
 // Stats summarizes analysis cost, the Figure 16 metric, plus the solver's
-// work counters and convergence status.
+// work counters and convergence status. The JSON tags are the public
+// API's wire shape (objinline.AnalysisStats is this type).
 type Stats struct {
-	ReachedFuncs   int
-	MethodContours int
-	ObjContours    int
-	ArrContours    int
-	Passes         int
+	ReachedFuncs   int `json:"reached_funcs"`
+	MethodContours int `json:"method_contours"`
+	ObjContours    int `json:"obj_contours"`
+	ArrContours    int `json:"arr_contours"`
+	Passes         int `json:"passes"`
 	// ContoursPerMethod is MethodContours / ReachedFuncs.
-	ContoursPerMethod float64
+	ContoursPerMethod float64 `json:"contours_per_method"`
 	// Converged is false when the final pass hit Options.MaxRounds.
-	Converged bool
+	Converged bool `json:"converged"`
 	// Work counts the solver's effort across all passes.
-	Work WorkStats
+	Work WorkStats `json:"work"`
 }
 
 // Stats computes the contour statistics of the result.

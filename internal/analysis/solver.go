@@ -63,21 +63,21 @@ package analysis
 // (BenchmarkAnalyze in internal/bench times both).
 type WorkStats struct {
 	// Rounds is the number of fixpoint rounds across all passes.
-	Rounds int
+	Rounds int `json:"rounds"`
 	// ContourEvals counts whole-contour evaluations.
-	ContourEvals int
+	ContourEvals int `json:"contour_evals"`
 	// InstrEvals counts full instruction transfer-function applications —
 	// the analysis's innermost unit of work.
-	InstrEvals int
+	InstrEvals int `json:"instr_evals"`
 	// PartialEvals counts the worklist's partial re-evaluations (argument
 	// or return re-merges through existing bindings; see the slot
 	// taxonomy below). Always 0 for the sweep, which only applies full
 	// transfer functions.
-	PartialEvals int
+	PartialEvals int `json:"partial_evals"`
 	// Enqueues counts contour activations scheduled by dependency hits
 	// (including initial activations at contour creation); always 0 for
 	// the sweep solver, which schedules implicitly.
-	Enqueues int
+	Enqueues int `json:"enqueues"`
 }
 
 // cancelPollInterval is how many contour evaluations a pass runs

@@ -23,22 +23,21 @@ type Config struct {
 	Self string
 	// Peers is the full static membership, self included.
 	Peers []string
-	// VirtualNodes per member (0 = DefaultVirtualNodes).
-	VirtualNodes int
-	// ProbeInterval between health probes of each peer (0 = 1s).
+	// ProbeInterval between health probes of each peer (0 = 1s). One
+	// probe times out after the interval, at most 2s.
 	ProbeInterval time.Duration
-	// FailAfter consecutive failed probes eject a peer (0 = 2).
-	FailAfter int
-	// RiseAfter consecutive good probes readmit it (0 = 2).
-	RiseAfter int
-	// ProbeTimeout bounds one probe (0 = ProbeInterval, capped at 2s).
-	ProbeTimeout time.Duration
-	// Client is used for probes and request forwarding (nil = a dedicated
-	// client with sane pooling).
-	Client *http.Client
 	// Logger for membership transitions (nil = slog.Default).
 	Logger *slog.Logger
 }
+
+const (
+	// failAfter consecutive failed probes eject a peer.
+	failAfter = 2
+	// riseAfter consecutive good probes readmit it.
+	riseAfter = 2
+	// maxProbeTimeout caps one probe's timeout on long probe intervals.
+	maxProbeTimeout = 2 * time.Second
+)
 
 // Cluster is one instance's live view of the ring. All methods are safe
 // for concurrent use; routing methods are lock-free.
@@ -93,38 +92,22 @@ func ParsePeers(s string) []string {
 
 // New builds a Cluster. Every peer starts as up (the common case at
 // boot is a whole cluster starting together; probes demote the ones that
-// are not actually there within FailAfter×ProbeInterval). Start launches
+// are not actually there within failAfter×ProbeInterval). Start launches
 // the probe loop.
 func New(cfg Config) *Cluster {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
 	}
-	if cfg.FailAfter <= 0 {
-		cfg.FailAfter = 2
-	}
-	if cfg.RiseAfter <= 0 {
-		cfg.RiseAfter = 2
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = cfg.ProbeInterval
-		if cfg.ProbeTimeout > 2*time.Second {
-			cfg.ProbeTimeout = 2 * time.Second
-		}
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
 	cfg.Self = NormalizePeer(cfg.Self)
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{
+	c := &Cluster{
+		cfg: cfg,
+		client: &http.Client{Transport: &http.Transport{
 			MaxIdleConnsPerHost: 16,
 			IdleConnTimeout:     30 * time.Second,
-		}}
-	}
-	c := &Cluster{
-		cfg:    cfg,
-		client: client,
+		}},
 		log:    cfg.Logger,
 		health: make(map[string]*peerHealth),
 		stop:   make(chan struct{}),
@@ -196,7 +179,7 @@ func (c *Cluster) rebuild() {
 			nodes = append(nodes, p)
 		}
 	}
-	c.ring.Store(NewRing(nodes, c.cfg.VirtualNodes))
+	c.ring.Store(NewRing(nodes))
 }
 
 // Start launches the probe loop. Close stops it.
@@ -228,7 +211,7 @@ func (c *Cluster) probeLoop() {
 // thresholds. A peer answering /healthz with 200 is healthy; a 503
 // (draining) or any error counts as down — that is the graceful drain
 // handoff: BeginDrain flips /healthz to 503, peers eject the drainer
-// within FailAfter probes, and its keys re-home to the rebuilt ring's
+// within failAfter probes, and its keys re-home to the rebuilt ring's
 // owners while it finishes in-flight work.
 func (c *Cluster) probeAll() {
 	c.mu.Lock()
@@ -264,7 +247,7 @@ func (c *Cluster) probeAll() {
 		if ok {
 			h.goodStreak++
 			h.badStreak = 0
-			if !h.up && h.goodStreak >= c.cfg.RiseAfter {
+			if !h.up && h.goodStreak >= riseAfter {
 				h.up = true
 				changed = true
 				c.transitions.Add(1)
@@ -273,7 +256,7 @@ func (c *Cluster) probeAll() {
 		} else {
 			h.badStreak++
 			h.goodStreak = 0
-			if h.up && h.badStreak >= c.cfg.FailAfter {
+			if h.up && h.badStreak >= failAfter {
 				h.up = false
 				changed = true
 				c.transitions.Add(1)
@@ -287,7 +270,7 @@ func (c *Cluster) probeAll() {
 }
 
 func (c *Cluster) probeOne(peer string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), min(c.cfg.ProbeInterval, maxProbeTimeout))
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/healthz", nil)
 	if err != nil {

@@ -38,8 +38,8 @@ func TestRouteKeySingleNode(t *testing.T) {
 
 // TestProbeEjectionReadmission drives the membership loop against a real
 // peer that flips between healthy, draining (503), and healthy again:
-// the ring must eject it after FailAfter bad probes and readmit it after
-// RiseAfter good ones, re-homing keys both ways.
+// the ring must eject it after failAfter bad probes and readmit it after
+// riseAfter good ones, re-homing keys both ways.
 func TestProbeEjectionReadmission(t *testing.T) {
 	var healthy atomic.Bool
 	healthy.Store(true)
@@ -61,8 +61,6 @@ func TestProbeEjectionReadmission(t *testing.T) {
 		Self:          self,
 		Peers:         []string{self, peer.URL},
 		ProbeInterval: 10 * time.Millisecond,
-		FailAfter:     2,
-		RiseAfter:     2,
 		Logger:        quietLogger(),
 	})
 	c.Start()
@@ -108,8 +106,6 @@ func TestProbeUnreachablePeerEjected(t *testing.T) {
 		Self:          "http://127.0.0.1:1",
 		Peers:         []string{"http://127.0.0.1:1", "http://127.0.0.1:9"},
 		ProbeInterval: 10 * time.Millisecond,
-		ProbeTimeout:  50 * time.Millisecond,
-		FailAfter:     2,
 		Logger:        quietLogger(),
 	})
 	c.Start()

@@ -18,11 +18,10 @@ import (
 	"strconv"
 )
 
-// DefaultVirtualNodes is how many points each node projects onto the
-// ring when Config.VirtualNodes is zero. 64 keeps the ownership spread
-// within a few tens of percent of uniform for small clusters while the
-// ring stays tiny (N×64 points).
-const DefaultVirtualNodes = 64
+// virtualNodes is how many points each node projects onto the ring. 64
+// keeps the ownership spread within a few tens of percent of uniform for
+// small clusters while the ring stays tiny (N×64 points).
+const virtualNodes = 64
 
 // hash64 is the ring's hash: FNV-1a over the string, pushed through a
 // 64-bit finalizer. Raw FNV clusters badly on the short, similar vnode
@@ -58,11 +57,8 @@ type Ring struct {
 }
 
 // NewRing builds a ring over nodes (duplicates and empties dropped) with
-// vnodes virtual nodes each (0 = DefaultVirtualNodes).
-func NewRing(nodes []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
-	}
+// virtualNodes points each.
+func NewRing(nodes []string) *Ring {
 	r := &Ring{}
 	seen := make(map[string]bool, len(nodes))
 	for _, n := range nodes {
@@ -73,9 +69,9 @@ func NewRing(nodes []string, vnodes int) *Ring {
 		r.nodes = append(r.nodes, n)
 	}
 	sort.Strings(r.nodes)
-	r.points = make([]point, 0, len(r.nodes)*vnodes)
+	r.points = make([]point, 0, len(r.nodes)*virtualNodes)
 	for _, n := range r.nodes {
-		for i := 0; i < vnodes; i++ {
+		for i := 0; i < virtualNodes; i++ {
 			r.points = append(r.points, point{hash64(n + "#" + strconv.Itoa(i)), n})
 		}
 	}
@@ -88,13 +84,6 @@ func NewRing(nodes []string, vnodes int) *Ring {
 		return r.points[i].node < r.points[j].node
 	})
 	return r
-}
-
-// Nodes returns the ring's members, sorted.
-func (r *Ring) Nodes() []string {
-	out := make([]string, len(r.nodes))
-	copy(out, r.nodes)
-	return out
 }
 
 // Owner returns the node owning key: the first virtual node clockwise

@@ -23,8 +23,8 @@ func nodeNames(n int) []string {
 }
 
 func TestRingDeterministic(t *testing.T) {
-	a := NewRing([]string{"c", "a", "b"}, 64)
-	b := NewRing([]string{"b", "b", "a", "", "c"}, 64)
+	a := NewRing([]string{"c", "a", "b"})
+	b := NewRing([]string{"b", "b", "a", "", "c"})
 	for _, k := range testKeys(200) {
 		oa, _ := a.Owner(k)
 		ob, _ := b.Owner(k)
@@ -35,7 +35,7 @@ func TestRingDeterministic(t *testing.T) {
 }
 
 func TestRingEmpty(t *testing.T) {
-	r := NewRing(nil, 0)
+	r := NewRing(nil)
 	if _, ok := r.Owner("k"); ok {
 		t.Fatal("empty ring claimed an owner")
 	}
@@ -47,7 +47,7 @@ func TestRingEmpty(t *testing.T) {
 func TestRingBoundedChurnOnLeave(t *testing.T) {
 	nodes := nodeNames(8)
 	keys := testKeys(4000)
-	full := NewRing(nodes, 0)
+	full := NewRing(nodes)
 	for _, leaver := range []int{0, 3, 7} {
 		var rest []string
 		for i, n := range nodes {
@@ -55,7 +55,7 @@ func TestRingBoundedChurnOnLeave(t *testing.T) {
 				rest = append(rest, n)
 			}
 		}
-		shrunk := NewRing(rest, 0)
+		shrunk := NewRing(rest)
 		moved := 0
 		for _, k := range keys {
 			before, _ := full.Owner(k)
@@ -81,8 +81,8 @@ func TestRingBoundedChurnOnLeave(t *testing.T) {
 func TestRingBoundedChurnOnJoin(t *testing.T) {
 	nodes := nodeNames(8)
 	keys := testKeys(4000)
-	base := NewRing(nodes[:7], 0)
-	grown := NewRing(nodes, 0)
+	base := NewRing(nodes[:7])
+	grown := NewRing(nodes)
 	newcomer := nodes[7]
 	moved := 0
 	for _, k := range keys {
@@ -107,7 +107,7 @@ func TestRingBoundedChurnOnJoin(t *testing.T) {
 // node's share should be wildly off uniform.
 func TestRingSpread(t *testing.T) {
 	nodes := nodeNames(4)
-	r := NewRing(nodes, 0)
+	r := NewRing(nodes)
 	counts := map[string]int{}
 	keys := testKeys(8000)
 	for _, k := range keys {

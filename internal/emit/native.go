@@ -101,13 +101,16 @@ func Build(ctx context.Context, prog *ir.Program, opts BuildOptions) (*Built, er
 	return &Built{Dir: dir, Bin: bin, BuildNanos: time.Since(start).Nanoseconds(), keep: keep}, nil
 }
 
-// RunStats is one native execution's measurement record.
+// RunStats is one native execution's measurement record: real wall time
+// and Go allocator deltas in place of the VM's modeled cycles. The JSON
+// tags are the public API's wire shape (objinline.NativeMetrics is this
+// type); the emitted program writes every field but BuildNanos.
 type RunStats struct {
-	WallNanos  int64  `json:"wall_nanos"`  // total across all reps
+	WallNanos  int64  `json:"wall_nanos"`  // run wall time, all reps
+	BuildNanos int64  `json:"build_nanos"` // emit + go build wall time
 	Reps       int    `json:"reps"`        // repetitions executed
-	Mallocs    uint64 `json:"mallocs"`     // MemStats.Mallocs delta, all reps
-	AllocBytes uint64 `json:"alloc_bytes"` // MemStats.TotalAlloc delta, all reps
-	Trapped    bool   `json:"trapped"`
+	Mallocs    uint64 `json:"mallocs"`     // runtime.MemStats.Mallocs delta, all reps
+	AllocBytes uint64 `json:"alloc_bytes"` // runtime.MemStats.TotalAlloc delta, all reps
 }
 
 // Run executes the built program. Program stdout goes to out (io.Discard
@@ -150,7 +153,7 @@ func (b *Built) Run(ctx context.Context, out io.Writer, reps int) (*RunStats, er
 	if err != nil {
 		return nil, fmt.Errorf("emit: read measurement: %w", err)
 	}
-	stats := &RunStats{}
+	stats := &RunStats{BuildNanos: b.BuildNanos}
 	if err := json.Unmarshal(data, stats); err != nil {
 		return nil, fmt.Errorf("emit: parse measurement: %w", err)
 	}

@@ -548,8 +548,8 @@ func main() {
 	if measure != "" {
 		f, err := os.Create(measure)
 		if err == nil {
-			fmt.Fprintf(f, "{\"wall_nanos\":%d,\"reps\":%d,\"mallocs\":%d,\"alloc_bytes\":%d,\"trapped\":%t}\n",
-				wall, reps, ms1.Mallocs-ms0.Mallocs, ms1.TotalAlloc-ms0.TotalAlloc, trap != "")
+			fmt.Fprintf(f, "{\"wall_nanos\":%d,\"reps\":%d,\"mallocs\":%d,\"alloc_bytes\":%d}\n",
+				wall, reps, ms1.Mallocs-ms0.Mallocs, ms1.TotalAlloc-ms0.TotalAlloc)
 			f.Close()
 		}
 	}

@@ -55,10 +55,16 @@ func TestVerifyRejectsBadRegister(t *testing.T) {
 }
 
 func TestVerifyRejectsBadJumpTarget(t *testing.T) {
-	p, main := tinyProgram()
-	main.Blocks[0].Instrs[1] = &ir.Instr{Op: ir.OpJump, Dst: ir.NoReg, Target: 7}
-	if err := p.Verify(); err == nil || !strings.Contains(err.Error(), "unknown block") {
-		t.Fatalf("err = %v", err)
+	for _, bad := range []*ir.Instr{
+		{Op: ir.OpJump, Dst: ir.NoReg, Target: 7},
+		{Op: ir.OpJump, Dst: ir.NoReg, Target: -1},
+		{Op: ir.OpBranch, Dst: ir.NoReg, Args: []ir.Reg{0}, Target: 0, Else: 1},
+	} {
+		p, main := tinyProgram()
+		main.Blocks[0].Instrs[1] = bad
+		if err := p.Verify(); err == nil || !strings.Contains(err.Error(), "unknown block") {
+			t.Fatalf("%s: err = %v", bad, err)
+		}
 	}
 }
 

@@ -33,13 +33,13 @@ func (f *Func) verify(funcs map[*Func]bool, numGlobals int) error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("no blocks")
 	}
-	blockIDs := make(map[int]bool, len(f.Blocks))
 	for i, b := range f.Blocks {
 		if b.ID != i {
 			return fmt.Errorf("block %d has ID %d; want index order", i, b.ID)
 		}
-		blockIDs[b.ID] = true
 	}
+	// Block IDs are the indices, so a target is valid iff it is in range.
+	isBlock := func(id int) bool { return id >= 0 && id < len(f.Blocks) }
 	checkReg := func(r Reg, in *Instr) error {
 		if r < 0 || int(r) >= f.NumRegs {
 			return fmt.Errorf("instr %q: register %d out of range [0,%d)", in, r, f.NumRegs)
@@ -67,11 +67,11 @@ func (f *Func) verify(funcs map[*Func]bool, numGlobals int) error {
 			}
 			switch in.Op {
 			case OpJump:
-				if !blockIDs[in.Target] {
+				if !isBlock(in.Target) {
 					return fmt.Errorf("jump to unknown block b%d", in.Target)
 				}
 			case OpBranch:
-				if !blockIDs[in.Target] || !blockIDs[in.Else] {
+				if !isBlock(in.Target) || !isBlock(in.Else) {
 					return fmt.Errorf("branch to unknown block b%d/b%d", in.Target, in.Else)
 				}
 				if len(in.Args) != 1 {

@@ -65,19 +65,25 @@ type declText struct {
 	text string
 }
 
-// PatchStats reports what one Patch did.
+// PatchStats reports what one Patch did. The JSON tags are the wire
+// shape of the session's incremental block (pipeline.IncrementalStats
+// embeds this type).
 type PatchStats struct {
 	// Changed lists the qualified names of re-lowered functions
-	// (methods as "Class.method"), in declaration order.
-	Changed []string
+	// (methods as "Class.method", "$init" for globals), in declaration
+	// order. A function is re-lowered when its declaration's source text
+	// or start position changed ($init: any global's), so an edit
+	// confined to a comment or spacing inside a body lists it too, and it
+	// counts as patched.
+	Changed []string `json:"changed_funcs,omitempty"`
 	// Reused counts functions whose prior IR was kept untouched.
-	Reused int
+	Reused int `json:"reused_funcs"`
 	// Patched counts re-lowered functions whose new IR differed from the
 	// prior only in analysis-inert payload fields, updated in place.
-	Patched int
+	Patched int `json:"patched_funcs"`
 	// Respliced counts functions whose IR shape changed; any prior
 	// analysis of the program is invalid.
-	Respliced int
+	Respliced int `json:"respliced_funcs"`
 	// PosShifted reports whether any patched instruction's source
 	// position moved. When false (a pure value edit: every changed
 	// function re-lowered to the same shape at the same positions), every
@@ -85,7 +91,7 @@ type PatchStats struct {
 	// rejection evidence, stack-site provenance — is still exact, which
 	// is what lets the pipeline reuse the prior optimizer result
 	// wholesale.
-	PosShifted bool
+	PosShifted bool `json:"-"`
 }
 
 // ShapeChanged reports whether the patch invalidated the prior analysis.

@@ -186,3 +186,72 @@ func TestCompileNeverReturnsLate(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionPatchNeverReturnsLate lands the deadline in every phase of a
+// session patch, for an edit of each tier, and one past the last. A patch
+// whose deadline has passed by its return must return context.Canceled
+// and no Compiled, and the session must stay usable: the next live
+// patches, to the edit and back, equal cold compiles.
+func TestSessionPatchNeverReturnsLate(t *testing.T) {
+	const base = "class P { v; def init(v) { self.v = v; } }\nfunc f(k) { return k * 2; }\nfunc main() { var p = new P(6); print(p.v * f(7)); }\n"
+	edits := []struct{ name, src, tier string }{
+		{"payload", strings.Replace(base, "k * 2", "k * 3", 1), pipeline.TierPatch},
+		{"shift", "// shifted\n" + base, pipeline.TierReopt},
+		{"shape", strings.Replace(base, "return k * 2;", "if (k > 3) { return k * 2; } return k;", 1), pipeline.TierSolve},
+		{"structural", base + "func extra(a) { return a + 1; }\n", pipeline.TierCold},
+	}
+	for _, mode := range []pipeline.Mode{pipeline.ModeDirect, pipeline.ModeBaseline, pipeline.ModeInline} {
+		cfg := pipeline.Config{Mode: mode}
+		newSession := func(tr *trace.Sink) *pipeline.Session {
+			sess, _, err := pipeline.NewSession("late.icc", base, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess.Cfg.Trace = tr
+			return sess
+		}
+		cold := map[string]string{}
+		for _, src := range []string{base, edits[0].src, edits[1].src, edits[2].src, edits[3].src} {
+			c, err := pipeline.Compile("late.icc", src, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold[src] = fuzzFingerprint(t, c)
+		}
+		for _, ed := range edits {
+			full := &trace.Sink{}
+			if _, st, err := newSession(full).Patch(ed.src); err != nil || st.Tier != ed.tier {
+				t.Fatalf("%v %s: tier %q, err %v; want tier %q", mode, ed.name, st.Tier, err, ed.tier)
+			}
+			phases := full.Events()
+			for k := 1; k <= len(phases)+1; k++ {
+				sink := &trace.Sink{}
+				sess := newSession(sink)
+				ctx := newPhaseDeadline(sink, k)
+				c, _, err := sess.PatchContext(ctx, ed.src)
+				sess.Cfg.Trace = nil
+				in := "after the last phase"
+				if k <= len(phases) {
+					in = "in " + string(phases[k-1].Phase)
+				}
+				if ctx.Err() == nil {
+					if err != nil || c == nil {
+						t.Errorf("%v %s, deadline %s never passed: got %v, %v; want a Compiled", mode, ed.name, in, c, err)
+					}
+				} else if c != nil || !errors.Is(err, context.Canceled) {
+					t.Errorf("%v %s, deadline passed %s: got Compiled %v, err %v; want no Compiled and context.Canceled",
+						mode, ed.name, in, c != nil, err)
+				}
+				for _, src := range []string{ed.src, base} {
+					c, _, err := sess.Patch(src)
+					if err != nil {
+						t.Fatalf("%v %s, deadline %s: live patch: %v", mode, ed.name, in, err)
+					}
+					if fuzzFingerprint(t, c) != cold[src] {
+						t.Errorf("%v %s, deadline %s: live patch diverged from a cold compile", mode, ed.name, in)
+					}
+				}
+			}
+		}
+	}
+}

@@ -71,16 +71,8 @@ type ExecOptions struct {
 	EmitDir string
 }
 
-// NativeRun is the native engine's measurement record: real wall time
-// and Go allocator deltas in place of the VM's modeled cycles.
-// JSON-serializable.
-type NativeRun struct {
-	WallNanos  int64  `json:"wall_nanos"`  // run wall time, all reps
-	BuildNanos int64  `json:"build_nanos"` // emit + go build wall time
-	Reps       int    `json:"reps"`        // repetitions executed
-	Mallocs    uint64 `json:"mallocs"`     // runtime.MemStats.Mallocs delta, all reps
-	AllocBytes uint64 `json:"alloc_bytes"` // runtime.MemStats.TotalAlloc delta, all reps
-}
+// NativeRun is the native engine's measurement record.
+type NativeRun = emit.RunStats
 
 // ExecResult is one execution's outcome on either engine: Counters is
 // populated by the VM, Native by the native tier.
@@ -110,11 +102,5 @@ func (c *Compiled) Execute(ctx context.Context, opts ExecOptions) (ExecResult, e
 	if err != nil {
 		return ExecResult{Engine: EngineNative}, err
 	}
-	return ExecResult{Engine: EngineNative, Native: &NativeRun{
-		WallNanos:  stats.WallNanos,
-		BuildNanos: built.BuildNanos,
-		Reps:       stats.Reps,
-		Mallocs:    stats.Mallocs,
-		AllocBytes: stats.AllocBytes,
-	}}, nil
+	return ExecResult{Engine: EngineNative, Native: stats}, nil
 }

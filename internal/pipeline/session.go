@@ -80,19 +80,11 @@ type IncrementalStats struct {
 	// Tier is the cheapest tier that could absorb the edit: "reuse",
 	// "patch", "reopt", "solve", or "cold".
 	Tier string `json:"tier"`
-	// ChangedFuncs lists re-lowered functions ("f", "Class.m", "$init")
-	// in declaration order; empty on reuse and cold tiers. A function is
-	// re-lowered when its declaration's source text or start position
-	// changed ($init: any global's), so an edit confined to a comment or
-	// spacing inside a body lists it too, and it counts as patched.
-	ChangedFuncs []string `json:"changed_funcs,omitempty"`
-	// ReusedFuncs counts functions whose IR was kept untouched.
-	ReusedFuncs int `json:"reused_funcs"`
-	// PatchedFuncs counts functions updated by in-place payload patching.
-	PatchedFuncs int `json:"patched_funcs"`
-	// ResplicedFuncs counts functions whose new body was spliced in
-	// (shape change — forces the solve tier).
-	ResplicedFuncs int `json:"respliced_funcs"`
+	// PatchStats is the lowering's account of the edit: the re-lowered
+	// functions and the reused, patched and respliced counts. Changed is
+	// empty on reuse and cold tiers; a respliced function (shape change)
+	// forces the solve tier.
+	lower.PatchStats
 	// AnalysisReused is true when the prior analysis result was carried
 	// over verbatim (reuse, patch, and reopt tiers in analyzing modes).
 	AnalysisReused bool `json:"analysis_reused"`
@@ -131,8 +123,9 @@ func (s *Session) Patch(src string) (*Compiled, IncrementalStats, error) {
 
 // PatchContext recompiles the session at the new source, reusing as much
 // prior work as the edit allows. On error (parse, check, lowering, or a
-// canceled context) the session keeps its previous state and previous
-// Compiled. The returned stats say which tier absorbed the edit.
+// canceled context) the session keeps its previous Compiled; a
+// cancellation after the edit was lowered makes the next patch rebuild
+// cold. The returned stats say which tier absorbed the edit.
 func (s *Session) PatchContext(ctx context.Context, src string) (*Compiled, IncrementalStats, error) {
 	var st IncrementalStats
 	if s.stale {
@@ -140,7 +133,7 @@ func (s *Session) PatchContext(ctx context.Context, src string) (*Compiled, Incr
 	}
 	if src == s.source {
 		st.Tier = TierReuse
-		st.ReusedFuncs = len(s.snap.Program().Funcs)
+		st.Reused = len(s.snap.Program().Funcs)
 		st.AnalysisReused = s.compiled.Analysis != nil
 		return s.compiled, st, nil
 	}
@@ -158,11 +151,14 @@ func (s *Session) PatchContext(ctx context.Context, src string) (*Compiled, Incr
 	if err != nil {
 		return nil, st, fmt.Errorf("lower: %w", err)
 	}
+	if err := canceled(ctx); err != nil {
+		// snap.Patch already rewrote the snapshot IR in place, so the
+		// pinned Compiled no longer matches it: rebuild cold next time.
+		s.stale = true
+		return nil, st, err
+	}
 
-	st.ChangedFuncs = ps.Changed
-	st.ReusedFuncs = ps.Reused
-	st.PatchedFuncs = ps.Patched
-	st.ResplicedFuncs = ps.Respliced
+	st.PatchStats = ps
 
 	// Tier by lowering outcome (see the type comment for the soundness
 	// argument behind each reuse level).

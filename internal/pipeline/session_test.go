@@ -139,7 +139,7 @@ func TestSessionTiers(t *testing.T) {
 			if st.AnalysisInstrEvals != 0 {
 				t.Fatalf("payload edit ran analysis: %+v", st)
 			}
-			if st.PatchedFuncs == 0 {
+			if st.Patched == 0 {
 				t.Fatalf("payload edit patched nothing: %+v", st)
 			}
 
@@ -151,7 +151,7 @@ func TestSessionTiers(t *testing.T) {
 			if st.AnalysisReused {
 				t.Fatalf("shape edit must not reuse analysis: %+v", st)
 			}
-			if st.ResplicedFuncs == 0 {
+			if st.Respliced == 0 {
 				t.Fatalf("shape edit respliced nothing: %+v", st)
 			}
 
@@ -168,7 +168,7 @@ func TestSessionTiers(t *testing.T) {
 			// back end re-runs (reopt) so position-bearing output matches cold.
 			shifted := "// shifted\n" + methodEdit
 			st = expectIdentical(t, sess, shifted, cfg, TierReopt)
-			if st.ResplicedFuncs != 0 {
+			if st.Respliced != 0 {
 				t.Fatalf("line shift should be shape-preserving: %+v", st)
 			}
 			if cfg.Mode != ModeDirect && !st.AnalysisReused {
@@ -197,13 +197,13 @@ func main() { print(f(7)); }
 	}
 	comment := strings.Replace(base, "return x * g; }", "return x * g; /* note */ }", 1)
 	st := expectIdentical(t, sess, comment, cfg, TierPatch)
-	if !slices.Equal(st.ChangedFuncs, []string{"f"}) || st.PatchedFuncs != 1 {
-		t.Fatalf("comment edit: changed %v, patched %d; want [f], 1", st.ChangedFuncs, st.PatchedFuncs)
+	if !slices.Equal(st.Changed, []string{"f"}) || st.Patched != 1 {
+		t.Fatalf("comment edit: changed %v, patched %d; want [f], 1", st.Changed, st.Patched)
 	}
 	global := strings.Replace(comment, "var g = 5;", "var g = 6;", 1)
 	st = expectIdentical(t, sess, global, cfg, TierPatch)
-	if !slices.Equal(st.ChangedFuncs, []string{"$init"}) {
-		t.Fatalf("global initializer edit: changed %v, want [$init]", st.ChangedFuncs)
+	if !slices.Equal(st.Changed, []string{"$init"}) {
+		t.Fatalf("global initializer edit: changed %v, want [$init]", st.Changed)
 	}
 }
 

@@ -56,32 +56,34 @@ var DefaultCostModel = CostModel{
 // behind EXPERIMENTS.md and Figure 17. Counters that mirror one cost
 // dimension are not counted separately: the VM derives them, and Cycles,
 // from CostEvents when the run ends (the dimension is named beside each).
+// The JSON tags are the public API's wire shape (objinline.Metrics is
+// this type); the counters tagged "-" stay internal.
 type Counters struct {
-	Instructions uint64 // DimBase
-	Cycles       int64  // CyclesUnder DefaultCostModel
+	Instructions uint64 `json:"instructions"` // DimBase
+	Cycles       int64  `json:"cycles"`       // CyclesUnder DefaultCostModel
 
-	Dereferences    uint64 // heap loads/stores of object fields & array elems
-	DynFieldLookups uint64 // field accesses resolved by name at run time; DimDynFieldExtra
-	Dispatches      uint64 // dynamic method calls; DimDispatch
-	StaticCalls     uint64 // DimStaticCall
-	Calls           uint64 // all function/method calls; DimCallFrame
-	Builtins        uint64 // DimBuiltin
+	Dereferences    uint64 `json:"dereferences"`      // heap loads/stores of object fields & array elems
+	DynFieldLookups uint64 `json:"dyn_field_lookups"` // field accesses resolved by name at run time; DimDynFieldExtra
+	Dispatches      uint64 `json:"dispatches"`        // dynamic method calls; DimDispatch
+	StaticCalls     uint64 `json:"static_calls"`      // DimStaticCall
+	Calls           uint64 `json:"calls"`             // all function/method calls; DimCallFrame
+	Builtins        uint64 `json:"-"`                 // DimBuiltin
 
-	ObjectsAllocated uint64 // heap objects
-	StackAllocated   uint64 // elided temporaries (cheap stack/arena allocation); DimStackAlloc
-	ArraysAllocated  uint64
-	SlotsAllocated   uint64
-	BytesAllocated   uint64
+	ObjectsAllocated uint64 `json:"heap_objects"`  // heap objects
+	StackAllocated   uint64 `json:"stack_objects"` // elided temporaries (cheap stack/arena allocation); DimStackAlloc
+	ArraysAllocated  uint64 `json:"arrays"`
+	SlotsAllocated   uint64 `json:"-"`
+	BytesAllocated   uint64 `json:"bytes_allocated"`
 
-	CacheHits   uint64 // DimCacheHit with a cache; 0 without one
-	CacheMisses uint64 // DimCacheMiss
+	CacheHits   uint64 `json:"cache_hits"`   // DimCacheHit with a cache; 0 without one
+	CacheMisses uint64 `json:"cache_misses"` // DimCacheMiss
 
 	// CostEvents counts, per cost-model dimension, how many times that
 	// dimension was charged (for DimAllocPerSlot, the number of slots).
 	// Without a cache every access is charged to DimCacheHit. Cycles is
 	// always the dot product of this vector and DefaultCostModel, which is
 	// what CyclesUnder exploits.
-	CostEvents [NumCostDims]uint64
+	CostEvents [NumCostDims]uint64 `json:"-"`
 }
 
 // CyclesUnder replays the run's charge events against a different cost

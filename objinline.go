@@ -317,7 +317,7 @@ type RunOptions struct {
 	Trace *TraceSink
 
 	// Engine selects the execution tier for this run (the zero value is
-	// the VM). The VM-only knobs above (MaxSteps, Cache, Profile, Trace)
+	// the VM). The VM-only knobs above (MaxSteps, DisableCache, Profile, Trace)
 	// apply only when the VM runs.
 	Engine Engine
 	// NativeReps, for the native engine, is how many times the program
@@ -331,68 +331,15 @@ type RunOptions struct {
 	EmitDir string
 }
 
-// Metrics summarizes one execution's dynamic behavior. Cycles is the
-// deterministic cost-model total used throughout the evaluation.
-type Metrics struct {
-	Instructions uint64 `json:"instructions"`
-	Cycles       int64  `json:"cycles"`
-
-	Dereferences    uint64 `json:"dereferences"`
-	DynFieldLookups uint64 `json:"dyn_field_lookups"`
-	Dispatches      uint64 `json:"dispatches"`
-	StaticCalls     uint64 `json:"static_calls"`
-	Calls           uint64 `json:"calls"`
-
-	HeapObjects    uint64 `json:"heap_objects"`
-	StackObjects   uint64 `json:"stack_objects"`
-	Arrays         uint64 `json:"arrays"`
-	BytesAllocated uint64 `json:"bytes_allocated"`
-
-	CacheHits   uint64 `json:"cache_hits"`
-	CacheMisses uint64 `json:"cache_misses"`
-}
-
-func metricsFrom(c vm.Counters) Metrics {
-	return Metrics{
-		Instructions:    c.Instructions,
-		Cycles:          c.Cycles,
-		Dereferences:    c.Dereferences,
-		DynFieldLookups: c.DynFieldLookups,
-		Dispatches:      c.Dispatches,
-		StaticCalls:     c.StaticCalls,
-		Calls:           c.Calls,
-		HeapObjects:     c.ObjectsAllocated,
-		StackObjects:    c.StackAllocated,
-		Arrays:          c.ArraysAllocated,
-		BytesAllocated:  c.BytesAllocated,
-		CacheHits:       c.CacheHits,
-		CacheMisses:     c.CacheMisses,
-	}
-}
-
-// counters is metricsFrom's inverse over the counters Metrics carries.
-func (m *Metrics) counters() vm.Counters {
-	return vm.Counters{
-		Instructions:     m.Instructions,
-		Cycles:           m.Cycles,
-		Dereferences:     m.Dereferences,
-		DynFieldLookups:  m.DynFieldLookups,
-		Dispatches:       m.Dispatches,
-		StaticCalls:      m.StaticCalls,
-		Calls:            m.Calls,
-		ObjectsAllocated: m.HeapObjects,
-		StackAllocated:   m.StackObjects,
-		ArraysAllocated:  m.Arrays,
-		BytesAllocated:   m.BytesAllocated,
-		CacheHits:        m.CacheHits,
-		CacheMisses:      m.CacheMisses,
-	}
-}
+// Metrics summarizes one execution's dynamic behavior on the VM. Cycles
+// is the deterministic cost-model total used throughout the evaluation.
+// Builtins, SlotsAllocated and CostEvents are not part of the JSON form.
+type Metrics = vm.Counters
 
 // NativeMetrics is the native engine's measurement record: real wall
 // time and Go allocator deltas stand in for the VM's modeled cycles and
-// allocation counters. All measurement fields cover every repetition of
-// the run (see RunOptions.NativeReps).
+// allocation counters. Wall time and allocator deltas cover every
+// repetition of the run (see RunOptions.NativeReps).
 type NativeMetrics = pipeline.NativeRun
 
 // Result is one execution's outcome on either engine: Engine says which
@@ -437,8 +384,7 @@ func (p *Program) Execute(ctx context.Context, opts RunOptions) (Result, error) 
 	if err != nil || res.Engine == EngineNative {
 		return Result{Engine: res.Engine, Native: res.Native}, err
 	}
-	m := metricsFrom(res.Counters)
-	return Result{Engine: EngineVM, Metrics: &m, Profile: eo.Run.Profile.Summary()}, nil
+	return Result{Engine: EngineVM, Metrics: &res.Counters, Profile: eo.Run.Profile.Summary()}, nil
 }
 
 // SiteProfile is one allocation site's aggregated run attribution.
@@ -472,8 +418,8 @@ func PayoffReport(on *Program, onRun Result, off *Program, offRun Result) (*RunR
 		return nil, fmt.Errorf("objinline: PayoffReport needs profiled VM runs (set RunOptions.Profile)")
 	}
 	return bench.ComputePayoff(
-		&bench.Measurement{Mode: on.c.Mode, Compiled: on.c, Counters: onRun.Metrics.counters(), Profile: onRun.Profile},
-		&bench.Measurement{Mode: off.c.Mode, Compiled: off.c, Counters: offRun.Metrics.counters(), Profile: offRun.Profile},
+		&bench.Measurement{Mode: on.c.Mode, Compiled: on.c, Counters: *onRun.Metrics, Profile: onRun.Profile},
+		&bench.Measurement{Mode: off.c.Mode, Compiled: off.c, Counters: *offRun.Metrics, Profile: offRun.Profile},
 	)
 }
 
@@ -603,22 +549,7 @@ func (p *Program) RejectedFields() map[string]Reason {
 type PhaseStat = trace.Event
 
 // AnalysisStats summarizes the contour analysis, JSON-ready.
-type AnalysisStats struct {
-	ReachedFuncs      int     `json:"reached_funcs"`
-	MethodContours    int     `json:"method_contours"`
-	ObjContours       int     `json:"obj_contours"`
-	ArrContours       int     `json:"arr_contours"`
-	Passes            int     `json:"passes"`
-	ContoursPerMethod float64 `json:"contours_per_method"`
-	Converged         bool    `json:"converged"`
-	Work              struct {
-		Rounds       int `json:"rounds"`
-		ContourEvals int `json:"contour_evals"`
-		InstrEvals   int `json:"instr_evals"`
-		PartialEvals int `json:"partial_evals"`
-		Enqueues     int `json:"enqueues"`
-	} `json:"work"`
-}
+type AnalysisStats = analysis.Stats
 
 // CompileStats reports what the compilation did: per-phase events (when
 // the program was compiled WithTracing; empty otherwise) and the analysis
@@ -643,21 +574,7 @@ func (p *Program) CompileStats() CompileStats {
 	}
 	if p.c.Analysis != nil {
 		st := p.c.Analysis.Stats()
-		as := &AnalysisStats{
-			ReachedFuncs:      st.ReachedFuncs,
-			MethodContours:    st.MethodContours,
-			ObjContours:       st.ObjContours,
-			ArrContours:       st.ArrContours,
-			Passes:            st.Passes,
-			ContoursPerMethod: st.ContoursPerMethod,
-			Converged:         st.Converged,
-		}
-		as.Work.Rounds = st.Work.Rounds
-		as.Work.ContourEvals = st.Work.ContourEvals
-		as.Work.InstrEvals = st.Work.InstrEvals
-		as.Work.PartialEvals = st.Work.PartialEvals
-		as.Work.Enqueues = st.Work.Enqueues
-		cs.Analysis = as
+		cs.Analysis = &st
 	}
 	return cs
 }

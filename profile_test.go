@@ -62,7 +62,7 @@ func TestRunProfile(t *testing.T) {
 	for _, s := range prof.Sites {
 		siteAllocs += s.Allocs
 	}
-	if want := m.HeapObjects + m.Arrays; siteAllocs != want {
+	if want := m.ObjectsAllocated + m.ArraysAllocated; siteAllocs != want {
 		t.Errorf("site allocs %d != counters %d", siteAllocs, want)
 	}
 	var seen []string
