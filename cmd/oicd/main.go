@@ -33,31 +33,36 @@ func main() {
 	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr, nil))
 }
 
+// flags holds oicd's parsed command line.
+type flags struct {
+	addr, logFormat, logLevel, debugAddr string
+	peers, self, cacheDir                string
+	grace, probeInterval                 time.Duration
+}
+
+// newFlagSet defines oicd's flags (docs/SERVER.md's flag table lists
+// each one) on a FlagSet that reports errors to stderr.
+func newFlagSet(stderr io.Writer) (*flag.FlagSet, *flags) {
+	fs := flag.NewFlagSet("oicd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	f := &flags{}
+	fs.StringVar(&f.addr, "addr", "127.0.0.1:8372", "listen address")
+	fs.DurationVar(&f.grace, "grace", 10*time.Second, "shutdown drain budget for in-flight requests")
+	fs.StringVar(&f.logFormat, "log-format", "text", "access/operational log format: text or json")
+	fs.StringVar(&f.logLevel, "log-level", "info", "log level: debug, info, warn, or error (access logs emit at info)")
+	fs.StringVar(&f.debugAddr, "debug-addr", "", "listen address for the debug surface (pprof + /debug/requests); empty disables it")
+	fs.StringVar(&f.peers, "peers", "", "comma-separated base URLs of every cluster instance (this one included); empty runs standalone")
+	fs.StringVar(&f.self, "self", "", "this instance's base URL as peers reach it (defaults to http://<addr>)")
+	fs.StringVar(&f.cacheDir, "cache-dir", "", "directory for the persistent cache tier (WAL + snapshot); empty disables it")
+	fs.DurationVar(&f.probeInterval, "probe-interval", time.Second, "cluster peer health-probe interval")
+	return fs, f
+}
+
 // run is main in testable form: it serves until ctx is canceled, then
 // drains gracefully. When ready is non-nil it receives the bound address
 // once the listener is accepting (so tests can use ":0").
 func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready chan<- string) int {
-	fs := flag.NewFlagSet("oicd", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	addr := fs.String("addr", "127.0.0.1:8372", "listen address")
-	pool := fs.Int("pool", 0, "concurrent compile/run workers (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 0, "requests queued beyond the pool before shedding with 429 (0 = 4x pool)")
-	cacheEntries := fs.Int("cache-entries", 0, "result-cache LRU bound (0 = 256)")
-	deadline := fs.Duration("deadline", 0, "default per-request deadline (0 = 10s)")
-	maxDeadline := fs.Duration("max-deadline", 0, "cap on requested deadlines (0 = 60s)")
-	maxSource := fs.Int("max-source-bytes", 0, "largest accepted source, in bytes (0 = 1 MiB)")
-	nativeCacheEntries := fs.Int("native-cache-entries", 0, "native-run result-cache LRU bound (0 = 64)")
-	sessionEntries := fs.Int("session-entries", 0, "live incremental-session LRU bound (0 = 64)")
-	sessionTTL := fs.Duration("session-ttl", 0, "idle incremental sessions expire after this long (0 = 15m)")
-	grace := fs.Duration("grace", 10*time.Second, "shutdown drain budget for in-flight requests")
-	requestRing := fs.Int("request-ring", 0, "per-request trace ring behind /debug/requests (0 = 128, negative disables)")
-	logFormat := fs.String("log-format", "text", "access/operational log format: text or json")
-	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, or error (access logs emit at info)")
-	debugAddr := fs.String("debug-addr", "", "listen address for the debug surface (pprof + /debug/requests); empty disables it")
-	peers := fs.String("peers", "", "comma-separated base URLs of every cluster instance (this one included); empty runs standalone")
-	self := fs.String("self", "", "this instance's base URL as peers reach it (defaults to http://<addr>)")
-	cacheDir := fs.String("cache-dir", "", "directory for the persistent cache tier (WAL + snapshot); empty disables it")
-	probeInterval := fs.Duration("probe-interval", time.Second, "cluster peer health-probe interval")
+	fs, f := newFlagSet(stderr)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -68,7 +73,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 		fmt.Fprintf(stderr, "oicd: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
-	logger, err := newLogger(stderr, *logFormat, *logLevel)
+	logger, err := newLogger(stderr, f.logFormat, f.logLevel)
 	if err != nil {
 		fmt.Fprintf(stderr, "oicd: %v\n", err)
 		return 2
@@ -76,7 +81,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 
 	// Listen before building the server: with -peers and no -self the
 	// instance's own URL is derived from the bound address (":0" included).
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", f.addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "oicd: %v\n", err)
 		return 1
@@ -85,8 +90,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	// Persistent cache tier: open (and replay) before the server seeds
 	// from it; closed last, after the final compaction in srv.Close.
 	var store *cluster.Store
-	if *cacheDir != "" {
-		store, err = cluster.OpenStore(*cacheDir, cluster.StoreOptions{Logger: logger})
+	if f.cacheDir != "" {
+		store, err = cluster.OpenStore(f.cacheDir, cluster.StoreOptions{Logger: logger})
 		if err != nil {
 			fmt.Fprintf(stderr, "oicd: cache dir: %v\n", err)
 			ln.Close()
@@ -99,36 +104,22 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	// be a URL the peers can reach; the bound address is only a usable
 	// default when -addr names a reachable interface.
 	var cl *cluster.Cluster
-	if *peers != "" {
-		selfURL := *self
+	if f.peers != "" {
+		selfURL := f.self
 		if selfURL == "" {
 			selfURL = "http://" + ln.Addr().String()
 		}
 		cl = cluster.New(cluster.Config{
 			Self:          selfURL,
-			Peers:         cluster.ParsePeers(*peers),
-			ProbeInterval: *probeInterval,
+			Peers:         cluster.ParsePeers(f.peers),
+			ProbeInterval: f.probeInterval,
 			Logger:        logger,
 		})
 		cl.Start()
 		defer cl.Close()
 	}
 
-	srv := server.New(server.Config{
-		PoolSize:           *pool,
-		QueueDepth:         *queue,
-		CacheEntries:       *cacheEntries,
-		DefaultDeadline:    *deadline,
-		MaxDeadline:        *maxDeadline,
-		MaxSourceBytes:     *maxSource,
-		NativeCacheEntries: *nativeCacheEntries,
-		SessionEntries:     *sessionEntries,
-		SessionTTL:         *sessionTTL,
-		RequestRingEntries: *requestRing,
-		AccessLog:          logger,
-		Cluster:            cl,
-		Disk:               store,
-	})
+	srv := server.New(server.Config{AccessLog: logger, Cluster: cl, Disk: store})
 	hs := &http.Server{Handler: srv}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
@@ -138,8 +129,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	// listener so profiles and traces never ship on the serving port —
 	// operators firewall or port-forward it separately.
 	var dhs *http.Server
-	if *debugAddr != "" {
-		dln, err := net.Listen("tcp", *debugAddr)
+	if f.debugAddr != "" {
+		dln, err := net.Listen("tcp", f.debugAddr)
 		if err != nil {
 			fmt.Fprintf(stderr, "oicd: debug listener: %v\n", err)
 			hs.Close()
@@ -170,7 +161,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	// grace budget.
 	srv.BeginDrain()
 	fmt.Fprintln(stdout, "oicd: shutting down, draining in-flight requests")
-	sctx, cancel := context.WithTimeout(context.Background(), *grace)
+	sctx, cancel := context.WithTimeout(context.Background(), f.grace)
 	defer cancel()
 	if dhs != nil {
 		dhs.Close()

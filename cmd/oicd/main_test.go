@@ -8,9 +8,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -87,11 +90,53 @@ func TestDaemonFlagErrors(t *testing.T) {
 	if code := run(context.Background(), []string{"extra"}, &stdout, &stderr, nil); code != 2 {
 		t.Errorf("stray arg: exit %d, want 2", code)
 	}
+	// The server's fixed limits are not flags: naming one is an unknown
+	// flag.
+	for _, name := range []string{"-pool", "-queue", "-cache-entries", "-deadline", "-max-deadline",
+		"-max-source-bytes", "-native-cache-entries", "-session-entries", "-session-ttl", "-request-ring"} {
+		if code := run(context.Background(), []string{name, "1"}, &stdout, &stderr, nil); code != 2 {
+			t.Errorf("removed flag %s: exit %d, want 2", name, code)
+		}
+	}
 	if code := run(context.Background(), []string{"-log-format", "xml"}, &stdout, &stderr, nil); code != 2 {
 		t.Errorf("bad log format: exit %d, want 2", code)
 	}
 	if code := run(context.Background(), []string{"-log-level", "loud"}, &stdout, &stderr, nil); code != 2 {
 		t.Errorf("bad log level: exit %d, want 2", code)
+	}
+}
+
+// TestFlagsDocumented holds docs/SERVER.md's flag table to oicd's
+// FlagSet: every flag has a row, every row names a live flag, and a row
+// for a flag with a non-empty default shows that default.
+func TestFlagsDocumented(t *testing.T) {
+	text, err := os.ReadFile("../../docs/SERVER.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(text), "\n## Flags\n")
+	if !ok {
+		t.Fatal("docs/SERVER.md has no Flags section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	rows := make(map[string]string) // flag name → default cell
+	for _, m := range regexp.MustCompile("(?m)^\\| `-([a-z-]+)` \\| ([^|]*) \\|").FindAllStringSubmatch(section, -1) {
+		rows[m[1]] = strings.Trim(strings.TrimSpace(m[2]), "`")
+	}
+	fs, _ := newFlagSet(io.Discard)
+	fs.VisitAll(func(f *flag.Flag) {
+		def, ok := rows[f.Name]
+		if !ok {
+			t.Errorf("flag -%s has no row in docs/SERVER.md's flag table", f.Name)
+			return
+		}
+		delete(rows, f.Name)
+		if f.DefValue != "" && def != f.DefValue {
+			t.Errorf("docs/SERVER.md gives -%s the default %q; the flag's is %q", f.Name, def, f.DefValue)
+		}
+	})
+	for name := range rows {
+		t.Errorf("docs/SERVER.md documents -%s, which oicd does not define", name)
 	}
 }
 

@@ -20,9 +20,8 @@ import (
 func TestFingerprintEquivalentConfigs(t *testing.T) {
 	zero := objinline.Config{Mode: objinline.Inline}
 	explicit := objinline.Config{
-		Mode:      objinline.Inline,
-		TagDepth:  3, // the documented default
-		MaxPasses: 8, // the documented default
+		Mode:     objinline.Inline,
+		TagDepth: 3, // the documented default
 	}
 	if got, want := explicit.Fingerprint(), zero.Fingerprint(); got != want {
 		t.Errorf("explicit defaults fingerprint differently from zero values:\n  zero:     %s\n  explicit: %s", want, got)
@@ -37,7 +36,6 @@ func TestFingerprintDistinguishesKnobs(t *testing.T) {
 		"mode":            {Mode: objinline.Baseline},
 		"parallel_arrays": {Mode: objinline.Inline, ParallelArrays: true},
 		"tag_depth":       {Mode: objinline.Inline, TagDepth: 5},
-		"max_passes":      {Mode: objinline.Inline, MaxPasses: 2},
 	}
 	seen := map[string]string{base.Fingerprint(): "base"}
 	for name, cfg := range variants {
@@ -52,12 +50,13 @@ func TestFingerprintDistinguishesKnobs(t *testing.T) {
 // TestFingerprintIsStable pins the encoding itself: the exact versioned
 // string, repeatable within a process. (Cross-run stability follows from
 // the fixed field order — nothing in the encoding iterates a map.) The
-// v1 encoding also named the analysis solver; bumping the version keeps
-// an old v1 cache record from ever matching a new key.
+// v1 encoding also named the analysis solver and v2 the analysis pass
+// cap; bumping the version keeps an older cache record from ever
+// matching a new key.
 func TestFingerprintIsStable(t *testing.T) {
 	cfg := objinline.Config{Mode: objinline.Inline, ParallelArrays: true, TagDepth: 4}
 	fp := cfg.Fingerprint()
-	const want = "objinline.Config/v2;max_passes=8;mode=inline;parallel_arrays=true;tag_depth=4"
+	const want = "objinline.Config/v3;mode=inline;parallel_arrays=true;tag_depth=4"
 	if fp != want {
 		t.Errorf("fingerprint = %q, want %q", fp, want)
 	}

@@ -16,43 +16,30 @@ import (
 // sanitization) and echoed on every response, error paths included.
 const RequestIDHeader = "X-Oicd-Request-Id"
 
-// Options configures an observability layer.
-type Options struct {
-	// RingEntries bounds the request ring buffer (and with it how far
-	// back /debug/requests can see). 0 means the default (128); negative
-	// disables per-request tracing and the ring entirely — request ids,
-	// histograms, and access logs still work.
-	RingEntries int
-	// Logger receives one structured access-log record per request at
-	// Info level. nil disables access logging; the disabled path is a
-	// single nil check and allocates nothing.
-	Logger *slog.Logger
-}
-
-// DefaultRingEntries is how many completed requests the ring keeps when
-// Options.RingEntries is 0.
-const DefaultRingEntries = 128
+// ringEntries is how many completed requests the ring keeps, and with
+// it how far back /debug/requests can see.
+const ringEntries = 128
 
 // Obs is one server's observability state: the latency histogram vec,
 // the request ring, and the access logger. Create with New, wrap the
 // server's mux with Middleware, and mount the debug handlers.
 type Obs struct {
-	ring    *Ring // nil when tracing is disabled
+	ring    *Ring
 	latency *HistogramVec
 	log     *slog.Logger
 }
 
-// New builds an observability layer.
-func New(opts Options) *Obs {
-	o := &Obs{latency: NewHistogramVec(), log: opts.Logger}
-	if opts.RingEntries >= 0 {
-		n := opts.RingEntries
-		if n == 0 {
-			n = DefaultRingEntries
-		}
-		o.ring = NewRing(n)
-	}
-	return o
+// New builds an observability layer. logger receives one structured
+// access-log record per request at Info level; nil disables access
+// logging, and the disabled path is a single nil check that allocates
+// nothing.
+func New(logger *slog.Logger) *Obs {
+	return newObs(logger, ringEntries)
+}
+
+// newObs is New with an n-entry ring (tests shrink it to see eviction).
+func newObs(logger *slog.Logger, n int) *Obs {
+	return &Obs{ring: NewRing(n), latency: NewHistogramVec(), log: logger}
 }
 
 // Latency exposes the histogram vec (the server's /metrics renders it).
@@ -120,12 +107,8 @@ func (o *Obs) Middleware(next http.Handler) http.Handler {
 		// 200, 422, 429 shed, 504 deadline, 500 internal — then carries it.
 		w.Header().Set(RequestIDHeader, id)
 
-		req := &Request{ID: id, Start: start}
-		var span trace.Span
-		if o.ring != nil {
-			req.Sink = &trace.Sink{}
-			span = req.Sink.Start(SpanHTTP)
-		}
+		req := &Request{ID: id, Start: start, Sink: &trace.Sink{}}
+		span := req.Sink.Start(SpanHTTP)
 		rw := &responseWriter{ResponseWriter: w}
 		// Keep the derived request: the mux sets r.Pattern on the request
 		// it serves, and routeOf must read it after the handler returns.
@@ -158,11 +141,9 @@ func (o *Obs) Middleware(next http.Handler) http.Handler {
 			QueueWaitNanos: int64(req.QueueWait),
 			DurationNanos:  int64(dur),
 			Bytes:          rw.bytes,
+			Events:         req.Sink.Events(),
 		}
-		if o.ring != nil {
-			rec.Events = req.Sink.Events()
-			o.ring.Add(rec)
-		}
+		o.ring.Add(rec)
 		o.logAccess(rec)
 	})
 }
@@ -203,10 +184,6 @@ type requestsResponse struct {
 // first, as JSON.
 func (o *Obs) ServeRequests(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	if o.ring == nil {
-		json.NewEncoder(w).Encode(requestsResponse{Requests: []*RequestRecord{}})
-		return
-	}
 	resp := requestsResponse{Total: o.ring.Total(), Requests: o.ring.Snapshot()}
 	if resp.Requests == nil {
 		resp.Requests = []*RequestRecord{}
@@ -220,10 +197,7 @@ func (o *Obs) ServeRequests(w http.ResponseWriter, r *http.Request) {
 // span tree as Chrome trace-event JSON, loadable in Perfetto.
 func (o *Obs) ServeRequestTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var rec *RequestRecord
-	if o.ring != nil {
-		rec = o.ring.Get(id)
-	}
+	rec := o.ring.Get(id)
 	if rec == nil {
 		http.Error(w, "unknown request id "+id+" (evicted from the ring, or never seen)", http.StatusNotFound)
 		return
@@ -241,10 +215,7 @@ func (o *Obs) ServeRequestTrace(w http.ResponseWriter, r *http.Request) {
 // a shared timeline so request overlap (and the session-tier counter
 // mix) is visible over time.
 func (o *Obs) ServeRequestsTrace(w http.ResponseWriter, r *http.Request) {
-	var recs []*RequestRecord
-	if o.ring != nil {
-		recs = o.ring.Snapshot()
-	}
+	recs := o.ring.Snapshot()
 	if len(recs) == 0 {
 		http.Error(w, "no requests buffered", http.StatusNotFound)
 		return

@@ -30,7 +30,7 @@ func newTestMux(o *Obs) http.Handler {
 }
 
 func TestMiddlewareMintsAndEchoesRequestID(t *testing.T) {
-	o := New(Options{})
+	o := New(nil)
 	ts := httptest.NewServer(newTestMux(o))
 	defer ts.Close()
 
@@ -74,7 +74,7 @@ func TestMiddlewareMintsAndEchoesRequestID(t *testing.T) {
 }
 
 func TestMiddlewareRecordsRouteAndRing(t *testing.T) {
-	o := New(Options{RingEntries: 4})
+	o := New(nil)
 	ts := httptest.NewServer(newTestMux(o))
 	defer ts.Close()
 
@@ -129,52 +129,53 @@ func TestMiddlewareRecordsRouteAndRing(t *testing.T) {
 	}
 }
 
-func TestMiddlewareRingDisabled(t *testing.T) {
-	o := New(Options{RingEntries: -1})
-	ts := httptest.NewServer(newTestMux(o))
+// TestMiddlewareRingEviction fills a 2-entry ring past capacity over
+// HTTP: the listing keeps the two most recent requests, newest first,
+// while total keeps counting.
+func TestMiddlewareRingEviction(t *testing.T) {
+	o := newObs(nil, 2)
+	mux := http.NewServeMux()
+	o.Mount(mux)
+	ts := httptest.NewServer(o.Middleware(mux))
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v1/compile", "text/plain", nil)
-	if err != nil {
-		t.Fatal(err)
+	var ids []string
+	for i := 0; i < 5; i++ {
+		resp, err := http.Get(ts.URL + "/nope")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		ids = append(ids, resp.Header.Get(RequestIDHeader))
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.Header.Get(RequestIDHeader) == "" {
-		t.Error("request id missing with tracing disabled")
-	}
-	if o.ring != nil {
-		t.Error("ring allocated despite being disabled")
-	}
-	// Histograms still work.
-	if got := o.Latency().Endpoint("/v1/compile").Count; got != 1 {
-		t.Errorf("histogram count = %d with ring disabled", got)
-	}
-	// The debug listing degrades to an empty set, not a panic.
 	rec := httptest.NewRecorder()
 	o.ServeRequests(rec, httptest.NewRequest("GET", "/debug/requests", nil))
 	var listing struct {
-		Total    uint64            `json:"total"`
-		Requests []json.RawMessage `json:"requests"`
+		Total    uint64 `json:"total"`
+		Requests []struct {
+			ID string `json:"id"`
+		} `json:"requests"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &listing); err != nil {
-		t.Fatalf("disabled-ring listing not JSON: %v", err)
+		t.Fatal(err)
 	}
-	if rec.Code != http.StatusOK || listing.Requests == nil || len(listing.Requests) != 0 {
-		t.Errorf("disabled-ring listing: %d %s", rec.Code, rec.Body.String())
+	if listing.Total != 5 || len(listing.Requests) != 2 ||
+		listing.Requests[0].ID != ids[4] || listing.Requests[1].ID != ids[3] {
+		t.Errorf("listing after 5 requests into a 2-entry ring: %s", rec.Body.String())
 	}
 }
 
 // TestLogAccessDisabledAllocs pins the disabled access-log path at zero
 // allocations — observability must cost nothing when turned off.
 func TestLogAccessDisabledAllocs(t *testing.T) {
-	o := New(Options{})
+	o := New(nil)
 	rec := &RequestRecord{ID: "x", Method: "POST", Route: "/v1/compile", Status: 200}
 	if n := testing.AllocsPerRun(100, func() { o.logAccess(rec) }); n != 0 {
 		t.Errorf("disabled logAccess allocates %v per call, want 0", n)
 	}
 	// A logger below Info level must also stay allocation-free: the
 	// Enabled check runs before any attr is built.
-	quiet := New(Options{Logger: slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError}))})
+	quiet := New(slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError})))
 	if n := testing.AllocsPerRun(100, func() { quiet.logAccess(rec) }); n != 0 {
 		t.Errorf("below-level logAccess allocates %v per call, want 0", n)
 	}
@@ -189,21 +190,21 @@ func BenchmarkLogAccess(b *testing.B) {
 		Status: 200, Cache: "hit", DurationNanos: 123456, Bytes: 1024,
 	}
 	b.Run("disabled", func(b *testing.B) {
-		o := New(Options{})
+		o := New(nil)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			o.logAccess(rec)
 		}
 	})
 	b.Run("enabled-json", func(b *testing.B) {
-		o := New(Options{Logger: slog.New(slog.NewJSONHandler(io.Discard, nil))})
+		o := New(slog.New(slog.NewJSONHandler(io.Discard, nil)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			o.logAccess(rec)
 		}
 	})
 	b.Run("enabled-text", func(b *testing.B) {
-		o := New(Options{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+		o := New(slog.New(slog.NewTextHandler(io.Discard, nil)))
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			o.logAccess(rec)
@@ -212,7 +213,7 @@ func BenchmarkLogAccess(b *testing.B) {
 }
 
 func TestServeRequestTrace(t *testing.T) {
-	o := New(Options{RingEntries: 4})
+	o := New(nil)
 	mux := http.NewServeMux()
 	o.Mount(mux)
 	ts := httptest.NewServer(o.Middleware(mux))
@@ -284,7 +285,7 @@ func TestServeRequestTrace(t *testing.T) {
 // TestDebugHandlerNoGoroutineLeak drives the pprof and introspection mux
 // and checks no goroutines outlive the requests.
 func TestDebugHandlerNoGoroutineLeak(t *testing.T) {
-	o := New(Options{})
+	o := New(nil)
 	ts := httptest.NewServer(o.DebugHandler())
 	before := runtime.NumGoroutine()
 	for _, path := range []string{

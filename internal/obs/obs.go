@@ -92,8 +92,7 @@ type Request struct {
 	ID string
 	// Start is when the middleware first saw the request.
 	Start time.Time
-	// Sink records the request's span tree (nil when request tracing is
-	// disabled; every annotation point is nil-safe through trace.Sink).
+	// Sink records the request's span tree.
 	Sink *trace.Sink
 
 	// Cache is the compile-cache status ("hit"/"miss"), Engine the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"objinline/internal/analysis"
+	"objinline/internal/lang/sem"
 	"objinline/internal/lower"
 	"objinline/internal/trace"
 )
@@ -44,7 +45,8 @@ import (
 //	        byte-identical-to-cold contract this engine is pinned to.
 //	cold  — a structural edit (classes, fields, globals, function set
 //	        or signatures) perturbs contour keys and function IDs;
-//	        rebuild everything, including the snapshot.
+//	        re-lower the already-checked source and rebuild everything
+//	        after the front end, including the snapshot.
 //
 // Every tier produces output byte-identical to a cold compile of the
 // same source — the differential fuzz tests in this package pin that.
@@ -103,7 +105,7 @@ func NewSession(file, src string, cfg Config) (*Session, *Compiled, error) {
 // NewSessionContext is NewSession with cancellation (see CompileContext).
 func NewSessionContext(ctx context.Context, file, src string, cfg Config) (*Session, *Compiled, error) {
 	s := &Session{File: file, Cfg: cfg}
-	c, _, err := s.rebuild(ctx, src)
+	c, _, err := s.rebuild(ctx, src, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -129,7 +131,7 @@ func (s *Session) Patch(src string) (*Compiled, IncrementalStats, error) {
 func (s *Session) PatchContext(ctx context.Context, src string) (*Compiled, IncrementalStats, error) {
 	var st IncrementalStats
 	if s.stale {
-		return s.rebuild(ctx, src)
+		return s.rebuild(ctx, src, nil)
 	}
 	if src == s.source {
 		st.Tier = TierReuse
@@ -146,7 +148,8 @@ func (s *Session) PatchContext(ctx context.Context, src string) (*Compiled, Incr
 	ps, err := s.snap.Patch(info)
 	sp.End()
 	if errors.Is(err, lower.ErrStructural) {
-		return s.rebuild(ctx, src)
+		// The edit already parsed and checked; only lowering starts over.
+		return s.rebuild(ctx, src, info)
 	}
 	if err != nil {
 		return nil, st, fmt.Errorf("lower: %w", err)
@@ -199,12 +202,15 @@ func (s *Session) PatchContext(ctx context.Context, src string) (*Compiled, Incr
 }
 
 // rebuild is the cold tier: full parse → check → lower → analyze →
-// optimize, replacing the snapshot.
-func (s *Session) rebuild(ctx context.Context, src string) (*Compiled, IncrementalStats, error) {
+// optimize, replacing the snapshot. A caller that already checked src
+// passes its info, and the parse and check are skipped.
+func (s *Session) rebuild(ctx context.Context, src string, info *sem.Info) (*Compiled, IncrementalStats, error) {
 	st := IncrementalStats{Tier: TierCold}
-	info, err := frontEnd(ctx, s.File, src, s.Cfg.Trace)
-	if err != nil {
-		return nil, st, err
+	if info == nil {
+		var err error
+		if info, err = frontEnd(ctx, s.File, src, s.Cfg.Trace); err != nil {
+			return nil, st, err
+		}
 	}
 	sp := s.Cfg.Trace.Start(trace.PhaseLower)
 	snap, err := lower.NewSnapshot(info)

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"slices"
 	"testing"
 
 	"objinline/internal/trace"
@@ -75,6 +76,38 @@ func TestDirectModeRecordsFrontEndPhasesOnly(t *testing.T) {
 	evs := sink.Events()
 	if len(evs) != 3 || evs[2].Phase != trace.PhaseLower {
 		t.Errorf("direct mode phases = %v, want parse/check/lower", evs)
+	}
+}
+
+// TestStructuralPatchRecordsFrontEndOnce pins a traced structural
+// session patch to one parse and one check: the patch attempt's checked
+// source goes to the cold tier, which only lowers it again.
+func TestStructuralPatchRecordsFrontEndOnce(t *testing.T) {
+	sink := &trace.Sink{}
+	sess, _, err := NewSession("t.icc", traceTestSrc, Config{Mode: ModeInline, Trace: sink})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := len(sink.Events())
+	_, st, err := sess.Patch(traceTestSrc + "\nfunc extra(a) { return a + 1; }\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Tier != TierCold {
+		t.Fatalf("tier = %s, want %s", st.Tier, TierCold)
+	}
+	want := []trace.Phase{
+		trace.PhaseParse, trace.PhaseCheck,
+		trace.PhaseLower, // the patch attempt that finds the edit structural
+		trace.PhaseLower, trace.PhaseAnalysis, trace.PhaseOptimize,
+		trace.PhaseFuncInline, trace.PhasePeephole,
+	}
+	var got []trace.Phase
+	for _, ev := range sink.Events()[before:] {
+		got = append(got, ev.Phase)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("structural patch phases = %v, want %v", got, want)
 	}
 }
 

@@ -8,10 +8,10 @@ package api
 import "objinline"
 
 // Config is the wire form of objinline.Config. Zero values mean defaults
-// (mode "inline", the analysis package's TagDepth and MaxPasses
-// defaults), exactly as the library treats them. Fields this type does
-// not declare — among them the removed "solver" and "jobs" — are ignored
-// by the decoder and never reach the cache key.
+// (mode "inline", the analysis package's TagDepth default), exactly as
+// the library treats them. Fields this type does not declare — among
+// them the removed "solver", "jobs" and "max_passes" — are ignored by
+// the decoder and never reach the cache key.
 type Config struct {
 	// Mode is the pipeline: "direct", "baseline", or "inline" (default).
 	Mode string `json:"mode,omitempty"`
@@ -19,8 +19,6 @@ type Config struct {
 	ParallelArrays bool `json:"parallel_arrays,omitempty"`
 	// TagDepth caps use-specialization tag nesting (default 3).
 	TagDepth int `json:"tag_depth,omitempty"`
-	// MaxPasses bounds the analysis's iterative refinement (default 8).
-	MaxPasses int `json:"max_passes,omitempty"`
 }
 
 // ToConfig converts the wire config to the library's, parsing the mode.
@@ -36,7 +34,6 @@ func (c Config) ToConfig() (objinline.Config, error) {
 		Mode:           mode,
 		ParallelArrays: c.ParallelArrays,
 		TagDepth:       c.TagDepth,
-		MaxPasses:      c.MaxPasses,
 	}, nil
 }
 

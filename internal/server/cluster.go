@@ -196,8 +196,8 @@ func (s *Server) seedFromDisk() {
 }
 
 func (s *Server) diskLog() *slog.Logger {
-	if s.cfg.AccessLog != nil {
-		return s.cfg.AccessLog
+	if s.accessLog != nil {
+		return s.accessLog
 	}
 	return slog.Default()
 }

@@ -45,7 +45,7 @@ type clusterNode struct {
 // loop runs at a one-hour interval — membership is effectively static
 // unless a test closes a node and waits, which none of these do (the
 // probe-driven ejection path is covered in internal/cluster).
-func newTestCluster(t *testing.T, n int, mut func(i int, cfg *Config)) []*clusterNode {
+func newTestCluster(t *testing.T, n int) []*clusterNode {
 	t.Helper()
 	before := runtime.NumGoroutine()
 	listeners := make([]net.Listener, n)
@@ -67,11 +67,7 @@ func newTestCluster(t *testing.T, n int, mut func(i int, cfg *Config)) []*cluste
 			Logger:        quietLog(),
 		})
 		cl.Start()
-		cfg := Config{Cluster: cl}
-		if mut != nil {
-			mut(i, &cfg)
-		}
-		srv := New(cfg)
+		srv := New(Config{Cluster: cl})
 		ts := httptest.NewUnstartedServer(srv)
 		ts.Listener.Close()
 		ts.Listener = listeners[i]
@@ -129,7 +125,7 @@ func filenameOwnedBy(t *testing.T, cl *cluster.Cluster, owner, source string) st
 // front-ends; the owner's singleflight must be the only compile in the
 // whole cluster and every front must return the same bytes.
 func TestClusterForwardDedup(t *testing.T) {
-	nodes := newTestCluster(t, 3, nil)
+	nodes := newTestCluster(t, 3)
 	src := fixtureSource(t)
 	req := api.CompileRequest{Source: src}
 
@@ -172,7 +168,7 @@ func TestClusterForwardDedup(t *testing.T) {
 // key's two non-owner fronts forward exactly once each.
 func TestClusterConcurrentDedup(t *testing.T) {
 	const keys = 4
-	nodes := newTestCluster(t, 3, nil)
+	nodes := newTestCluster(t, 3)
 	src := fixtureSource(t)
 
 	type answer struct {
@@ -240,7 +236,7 @@ func TestClusterConcurrentDedup(t *testing.T) {
 // through front A, then read through front B — B forwards to the same
 // owner and gets a byte-identical cache hit.
 func TestClusterWarmHitAcrossFronts(t *testing.T) {
-	nodes := newTestCluster(t, 3, nil)
+	nodes := newTestCluster(t, 3)
 	src := fixtureSource(t)
 	// A key owned by node 1, so both front 0 and front 2 must forward.
 	fn := filenameOwnedBy(t, nodes[0].cl, nodes[1].url, src)
@@ -275,7 +271,7 @@ func TestClusterWarmHitAcrossFronts(t *testing.T) {
 // TestClusterOwnerDownLocalFallback kills a key's owner outright; the
 // surviving front must absorb the forward failure and compile locally.
 func TestClusterOwnerDownLocalFallback(t *testing.T) {
-	nodes := newTestCluster(t, 2, nil)
+	nodes := newTestCluster(t, 2)
 	src := fixtureSource(t)
 	fn := filenameOwnedBy(t, nodes[0].cl, nodes[1].url, src)
 

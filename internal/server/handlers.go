@@ -58,16 +58,16 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request, req *api.Compil
 }
 
 // checkSource enforces a request's source field: present, and within
-// MaxSourceBytes. On failure it writes the error response and returns
+// the source limit. On failure it writes the error response and returns
 // false.
 func (s *Server) checkSource(w http.ResponseWriter, src string) bool {
 	if src == "" {
 		s.writeError(w, http.StatusBadRequest, api.CodeBadRequest, "missing source field")
 		return false
 	}
-	if len(src) > s.cfg.MaxSourceBytes {
+	if len(src) > s.lim.maxSourceBytes {
 		s.writeError(w, http.StatusRequestEntityTooLarge, api.CodeBadRequest,
-			fmt.Sprintf("source is %d bytes; the limit is %d", len(src), s.cfg.MaxSourceBytes))
+			fmt.Sprintf("source is %d bytes; the limit is %d", len(src), s.lim.maxSourceBytes))
 		return false
 	}
 	return true
@@ -76,20 +76,20 @@ func (s *Server) checkSource(w http.ResponseWriter, src string) bool {
 // deadline is a request's compile budget: its own deadline_ms, else the
 // default, clamped to the maximum.
 func (s *Server) deadline(millis int64) time.Duration {
-	d := s.cfg.DefaultDeadline
+	d := s.lim.defaultDeadline
 	if millis > 0 {
 		d = time.Duration(millis) * time.Millisecond
 	}
-	return min(d, s.cfg.MaxDeadline)
+	return min(d, s.lim.maxDeadline)
 }
 
 // decode unmarshals the request body into dst, bounding its size. It
 // writes the error response and returns false on failure.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	// The body bound leaves headroom over MaxSourceBytes for JSON string
+	// The body bound leaves headroom over the source limit for JSON string
 	// escaping and the non-source fields; prepare enforces the precise
 	// source limit.
-	r.Body = http.MaxBytesReader(w, r.Body, 2*int64(s.cfg.MaxSourceBytes)+(64<<10))
+	r.Body = http.MaxBytesReader(w, r.Body, 2*int64(s.lim.maxSourceBytes)+(64<<10))
 	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -359,10 +359,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// exists; a fresh throwaway sink otherwise, so concurrent runs never
 	// append to the program's shared compile-time trace.
 	runSink := &objinline.TraceSink{}
-	if oreq != nil && oreq.Sink != nil {
+	if oreq != nil {
 		runSink = oreq.Sink
 	}
-	out := capWriter{max: s.cfg.MaxOutputBytes}
+	out := capWriter{max: s.lim.maxOutputBytes}
 	ro := objinline.RunOptions{
 		Engine:       objinline.EngineVM,
 		MaxSteps:     req.MaxSteps,
@@ -424,7 +424,7 @@ func (s *Server) runNative(w http.ResponseWriter, r *http.Request, p *prepared, 
 func (s *Server) nativeRunInto(ctx context.Context, e *entry, prog *objinline.Program, p *prepared, req *api.RunRequest, reps int) {
 	defer close(e.done)
 	s.metrics.nativeRuns.Add(1)
-	out := capWriter{max: s.cfg.MaxOutputBytes}
+	out := capWriter{max: s.lim.maxOutputBytes}
 	ro := objinline.RunOptions{
 		Engine:     objinline.EngineNative,
 		NativeReps: reps,

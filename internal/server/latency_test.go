@@ -209,7 +209,7 @@ func TestLatencyViewsAgree(t *testing.T) {
 	}
 	// The queue covers the offered concurrency, so nothing should shed;
 	// the cache holds every cold key plus the warm one.
-	_, ts := newTestServer(t, Config{QueueDepth: 2 * concurrency, CacheEntries: requests + 1})
+	_, ts := newLimitedServer(t, Config{}, func(l *limits) { l.queue, l.resultEntries = 2*concurrency, requests+1 })
 	client := ts.Client()
 	client.Transport.(*http.Transport).MaxIdleConnsPerHost = concurrency
 

@@ -266,7 +266,7 @@ func TestRunNativeFollowerAwaitSpan(t *testing.T) {
 		t.Skip("builds native binaries")
 	}
 	t.Setenv("TMPDIR", t.TempDir())
-	srv, ts := newTestServer(t, Config{PoolSize: 1})
+	srv, ts := newLimitedServer(t, Config{}, func(l *limits) { l.pool, l.queue = 1, 4 })
 	if resp, body := postJSON(t, ts, "/v1/compile", api.CompileRequest{Source: nativeDemo}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("warmup compile: status %d: %s", resp.StatusCode, body)
 	}

@@ -80,7 +80,7 @@ func TestRequestIDOnEveryPath(t *testing.T) {
 // checks the 429 body reports the queue depth and the response still
 // carries the request id.
 func TestShedCarriesRequestIDAndQueueDepth(t *testing.T) {
-	_, ts := newTestServer(t, Config{PoolSize: 1, QueueDepth: 1})
+	_, ts := newLimitedServer(t, Config{}, func(l *limits) { l.pool, l.queue = 1, 1 })
 
 	// Occupy the worker and the queue slot with two runs of an infinite
 	// loop, bounded by their deadlines, so the probe below is shed however
@@ -470,12 +470,13 @@ func TestHealthzDraining(t *testing.T) {
 	}
 }
 
-// TestRingEvictionOverHTTP fills a small ring past capacity and checks
-// the listing holds only the most recent requests while total keeps
-// counting.
+// TestRingEvictionOverHTTP fills the request ring (128 entries, as
+// docs/SERVER.md states) past capacity and checks the listing holds only
+// the most recent requests while total keeps counting.
 func TestRingEvictionOverHTTP(t *testing.T) {
-	_, ts := newTestServer(t, Config{RequestRingEntries: 2})
-	for i := 0; i < 5; i++ {
+	const ring, sent = 128, 130
+	_, ts := newTestServer(t, Config{})
+	for i := 0; i < sent; i++ {
 		resp, err := ts.Client().Get(ts.URL + "/healthz")
 		if err != nil {
 			t.Fatal(err)
@@ -496,11 +497,11 @@ func TestRingEvictionOverHTTP(t *testing.T) {
 	if err := json.Unmarshal(body, &parsed); err != nil {
 		t.Fatal(err)
 	}
-	if len(parsed.Requests) != 2 {
-		t.Errorf("ring holds %d records, want 2", len(parsed.Requests))
+	if len(parsed.Requests) != ring {
+		t.Errorf("ring holds %d records, want %d", len(parsed.Requests), ring)
 	}
-	if parsed.Total != 5 {
-		t.Errorf("total = %d, want 5", parsed.Total)
+	if parsed.Total != sent {
+		t.Errorf("total = %d, want %d", parsed.Total, sent)
 	}
 }
 

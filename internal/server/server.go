@@ -53,43 +53,10 @@ import (
 	"objinline/internal/trace"
 )
 
-// Config tunes a server instance. Zero values mean defaults.
+// Config is what a deployment chooses for a server instance. Everything
+// else — pool and queue sizes, cache bounds, deadlines, request size
+// limits — is a fixed limit (see the constants below and docs/SERVER.md).
 type Config struct {
-	// PoolSize bounds concurrent compiler/VM work (default GOMAXPROCS).
-	PoolSize int
-	// QueueDepth bounds requests waiting for a worker; beyond it requests
-	// are shed with 429 + Retry-After (default 4×PoolSize).
-	QueueDepth int
-	// CacheEntries bounds the result cache's LRU (default 256).
-	CacheEntries int
-	// DefaultDeadline applies when a request names none (default 10s).
-	DefaultDeadline time.Duration
-	// MaxDeadline clamps requested deadlines (default 60s).
-	MaxDeadline time.Duration
-	// MaxSourceBytes bounds the source field; larger requests get 413
-	// (default 1 MiB).
-	MaxSourceBytes int
-	// MaxOutputBytes caps the program output a run response carries
-	// (default 256 KiB); beyond it the envelope sets output_truncated.
-	MaxOutputBytes int
-	// SessionEntries bounds live incremental sessions (default 64). Each
-	// session pins a compiled program plus its analysis result, so this
-	// is a memory bound; beyond it the least recently used session is
-	// evicted and later patches to it get 404.
-	SessionEntries int
-	// SessionTTL expires sessions idle this long (default 15m).
-	SessionTTL time.Duration
-	// NativeCacheEntries bounds the native-run result cache's LRU
-	// (default 64). Native executions are content-addressed like
-	// compilations — a go build per miss is too expensive to repeat — but
-	// each entry also pins an envelope with program output, so the bound
-	// is smaller than the compile cache's.
-	NativeCacheEntries int
-	// RequestRingEntries bounds the per-request trace ring buffer behind
-	// GET /debug/requests (default 128; negative disables per-request
-	// tracing and the ring — request ids, histograms, and access logs
-	// still work).
-	RequestRingEntries int
 	// AccessLog receives one structured record per request (request id,
 	// method, route, status, cache status, tier, engine, queue wait,
 	// duration, bytes) at Info level. nil disables access logging; the
@@ -109,45 +76,52 @@ type Config struct {
 	Disk *cluster.Store
 }
 
-func (c Config) withDefaults() Config {
-	if c.PoolSize <= 0 {
-		c.PoolSize = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.PoolSize
-	}
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 256
-	}
-	if c.NativeCacheEntries <= 0 {
-		c.NativeCacheEntries = 64
-	}
-	if c.DefaultDeadline <= 0 {
-		c.DefaultDeadline = 10 * time.Second
-	}
-	if c.MaxDeadline <= 0 {
-		c.MaxDeadline = 60 * time.Second
-	}
-	if c.MaxSourceBytes <= 0 {
-		c.MaxSourceBytes = 1 << 20
-	}
-	if c.MaxOutputBytes <= 0 {
-		c.MaxOutputBytes = 256 << 10
-	}
-	if c.SessionEntries <= 0 {
-		c.SessionEntries = 64
-	}
-	if c.SessionTTL <= 0 {
-		c.SessionTTL = 15 * time.Minute
-	}
-	return c
+// The server's fixed limits. The worker pool is GOMAXPROCS, which the
+// environment already sets.
+const (
+	// queuePerWorker sizes the admission queue: beyond queuePerWorker ×
+	// pool waiting requests, requests are shed with 429 + Retry-After.
+	queuePerWorker = 4
+	// resultCacheEntries bounds the result cache's LRU.
+	resultCacheEntries = 256
+	// nativeCacheEntries bounds the native-run result cache's LRU. Native
+	// executions are content-addressed like compilations — a go build per
+	// miss is too expensive to repeat — but each entry also pins an
+	// envelope with program output, so the bound is smaller.
+	nativeCacheEntries = 64
+	// sessionEntries bounds live incremental sessions. Each pins a
+	// compiled program plus its analysis result, so this is a memory
+	// bound; beyond it the least recently used session is evicted and
+	// later patches to it get 404.
+	sessionEntries = 64
+	// sessionTTL expires sessions idle this long.
+	sessionTTL = 15 * time.Minute
+	// defaultDeadline applies when a request names none; maxDeadline
+	// clamps requested deadlines.
+	defaultDeadline = 10 * time.Second
+	maxDeadline     = 60 * time.Second
+	// maxSourceBytes bounds the source field; larger requests get 413.
+	maxSourceBytes = 1 << 20
+	// maxOutputBytes caps the program output a run response carries;
+	// beyond it the envelope sets output_truncated.
+	maxOutputBytes = 256 << 10
+)
+
+// limits carries the fixed limits into one server. New always passes
+// the constants; in-package tests shrink them to reach shedding,
+// eviction, truncation and expiry with a handful of requests.
+type limits struct {
+	pool, queue                                  int
+	resultEntries, nativeEntries, sessionEntries int
+	sessionTTL, defaultDeadline, maxDeadline     time.Duration
+	maxSourceBytes, maxOutputBytes               int
 }
 
 // Server is one oicd instance. It is an http.Handler; plug it into any
 // http.Server (whose Shutdown gives graceful draining — in-flight
 // requests hold the handler goroutine, so Shutdown waits for them).
 type Server struct {
-	cfg      Config
+	lim      limits
 	results  *cache
 	sessions *sessionStore
 	mux      *http.ServeMux
@@ -169,13 +143,16 @@ type Server struct {
 
 	// workers is the bounded pool: holding a token = doing compiler or VM
 	// work. queued counts requests waiting for a token; beyond
-	// cfg.QueueDepth, acquire sheds instead of queueing.
+	// lim.queue, acquire sheds instead of queueing.
 	workers chan struct{}
 	queued  atomic.Int64
 
 	// svcRate tracks recent completion throughput; 429 responses derive
 	// their Retry-After from it (queue depth / service rate).
 	svcRate *rateEstimator
+
+	// accessLog is Config.AccessLog (nil when access logging is off).
+	accessLog *slog.Logger
 
 	// Distributed tier (all nil/zero on a standalone instance): cluster
 	// routes keys to owners, disk is the WAL-backed warm cache, compacting
@@ -185,23 +162,42 @@ type Server struct {
 	compacting atomic.Bool
 }
 
-// New builds a server with cfg (zero values defaulted).
-func New(cfg Config) *Server {
-	cfg = cfg.withDefaults()
+// New builds a server with cfg and the fixed limits.
+func New(cfg Config) *Server { return newServer(cfg, fixedLimits()) }
+
+// fixedLimits returns the limits every server runs with.
+func fixedLimits() limits {
+	pool := runtime.GOMAXPROCS(0)
+	return limits{
+		pool:            pool,
+		queue:           queuePerWorker * pool,
+		resultEntries:   resultCacheEntries,
+		nativeEntries:   nativeCacheEntries,
+		sessionEntries:  sessionEntries,
+		sessionTTL:      sessionTTL,
+		defaultDeadline: defaultDeadline,
+		maxDeadline:     maxDeadline,
+		maxSourceBytes:  maxSourceBytes,
+		maxOutputBytes:  maxOutputBytes,
+	}
+}
+
+func newServer(cfg Config, lim limits) *Server {
 	s := &Server{
-		cfg:        cfg,
-		results:    newCache(cfg.CacheEntries),
-		nativeRuns: newCache(cfg.NativeCacheEntries),
-		sessions:   newSessionStore(cfg.SessionEntries, cfg.SessionTTL),
-		workers:    make(chan struct{}, cfg.PoolSize),
+		lim:        lim,
+		results:    newCache(lim.resultEntries),
+		nativeRuns: newCache(lim.nativeEntries),
+		sessions:   newSessionStore(lim.sessionEntries, lim.sessionTTL),
+		workers:    make(chan struct{}, lim.pool),
 		mux:        http.NewServeMux(),
 		start:      time.Now(),
 		svcRate:    newRateEstimator(),
+		accessLog:  cfg.AccessLog,
 		cluster:    cfg.Cluster,
 		disk:       cfg.Disk,
 	}
 	s.seedFromDisk()
-	s.obs = obs.New(obs.Options{RingEntries: cfg.RequestRingEntries, Logger: cfg.AccessLog})
+	s.obs = obs.New(cfg.AccessLog)
 	s.metrics = newMetrics(s)
 	s.mux.HandleFunc("POST /v1/compile", s.handleCompile)
 	s.mux.HandleFunc("POST /v1/explain", s.handleExplain)
@@ -252,7 +248,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // be shed.
 var errOverloaded = errors.New("server overloaded: worker queue full")
 
-// acquire claims a worker token, queueing up to cfg.QueueDepth waiters.
+// acquire claims a worker token, queueing up to lim.queue waiters.
 // It returns errOverloaded when the queue is full and ctx.Err() when the
 // request's deadline lands first. Cache hits never call this — only work
 // that will occupy a compiler or VM needs a token.
@@ -262,15 +258,15 @@ func (s *Server) acquire(ctx context.Context) error {
 		return nil
 	default:
 	}
-	if s.queued.Add(1) > int64(s.cfg.QueueDepth) {
+	if s.queued.Add(1) > int64(s.lim.queue) {
 		s.queued.Add(-1)
 		return errOverloaded
 	}
 	defer s.queued.Add(-1)
 	// The fast path missed: this request is actually waiting, which is
 	// worth a span on its trace and a queue-wait figure in its access-log
-	// record. All of it is nil-safe when the request carries no
-	// observability state (library callers, tracing disabled).
+	// record. The request carries no observability state only when acquire
+	// is reached outside the middleware.
 	req := obs.FromContext(ctx)
 	var (
 		span trace.Span

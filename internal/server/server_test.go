@@ -44,8 +44,18 @@ func fixtureSource(t *testing.T) string {
 // threads), or a handler or waiter is stuck.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	return newLimitedServer(t, cfg, func(*limits) {})
+}
+
+// newLimitedServer is newTestServer with the fixed limits changed by
+// shrink, so a test reaches shedding, eviction, truncation or expiry
+// with a handful of requests.
+func newLimitedServer(t *testing.T, cfg Config, shrink func(*limits)) (*Server, *httptest.Server) {
+	t.Helper()
 	before := runtime.NumGoroutine()
-	srv := New(cfg)
+	lim := fixedLimits()
+	shrink(&lim)
+	srv := newServer(cfg, lim)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()
@@ -195,7 +205,7 @@ func TestWarmResponseByteIdentical(t *testing.T) {
 // onto one compilation: every response succeeds with identical bytes and
 // compiles_total ends at exactly 1.
 func TestSingleflightDedup(t *testing.T) {
-	_, ts := newTestServer(t, Config{PoolSize: 4})
+	_, ts := newLimitedServer(t, Config{}, func(l *limits) { l.pool, l.queue = 4, 16 })
 	req := api.CompileRequest{Filename: "explain.icc", Source: fixtureSource(t)}
 	const n = 16
 	bodies := make([][]byte, n)
@@ -234,7 +244,7 @@ func TestSingleflightDedup(t *testing.T) {
 // then A's client cancels and the worker is released: B must get the
 // cold compile's 200, and the hang-up is not a deadline.
 func TestLeaderHangupKeepsFollower(t *testing.T) {
-	srv, ts := newTestServer(t, Config{PoolSize: 1})
+	srv, ts := newLimitedServer(t, Config{}, func(l *limits) { l.pool, l.queue = 1, 4 })
 	req := api.CompileRequest{Filename: "explain.icc", Source: fixtureSource(t)}
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -304,7 +314,7 @@ func TestLeaderHangupKeepsFollower(t *testing.T) {
 // waits, a third request is shed with 429 + Retry-After, and requests
 // below the limit are never dropped.
 func TestShedUnderSaturation(t *testing.T) {
-	_, ts := newTestServer(t, Config{PoolSize: 1, QueueDepth: 1})
+	_, ts := newLimitedServer(t, Config{}, func(l *limits) { l.pool, l.queue = 1, 1 })
 	const loop = "func main() { var i = 0; while (true) { i = i + 1; } }"
 	// Warm the compile cache so the runs below go straight to admission.
 	if resp, body := postJSON(t, ts, "/v1/compile", api.CompileRequest{Source: loop}); resp.StatusCode != http.StatusOK {
@@ -444,7 +454,7 @@ func TestRunEndpoint(t *testing.T) {
 // its own run's profile, byte-equal to a lone run's (run it under -race).
 func TestConcurrentProfiledRuns(t *testing.T) {
 	const runs = 4
-	_, ts := newTestServer(t, Config{PoolSize: runs})
+	_, ts := newLimitedServer(t, Config{}, func(l *limits) { l.pool, l.queue = runs, 4*runs })
 	req, err := json.Marshal(api.RunRequest{
 		CompileRequest: api.CompileRequest{Filename: "explain.icc", Source: fixtureSource(t)},
 		Profile:        true,
@@ -552,7 +562,7 @@ func TestRunRunawayRecursion(t *testing.T) {
 // TestRunOutputTruncated checks the output cap flags truncation instead
 // of ballooning the envelope.
 func TestRunOutputTruncated(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxOutputBytes: 8})
+	_, ts := newLimitedServer(t, Config{}, func(l *limits) { l.maxOutputBytes = 8 })
 	resp, body := postJSON(t, ts, "/v1/run", api.RunRequest{
 		CompileRequest: api.CompileRequest{Source: "func main() { for (var i = 0; i < 100; i = i + 1) { print(i); } }"},
 		IncludeOutput:  true,
@@ -603,7 +613,7 @@ func TestExplainEndpoint(t *testing.T) {
 
 // TestBadRequests checks the 400/413 validation surface.
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxSourceBytes: 64})
+	_, ts := newLimitedServer(t, Config{}, func(l *limits) { l.maxSourceBytes = 64 })
 	cases := []struct {
 		name   string
 		path   string
@@ -673,7 +683,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 
 // TestLRUEviction checks the cache honors its bound and counts evictions.
 func TestLRUEviction(t *testing.T) {
-	_, ts := newTestServer(t, Config{CacheEntries: 2})
+	_, ts := newLimitedServer(t, Config{}, func(l *limits) { l.resultEntries = 2 })
 	for i := 0; i < 4; i++ {
 		req := api.CompileRequest{Source: fmt.Sprintf("func main() { print(%d); }", i)}
 		if resp, body := postJSON(t, ts, "/v1/compile", req); resp.StatusCode != http.StatusOK {
@@ -765,10 +775,11 @@ func TestGracefulShutdownDrain(t *testing.T) {
 }
 
 // TestRemovedConfigFieldsIgnored checks that config fields the wire
-// format no longer declares ("solver", and the earlier "jobs") go
-// through the decoder's unknown-field path: the request compiles, it
-// answers with the bytes of the same request without them, and because
-// they are not part of the cache key they cannot split the cache.
+// format no longer declares ("solver", "max_passes", and the earlier
+// "jobs") go through the decoder's unknown-field path: the request
+// compiles, it answers with the bytes of the same request without them,
+// and because they are not part of the cache key they cannot split the
+// cache.
 func TestRemovedConfigFieldsIgnored(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	src := fixtureSource(t)
@@ -782,7 +793,7 @@ func TestRemovedConfigFieldsIgnored(t *testing.T) {
 		t.Fatalf("plain compile: status %d: %s", resp.StatusCode, plain)
 	}
 	want := normalizeEnvelope(t, plain)
-	for _, config := range []string{`{"solver": "sweep"}`, `{"solver": "bogus"}`, `{"jobs": 4}`} {
+	for _, config := range []string{`{"solver": "sweep"}`, `{"solver": "bogus"}`, `{"jobs": 4}`, `{"max_passes": 2}`} {
 		resp, body := post(config)
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("config %s: status %d, want 200: %s", config, resp.StatusCode, body)

@@ -263,7 +263,7 @@ func TestSessionPatchErrorKeepsSession(t *testing.T) {
 
 // TestSessionValidation pins the 400/413/404 discipline.
 func TestSessionValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxSourceBytes: 64})
+	_, ts := newLimitedServer(t, Config{}, func(l *limits) { l.maxSourceBytes = 64 })
 	if resp, _ := doJSON(t, ts, http.MethodPatch, "/v1/session/deadbeef",
 		api.SessionPatchRequest{Source: "func main() {}"}); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown session: status %d, want 404", resp.StatusCode)
@@ -283,7 +283,7 @@ func TestSessionValidation(t *testing.T) {
 // TestSessionTTLExpiry checks an idle session expires and later patches
 // 404, with the expiration counted.
 func TestSessionTTLExpiry(t *testing.T) {
-	_, ts := newTestServer(t, Config{SessionTTL: 50 * time.Millisecond})
+	_, ts := newLimitedServer(t, Config{}, func(l *limits) { l.sessionTTL = 50 * time.Millisecond })
 	_, body := postJSON(t, ts, "/v1/session", api.CompileRequest{Source: "func main() { print(1); }"})
 	id := decodeSessionEnv(t, body).SessionID
 	time.Sleep(80 * time.Millisecond)
@@ -306,7 +306,7 @@ func TestSessionTTLExpiry(t *testing.T) {
 // lookup completes normally even when its session is evicted mid-flight;
 // patches that lose the lookup 404. Nothing may crash, race, or leak.
 func TestSessionEvictionRacesInflightPatch(t *testing.T) {
-	_, ts := newTestServer(t, Config{SessionEntries: 1, PoolSize: 4})
+	_, ts := newLimitedServer(t, Config{}, func(l *limits) { l.sessionEntries, l.pool, l.queue = 1, 4, 16 })
 	src := "func main() { print(41); }"
 	_, body := postJSON(t, ts, "/v1/session", api.CompileRequest{Source: src})
 	id := decodeSessionEnv(t, body).SessionID

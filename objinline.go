@@ -102,8 +102,6 @@ type Config struct {
 	ParallelArrays bool
 	// TagDepth caps the use-specialization tag nesting (default 3).
 	TagDepth int
-	// MaxPasses bounds the analysis's iterative refinement (default 8).
-	MaxPasses int
 }
 
 // Fingerprint returns a stable, versioned, canonical encoding of the
@@ -116,9 +114,9 @@ type Config struct {
 // alter compilation output changes the fingerprint, and the leading
 // version tag must be bumped whenever the encoding itself changes.
 func (c Config) Fingerprint() string {
-	a := analysis.Options{TagDepth: c.TagDepth, MaxPasses: c.MaxPasses}.WithDefaults()
-	return fmt.Sprintf("objinline.Config/v2;max_passes=%d;mode=%s;parallel_arrays=%t;tag_depth=%d",
-		a.MaxPasses, c.Mode, c.ParallelArrays, a.TagDepth)
+	a := analysis.Options{TagDepth: c.TagDepth}.WithDefaults()
+	return fmt.Sprintf("objinline.Config/v3;mode=%s;parallel_arrays=%t;tag_depth=%d",
+		c.Mode, c.ParallelArrays, a.TagDepth)
 }
 
 // Option is a functional compilation option (beyond the Config knobs that
@@ -204,7 +202,7 @@ func (c Config) toPipeline(opts []Option) (pipeline.Config, error) {
 	return pipeline.Config{
 		Mode:        c.Mode,
 		ArrayLayout: layout,
-		Analysis:    analysis.Options{TagDepth: c.TagDepth, MaxPasses: c.MaxPasses},
+		Analysis:    analysis.Options{TagDepth: c.TagDepth},
 		Trace:       settings.trace,
 	}, nil
 }
