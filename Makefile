@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet fmt loc check-json bench bench-vm bench-analysis bench-calibration payoff figs serve
+.PHONY: check build test race vet fmt loc check-json bench bench-vm bench-compile bench-analysis bench-calibration payoff figs serve
 
 check: build vet fmt race check-json
 
@@ -46,6 +46,12 @@ bench:
 # revisions can be compared side by side.
 bench-vm:
 	$(GO) test -run '^$$' -bench BenchmarkSuite -benchmem -count 5 .
+
+# Benchmark compilation of richards in direct, baseline and inline mode
+# (parse through transform), reporting ns/op, bytes and allocations per
+# compile five times each, for a quick compiler A/B without perfbench.
+bench-compile:
+	$(GO) test -run '^$$' -bench BenchmarkCompile -benchmem -count 5 .
 
 # Benchmark the analysis phase itself: worklist vs sweep solver on every
 # program at both Tags settings. Compile, edit and service timings come

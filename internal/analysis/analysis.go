@@ -117,6 +117,16 @@ func AnalyzeContext(ctx context.Context, prog *ir.Program, opts Options) (*Resul
 		classSplit: make(map[*ir.Class]bool),
 		arrSplit:   make(map[int]bool),
 		nInstrs:    make(map[*ir.Func]int),
+		tt:         newTagTable(opts.TagDepth),
+		mcs:        make(map[mcKey]*MethodContour),
+		ocs:        make(map[allocKey]*ObjContour),
+		acs:        make(map[allocKey]*ArrContour),
+		edges:      make(map[edgeKey]*Edge),
+		globals:    make([]VarState, len(prog.Globals)),
+		mcSlab:     slab[MethodContour]{first: 16},
+		edgeSlab:   slab[Edge]{first: 32},
+		cells:      slab[VarState]{first: 256},
+		bits:       slab[bool]{first: 256},
 	}
 	// Every function gets a policy up front: the call transfer functions
 	// read a.policies directly.
@@ -180,7 +190,9 @@ type analyzer struct {
 	arrSplit   map[int]bool       // split array contours by creator, by site UID
 	nInstrs    map[*ir.Func]int   // instruction counts (immutable IR), precomputed
 
-	// Per-pass state.
+	// Per-pass state. resetPass clears it for the next pass, keeping
+	// the storage: nothing reads a pass's state after updatePolicies,
+	// and the final pass's storage goes to the Result.
 	tt       *tagTable
 	mcs      map[mcKey]*MethodContour
 	mcList   []*MethodContour
@@ -195,6 +207,13 @@ type analyzer struct {
 	nextMC   int
 	nextOC   int
 	nextAC   int
+
+	// Slabs the pass carves its method contours, edges, registers,
+	// object fields, edge arguments and dirty bitmaps from (see slab).
+	mcSlab   slab[MethodContour]
+	edgeSlab slab[Edge]
+	cells    slab[VarState]
+	bits     slab[bool]
 
 	// Worklist solver state (see solver.go).
 	curIdx      int    // drain cursor (contour ID), or -1 outside a scan
@@ -276,22 +295,70 @@ func (a *analyzer) instrCount(fn *ir.Func) int {
 }
 
 func (a *analyzer) resetPass() {
-	a.tt = newTagTable(a.opts.TagDepth)
-	a.mcs = make(map[mcKey]*MethodContour)
-	a.mcList = nil
-	a.ocs = make(map[allocKey]*ObjContour)
-	a.ocList = nil
-	a.acs = make(map[allocKey]*ArrContour)
-	a.acList = nil
-	a.globals = make([]VarState, len(a.prog.Globals))
-	a.edges = make(map[edgeKey]*Edge)
+	a.tt.reset()
+	clear(a.mcs)
+	clear(a.ocs)
+	clear(a.acs)
+	clear(a.edges)
+	clear(a.globals)
+	a.mcSlab.reset()
+	a.edgeSlab.reset()
+	a.cells.reset()
+	a.bits.reset()
+	a.mcList = a.mcList[:0]
+	a.ocList = a.ocList[:0]
+	a.acList = a.acList[:0]
 	a.overflow = false
 	a.nextMC, a.nextOC, a.nextAC = 0, 0, 0
 	a.curIdx = -1
-	a.dirtyCur, a.dirtyNext = nil, nil
+	a.dirtyCur, a.dirtyNext = a.dirtyCur[:0], a.dirtyNext[:0]
 	a.pendingNext = 0
 	a.converged = true
 	a.cur, a.curInstr, a.pollN = nil, -1, 1
+}
+
+// slab hands out slices carved from shared chunks, so a pass allocates
+// a few chunks rather than one object or slice per contour, and the next
+// pass reuses them. Chunk sizes double from first elements up to
+// 8*first; a larger request gets its own slice.
+type slab[T any] struct {
+	first  int
+	chunks [][]T
+	next   int // chunks[:next] have been carved from
+	free   []T // uncarved rest of chunks[next-1]
+}
+
+// carve returns n zeroed elements.
+func (s *slab[T]) carve(n int) []T {
+	if n > len(s.free) {
+		size := s.first << min(s.next, 3)
+		if n > s.first<<3 {
+			return make([]T, n)
+		}
+		if s.next == len(s.chunks) {
+			s.chunks = append(s.chunks, nil)
+		}
+		if len(s.chunks[s.next]) < n {
+			s.chunks[s.next] = make([]T, max(size, n))
+		}
+		s.free = s.chunks[s.next]
+		s.next++
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
+// one returns a pointer to one zeroed element.
+func (s *slab[T]) one() *T { return &s.carve(1)[0] }
+
+// reset zeroes the carved chunks and makes them available again. Every
+// element carved before is invalid afterwards.
+func (s *slab[T]) reset() {
+	for _, c := range s.chunks[:s.next] {
+		clear(c)
+	}
+	s.next, s.free = 0, nil
 }
 
 // seed creates the root contours every pass starts from.
@@ -331,7 +398,8 @@ func (a *analyzer) getMC(fn *ir.Func, key string) *MethodContour {
 	if mc, ok := a.mcs[id]; ok {
 		return mc
 	}
-	mc := &MethodContour{ID: a.nextMC, Fn: fn, Key: key, Regs: make([]VarState, fn.NumRegs), ctxHash: mcHash(fn, key)}
+	mc := a.mcSlab.one()
+	*mc = MethodContour{ID: a.nextMC, Fn: fn, Key: key, Regs: a.cells.carve(fn.NumRegs), ctxHash: mcHash(fn, key)}
 	a.nextMC++
 	a.mcs[id] = mc
 	a.mcList = append(a.mcList, mc)
@@ -340,7 +408,7 @@ func (a *analyzer) getMC(fn *ir.Func, key string) *MethodContour {
 		// New contours run in the current round (the sweep evaluates list
 		// growth within the round; see solver.go for why order matters),
 		// with every instruction initially fully dirty.
-		mc.dirty = make([]bool, numSlots*a.instrCount(fn))
+		mc.dirty = a.bits.carve(numSlots * a.instrCount(fn))
 		for i := 0; i < len(mc.dirty); i += numSlots {
 			mc.dirty[i] = true
 		}
@@ -404,7 +472,7 @@ func (a *analyzer) getOC(fn *ir.Func, in *ir.Instr, mc *MethodContour) *ObjConto
 	a.changed = true
 	oc := &ObjContour{
 		ID: a.nextOC, Class: in.Class, Site: in, SiteFn: fn, Key: key,
-		Fields:  make([]VarState, in.Class.NumSlots()),
+		Fields:  a.cells.carve(in.Class.NumSlots()),
 		ctxHash: hashStr(hashU64(hashSeed(1), uint64(siteUID(fn, in))), key),
 	}
 	a.nextOC++
@@ -632,10 +700,11 @@ func (a *analyzer) evalInstr(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 		base := use(in.Args[0])
 		dst := reg(in.Dst)
 		for _, oc := range base.TS.ObjList() {
-			fs := oc.FieldState(in.Field.Name)
-			if fs == nil {
+			slot := oc.fieldSlot(in.Field.Name)
+			if slot < 0 {
 				continue
 			}
+			fs := &oc.Fields[slot]
 			a.useArg(fs)
 			// Types flow through the field; the loaded value is tagged
 			// MakeTag(f, tag(o)) per §4.1. Content provenance is *not*
@@ -646,7 +715,7 @@ func (a *analyzer) evalInstr(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 			a.unionTS(dst, fs)
 			if a.opts.Tags {
 				for _, t := range base.Tags.List() {
-					a.addTag(dst, a.tt.makeObj(oc, in.Field.Name, t))
+					a.addTag(dst, a.tt.makeObj(oc, slot, t))
 				}
 			}
 		}
@@ -846,7 +915,8 @@ func (a *analyzer) edge(from *MethodContour, in *ir.Instr, to *MethodContour) *E
 	if e, ok := a.edges[k]; ok {
 		return e
 	}
-	e := &Edge{From: from, Instr: in, To: to, Args: make([]VarState, len(in.Args))}
+	e := a.edgeSlab.one()
+	*e = Edge{From: from, Instr: in, To: to, Args: a.cells.carve(len(in.Args))}
 	a.edges[k] = e
 	to.InEdges = append(to.InEdges, e)
 	return e

@@ -35,7 +35,7 @@ import "sort"
 // class and tag signatures, TagSet.List (sorted by ID), the Result dump,
 // and the clone partition. The per-pass lookup tables (mcs/ocs/acs, whose
 // creator-split alloc keys embed in-pass creation IDs) are never read
-// after the pass ends and are rebuilt by resetPass.
+// after the pass ends and are cleared by resetPass.
 func (a *analyzer) canonicalize() {
 	sort.Slice(a.mcList, func(i, j int) bool {
 		x, y := a.mcList[i], a.mcList[j]

@@ -160,12 +160,21 @@ func (oc *ObjContour) String() string {
 // FieldState returns the state cell for the named field, or nil if the
 // class has no such field.
 func (oc *ObjContour) FieldState(name string) *VarState {
-	for _, f := range oc.Class.Fields {
-		if f.Name == name {
-			return &oc.Fields[f.Slot]
-		}
+	if slot := oc.fieldSlot(name); slot >= 0 {
+		return &oc.Fields[slot]
 	}
 	return nil
+}
+
+// fieldSlot returns the slot of the named field (the first of that
+// name), or -1.
+func (oc *ObjContour) fieldSlot(name string) int {
+	for _, f := range oc.Class.Fields {
+		if f.Name == name {
+			return f.Slot
+		}
+	}
+	return -1
 }
 
 // ArrContour represents the arrays allocated by one "new [n]" statement

@@ -5,6 +5,7 @@ package analysis
 // and the tag algebra must respect the paper's Head law and the depth cap.
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -14,14 +15,25 @@ import (
 	"objinline/internal/ir"
 )
 
-// genOCs builds a pool of object contours to draw from.
+// poolFields is the number of fields of the pool contours' class: slot
+// 0 is 0, slot i > 0 is "f<i>". Tags are keyed by field cell, so
+// distinct tags on one contour need distinct slots.
+const poolFields = 32
+
+// genPool builds a pool of object contours to draw from.
 func genPool() ([]*ObjContour, []*ArrContour) {
 	cls := &ir.Class{Name: "T", Methods: map[string]*ir.Func{}}
-	cls.Fields = []*ir.Field{{Name: "f", Slot: 0, Owner: cls}}
+	for i := 0; i < poolFields; i++ {
+		name := "f"
+		if i > 0 {
+			name = fmt.Sprintf("f%d", i)
+		}
+		cls.Fields = append(cls.Fields, &ir.Field{Name: name, Slot: i, Owner: cls})
+	}
 	fn := &ir.Func{Name: "site"}
 	ocs := make([]*ObjContour, 6)
 	for i := range ocs {
-		ocs[i] = &ObjContour{ID: i, Class: cls, Site: &ir.Instr{ID: i}, SiteFn: fn, Fields: make([]VarState, 1)}
+		ocs[i] = &ObjContour{ID: i, Class: cls, Site: &ir.Instr{ID: i}, SiteFn: fn, Fields: make([]VarState, poolFields)}
 	}
 	acs := make([]*ArrContour, 4)
 	for i := range acs {
@@ -181,9 +193,9 @@ func TestTagHeadLaw(t *testing.T) {
 	tt := newTagTable(3)
 	oc := poolOCs[0]
 	// Head(MakeTag(f, t)) == f for every base.
-	bases := []*Tag{tt.noField, tt.makeObj(poolOCs[1], "f", tt.noField)}
+	bases := []*Tag{tt.noField, tt.makeObj(poolOCs[1], 0, tt.noField)}
 	for _, b := range bases {
-		tag := tt.makeObj(oc, "f", b)
+		tag := tt.makeObj(oc, 0, b)
 		h := tag.Head()
 		if h.Class != oc.Class || h.Name != "f" {
 			t.Errorf("Head(MakeTag(f,%v)) = %v", b, h)
@@ -197,12 +209,12 @@ func TestTagHeadLaw(t *testing.T) {
 
 func TestTagInterning(t *testing.T) {
 	tt := newTagTable(3)
-	a := tt.makeObj(poolOCs[0], "f", tt.noField)
-	b := tt.makeObj(poolOCs[0], "f", tt.noField)
+	a := tt.makeObj(poolOCs[0], 0, tt.noField)
+	b := tt.makeObj(poolOCs[0], 0, tt.noField)
 	if a != b {
 		t.Error("equal tags not interned")
 	}
-	c := tt.makeObj(poolOCs[1], "f", tt.noField)
+	c := tt.makeObj(poolOCs[1], 0, tt.noField)
 	if a == c {
 		t.Error("distinct contours share a tag")
 	}
@@ -210,10 +222,10 @@ func TestTagInterning(t *testing.T) {
 
 func TestTagDepthCapKeepsHead(t *testing.T) {
 	tt := newTagTable(3)
-	tag := tt.makeObj(poolOCs[0], "f", tt.noField)
+	tag := tt.makeObj(poolOCs[0], 0, tt.noField)
 	for i := 0; i < 10; i++ {
 		oc := poolOCs[i%len(poolOCs)]
-		tag = tt.makeObj(oc, "f", tag)
+		tag = tt.makeObj(oc, 0, tag)
 		if tag.IsTop() {
 			t.Fatalf("head collapsed to Top at depth %d", i)
 		}
@@ -222,8 +234,8 @@ func TestTagDepthCapKeepsHead(t *testing.T) {
 		}
 	}
 	// Saturated tags intern stably too.
-	a := tt.makeObj(poolOCs[0], "f", tag)
-	b := tt.makeObj(poolOCs[0], "f", tag)
+	a := tt.makeObj(poolOCs[0], 0, tag)
+	b := tt.makeObj(poolOCs[0], 0, tag)
 	if a != b {
 		t.Error("saturated tags not interned")
 	}
@@ -238,7 +250,7 @@ func TestTagSetSaturatesToTop(t *testing.T) {
 			t.Fatal("tag set never saturated")
 		}
 		oc := poolOCs[i%len(poolOCs)]
-		tag := tt.make(tagKey{oc: oc, field: "f" + string(rune('a'+i%26)), base: tt.noField})
+		tag := tt.makeObj(oc, i%26, tt.noField)
 		s.Add(tag)
 		added++
 	}
@@ -248,7 +260,7 @@ func TestTagSetSaturatesToTop(t *testing.T) {
 		t.Errorf("saturated set has %d members, want %d", s.Len(), maxTagSet+1)
 	}
 	// Further additions are absorbed by Top without growth.
-	extra := tt.make(tagKey{oc: poolOCs[0], field: "zzz", base: tt.noField})
+	extra := tt.makeObj(poolOCs[0], poolFields-1, tt.noField)
 	if s.Add(extra) {
 		t.Error("post-saturation add reported change")
 	}
@@ -266,7 +278,7 @@ func TestTagSetUnionIdempotent(t *testing.T) {
 	tt := newTagTable(3)
 	var a, b TagSet
 	a.Add(tt.noField)
-	b.Add(tt.makeObj(poolOCs[0], "f", tt.noField))
+	b.Add(tt.makeObj(poolOCs[0], 0, tt.noField))
 	b.Add(tt.noField)
 	a.Union(&b)
 	if a.Union(&b) {
@@ -281,7 +293,7 @@ func TestHeadsClassification(t *testing.T) {
 	tt := newTagTable(3)
 	var s TagSet
 	s.Add(tt.noField)
-	s.Add(tt.makeObj(poolOCs[0], "f", tt.noField))
+	s.Add(tt.makeObj(poolOCs[0], 0, tt.noField))
 	s.Add(sharedTop)
 	heads, noField, top := s.Heads()
 	if len(heads) != 1 || !noField || !top {

@@ -233,12 +233,14 @@ func (a *analyzer) register(vs *VarState, slot int) *VarState {
 		return vs
 	}
 	r := uint64(a.cur.ID)<<32 | uint64(numSlots*a.curInstr+slot+1)
-	if vs.dep0 == r {
-		return vs
-	}
-	if vs.dep0 == 0 {
-		vs.dep0 = r
-		return vs
+	for i, d := range vs.dep {
+		switch d {
+		case r:
+			return vs
+		case 0:
+			vs.dep[i] = r
+			return vs
+		}
 	}
 	if _, ok := vs.deps[r]; !ok {
 		if vs.deps == nil {
@@ -257,8 +259,11 @@ func (a *analyzer) bump(vs *VarState) {
 	if a.sweep {
 		return
 	}
-	if vs.dep0 != 0 {
-		a.mark(vs.dep0)
+	for _, r := range vs.dep {
+		if r == 0 {
+			break
+		}
+		a.mark(r)
 	}
 	for r := range vs.deps {
 		a.mark(r)

@@ -144,11 +144,14 @@ type tagTable struct {
 	maxDep  int
 }
 
+// tagKey identifies a tag within a pass: the state cell of the field
+// instance it denotes (one slot of an object contour, or an array
+// contour's element summary) plus its base. A cell belongs to exactly
+// one holder and field name, so the two pointers identify the tag
+// without hashing the name.
 type tagKey struct {
-	oc    *ObjContour
-	ac    *ArrContour
-	field string
-	base  *Tag
+	cell *VarState
+	base *Tag
 }
 
 // Sentinel intrinsic identity hashes (Tag.uid); real tags chain theirs
@@ -168,24 +171,31 @@ func newTagTable(maxDepth int) *tagTable {
 	return tt
 }
 
-// makeObj builds MakeTag((oc, field), base), collapsing to Top past the
-// depth cap.
-func (tt *tagTable) makeObj(oc *ObjContour, field string, base *Tag) *Tag {
-	return tt.make(tagKey{oc: oc, field: field, base: base})
+// reset empties the table for the next pass, keeping its storage.
+func (tt *tagTable) reset() {
+	clear(tt.byKey)
+	tt.next = 2
+}
+
+// makeObj builds MakeTag((oc, field), base) for the field in the given
+// slot of oc (a lowered class's slots are its field indices), collapsing
+// to Top past the depth cap.
+func (tt *tagTable) makeObj(oc *ObjContour, slot int, base *Tag) *Tag {
+	return tt.make(&oc.Fields[slot], oc, nil, oc.Class.Fields[slot].Name, base)
 }
 
 // makeArr builds the tag for an element of array contour ac.
 func (tt *tagTable) makeArr(ac *ArrContour, base *Tag) *Tag {
-	return tt.make(tagKey{ac: ac, field: "[]", base: base})
+	return tt.make(&ac.Elem, nil, ac, "[]", base)
 }
 
-func (tt *tagTable) make(k tagKey) *Tag {
+func (tt *tagTable) make(cell *VarState, oc *ObjContour, ac *ArrContour, field string, base *Tag) *Tag {
 	depth := 1
-	if k.base != nil && !k.base.IsNoField() {
-		if k.base.IsTop() {
+	if base != nil && !base.IsNoField() {
+		if base.IsTop() {
 			depth = tt.maxDep // saturated, but the head stays known
 		} else {
-			depth = k.base.Depth + 1
+			depth = base.Depth + 1
 		}
 	}
 	if depth > tt.maxDep {
@@ -193,24 +203,25 @@ func (tt *tagTable) make(k tagKey) *Tag {
 		// stay known or every deep access would conservatively block all
 		// inlining. A Top base means "container identity unknown", which
 		// rejects only candidates that need that identity.
-		k.base = sharedTop
+		base = sharedTop
 		depth = tt.maxDep
 	}
+	k := tagKey{cell, base}
 	if t, ok := tt.byKey[k]; ok {
 		return t
 	}
 	holder := uint64(0)
-	if k.oc != nil {
-		holder = k.oc.ctxHash
-	} else if k.ac != nil {
-		holder = k.ac.ctxHash
+	if oc != nil {
+		holder = oc.ctxHash
+	} else if ac != nil {
+		holder = ac.ctxHash
 	}
 	baseUID := uint64(0)
-	if k.base != nil {
-		baseUID = k.base.uid
+	if base != nil {
+		baseUID = base.uid
 	}
-	uid := hashU64(hashStr(hashU64(hashSeed(3), holder), k.field), baseUID)
-	t := &Tag{ID: tt.next, OC: k.oc, AC: k.ac, Field: k.field, Base: k.base, Depth: depth, uid: uid}
+	uid := hashU64(hashStr(hashU64(hashSeed(3), holder), field), baseUID)
+	t := &Tag{ID: tt.next, OC: oc, AC: ac, Field: field, Base: base, Depth: depth, uid: uid}
 	tt.next++
 	tt.byKey[k] = t
 	return t

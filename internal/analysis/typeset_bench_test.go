@@ -68,8 +68,8 @@ func BenchmarkVarStateMergeConverged(b *testing.B) {
 	tt := newTagTable(3)
 	mk := func() *VarState {
 		s := &VarState{TS: *populated(ocs)}
-		for _, oc := range ocs {
-			s.Tags.Add(tt.makeObj(oc, "f", tt.noField))
+		for i := range ocs {
+			s.Tags.Add(tt.makeObj(poolOCs[i], 0, tt.noField))
 		}
 		return s
 	}

@@ -6,7 +6,6 @@ package analysis
 // on change.
 
 import (
-	"fmt"
 	"maps"
 	"math/rand"
 	"slices"
@@ -22,7 +21,7 @@ func tagPool(n int) []*Tag {
 	out := []*Tag{tt.noField, sharedTop}
 	for i := 0; len(out) < n+2; i++ {
 		oc := poolOCs[i%len(poolOCs)]
-		out = append(out, tt.makeObj(oc, fmt.Sprintf("f%d", i), tt.noField))
+		out = append(out, tt.makeObj(oc, i/len(poolOCs)%poolFields, tt.noField))
 	}
 	return out
 }
@@ -210,7 +209,7 @@ func TestTagSetMatchesModel(t *testing.T) {
 // TestTopIsOneSentinel holds every tag table to the package's one Top.
 func TestTopIsOneSentinel(t *testing.T) {
 	tt := newTagTable(1)
-	deep := tt.makeObj(poolOCs[0], "f", tt.makeObj(poolOCs[1], "f", tt.noField))
+	deep := tt.makeObj(poolOCs[0], 0, tt.makeObj(poolOCs[1], 0, tt.noField))
 	if deep.Base != sharedTop {
 		t.Fatalf("capped tag's base is %p, want the shared Top %p", deep.Base, sharedTop)
 	}

@@ -14,6 +14,7 @@ package clone
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"objinline/internal/analysis"
@@ -62,17 +63,17 @@ func (g *Grouping) GroupOf(mc *analysis.MethodContour) *Group { return g.ByConto
 // callers' consistency, hence the fixpoint.
 func Partition(res *analysis.Result, sig func(*analysis.MethodContour) string) *Grouping {
 	// Initial partition: per function, by client signature.
-	buckets := make(map[string][]*analysis.MethodContour)
+	buckets := make(map[bucketKey][]*analysis.MethodContour)
 	for _, mc := range res.Mcs {
-		key := fmt.Sprintf("%d\x00%s", mc.Fn.ID, sig(mc))
+		key := bucketKey{mc.Fn.ID, sig(mc)}
 		buckets[key] = append(buckets[key], mc)
 	}
 	g := &Grouping{ByContour: make(map[*analysis.MethodContour]*Group)}
-	keys := make([]string, 0, len(buckets))
+	keys := make([]bucketKey, 0, len(buckets))
 	for k := range buckets {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
 	for _, k := range keys {
 		members := buckets[k]
 		sort.Slice(members, func(i, j int) bool { return members[i].ID < members[j].ID })
@@ -92,6 +93,25 @@ func Partition(res *analysis.Result, sig func(*analysis.MethodContour) string) *
 			return g
 		}
 	}
+}
+
+// bucketKey is one cell of the initial partition: a function and a
+// client signature.
+type bucketKey struct {
+	fn  int
+	sig string
+}
+
+// less orders buckets by the function ID's decimal text, then by
+// signature: the byte order of the "ID\x00signature" strings the
+// partition was once keyed by, which group IDs (and so clone names)
+// still follow.
+func (k bucketKey) less(o bucketKey) bool {
+	if k.fn != o.fn {
+		var x, y [20]byte
+		return string(strconv.AppendInt(x[:0], int64(k.fn), 10)) < string(strconv.AppendInt(y[:0], int64(o.fn), 10))
+	}
+	return k.sig < o.sig
 }
 
 // refineOnce splits any group whose members disagree on callee groups,

@@ -63,7 +63,7 @@ func Optimize(prog *ir.Program, res *analysis.Result, opts Options) (*Result, er
 }
 
 // optimize is Optimize, also returning the transformer of the attempt
-// that succeeded (its plans and tag memo are what tests inspect).
+// that succeeded (tests inspect its tag memo and build its plans).
 func optimize(prog *ir.Program, res *analysis.Result, opts Options) (*Result, *transformer, error) {
 	val := newValuability(prog, res)
 	var d *Decision

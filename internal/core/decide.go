@@ -257,7 +257,7 @@ func checkStores(prog *ir.Program, res *analysis.Result, val *valuability, d *De
 		in *ir.Instr
 	}
 	noted := make(map[storeKey]bool)
-	check := func(fn *ir.Func, in *ir.Instr, k analysis.FieldKey, failMsg string) {
+	check := func(fn *ir.Func, in *ir.Instr, k analysis.FieldKey) {
 		if !d.Inlined[k] || noted[storeKey{k, in}] {
 			return
 		}
@@ -269,6 +269,10 @@ func checkStores(prog *ir.Program, res *analysis.Result, val *valuability, d *De
 				Detail: "store passes PassByValue and becomes a copy",
 			})
 			return
+		}
+		failMsg := fmt.Sprintf("store at %s not convertible to a copy (value may be aliased or used later)", in.Pos)
+		if k.Array {
+			failMsg = fmt.Sprintf("element store at %s not convertible to a copy", in.Pos)
 		}
 		d.reject(k, because(ReasonUnsafeStore, failMsg, val.ExplainStore(fn, in)...))
 	}
@@ -284,14 +288,12 @@ func checkStores(prog *ir.Program, res *analysis.Result, val *valuability, d *De
 						continue
 					}
 					k := analysis.FieldKey{Class: owner, Name: in.Field.Name}
-					check(fn, in, k,
-						fmt.Sprintf("store at %s not convertible to a copy (value may be aliased or used later)", in.Pos))
+					check(fn, in, k)
 				}
 			case ir.OpArrSet:
 				base := mc.Reg(in.Args[0])
 				for _, ac := range base.TS.ArrList() {
-					check(fn, in, ac.ElemKey(),
-						fmt.Sprintf("element store at %s not convertible to a copy", in.Pos))
+					check(fn, in, ac.ElemKey())
 				}
 			}
 		})
@@ -511,10 +513,11 @@ func pruneInconsistent(prog *ir.Program, res *analysis.Result, d *Decision) {
 			}
 		}
 		for _, mc := range res.Mcs {
+			name := mc.Fn.FullName()
 			for i := range mc.Regs {
-				checkValue(&mc.Regs[i], mc.Fn.FullName())
+				checkValue(&mc.Regs[i], name)
 			}
-			checkValue(&mc.Ret, mc.Fn.FullName()+" return")
+			checkValue(&mc.Ret, name+" return")
 		}
 		for _, oc := range res.Objs {
 			for i := range oc.Fields {

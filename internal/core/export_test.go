@@ -98,15 +98,20 @@ func (r *checkedResolver) Reset() {
 	r.shared.Reset()
 }
 
-// PlanInstrs returns every instruction of every body plan built by the
-// optimization attempt that succeeded.
+// PlanInstrs returns every rewritten instruction of every contour under
+// the optimization attempt that succeeded, from a full plan of each
+// (materialization plans only the group representatives).
 func PlanInstrs(prog *ir.Program, res *analysis.Result, opts Options) ([]*ir.Instr, error) {
 	_, tr, err := optimize(prog, res, opts)
 	if err != nil {
 		return nil, err
 	}
 	var out []*ir.Instr
-	for _, p := range tr.plans {
+	for _, mc := range res.Mcs {
+		p, err := tr.plan(mc)
+		if err != nil {
+			return nil, fmt.Errorf("plan %s: %s", mc, err.reason)
+		}
 		for _, b := range p.blocks {
 			out = append(out, b...)
 		}
@@ -116,3 +121,35 @@ func PlanInstrs(prog *ir.Program, res *analysis.Result, opts Options) ([]*ir.Ins
 
 // SigInstr is the clone-signature encoding of one instruction.
 func SigInstr(in *ir.Instr) string { return string(sigInstr(nil, in)) }
+
+// SigningMismatches optimizes prog and, for every contour under the
+// attempt that succeeded, compares the signature signing produced with
+// the encoding of a full plan of the contour (its instructions, then its
+// receiver versions), returning the contours where they differ.
+func SigningMismatches(prog *ir.Program, res *analysis.Result, opts Options) ([]string, error) {
+	_, tr, err := optimize(prog, res, opts)
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	for _, mc := range res.Mcs {
+		sig, serr := tr.sign(mc)
+		p, perr := tr.plan(mc)
+		if serr != nil || perr != nil {
+			return nil, fmt.Errorf("%s: sign %v, plan %v", mc, serr, perr)
+		}
+		var enc []byte
+		for _, b := range p.blocks {
+			for _, in := range b {
+				enc = sigInstr(enc, in)
+			}
+		}
+		for _, sv := range p.selfVersions {
+			enc = append(enc, "self:"+sv.New.Name+"\n"...)
+		}
+		if string(enc) != sig {
+			out = append(out, mc.String())
+		}
+	}
+	return out, nil
+}

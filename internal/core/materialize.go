@@ -21,7 +21,7 @@ type materializeResult struct {
 	splitOCs []*analysis.ObjContour
 }
 
-// materialize turns the transformer's plans into a new program: one
+// materialize turns the transformer's rewrite into a new program: one
 // function clone per compatible contour group, class versions with
 // restructured layouts, statically bound calls wherever the analysis
 // proved a single target, and per-site mangled dispatch names where
@@ -29,9 +29,11 @@ type materializeResult struct {
 func (t *transformer) materialize() (*materializeResult, error) {
 	res := &materializeResult{rejects: make(map[analysis.FieldKey]Reason)}
 
-	// Build plans for every contour; plan failures reject candidates.
+	// Sign every contour; rewrite failures reject candidates.
+	sigs := make(map[*analysis.MethodContour]string, len(t.res.Mcs))
 	for _, mc := range t.res.Mcs {
-		if _, err := t.plan(mc); err != nil {
+		sig, err := t.sign(mc)
+		if err != nil {
 			if len(err.keys) == 0 {
 				return nil, fmt.Errorf("core: unattributable rewrite failure in %s: %s", mc.Fn.FullName(), err.reason)
 			}
@@ -39,29 +41,36 @@ func (t *transformer) materialize() (*materializeResult, error) {
 				res.rejects[k] = because(ReasonRewriteFailure, err.reason,
 					Step{What: "rewrite-unrealizable", Where: mc.Fn.FullName(), Detail: err.reason})
 			}
+			continue
 		}
+		sigs[mc] = sig
 	}
 	if len(res.rejects) > 0 {
 		return res, nil
 	}
 
-	grouping := clone.Partition(t.res, func(mc *analysis.MethodContour) string {
-		p, err := t.plan(mc)
-		if err != nil {
-			return "<error>"
-		}
-		return p.sig
-	})
+	grouping := clone.Partition(t.res, func(mc *analysis.MethodContour) string { return sigs[mc] })
 	res.grouping = grouping
+
+	// Only the group representatives are emitted, so only they get a
+	// full plan. Signing succeeded on the same rewrite, so planning
+	// cannot fail.
+	plans := make([]*bodyPlan, len(grouping.Groups))
+	for i, grp := range grouping.Groups {
+		p, err := t.plan(grp.Rep())
+		if err != nil {
+			return nil, fmt.Errorf("core: planning %s failed after signing: %s", grp.Rep().Fn.FullName(), err.reason)
+		}
+		plans[i] = p
+	}
 
 	// Dispatch-consistency pass: every dynamic site must discriminate its
 	// callee groups by receiver class version. Where one version maps to
 	// two groups, the class contours must split (the paper's class
 	// cloning "based upon the object contours").
 	needSplit := make(map[*analysis.ObjContour]bool)
-	for _, grp := range grouping.Groups {
-		mc := grp.Rep()
-		p, _ := t.plan(mc)
+	for i, grp := range grouping.Groups {
+		mc, p := grp.Rep(), plans[i]
 		for cp, origID := range p.callOrig {
 			if cp.Op != ir.OpCallMethod {
 				continue
@@ -134,8 +143,8 @@ func (t *transformer) materialize() (*materializeResult, error) {
 		}
 		return unreachableFn
 	}
-	for _, grp := range grouping.Groups {
-		p, _ := t.plan(grp.Rep())
+	for i, grp := range grouping.Groups {
+		p := plans[i]
 		name := grp.Fn.Name
 		if perFn[grp.Fn] > 1 {
 			name = fmt.Sprintf("%s$g%d", grp.Fn.Name, grp.ID)
@@ -159,17 +168,17 @@ func (t *transformer) materialize() (*materializeResult, error) {
 	}
 
 	// Bodies.
-	for _, grp := range grouping.Groups {
-		p, _ := t.plan(grp.Rep())
+	for i, grp := range grouping.Groups {
+		p := plans[i]
 		nf := grp.NewFn
 		for bi, instrs := range p.blocks {
-			nb := &ir.Block{ID: bi}
+			nb := &ir.Block{ID: bi, Instrs: make([]*ir.Instr, 0, len(instrs))}
 			for _, in := range instrs {
-				cp := in // plans are per-contour; safe to reuse for the single clone
+				// The plan's own copy: emitted once, so taken as is.
 				if origID, isCall := p.callOrig[in]; isCall {
-					cp = t.resolveCall(grouping, grp, in, origID, getUnreachable)
+					t.resolveCall(grouping, grp, in, origID, getUnreachable)
 				}
-				nb.Instrs = append(nb.Instrs, cp)
+				nb.Instrs = append(nb.Instrs, in)
 			}
 			nf.Blocks = append(nf.Blocks, nb)
 		}
@@ -212,29 +221,27 @@ type dispatchReg struct {
 	target *ir.Func
 }
 
-// resolveCall fixes a call instruction's target against the grouping.
-func (t *transformer) resolveCall(grouping *clone.Grouping, grp *clone.Group, in *ir.Instr, origID int, unreachable func() *ir.Func) *ir.Instr {
+// resolveCall fixes a call instruction's target against the grouping,
+// in place: in is the group representative's plan's own copy.
+func (t *transformer) resolveCall(grouping *clone.Grouping, grp *clone.Group, in *ir.Instr, origID int, unreachable func() *ir.Func) {
 	groups := grouping.CalleeGroups(grp, origID)
-	cp := in.Clone()
 	switch {
 	case len(groups) == 0:
 		// The analysis never bound this site: it is dead or a guaranteed
 		// runtime error. Keep the original runtime behaviour for method
 		// calls on nil (a useful error), otherwise trap via $unreachable.
 		if in.Op == ir.OpCallMethod {
-			return cp // dispatch will fail with the original message
+			return // dispatch will fail with the original message
 		}
-		cp.Op = ir.OpCall
-		cp.Callee = unreachable()
-		cp.Method = ""
-		return cp
+		in.Op = ir.OpCall
+		in.Callee = unreachable()
+		in.Method = ""
 	case len(groups) == 1:
 		if in.Op == ir.OpCallMethod {
-			cp.Op = ir.OpCallStatic
-			cp.Method = ""
+			in.Op = ir.OpCallStatic
+			in.Method = ""
 		}
-		cp.Callee = groups[0].NewFn
-		return cp
+		in.Callee = groups[0].NewFn
 	default:
 		// Several clones: keep the dispatch dynamic under a site-specific
 		// mangled name registered on each receiver class version.
@@ -248,8 +255,7 @@ func (t *transformer) resolveCall(grouping *clone.Grouping, grp *clone.Group, in
 				})
 			}
 		}
-		cp.Method = mangled
-		return cp
+		in.Method = mangled
 	}
 }
 

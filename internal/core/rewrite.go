@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -86,7 +87,11 @@ type transformer struct {
 	repable map[*analysis.ObjContour]bool
 
 	tagMemo map[*analysis.Tag]*tagRes
-	plans   map[*analysis.MethodContour]*bodyPlan
+
+	// Signing state: the rewriter whose buffer every contour's signature
+	// is encoded in, and the distinct signatures seen.
+	signer rewriter
+	sigs   map[string]string
 
 	// Materialization scratch state.
 	pendingDispatch []dispatchReg
@@ -106,7 +111,7 @@ func newTransformer(prog *ir.Program, res *analysis.Result, d *Decision, vs *ver
 		stackKeys: make(map[*ir.Instr][]analysis.FieldKey),
 		repable:   repableContours(res, d),
 		tagMemo:   make(map[*analysis.Tag]*tagRes),
-		plans:     make(map[*analysis.MethodContour]*bodyPlan),
+		sigs:      make(map[string]string),
 	}
 	t.findStackable()
 	return t
@@ -330,13 +335,13 @@ func (t *transformer) resolveInlinedTag(tag *analysis.Tag, key analysis.FieldKey
 }
 
 // repOf resolves a register's representation within a contour.
-func (t *transformer) repOf(mc *analysis.MethodContour, reg ir.Reg) (*regRep, *rewriteErr) {
+func (t *transformer) repOf(mc *analysis.MethodContour, reg ir.Reg) (regRep, *rewriteErr) {
 	st := mc.Reg(reg)
 	return t.repOfState(st)
 }
 
-func (t *transformer) repOfState(st *analysis.VarState) (*regRep, *rewriteErr) {
-	rep := &regRep{}
+func (t *transformer) repOfState(st *analysis.VarState) (regRep, *rewriteErr) {
+	var rep regRep
 	if !st.TS.HasObjects() {
 		// Arrays and primitives are always plain values; candidate array
 		// *elements* appear as object-typed values, not here.
@@ -383,7 +388,7 @@ func (t *transformer) repOfState(st *analysis.VarState) (*regRep, *rewriteErr) {
 					}
 				}
 			}
-			return nil, r.err
+			return regRep{}, r.err
 		}
 		rep.raw = rep.raw || r.raw
 		for _, c := range r.carriers {
@@ -396,7 +401,7 @@ func (t *transformer) repOfState(st *analysis.VarState) (*regRep, *rewriteErr) {
 		}
 	}
 	if err := rep.validate(); err != nil {
-		return nil, err
+		return regRep{}, err
 	}
 	return rep, nil
 }
@@ -467,12 +472,13 @@ func rootFieldName(path string) string {
 }
 
 // bodyPlan is a rewritten function body for one contour, before call
-// targets are resolved against the grouping.
+// targets are resolved against the grouping. Only group representatives
+// get one (materialize emits one clone per group); every instruction in
+// it is the plan's own copy, so the emitted clone can take it as is.
 type bodyPlan struct {
 	mc      *analysis.MethodContour
 	blocks  [][]*ir.Instr
 	numRegs int
-	sig     string
 	// callOrig maps rewritten call instructions to the original
 	// instruction ID (the key into mc.Callees).
 	callOrig map[*ir.Instr]int
@@ -483,72 +489,122 @@ type bodyPlan struct {
 	selfVersions []*ClassVersion
 }
 
-// plan returns (building and caching) the rewritten body of a contour.
-func (t *transformer) plan(mc *analysis.MethodContour) (*bodyPlan, *rewriteErr) {
-	if p, ok := t.plans[mc]; ok {
-		return p, nil
-	}
-	p, err := t.buildPlan(mc)
-	if err != nil {
-		return nil, err
-	}
-	t.plans[mc] = p
-	return p, nil
+// rewriter runs the rewrite over one contour's body. With plan nil it
+// only signs: each rewritten instruction is encoded into sig and
+// dropped, unchanged instructions are read in place, and a modified one
+// is built in the single scratch instruction. With a plan it keeps a
+// private copy of every instruction.
+type rewriter struct {
+	t       *transformer
+	mc      *analysis.MethodContour
+	plan    *bodyPlan
+	numRegs int
+	sig     []byte
+	out     []*ir.Instr
+	scratch ir.Instr
 }
 
-func (t *transformer) buildPlan(mc *analysis.MethodContour) (*bodyPlan, *rewriteErr) {
-	fn := mc.Fn
-	p := &bodyPlan{
-		mc:       mc,
-		numRegs:  fn.NumRegs,
-		callOrig: make(map[*ir.Instr]int),
-		dynRep:   make(map[*ir.Instr][]analysis.FieldKey),
+func (w *rewriter) emit(in *ir.Instr) {
+	if w.plan == nil {
+		w.sig = sigInstr(w.sig, in)
+		return
 	}
-	if fn.Class != nil {
-		for _, oc := range mc.Reg(0).TS.ObjList() {
-			v := t.vs.versionOf(oc)
-			found := false
-			for _, sv := range p.selfVersions {
-				if sv == v {
-					found = true
-				}
-			}
-			if !found {
-				p.selfVersions = append(p.selfVersions, v)
-			}
-		}
+	w.out = append(w.out, in)
+}
+
+// keep emits an instruction the rewrite leaves unchanged.
+func (w *rewriter) keep(in *ir.Instr) {
+	if w.plan == nil {
+		w.emit(in)
+		return
 	}
-	newReg := func() ir.Reg {
-		r := ir.Reg(p.numRegs)
-		p.numRegs++
-		return r
+	w.emit(in.Clone())
+}
+
+// derive returns a copy of in for the caller to modify and emit. Its
+// Args are in's own when signing: no rewrite changes an operand list.
+func (w *rewriter) derive(in *ir.Instr) *ir.Instr {
+	if w.plan == nil {
+		w.scratch = *in
+		return &w.scratch
 	}
-	var sig []byte
-	for _, b := range fn.Blocks {
-		var out []*ir.Instr
-		emit := func(in *ir.Instr) *ir.Instr {
-			out = append(out, in)
-			return in
-		}
+	return in.Clone()
+}
+
+func (w *rewriter) newReg() ir.Reg {
+	r := ir.Reg(w.numRegs)
+	w.numRegs++
+	return r
+}
+
+// body rewrites every instruction of the contour's function in order.
+func (w *rewriter) body() *rewriteErr {
+	for _, b := range w.mc.Fn.Blocks {
+		w.out = nil
 		for _, in := range b.Instrs {
-			if err := t.rewriteInstr(mc, in, emit, newReg, p); err != nil {
-				return nil, err
+			if err := w.rewriteInstr(in); err != nil {
+				return err
 			}
 		}
-		p.blocks = append(p.blocks, out)
-		for _, in := range out {
-			sig = sigInstr(sig, in)
+		if w.plan != nil {
+			w.plan.blocks = append(w.plan.blocks, w.out)
 		}
 	}
-	// Self versions participate in the signature (clones of different
-	// receiver versions must not merge even with identical bodies, since
-	// dispatch registration is per version).
-	for _, sv := range p.selfVersions {
-		sig = append(sig, "self:"...)
-		sig = append(sig, sv.New.Name...)
-		sig = append(sig, '\n')
+	return nil
+}
+
+// selfVersions returns the distinct class versions of a method
+// contour's receiver, in receiver-contour order.
+func (t *transformer) selfVersions(mc *analysis.MethodContour) []*ClassVersion {
+	if mc.Fn.Class == nil {
+		return nil
 	}
-	p.sig = string(sig)
+	var out []*ClassVersion
+	for _, oc := range mc.Reg(0).TS.ObjList() {
+		if v := t.vs.versionOf(oc); !slices.Contains(out, v) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// sign returns a contour's clone signature: the encoding of its
+// rewritten body plus its receiver versions (clones of different
+// receiver versions must not merge even with identical bodies, since
+// dispatch registration is per version). Equal signatures share one
+// interned string, and the encoding buffer is reused across contours.
+func (t *transformer) sign(mc *analysis.MethodContour) (string, *rewriteErr) {
+	w := &t.signer
+	w.t, w.mc, w.numRegs, w.sig = t, mc, mc.Fn.NumRegs, w.sig[:0]
+	if err := w.body(); err != nil {
+		return "", err
+	}
+	for _, sv := range t.selfVersions(mc) {
+		w.sig = append(w.sig, "self:"...)
+		w.sig = append(w.sig, sv.New.Name...)
+		w.sig = append(w.sig, '\n')
+	}
+	if s, ok := t.sigs[string(w.sig)]; ok {
+		return s, nil
+	}
+	s := string(w.sig)
+	t.sigs[s] = s
+	return s, nil
+}
+
+// plan builds the full rewritten body of a contour.
+func (t *transformer) plan(mc *analysis.MethodContour) (*bodyPlan, *rewriteErr) {
+	p := &bodyPlan{
+		mc:           mc,
+		callOrig:     make(map[*ir.Instr]int),
+		dynRep:       make(map[*ir.Instr][]analysis.FieldKey),
+		selfVersions: t.selfVersions(mc),
+	}
+	w := &rewriter{t: t, mc: mc, plan: p, numRegs: mc.Fn.NumRegs}
+	if err := w.body(); err != nil {
+		return nil, err
+	}
+	p.numRegs = w.numRegs
 	return p, nil
 }
 
@@ -610,34 +666,34 @@ func sigInstr(b []byte, in *ir.Instr) []byte {
 	return append(b, '\n')
 }
 
-// rewriteInstr translates one instruction, appending the result(s) via
-// emit.
-func (t *transformer) rewriteInstr(mc *analysis.MethodContour, in *ir.Instr, emit func(*ir.Instr) *ir.Instr, newReg func() ir.Reg, p *bodyPlan) *rewriteErr {
+// rewriteInstr translates one instruction, emitting the result(s).
+func (w *rewriter) rewriteInstr(in *ir.Instr) *rewriteErr {
+	t, mc := w.t, w.mc
 	switch in.Op {
 	case ir.OpGetField:
-		return t.rewriteGetField(mc, in, emit)
+		return w.rewriteGetField(in)
 	case ir.OpSetField:
-		return t.rewriteSetField(mc, in, emit, newReg)
+		return w.rewriteSetField(in)
 	case ir.OpArrGet:
-		return t.rewriteArrGet(mc, in, emit)
+		return w.rewriteArrGet(in)
 	case ir.OpArrSet:
-		return t.rewriteArrSet(mc, in, emit, newReg)
+		return w.rewriteArrSet(in)
 	case ir.OpNewObject:
 		oc := mc.NewObjs[in.ID]
-		cp := in.Clone()
+		cp := w.derive(in)
 		if oc != nil {
 			cp.Class = t.vs.versionOf(oc).New
 		}
 		if t.stackable[in] {
 			cp.Aux = 1 // cheap stack/arena allocation
 		}
-		emit(cp)
+		w.emit(cp)
 		return nil
 	case ir.OpNewArray:
 		ac := mc.NewArrs[in.ID]
 		if ac != nil {
 			if av := t.vs.arrs[ac.ElemKey()]; av != nil {
-				cp := in.Clone()
+				cp := w.derive(in)
 				cp.Op = ir.OpNewArrayInl
 				cp.Class = av.Elem.New
 				if av.Layout == LayoutParallel {
@@ -645,32 +701,34 @@ func (t *transformer) rewriteInstr(mc *analysis.MethodContour, in *ir.Instr, emi
 				} else {
 					cp.Aux = 0
 				}
-				emit(cp)
+				w.emit(cp)
 				return nil
 			}
 		}
-		emit(in.Clone())
+		w.keep(in)
 		return nil
 	case ir.OpCall, ir.OpCallStatic, ir.OpCallMethod:
-		cp := in.Clone()
-		p.callOrig[cp] = in.ID
+		cp := w.derive(in)
+		if w.plan != nil {
+			w.plan.callOrig[cp] = in.ID
+		}
 		if in.Op == ir.OpCallMethod {
 			rep, err := t.repOf(mc, in.Args[0])
 			if err != nil {
 				return err
 			}
-			if rep.hasReps() {
+			if rep.hasReps() && w.plan != nil {
 				var keys []analysis.FieldKey
 				for _, c := range append(append([]carrier(nil), rep.conts...), rep.inters...) {
 					keys = append(keys, carrierKeyOf(c))
 				}
-				p.dynRep[cp] = keys
+				w.plan.dynRep[cp] = keys
 			}
 		}
-		emit(cp)
+		w.emit(cp)
 		return nil
 	default:
-		emit(in.Clone())
+		w.keep(in)
 		return nil
 	}
 }
@@ -695,10 +753,10 @@ type accessTarget struct {
 }
 
 // fieldAccess resolves a field access on a receiver.
-func (t *transformer) fieldAccess(mc *analysis.MethodContour, recvReg ir.Reg, name string) (*accessTarget, *rewriteErr) {
+func (t *transformer) fieldAccess(mc *analysis.MethodContour, recvReg ir.Reg, name string) (accessTarget, *rewriteErr) {
 	rep, err := t.repOf(mc, recvReg)
 	if err != nil {
-		return nil, err
+		return accessTarget{}, err
 	}
 	st := mc.Reg(recvReg)
 
@@ -709,12 +767,13 @@ func (t *transformer) fieldAccess(mc *analysis.MethodContour, recvReg ir.Reg, na
 		ocs := st.TS.ObjList()
 		if len(ocs) == 0 {
 			// Unreached: keep a name-only access.
-			return &accessTarget{field: &ir.Field{Name: name, Slot: -1}}, nil
+			return accessTarget{field: &ir.Field{Name: name, Slot: -1}}, nil
 		}
 		inlinedAny, plainAny := false, false
 		var child *ClassVersion
-		var bases []int
-		var vers []*ClassVersion
+		var basesBuf [8]int
+		var versBuf [8]*ClassVersion
+		bases, vers := basesBuf[:0], versBuf[:0]
 		for _, oc := range ocs {
 			owner := fieldOwner(oc.Class, name)
 			if owner == nil {
@@ -731,7 +790,7 @@ func (t *transformer) fieldAccess(mc *analysis.MethodContour, recvReg ir.Reg, na
 				if child == nil {
 					child = si.Child
 				} else if child != si.Child {
-					return nil, errKeys("receivers disagree on containee layout for "+name, k)
+					return accessTarget{}, errKeys("receivers disagree on containee layout for "+name, k)
 				}
 				bases = append(bases, si.Base)
 				vers = append(vers, ver)
@@ -749,13 +808,13 @@ func (t *transformer) fieldAccess(mc *analysis.MethodContour, recvReg ir.Reg, na
 					keys = append(keys, analysis.FieldKey{Class: owner, Name: name})
 				}
 			}
-			return nil, errKeys("field "+name+" inlined for some receivers only", keys...)
+			return accessTarget{}, errKeys("field "+name+" inlined for some receivers only", keys...)
 		}
 		if !inlinedAny {
-			return &accessTarget{field: t.plainField(vers, bases, name)}, nil
+			return accessTarget{field: t.plainField(vers, bases, name)}, nil
 		}
 		// Inlined on a raw container object.
-		at := &accessTarget{inlined: true, child: child}
+		at := accessTarget{inlined: true, child: child}
 		base := bases[0]
 		uniform := true
 		for _, b := range bases {
@@ -764,10 +823,11 @@ func (t *transformer) fieldAccess(mc *analysis.MethodContour, recvReg ir.Reg, na
 			}
 		}
 		ver := vers[0]
+		allVers := slices.Clone(vers) // the closure outlives versBuf
 		at.slotField = func(i int) *ir.Field {
 			cf := child.New.Fields[i]
-			if uniform && len(vers) >= 1 {
-				if f := fieldAt(ver.New, base+i); f != nil && sameOwnerAll(vers, base+i, name+"$"+cf.Name) {
+			if uniform && len(allVers) >= 1 {
+				if f := fieldAt(ver.New, base+i); f != nil && sameOwnerAll(allVers, base+i, name+"$"+cf.Name) {
 					return f
 				}
 			}
@@ -781,36 +841,36 @@ func (t *transformer) fieldAccess(mc *analysis.MethodContour, recvReg ir.Reg, na
 		c0 := rep.conts[0]
 		si, ok := c0.child.Slots[name]
 		if !ok {
-			return nil, errKeys("containee version lacks field " + name)
+			return accessTarget{}, errKeys("containee version lacks field " + name)
 		}
 		if !si.Plain {
 			// Nested inlined field.
 			for _, c := range rep.conts[1:] {
 				si2, ok := c.child.Slots[name]
 				if !ok || si2.Plain || si2.Child != si.Child {
-					return nil, errKeys("nested layouts disagree for "+name, carrierKeyOf(c))
+					return accessTarget{}, errKeys("nested layouts disagree for "+name, carrierKeyOf(c))
 				}
 			}
-			return &accessTarget{inlined: true, child: si.Child, slotField: t.contSlotFn(rep.conts, name, si)}, nil
+			return accessTarget{inlined: true, child: si.Child, slotField: t.contSlotFn(rep.conts, name, si)}, nil
 		}
 		// Plain slot of the containee.
-		return &accessTarget{field: t.contField(rep.conts, name, si)}, nil
+		return accessTarget{field: t.contField(rep.conts, name, si)}, nil
 
 	case rep.onlyInters():
 		c0 := rep.inters[0]
 		si, ok := c0.child.Slots[name]
 		if !ok {
-			return nil, errKeys("array element version lacks field " + name)
+			return accessTarget{}, errKeys("array element version lacks field " + name)
 		}
 		if !si.Plain {
-			return &accessTarget{inlined: true, child: si.Child, slotField: func(i int) *ir.Field {
+			return accessTarget{inlined: true, child: si.Child, slotField: func(i int) *ir.Field {
 				cf := si.Child.New.Fields[i]
 				return &ir.Field{Name: c0.path + name + "$" + cf.Name, Slot: c0.base + si.Base + i, Synthetic: true}
 			}}, nil
 		}
-		return &accessTarget{field: &ir.Field{Name: c0.path + name, Slot: c0.base + si.NewSlot, Synthetic: true}}, nil
+		return accessTarget{field: &ir.Field{Name: c0.path + name, Slot: c0.base + si.NewSlot, Synthetic: true}}, nil
 	}
-	return nil, errKeys("inconsistent receiver representation for field " + name)
+	return accessTarget{}, errKeys("inconsistent receiver representation for field " + name)
 }
 
 // plainField binds a plain access: when all receiver versions agree on the
@@ -894,40 +954,41 @@ func sameOwnerAll(vers []*ClassVersion, slot int, name string) bool {
 	return true
 }
 
-func (t *transformer) rewriteGetField(mc *analysis.MethodContour, in *ir.Instr, emit func(*ir.Instr) *ir.Instr) *rewriteErr {
-	at, err := t.fieldAccess(mc, in.Args[0], in.Field.Name)
+func (w *rewriter) rewriteGetField(in *ir.Instr) *rewriteErr {
+	at, err := w.t.fieldAccess(w.mc, in.Args[0], in.Field.Name)
 	if err != nil {
 		return err
 	}
 	if at.inlined {
 		// The access is elided: the loaded value is represented by the
 		// receiver itself (§5.3, Figure 12).
-		emit(&ir.Instr{Op: ir.OpMove, Dst: in.Dst, Args: []ir.Reg{in.Args[0]}, Pos: in.Pos})
+		w.emit(&ir.Instr{Op: ir.OpMove, Dst: in.Dst, Args: []ir.Reg{in.Args[0]}, Pos: in.Pos})
 		return nil
 	}
-	cp := in.Clone()
+	cp := w.derive(in)
 	cp.Field = at.field
-	emit(cp)
+	w.emit(cp)
 	return nil
 }
 
-func (t *transformer) rewriteSetField(mc *analysis.MethodContour, in *ir.Instr, emit func(*ir.Instr) *ir.Instr, newReg func() ir.Reg) *rewriteErr {
-	at, err := t.fieldAccess(mc, in.Args[0], in.Field.Name)
+func (w *rewriter) rewriteSetField(in *ir.Instr) *rewriteErr {
+	at, err := w.t.fieldAccess(w.mc, in.Args[0], in.Field.Name)
 	if err != nil {
 		return err
 	}
 	if !at.inlined {
-		cp := in.Clone()
+		cp := w.derive(in)
 		cp.Field = at.field
-		emit(cp)
+		w.emit(cp)
 		return nil
 	}
 	// Assignment specialization (§5.4): expand into per-slot copies.
-	return t.emitCopy(mc, in, in.Args[0], in.Args[1], at, emit, newReg)
+	return w.emitCopy(in, in.Args[0], in.Args[1], &at)
 }
 
 // emitCopy copies the value's state into the inlined target location.
-func (t *transformer) emitCopy(mc *analysis.MethodContour, in *ir.Instr, dstReg, srcReg ir.Reg, at *accessTarget, emit func(*ir.Instr) *ir.Instr, newReg func() ir.Reg) *rewriteErr {
+func (w *rewriter) emitCopy(in *ir.Instr, dstReg, srcReg ir.Reg, at *accessTarget) *rewriteErr {
+	t, mc := w.t, w.mc
 	srcRep, err := t.repOf(mc, srcReg)
 	if err != nil {
 		return err
@@ -950,7 +1011,7 @@ func (t *transformer) emitCopy(mc *analysis.MethodContour, in *ir.Instr, dstReg,
 	}
 	if srcVer == nil {
 		// Unreached store.
-		emit(in.Clone())
+		w.keep(in)
 		return nil
 	}
 	if srcVer != at.child {
@@ -958,46 +1019,46 @@ func (t *transformer) emitCopy(mc *analysis.MethodContour, in *ir.Instr, dstReg,
 	}
 	n := len(at.child.New.Fields)
 	for i := 0; i < n; i++ {
-		tmp := newReg()
-		emit(&ir.Instr{Op: ir.OpGetField, Dst: tmp, Args: []ir.Reg{srcReg}, Field: srcVer.New.Fields[i], Pos: in.Pos})
-		emit(&ir.Instr{Op: ir.OpSetField, Dst: ir.NoReg, Args: []ir.Reg{dstReg, tmp}, Field: at.slotField(i), Pos: in.Pos})
+		tmp := w.newReg()
+		w.emit(&ir.Instr{Op: ir.OpGetField, Dst: tmp, Args: []ir.Reg{srcReg}, Field: srcVer.New.Fields[i], Pos: in.Pos})
+		w.emit(&ir.Instr{Op: ir.OpSetField, Dst: ir.NoReg, Args: []ir.Reg{dstReg, tmp}, Field: at.slotField(i), Pos: in.Pos})
 	}
 	return nil
 }
 
-func (t *transformer) rewriteArrGet(mc *analysis.MethodContour, in *ir.Instr, emit func(*ir.Instr) *ir.Instr) *rewriteErr {
-	inl, err := t.arrInlined(mc, in.Args[0])
+func (w *rewriter) rewriteArrGet(in *ir.Instr) *rewriteErr {
+	inl, err := w.t.arrInlined(w.mc, in.Args[0])
 	if err != nil {
 		return err
 	}
 	if inl == nil {
-		emit(in.Clone())
+		w.keep(in)
 		return nil
 	}
-	cp := in.Clone()
+	cp := w.derive(in)
 	cp.Op = ir.OpArrInterior
-	emit(cp)
+	w.emit(cp)
 	return nil
 }
 
-func (t *transformer) rewriteArrSet(mc *analysis.MethodContour, in *ir.Instr, emit func(*ir.Instr) *ir.Instr, newReg func() ir.Reg) *rewriteErr {
-	inl, err := t.arrInlined(mc, in.Args[0])
+func (w *rewriter) rewriteArrSet(in *ir.Instr) *rewriteErr {
+	inl, err := w.t.arrInlined(w.mc, in.Args[0])
 	if err != nil {
 		return err
 	}
 	if inl == nil {
-		emit(in.Clone())
+		w.keep(in)
 		return nil
 	}
 	// Interior pointer, then per-slot copies (§5.3, Figure 13).
-	itReg := newReg()
-	emit(&ir.Instr{Op: ir.OpArrInterior, Dst: itReg, Args: []ir.Reg{in.Args[0], in.Args[1]}, Pos: in.Pos})
+	itReg := w.newReg()
+	w.emit(&ir.Instr{Op: ir.OpArrInterior, Dst: itReg, Args: []ir.Reg{in.Args[0], in.Args[1]}, Pos: in.Pos})
 	at := &accessTarget{inlined: true, child: inl.Elem, slotField: func(i int) *ir.Field {
 		cf := inl.Elem.New.Fields[i]
 		return &ir.Field{Name: cf.Name, Slot: i, Synthetic: true}
 	}}
 	fake := &ir.Instr{Op: ir.OpSetField, Field: &ir.Field{Name: "[]"}, Pos: in.Pos}
-	return t.emitCopy(mc, fake, itReg, in.Args[2], at, emit, newReg)
+	return w.emitCopy(fake, itReg, in.Args[2], at)
 }
 
 // arrInlined reports the array version when the register's arrays are

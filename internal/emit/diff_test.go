@@ -155,6 +155,11 @@ func TestNativeMatchesVMTraps(t *testing.T) {
 		"badindex.icc":  `func main() { var a = new [3]; var i = 1.5; print(a[i]); }`,
 		"intfield.icc":  `class C { x; } func main() { var i = 3; print(i.x); }`,
 		"badcallee.icc": `func main() { var i = 3; i.m(); }`,
+		"hugearr.icc":   `func main() { var a = new [9223372036854775807]; print(len(a)); }`,
+		"bigarr.icc":    `func main() { var a = new [4294967297]; print(len(a)); }`,
+		// Inlined at stride 2 in inline mode; out of range in every mode.
+		"inlarr.icc": `class P { x; y; def init(a, b) { self.x = a; self.y = b; } }
+func main() { var n = 4611686018427387904; var a = new [n]; a[0] = new P(1, 2); print(a[0].x); }`,
 	}
 	for file, src := range cases {
 		t.Run(strings.TrimSuffix(file, ".icc"), func(t *testing.T) {

@@ -250,27 +250,41 @@ func wantnum(v value, pos string) float64 {
 	return tofloat(v)
 }
 
-func newarr(n value, pos string) value {
+// The VM's array bounds (vm's maxArrayLength and maxArraySlots): arrlen
+// traps past them with the VM's message.
+const (
+	maxArrayLength = 1 << 32
+	maxArraySlots  = 1 << 40
+)
+
+// arrlen checks a requested array length for an array whose elements
+// are stride slots wide (0 for a plain array).
+func arrlen(n value, stride int, pos string) int {
 	ln := wantint(n, pos)
 	if ln < 0 {
 		panic(rte(pos, "negative array length "+strconv.FormatInt(ln, 10)))
 	}
-	return aval(&array{length: int(ln), elems: make([]value, int(ln))})
+	if ln > maxArrayLength || stride > 0 && ln > maxArraySlots/int64(stride) {
+		panic(rte(pos, "array length "+strconv.FormatInt(ln, 10)+" out of range"))
+	}
+	return int(ln)
+}
+
+func newarr(n value, pos string) value {
+	ln := arrlen(n, 0, pos)
+	return aval(&array{length: ln, elems: make([]value, ln)})
 }
 
 func newinl(n value, stride int, parallel bool, pos string) value {
-	ln := wantint(n, pos)
-	if ln < 0 {
-		panic(rte(pos, "negative array length "+strconv.FormatInt(ln, 10)))
-	}
-	a := &array{length: int(ln), stride: stride}
+	ln := arrlen(n, stride, pos)
+	a := &array{length: ln, stride: stride}
 	if parallel {
 		a.cols = make([][]value, stride)
 		for i := range a.cols {
-			a.cols[i] = make([]value, int(ln))
+			a.cols[i] = make([]value, ln)
 		}
 	} else {
-		a.elems = make([]value, int(ln)*stride)
+		a.elems = make([]value, ln*stride)
 	}
 	return aval(a)
 }

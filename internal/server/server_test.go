@@ -559,6 +559,35 @@ func TestRunRunawayRecursion(t *testing.T) {
 	}
 }
 
+// TestRunArrayLengthOutOfRange checks a request for an array longer than
+// Go can allocate answers 422 runtime_error naming the length and
+// position, where the handler used to panic and drop the connection, and
+// that the server still answers the next request.
+func TestRunArrayLengthOutOfRange(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, body := postJSON(t, ts, "/v1/run", api.RunRequest{
+		CompileRequest: api.CompileRequest{Filename: "huge.icc", Source: "func main() { var a = new [9223372036854775807]; print(len(a)); }"},
+	})
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %s", resp.StatusCode, body)
+	}
+	var env api.Envelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatal(err)
+	}
+	want := "huge.icc:1:23: array length 9223372036854775807 out of range"
+	if env.Error == nil || env.Error.Code != api.CodeRuntimeError || !strings.Contains(env.Error.Message, want) {
+		t.Errorf("error envelope = %s, want a %s naming %q", body, api.CodeRuntimeError, want)
+	}
+	resp, body = postJSON(t, ts, "/v1/run", api.RunRequest{
+		CompileRequest: api.CompileRequest{Source: "func main() { print(6 * 7); }"},
+		IncludeOutput:  true,
+	})
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"output":"42\n"`) {
+		t.Errorf("next request: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestRunOutputTruncated checks the output cap flags truncation instead
 // of ballooning the envelope.
 func TestRunOutputTruncated(t *testing.T) {

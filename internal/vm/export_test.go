@@ -8,3 +8,9 @@ const (
 	ChunkObjects = chunkObjects
 	ChunkValues  = chunkValues
 )
+
+// The array bounds, for the external tests.
+const (
+	MaxArrayLength = maxArrayLength
+	MaxArraySlots  = maxArraySlots
+)

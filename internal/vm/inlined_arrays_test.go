@@ -6,6 +6,8 @@ package vm_test
 // transformation that normally emits these ops.
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -215,5 +217,66 @@ func TestStackWindowReuse(t *testing.T) {
 	}
 	if counters.BytesAllocated != 0 {
 		t.Errorf("stacked allocations counted as heap bytes: %d", counters.BytesAllocated)
+	}
+}
+
+// TestArrayLengthOutOfRange holds array lengths Go would refuse to
+// allocate to a positioned runtime error: a plain array past the length
+// bound, an inlined one whose length passes it (times the stride, the
+// product overflows int64), and inlined ones within the length bound
+// whose slots pass the slot bound, in both layouts.
+func TestArrayLengthOutOfRange(t *testing.T) {
+	for _, n := range []int64{math.MaxInt64, vm.MaxArrayLength + 1} {
+		src := fmt.Sprintf("func main() {\n  var a = new [%d];\n  print(len(a));\n}", n)
+		err := runErr(t, src)
+		var re *vm.RuntimeError
+		want := fmt.Sprintf("array length %d out of range", n)
+		if !asRuntimeError(err, &re) || re.Msg != want {
+			t.Fatalf("new [%d]: %v, want %q", n, err, want)
+		}
+		if re.Pos.Line != 2 {
+			t.Errorf("new [%d]: error at %s, want line 2", n, re.Pos)
+		}
+	}
+
+	const wide = 512 // slots per element: the slot bound binds first
+	for _, tc := range []struct {
+		n        int64
+		stride   int
+		parallel bool
+	}{
+		{1 << 62, 4, false},
+		{vm.MaxArraySlots/wide + 1, wide, false},
+		{vm.MaxArraySlots/wide + 1, wide, true},
+	} {
+		if tc.n <= vm.MaxArrayLength && tc.n*int64(tc.stride) <= vm.MaxArraySlots {
+			t.Fatalf("%d x %d is within both bounds", tc.n, tc.stride) // never allocate it
+		}
+		p := ir.NewProgram()
+		c := p.AddClass(&ir.Class{Name: "Pt", Methods: map[string]*ir.Func{}})
+		for i := 0; i < tc.stride; i++ {
+			c.Fields = append(c.Fields, &ir.Field{Name: fmt.Sprintf("f%d", i), Slot: i, Owner: c})
+		}
+		aux := int64(0)
+		if tc.parallel {
+			aux = 1
+		}
+		main := &ir.Func{Name: "main", NumRegs: 2}
+		main.Blocks = []*ir.Block{{ID: 0, Instrs: []*ir.Instr{
+			{Op: ir.OpConstInt, Dst: 0, Aux: tc.n},
+			{Op: ir.OpNewArrayInl, Dst: 1, Args: []ir.Reg{0}, Class: c, Aux: aux},
+			{Op: ir.OpReturn, Dst: ir.NoReg, Args: []ir.Reg{0}},
+		}}}
+		p.AddFunc(main)
+		p.Main = main
+		if err := p.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		_, err := vm.New(p, vm.Options{}).Run()
+		var re *vm.RuntimeError
+		want := fmt.Sprintf("array length %d out of range", tc.n)
+		if !asRuntimeError(err, &re) || re.Msg != want {
+			t.Errorf("inlined array of %d x %d (parallel %v): %v, want %q", tc.n, tc.stride, tc.parallel, err, want)
+		}
 	}
 }

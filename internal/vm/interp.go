@@ -75,6 +75,21 @@ type Machine struct {
 // the generated test programs reaches 7 activations.
 const maxCallDepth = 10_000
 
+// An array may have at most maxArrayLength elements, and an inlined
+// array at most maxArraySlots slots (its length times its stride, tested
+// without overflow). A larger request is the runtime error "array length
+// N out of range" rather than a Go allocation that panics. The length
+// bound holds in every mode, so the error does not depend on inlining;
+// the slot bound only keeps a stride of more than 256 slots from
+// overflowing Go's allocator. The emitted runtime
+// (internal/emit/runtime.go) applies both with the same message. Below
+// them a request can still exhaust memory: bounding what one run may
+// allocate in total is a separate matter.
+const (
+	maxArrayLength = 1 << 32
+	maxArraySlots  = 1 << 40
+)
+
 // cancelCheckMask throttles the step loop's context polling: the Done
 // channel is selected once every (mask+1) instructions, bounding both the
 // polling overhead and how far past a deadline a runaway program can run
@@ -328,7 +343,17 @@ func (m *Machine) newObject(c *ir.Class, n int) *Object {
 	return o
 }
 
-func (m *Machine) allocArray(in *ir.Instr, length, stride int, parallel bool, elem *ir.Class) *Array {
+// allocArray allocates an array of n elements, each stride slots wide
+// when the array is inlined (stride 0 for a plain array), failing the
+// run when n is negative or out of range (see maxArrayLength).
+func (m *Machine) allocArray(in *ir.Instr, n int64, stride int, parallel bool, elem *ir.Class) *Array {
+	if n < 0 {
+		m.fail(in.Pos, "negative array length %d", n)
+	}
+	if n > maxArrayLength || stride > 0 && n > maxArraySlots/int64(stride) {
+		m.fail(in.Pos, "array length %d out of range", n)
+	}
+	length := int(n)
 	slots := length
 	if stride > 0 {
 		slots = length * stride
@@ -412,17 +437,10 @@ func (m *Machine) exec(fn *ir.Func, call *ir.Instr, caller []Value) Value {
 			regs[in.Dst] = ObjValue(m.allocObject(in, in.Class, in.Aux == 1))
 		case ir.OpNewArray:
 			n := m.wantInt(in, regs[in.Args[0]])
-			if n < 0 {
-				m.fail(in.Pos, "negative array length %d", n)
-			}
-			regs[in.Dst] = ArrValue(m.allocArray(in, int(n), 0, false, nil))
+			regs[in.Dst] = ArrValue(m.allocArray(in, n, 0, false, nil))
 		case ir.OpNewArrayInl:
 			n := m.wantInt(in, regs[in.Args[0]])
-			if n < 0 {
-				m.fail(in.Pos, "negative array length %d", n)
-			}
-			stride := in.Class.NumSlots()
-			regs[in.Dst] = ArrValue(m.allocArray(in, int(n), stride, in.Aux == 1, in.Class))
+			regs[in.Dst] = ArrValue(m.allocArray(in, n, in.Class.NumSlots(), in.Aux == 1, in.Class))
 		case ir.OpGetField:
 			regs[in.Dst] = m.getField(in, regs[in.Args[0]])
 		case ir.OpSetField:
