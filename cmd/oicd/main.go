@@ -91,7 +91,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 	// from it; closed last, after the final compaction in srv.Close.
 	var store *cluster.Store
 	if f.cacheDir != "" {
-		store, err = cluster.OpenStore(f.cacheDir, cluster.StoreOptions{Logger: logger})
+		store, err = cluster.OpenStore(f.cacheDir, logger)
 		if err != nil {
 			fmt.Fprintf(stderr, "oicd: cache dir: %v\n", err)
 			ln.Close()

@@ -57,7 +57,10 @@ func (t *Tag) Head() FieldKey {
 	if t.AC != nil {
 		return t.AC.ElemKey()
 	}
-	return FieldKey{Class: DeclaringClass(t.OC.Class, t.Field), Name: t.Field}
+	if f := t.OC.Class.FieldNamed(t.Field); f != nil {
+		return FieldKey{Class: f.Owner, Name: t.Field}
+	}
+	return FieldKey{Class: t.OC.Class, Name: t.Field}
 }
 
 // HeadOC returns the object contour holding the head field (nil for array
@@ -118,22 +121,6 @@ func (k FieldKey) String() string {
 		return "<none>"
 	}
 	return k.Class.Name + "." + k.Name
-}
-
-// DeclaringClass returns the class that declares field name in c's
-// layout (the last field of that name), or c when no field names its
-// owner.
-func DeclaringClass(c *ir.Class, name string) *ir.Class {
-	var owner *ir.Class
-	for _, f := range c.Fields {
-		if f.Name == name {
-			owner = f.Owner
-		}
-	}
-	if owner == nil {
-		return c
-	}
-	return owner
 }
 
 // tagTable interns tags for one analysis pass.

@@ -146,13 +146,11 @@ func ComputePayoff(on, off *Measurement) (*ProgramPayoff, error) {
 			continue
 		}
 		for _, oc := range on.Compiled.Analysis.Objs {
-			if analysis.DeclaringClass(oc.Class, k.Name) != k.Class {
+			f := oc.Class.FieldNamed(k.Name)
+			if f == nil || f.Owner != k.Class {
 				continue
 			}
-			st := oc.FieldState(k.Name)
-			if st == nil {
-				continue
-			}
+			st := &oc.Fields[f.Slot]
 			for _, child := range st.TS.ObjList() {
 				claim(child.Class, k.String())
 			}

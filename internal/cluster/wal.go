@@ -48,25 +48,14 @@ type Record struct {
 // 1 MiB and envelopes are the same order of magnitude).
 const maxRecordBytes = 64 << 20
 
-// DefaultCompactBytes is the WAL size past which Append starts advising
-// compaction when StoreOptions.CompactBytes is zero.
-const DefaultCompactBytes = 4 << 20
+// compactThreshold is the WAL size past which Append starts advising
+// compaction.
+const compactThreshold = 4 << 20
 
 const (
 	walName      = "wal.log"
 	snapshotName = "snapshot"
 )
-
-// StoreOptions configures OpenStore.
-type StoreOptions struct {
-	// Logger receives replay and corruption reports (nil = slog.Default).
-	// A skipped corrupt tail is always logged at Warn — losing cache
-	// entries silently would defeat the tier's purpose.
-	Logger *slog.Logger
-	// CompactBytes is the WAL size past which Append advises compaction
-	// (0 = DefaultCompactBytes).
-	CompactBytes int64
-}
 
 // StoreStats is a point-in-time view of one store, for /metrics.
 type StoreStats struct {
@@ -84,7 +73,7 @@ type StoreStats struct {
 type Store struct {
 	dir          string
 	log          *slog.Logger
-	compactBytes int64
+	compactBytes int64 // compactThreshold; in-package tests shrink it
 
 	mu       sync.Mutex
 	wal      *os.File
@@ -98,19 +87,17 @@ type Store struct {
 // OpenStore opens (creating if needed) the cache directory, replays the
 // snapshot and then the WAL, truncates any corrupt WAL tail, and leaves
 // the WAL open for appends. The recovered records are held until Replay
-// is called.
-func OpenStore(dir string, opts StoreOptions) (*Store, error) {
-	log := opts.Logger
+// is called. log receives replay and corruption reports (nil =
+// slog.Default); a skipped corrupt tail is always logged at Warn — losing
+// cache entries silently would defeat the tier's purpose.
+func OpenStore(dir string, log *slog.Logger) (*Store, error) {
 	if log == nil {
 		log = slog.Default()
 	}
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("cluster: create cache dir: %w", err)
 	}
-	s := &Store{dir: dir, log: log, compactBytes: opts.CompactBytes}
-	if s.compactBytes <= 0 {
-		s.compactBytes = DefaultCompactBytes
-	}
+	s := &Store{dir: dir, log: log, compactBytes: compactThreshold}
 
 	// Snapshot first (the compacted base), then the WAL (appends since).
 	// Replay order is oldest-to-newest so the cache's LRU recency ends up

@@ -24,12 +24,9 @@ func testRecords(n int) []Record {
 	return recs
 }
 
-func openTestStore(t *testing.T, dir string, opts StoreOptions) *Store {
+func openTestStore(t *testing.T, dir string) *Store {
 	t.Helper()
-	if opts.Logger == nil {
-		opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	s, err := OpenStore(dir, opts)
+	s, err := OpenStore(dir, slog.New(slog.NewTextHandler(io.Discard, nil)))
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
@@ -39,7 +36,7 @@ func openTestStore(t *testing.T, dir string, opts StoreOptions) *Store {
 func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	recs := testRecords(50)
-	s := openTestStore(t, dir, StoreOptions{})
+	s := openTestStore(t, dir)
 	if got := s.Replay(); len(got) != 0 {
 		t.Fatalf("fresh store replayed %d records", len(got))
 	}
@@ -52,7 +49,7 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	s2 := openTestStore(t, dir, StoreOptions{})
+	s2 := openTestStore(t, dir)
 	defer s2.Close()
 	got := s2.Replay()
 	if len(got) != len(recs) {
@@ -72,7 +69,8 @@ func TestStoreRoundTrip(t *testing.T) {
 func TestStoreCompact(t *testing.T) {
 	dir := t.TempDir()
 	recs := testRecords(40)
-	s := openTestStore(t, dir, StoreOptions{CompactBytes: 1})
+	s := openTestStore(t, dir)
+	s.compactBytes = 1
 	var advised bool
 	for _, r := range recs {
 		c, err := s.Append(r)
@@ -103,7 +101,7 @@ func TestStoreCompact(t *testing.T) {
 	}
 	s.Close()
 
-	s2 := openTestStore(t, dir, StoreOptions{})
+	s2 := openTestStore(t, dir)
 	defer s2.Close()
 	got := s2.Replay()
 	want := append(append([]Record{}, live...), extra)
@@ -130,7 +128,7 @@ func TestStoreCrashRecoveryFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 40; trial++ {
 		dir := t.TempDir()
-		s := openTestStore(t, dir, StoreOptions{})
+		s := openTestStore(t, dir)
 		for _, r := range recs {
 			if _, err := s.Append(r); err != nil {
 				t.Fatalf("Append: %v", err)
@@ -160,9 +158,7 @@ func TestStoreCrashRecoveryFuzz(t *testing.T) {
 		}
 
 		var logBuf bytes.Buffer
-		s2, err := OpenStore(dir, StoreOptions{
-			Logger: slog.New(slog.NewTextHandler(&logBuf, nil)),
-		})
+		s2, err := OpenStore(dir, slog.New(slog.NewTextHandler(&logBuf, nil)))
 		if err != nil {
 			t.Fatalf("trial %d: reopen after damage: %v", trial, err)
 		}
@@ -198,7 +194,7 @@ func TestStoreCrashRecoveryFuzz(t *testing.T) {
 		}
 		prevCount := len(got)
 		s2.Close()
-		s3 := openTestStore(t, dir, StoreOptions{})
+		s3 := openTestStore(t, dir)
 		final := s3.Replay()
 		s3.Close()
 		if len(final) != prevCount+1 || final[len(final)-1].Key != "after-crash" {
@@ -210,7 +206,7 @@ func TestStoreCrashRecoveryFuzz(t *testing.T) {
 
 func TestStoreInsaneLengthField(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestStore(t, dir, StoreOptions{})
+	s := openTestStore(t, dir)
 	s.Append(Record{Key: "good", Status: 200, Body: []byte("x")})
 	s.Close()
 	// Append a frame whose length field claims 3 GiB.
@@ -221,7 +217,7 @@ func TestStoreInsaneLengthField(t *testing.T) {
 	f.Write([]byte{0xff, 0xff, 0xff, 0xbf, 1, 2, 3, 4})
 	f.Close()
 
-	s2 := openTestStore(t, dir, StoreOptions{})
+	s2 := openTestStore(t, dir)
 	defer s2.Close()
 	got := s2.Replay()
 	if len(got) != 1 || got[0].Key != "good" {
@@ -230,7 +226,7 @@ func TestStoreInsaneLengthField(t *testing.T) {
 }
 
 func TestStoreAppendAfterClose(t *testing.T) {
-	s := openTestStore(t, t.TempDir(), StoreOptions{})
+	s := openTestStore(t, t.TempDir())
 	s.Close()
 	if _, err := s.Append(Record{Key: "k"}); err == nil {
 		t.Fatal("Append on closed store succeeded")

@@ -107,7 +107,7 @@ func optimize(prog *ir.Program, res *analysis.Result, opts Options) (*Result, *t
 				Decision:        d,
 				Analysis:        res,
 				CloneStats:      m.grouping.Stats(),
-				ClassVersions:   len(vs.Versions()),
+				ClassVersions:   len(vs.list),
 				StackSites:      len(tr.stackable),
 				Attempts:        attempt,
 				StackProvenance: tr.stackProvenance(),

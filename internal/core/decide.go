@@ -283,12 +283,9 @@ func checkStores(prog *ir.Program, res *analysis.Result, val *valuability, d *De
 			case ir.OpSetField:
 				base := mc.Reg(in.Args[0])
 				for _, oc := range base.TS.ObjList() {
-					owner := fieldOwner(oc.Class, in.Field.Name)
-					if owner == nil {
-						continue
+					if f := oc.Class.FieldNamed(in.Field.Name); f != nil {
+						check(fn, in, analysis.FieldKey{Class: f.Owner, Name: f.Name})
 					}
-					k := analysis.FieldKey{Class: owner, Name: in.Field.Name}
-					check(fn, in, k)
 				}
 			case ir.OpArrSet:
 				base := mc.Reg(in.Args[0])
@@ -298,15 +295,6 @@ func checkStores(prog *ir.Program, res *analysis.Result, val *valuability, d *De
 			}
 		})
 	}
-}
-
-func fieldOwner(c *ir.Class, name string) *ir.Class {
-	for _, f := range c.Fields {
-		if f.Name == name {
-			return f.Owner
-		}
-	}
-	return nil
 }
 
 // rejectContainmentCycles drops candidates that would flatten a class into

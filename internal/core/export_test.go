@@ -153,3 +153,13 @@ func SigningMismatches(prog *ir.Program, res *analysis.Result, opts Options) ([]
 	}
 	return out, nil
 }
+
+// ClassVersions optimizes prog and returns every class version of the
+// attempt that succeeded, in creation order.
+func ClassVersions(prog *ir.Program, res *analysis.Result, opts Options) ([]*ClassVersion, error) {
+	_, tr, err := optimize(prog, res, opts)
+	if err != nil {
+		return nil, err
+	}
+	return tr.vs.list, nil
+}

@@ -29,15 +29,12 @@ func (l Layout) String() string {
 	return "object-order"
 }
 
-// SlotInfo describes where one original field of a class version lives.
+// SlotInfo describes where one original field of a class version lives:
+// a plain field (Child nil) in its one slot, an inlined field as the child
+// version's flattened state starting at Slot.
 type SlotInfo struct {
-	// Plain fields map to one slot.
-	Plain   bool
-	NewSlot int
-	// Inlined fields expand to the child version's flattened state
-	// starting at Base.
+	Slot  int
 	Child *ClassVersion
-	Base  int
 }
 
 // ClassVersion is one restructured variant of a source class: the same
@@ -71,9 +68,9 @@ type versionSpace struct {
 	decision *Decision
 	layout   Layout
 
-	byShape map[string]*ClassVersion // class name + shape -> version
+	byShape map[string]*ClassVersion // shape (it starts with the class name) -> version
 	ocShape map[*analysis.ObjContour]string
-	list    []*ClassVersion
+	list    []*ClassVersion // every version, in creation order
 	arrs    map[analysis.FieldKey]*ArrVersion
 
 	// byOC memoizes versionOf. A contour's shape depends only on the
@@ -111,7 +108,7 @@ func newVersionSpace(res *analysis.Result, d *Decision, layout Layout) *versionS
 func (vs *versionSpace) build() bool {
 	// Deterministic order.
 	for _, oc := range vs.res.Objs {
-		vs.shapeOf(oc, nil)
+		vs.shapeOf(oc.Class, oc, nil)
 	}
 	if len(vs.conflicts) > 0 {
 		return false
@@ -152,11 +149,14 @@ func (vs *versionSpace) build() bool {
 	return len(vs.conflicts) == 0
 }
 
-// shapeOf computes the canonical layout shape of an object contour:
-// the class name plus, for each inlined field in layout order, the child
-// shape.
-func (vs *versionSpace) shapeOf(oc *analysis.ObjContour, path []*analysis.ObjContour) string {
-	if s, ok := vs.ocShape[oc]; ok {
+// shapeOf computes the canonical layout shape of class c's part of an
+// object contour's layout: the class name plus, for each inlined field in
+// layout order, the child shape. c is oc.Class or one of its ancestors,
+// whose fields are a prefix of oc.Class.Fields; only oc.Class's shape
+// carries oc's subversion, and only it is memoized.
+func (vs *versionSpace) shapeOf(c *ir.Class, oc *analysis.ObjContour, path []*analysis.ObjContour) string {
+	whole := c == oc.Class
+	if s, ok := vs.ocShape[oc]; ok && whole {
 		return s
 	}
 	for _, p := range path {
@@ -168,8 +168,8 @@ func (vs *versionSpace) shapeOf(oc *analysis.ObjContour, path []*analysis.ObjCon
 	}
 	path = append(path, oc)
 	var b strings.Builder
-	b.WriteString(oc.Class.Name)
-	for _, f := range oc.Class.Fields {
+	b.WriteString(c.Name)
+	for _, f := range c.Fields {
 		k := analysis.FieldKey{Class: f.Owner, Name: f.Name}
 		if !vs.decision.Has(k) {
 			continue
@@ -177,7 +177,7 @@ func (vs *versionSpace) shapeOf(oc *analysis.ObjContour, path []*analysis.ObjCon
 		st := &oc.Fields[f.Slot]
 		childShape := ""
 		for _, child := range st.TS.ObjList() {
-			cs := vs.shapeOf(child, path)
+			cs := vs.shapeOf(child.Class, child, path)
 			if childShape == "" {
 				childShape = cs
 			} else if childShape != cs {
@@ -185,6 +185,9 @@ func (vs *versionSpace) shapeOf(oc *analysis.ObjContour, path []*analysis.ObjCon
 			}
 		}
 		fmt.Fprintf(&b, "|%s=%s", f.Name, childShape)
+	}
+	if !whole {
+		return b.String()
 	}
 	if n := vs.subver[oc]; n != 0 {
 		fmt.Fprintf(&b, "~%d", n)
@@ -199,22 +202,21 @@ func (vs *versionSpace) versionOf(oc *analysis.ObjContour) *ClassVersion {
 	if v, ok := vs.byOC[oc]; ok {
 		return v
 	}
-	v := vs.versionFor(oc.Class, oc, len(oc.Class.Fields))
+	v := vs.versionFor(oc.Class, oc)
 	vs.byOC[oc] = v
 	return v
 }
 
-// versionFor builds the version of class c covering the first `upto`
-// original fields of oc's layout (used recursively so a subclass version
-// extends its superclass version).
-func (vs *versionSpace) versionFor(c *ir.Class, oc *analysis.ObjContour, upto int) *ClassVersion {
-	shape := vs.prefixShape(c, oc)
-	key := c.Name + "\x00" + shape
-	if v, ok := vs.byShape[key]; ok {
+// versionFor builds the version of class c (oc.Class or an ancestor) for
+// c's part of oc's layout, recursively so a subclass version extends its
+// superclass version.
+func (vs *versionSpace) versionFor(c *ir.Class, oc *analysis.ObjContour) *ClassVersion {
+	shape := vs.shapeOf(c, oc, nil)
+	if v, ok := vs.byShape[shape]; ok {
 		return v
 	}
 	v := &ClassVersion{Orig: c, Shape: shape, Slots: make(map[string]SlotInfo)}
-	vs.byShape[key] = v
+	vs.byShape[shape] = v
 
 	newClass := &ir.Class{
 		Name:    versionName(c.Name, len(vs.list)),
@@ -223,7 +225,7 @@ func (vs *versionSpace) versionFor(c *ir.Class, oc *analysis.ObjContour, upto in
 	}
 	v.New = newClass
 	if c.Super != nil {
-		v.Super = vs.versionFor(c.Super, oc, len(c.Super.Fields))
+		v.Super = vs.versionFor(c.Super, oc)
 		newClass.Super = v.Super.New
 		newClass.Fields = append(newClass.Fields, v.Super.New.Fields...)
 		for name, si := range v.Super.Slots {
@@ -235,11 +237,11 @@ func (vs *versionSpace) versionFor(c *ir.Class, oc *analysis.ObjContour, upto in
 		if f.Owner != c {
 			continue
 		}
+		slot := len(newClass.Fields)
 		k := analysis.FieldKey{Class: c, Name: f.Name}
+		var childVer *ClassVersion
 		if vs.decision.Has(k) {
-			st := &oc.Fields[f.Slot]
-			var childVer *ClassVersion
-			for _, child := range st.TS.ObjList() {
+			for _, child := range oc.Fields[f.Slot].TS.ObjList() {
 				cv := vs.versionOf(child)
 				if childVer == nil {
 					childVer = cv
@@ -247,64 +249,25 @@ func (vs *versionSpace) versionFor(c *ir.Class, oc *analysis.ObjContour, upto in
 					vs.conflicts[k] = "containee contours disagree on layout"
 				}
 			}
-			if childVer == nil {
-				// Candidate with no content in this contour: should have
-				// been filtered, but degrade to a plain slot.
-				slot := len(newClass.Fields)
-				newClass.Fields = append(newClass.Fields, &ir.Field{Name: f.Name, Slot: slot, Owner: newClass})
-				v.Slots[f.Name] = SlotInfo{Plain: true, NewSlot: slot}
-				continue
-			}
-			base := len(newClass.Fields)
-			for _, cf := range childVer.New.Fields {
-				slot := len(newClass.Fields)
-				newClass.Fields = append(newClass.Fields, &ir.Field{
-					Name: f.Name + "$" + cf.Name, Slot: slot, Owner: newClass, Synthetic: true,
-				})
-			}
-			v.Slots[f.Name] = SlotInfo{Child: childVer, Base: base}
-		} else {
-			slot := len(newClass.Fields)
-			newClass.Fields = append(newClass.Fields, &ir.Field{Name: f.Name, Slot: slot, Owner: newClass})
-			v.Slots[f.Name] = SlotInfo{Plain: true, NewSlot: slot}
 		}
-	}
-	_ = upto
-	vs.list = append(vs.list, v)
-	return v
-}
-
-// prefixShape is shapeOf restricted to the fields of class c (an ancestor
-// of oc.Class, or the class itself).
-func (vs *versionSpace) prefixShape(c *ir.Class, oc *analysis.ObjContour) string {
-	var b strings.Builder
-	b.WriteString(c.Name)
-	for _, f := range c.Fields {
-		k := analysis.FieldKey{Class: f.Owner, Name: f.Name}
-		if !vs.decision.Has(k) {
+		v.Slots[f.Name] = SlotInfo{Slot: slot, Child: childVer}
+		if childVer == nil {
+			// A plain field, or a candidate with no content in this
+			// contour (it should have been filtered; degrade to a plain
+			// slot).
+			newClass.Fields = append(newClass.Fields, &ir.Field{Name: f.Name, Slot: slot, Owner: newClass})
 			continue
 		}
-		st := &oc.Fields[f.Slot]
-		childShape := ""
-		for _, child := range st.TS.ObjList() {
-			cs := vs.shapeOf(child, nil)
-			if childShape == "" {
-				childShape = cs
-			}
-		}
-		fmt.Fprintf(&b, "|%s=%s", f.Name, childShape)
-	}
-	if c == oc.Class {
-		if n := vs.subver[oc]; n != 0 {
-			fmt.Fprintf(&b, "~%d", n)
+		for _, cf := range childVer.New.Fields {
+			newClass.Fields = append(newClass.Fields, &ir.Field{
+				Name: f.Name + "$" + cf.Name, Slot: len(newClass.Fields), Owner: newClass, Synthetic: true,
+			})
 		}
 	}
-	return b.String()
+	vs.list = append(vs.list, v)
+	return v
 }
 
 func versionName(base string, n int) string {
 	return fmt.Sprintf("%s'%d", base, n)
 }
-
-// Versions returns all versions in creation order.
-func (vs *versionSpace) Versions() []*ClassVersion { return vs.list }

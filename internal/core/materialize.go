@@ -122,7 +122,7 @@ func (t *transformer) materialize() (*materializeResult, error) {
 
 	// Emit the new program.
 	out := ir.NewProgram()
-	for _, v := range t.vs.Versions() {
+	for _, v := range t.vs.list {
 		out.AddClass(v.New)
 	}
 	out.Globals = append(out.Globals, t.prog.Globals...)
@@ -262,7 +262,7 @@ func (t *transformer) resolveCall(grouping *clone.Grouping, grp *clone.Group, in
 // anyVersionOf returns some version class of c (for methods whose
 // receiver set is empty — dead code kept for verification).
 func (t *transformer) anyVersionOf(c *ir.Class) *ir.Class {
-	for _, v := range t.vs.Versions() {
+	for _, v := range t.vs.list {
 		if v.Orig == c {
 			return v.New
 		}

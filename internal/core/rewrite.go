@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 
 	"objinline/internal/analysis"
 	"objinline/internal/ir"
@@ -29,6 +28,9 @@ type carrier struct {
 	base  int           // carrierCont: absolute first slot; carrierInter: offset within element state
 	path  string        // mangled field-name prefix, e.g. "lower_left$"
 	child *ClassVersion // version of the represented (inlined) object
+	// key is the outermost inlined field (or array site) the carrier
+	// lives in: the candidate a rejection involving it names.
+	key analysis.FieldKey
 }
 
 // rewriteErr reports which candidates must be rejected for the rewrite to
@@ -154,11 +156,11 @@ func (t *transformer) findStackable() {
 			case ir.OpSetField:
 				base := mc.Reg(in.Args[0])
 				for _, oc := range base.TS.ObjList() {
-					owner := fieldOwner(oc.Class, in.Field.Name)
-					if owner == nil {
+					f := oc.Class.FieldNamed(in.Field.Name)
+					if f == nil {
 						continue
 					}
-					k := analysis.FieldKey{Class: owner, Name: in.Field.Name}
+					k := analysis.FieldKey{Class: f.Owner, Name: in.Field.Name}
 					if t.d.Has(k) {
 						keys = appendKeyOnce(keys, k)
 					}
@@ -288,13 +290,13 @@ func (t *transformer) resolveInlinedTag(tag *analysis.Tag, key analysis.FieldKey
 		if av == nil {
 			return tagRes{err: errKeys("array version missing", key)}
 		}
-		r.carriers = append(r.carriers, carrier{kind: carrierInter, av: av, base: 0, path: "", child: av.Elem})
+		r.carriers = append(r.carriers, carrier{kind: carrierInter, av: av, child: av.Elem, key: av.Key})
 		return r
 	}
 	oc := tag.HeadOC()
 	ver := t.vs.versionOf(oc)
 	si, ok := ver.Slots[tag.Field]
-	if !ok || si.Plain {
+	if !ok || si.Child == nil {
 		// Degraded empty-content candidate; reads nil.
 		r.raw = true
 		return r
@@ -313,21 +315,22 @@ func (t *transformer) resolveInlinedTag(tag *analysis.Tag, key analysis.FieldKey
 	}
 	if base.raw {
 		r.carriers = append(r.carriers, carrier{
-			kind: carrierCont, ver: ver, base: si.Base,
-			path: tag.Field + "$", child: si.Child,
+			kind: carrierCont, ver: ver, base: si.Slot,
+			path: tag.Field + "$", child: si.Child, key: key,
 		})
 	}
 	for _, bc := range base.carriers {
 		// The container is itself inlined somewhere: compose offsets.
 		csi, ok := bc.child.Slots[tag.Field]
-		if !ok || csi.Plain {
+		if !ok || csi.Child == nil {
 			return tagRes{err: errKeys("inconsistent nested layout for "+key.String(), key)}
 		}
 		nested := carrier{
 			kind: bc.kind, ver: bc.ver, av: bc.av,
-			base:  bc.base + csi.Base,
+			base:  bc.base + csi.Slot,
 			path:  bc.path + tag.Field + "$",
 			child: csi.Child,
+			key:   bc.key,
 		}
 		r.carriers = append(r.carriers, nested)
 	}
@@ -411,7 +414,7 @@ func (r *regRep) validate() *rewriteErr {
 	involved := func() []analysis.FieldKey {
 		var keys []analysis.FieldKey
 		for _, c := range append(append([]carrier(nil), r.conts...), r.inters...) {
-			keys = append(keys, carrierKeyOf(c))
+			keys = append(keys, c.key)
 		}
 		return keys
 	}
@@ -438,37 +441,6 @@ func (r *regRep) validate() *rewriteErr {
 		}
 	}
 	return nil
-}
-
-// carrierKeyOf recovers the candidate key a carrier belongs to (the last
-// path segment names the field; the version identifies the class).
-func carrierKeyOf(c carrier) analysis.FieldKey {
-	if c.kind == carrierInter && c.path == "" {
-		return c.av.Key
-	}
-	// Trim the trailing '$', take the last segment.
-	p := strings.TrimSuffix(c.path, "$")
-	if i := strings.LastIndex(p, "$"); i >= 0 {
-		p = p[i+1:]
-	}
-	var owner *ir.Class
-	if c.kind == carrierCont {
-		owner = fieldOwner(c.ver.Orig, rootFieldName(c.path))
-		if owner == nil {
-			owner = c.ver.Orig
-		}
-		return analysis.FieldKey{Class: owner, Name: rootFieldName(c.path)}
-	}
-	return c.av.Key
-}
-
-// rootFieldName extracts the first path segment ("a$b$" -> "a").
-func rootFieldName(path string) string {
-	p := strings.TrimSuffix(path, "$")
-	if i := strings.Index(p, "$"); i >= 0 {
-		return p[:i]
-	}
-	return p
 }
 
 // bodyPlan is a rewritten function body for one contour, before call
@@ -720,7 +692,7 @@ func (w *rewriter) rewriteInstr(in *ir.Instr) *rewriteErr {
 			if rep.hasReps() && w.plan != nil {
 				var keys []analysis.FieldKey
 				for _, c := range append(append([]carrier(nil), rep.conts...), rep.inters...) {
-					keys = append(keys, carrierKeyOf(c))
+					keys = append(keys, c.key)
 				}
 				w.plan.dynRep[cp] = keys
 			}
@@ -775,37 +747,35 @@ func (t *transformer) fieldAccess(mc *analysis.MethodContour, recvReg ir.Reg, na
 		var versBuf [8]*ClassVersion
 		bases, vers := basesBuf[:0], versBuf[:0]
 		for _, oc := range ocs {
-			owner := fieldOwner(oc.Class, name)
-			if owner == nil {
+			f := oc.Class.FieldNamed(name)
+			if f == nil {
 				continue
 			}
-			k := analysis.FieldKey{Class: owner, Name: name}
+			k := analysis.FieldKey{Class: f.Owner, Name: name}
 			ver := t.vs.versionOf(oc)
 			si, ok := ver.Slots[name]
 			if !ok {
 				continue
 			}
-			if t.d.Has(k) && !si.Plain {
+			if si.Child != nil {
 				inlinedAny = true
 				if child == nil {
 					child = si.Child
 				} else if child != si.Child {
 					return accessTarget{}, errKeys("receivers disagree on containee layout for "+name, k)
 				}
-				bases = append(bases, si.Base)
-				vers = append(vers, ver)
 			} else {
 				plainAny = true
-				bases = append(bases, si.NewSlot)
-				vers = append(vers, ver)
 			}
+			bases = append(bases, si.Slot)
+			vers = append(vers, ver)
 		}
 		if inlinedAny && plainAny {
 			// Same name inlined for some receivers, plain for others.
 			var keys []analysis.FieldKey
 			for _, oc := range ocs {
-				if owner := fieldOwner(oc.Class, name); owner != nil {
-					keys = append(keys, analysis.FieldKey{Class: owner, Name: name})
+				if f := oc.Class.FieldNamed(name); f != nil {
+					keys = append(keys, analysis.FieldKey{Class: f.Owner, Name: name})
 				}
 			}
 			return accessTarget{}, errKeys("field "+name+" inlined for some receivers only", keys...)
@@ -843,12 +813,12 @@ func (t *transformer) fieldAccess(mc *analysis.MethodContour, recvReg ir.Reg, na
 		if !ok {
 			return accessTarget{}, errKeys("containee version lacks field " + name)
 		}
-		if !si.Plain {
+		if si.Child != nil {
 			// Nested inlined field.
 			for _, c := range rep.conts[1:] {
 				si2, ok := c.child.Slots[name]
-				if !ok || si2.Plain || si2.Child != si.Child {
-					return accessTarget{}, errKeys("nested layouts disagree for "+name, carrierKeyOf(c))
+				if !ok || si2.Child != si.Child {
+					return accessTarget{}, errKeys("nested layouts disagree for "+name, c.key)
 				}
 			}
 			return accessTarget{inlined: true, child: si.Child, slotField: t.contSlotFn(rep.conts, name, si)}, nil
@@ -862,13 +832,13 @@ func (t *transformer) fieldAccess(mc *analysis.MethodContour, recvReg ir.Reg, na
 		if !ok {
 			return accessTarget{}, errKeys("array element version lacks field " + name)
 		}
-		if !si.Plain {
+		if si.Child != nil {
 			return accessTarget{inlined: true, child: si.Child, slotField: func(i int) *ir.Field {
 				cf := si.Child.New.Fields[i]
-				return &ir.Field{Name: c0.path + name + "$" + cf.Name, Slot: c0.base + si.Base + i, Synthetic: true}
+				return &ir.Field{Name: c0.path + name + "$" + cf.Name, Slot: c0.base + si.Slot + i, Synthetic: true}
 			}}, nil
 		}
-		return accessTarget{field: &ir.Field{Name: c0.path + name, Slot: c0.base + si.NewSlot, Synthetic: true}}, nil
+		return accessTarget{field: &ir.Field{Name: c0.path + name, Slot: c0.base + si.Slot, Synthetic: true}}, nil
 	}
 	return accessTarget{}, errKeys("inconsistent receiver representation for field " + name)
 }
@@ -896,11 +866,11 @@ func (t *transformer) plainField(vers []*ClassVersion, slots []int, name string)
 
 // contField addresses a plain slot of a containee through its container.
 func (t *transformer) contField(conts []carrier, name string, si SlotInfo) *ir.Field {
-	abs := conts[0].base + si.NewSlot
+	abs := conts[0].base + si.Slot
 	uniform := true
 	for _, c := range conts[1:] {
 		si2, ok := c.child.Slots[name]
-		if !ok || !si2.Plain || c.base+si2.NewSlot != abs {
+		if !ok || si2.Child != nil || c.base+si2.Slot != abs {
 			uniform = false
 		}
 	}
@@ -926,7 +896,7 @@ func (t *transformer) contSlotFn(conts []carrier, name string, si SlotInfo) func
 		cf := si.Child.New.Fields[i]
 		mangled := conts[0].path + name + "$" + cf.Name
 		if len(conts) == 1 {
-			if f := fieldAt(conts[0].ver.New, conts[0].base+si.Base+i); f != nil {
+			if f := fieldAt(conts[0].ver.New, conts[0].base+si.Slot+i); f != nil {
 				return f
 			}
 		}

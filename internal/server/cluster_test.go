@@ -381,7 +381,7 @@ func TestClusterDiskWarmRestart(t *testing.T) {
 	src := fixtureSource(t)
 	req := api.CompileRequest{Source: src}
 
-	store, err := cluster.OpenStore(dir, cluster.StoreOptions{Logger: quietLog()})
+	store, err := cluster.OpenStore(dir, quietLog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestClusterDiskWarmRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store2, err := cluster.OpenStore(dir, cluster.StoreOptions{Logger: quietLog()})
+	store2, err := cluster.OpenStore(dir, quietLog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestClusterDiskWarmRestart(t *testing.T) {
 // in both metrics formats.
 func TestClusterMetricsExposition(t *testing.T) {
 	dir := t.TempDir()
-	store, err := cluster.OpenStore(dir, cluster.StoreOptions{Logger: quietLog()})
+	store, err := cluster.OpenStore(dir, quietLog())
 	if err != nil {
 		t.Fatal(err)
 	}
