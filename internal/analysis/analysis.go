@@ -126,7 +126,9 @@ func AnalyzeContext(ctx context.Context, prog *ir.Program, opts Options) (*Resul
 		mcSlab:     slab[MethodContour]{first: 16},
 		edgeSlab:   slab[Edge]{first: 32},
 		cells:      slab[VarState]{first: 256},
+		args:       slab[State]{first: 128},
 		bits:       slab[bool]{first: 256},
+		spills:     slab[[]uint64]{first: 64},
 	}
 	// Every function gets a policy up front: the call transfer functions
 	// read a.policies directly.
@@ -208,12 +210,15 @@ type analyzer struct {
 	nextOC   int
 	nextAC   int
 
-	// Slabs the pass carves its method contours, edges, registers,
-	// object fields, edge arguments and dirty bitmaps from (see slab).
+	// Slabs the pass carves its method contours, edges, state cells
+	// (registers, object fields), edge arguments and dirty bitmaps from
+	// (see slab).
 	mcSlab   slab[MethodContour]
 	edgeSlab slab[Edge]
 	cells    slab[VarState]
+	args     slab[State]
 	bits     slab[bool]
+	spills   slab[[]uint64]
 
 	// Worklist solver state (see solver.go).
 	curIdx      int    // drain cursor (contour ID), or -1 outside a scan
@@ -304,7 +309,9 @@ func (a *analyzer) resetPass() {
 	a.mcSlab.reset()
 	a.edgeSlab.reset()
 	a.cells.reset()
+	a.args.reset()
 	a.bits.reset()
+	a.spills.reset()
 	a.mcList = a.mcList[:0]
 	a.ocList = a.ocList[:0]
 	a.acList = a.acList[:0]
@@ -627,7 +634,7 @@ func (a *analyzer) evalArgs(mc *MethodContour, in *ir.Instr) {
 			for i := start; i < len(in.Args); i++ {
 				src := a.useArg(mc.Reg(in.Args[i]))
 				a.merge(cmc.Reg(cmc.Fn.ParamReg(i-start)), src)
-				e.Args[i].Merge(src)
+				e.Args[i].Merge(&src.State)
 			}
 		}
 	}
@@ -838,7 +845,7 @@ func (a *analyzer) bindTopLevel(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 	for i, r := range in.Args {
 		src := a.useArg(mc.Reg(r))
 		a.merge(cmc.Reg(callee.ParamReg(i)), src)
-		e.Args[i].Merge(src)
+		e.Args[i].Merge(&src.State)
 	}
 	if in.Dst != ir.NoReg {
 		a.merge(mc.Reg(in.Dst), a.useRet(&cmc.Ret))
@@ -899,11 +906,11 @@ func (a *analyzer) bindMethod(mc *MethodContour, in *ir.Instr, target *ir.Func, 
 	}
 	e := a.edge(mc, in, cmc)
 	a.merge(cmc.Reg(0), self)
-	e.Args[0].Merge(self)
+	e.Args[0].Merge(&self.State)
 	for i := 1; i < len(in.Args); i++ {
 		src := a.useArg(mc.Reg(in.Args[i]))
 		a.merge(cmc.Reg(target.ParamReg(i-1)), src)
-		e.Args[i].Merge(src)
+		e.Args[i].Merge(&src.State)
 	}
 	if in.Dst != ir.NoReg {
 		a.merge(mc.Reg(in.Dst), a.useRet(&cmc.Ret))
@@ -916,7 +923,7 @@ func (a *analyzer) edge(from *MethodContour, in *ir.Instr, to *MethodContour) *E
 		return e
 	}
 	e := a.edgeSlab.one()
-	*e = Edge{From: from, Instr: in, To: to, Args: a.cells.carve(len(in.Args))}
+	*e = Edge{From: from, Instr: in, To: to, Args: a.args.carve(len(in.Args))}
 	a.edges[k] = e
 	to.InEdges = append(to.InEdges, e)
 	return e

@@ -1,6 +1,10 @@
 package analysis
 
-import "sort"
+import (
+	"bytes"
+	"slices"
+	"sort"
+)
 
 // canonicalize renumbers the pass's contours and tags from
 // order-independent sort keys, sorts every contour's in-edge list, and
@@ -20,8 +24,8 @@ import "sort"
 //   - method contours by (function ID, context key). Unique: the contour
 //     table is keyed by exactly that pair.
 //   - object and array contours by (allocation site UID, context key).
-//   - tags by their rendered path (String() after contour renumbering, so
-//     the rendering uses canonical contour IDs). The rendering walks the
+//   - tags by their rendered path (appendPath after contour renumbering,
+//     so the rendering uses canonical contour IDs). The rendering walks the
 //     full (holder contour, field, base) chain, so it is injective over
 //     interned tags; the NoField/Top sentinels keep their fixed IDs 0/1.
 //   - each contour's InEdges by (caller contour ID, call instruction ID),
@@ -72,19 +76,20 @@ func (a *analyzer) canonicalize() {
 		ac.ID = i
 	}
 
-	// Tags, after contours so String() renders canonical contour IDs.
-	// Each tag is rendered once, not once per comparison.
-	type renderedTag struct {
-		t   *Tag
-		key string
+	// Tags, after contours so their paths render canonical contour IDs.
+	// Each path is appended once, into one buffer reused across passes.
+	tt := a.tt
+	tt.keyBuf, tt.keyed = tt.keyBuf[:0], tt.keyed[:0]
+	for _, t := range tt.all {
+		lo := len(tt.keyBuf)
+		tt.keyBuf = t.appendPath(tt.keyBuf)
+		tt.keyed = append(tt.keyed, keyedTag{t, lo, len(tt.keyBuf)})
 	}
-	tags := make([]renderedTag, 0, len(a.tt.byKey))
-	for _, t := range a.tt.byKey {
-		tags = append(tags, renderedTag{t, t.String()})
-	}
-	sort.Slice(tags, func(i, j int) bool { return tags[i].key < tags[j].key })
-	for i, rt := range tags {
-		rt.t.ID = i + 2 // 0 and 1 are the NoField/Top sentinels
+	slices.SortFunc(tt.keyed, func(x, y keyedTag) int {
+		return bytes.Compare(tt.keyBuf[x.lo:x.hi], tt.keyBuf[y.lo:y.hi])
+	})
+	for i, k := range tt.keyed {
+		k.t.ID = i + 2 // 0 and 1 are the NoField/Top sentinels
 	}
 
 	for _, mc := range a.mcList {

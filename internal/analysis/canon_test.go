@@ -30,7 +30,7 @@ func TestValueSetsCanonicalOrder(t *testing.T) {
 				// distinct renderings).
 				tagByID := map[int]*analysis.Tag{}
 				tagByStr := map[string]*analysis.Tag{}
-				check := func(where string, s *analysis.VarState) {
+				check := func(where string, s *analysis.State) {
 					for _, tag := range s.Tags.List() {
 						for x := tag; x != nil; x = x.Base {
 							if y := tagByID[x.ID]; y != nil && y != x {
@@ -59,9 +59,9 @@ func TestValueSetsCanonicalOrder(t *testing.T) {
 				}
 				for _, mc := range res.Mcs {
 					for r := range mc.Regs {
-						check(fmt.Sprintf("%v r%d", mc, r), &mc.Regs[r])
+						check(fmt.Sprintf("%v r%d", mc, r), &mc.Regs[r].State)
 					}
-					check(fmt.Sprintf("%v ret", mc), &mc.Ret)
+					check(fmt.Sprintf("%v ret", mc), &mc.Ret.State)
 					for _, e := range mc.InEdges {
 						for i := range e.Args {
 							check(fmt.Sprintf("edge %v->%v arg %d", e.From, mc, i), &e.Args[i])
@@ -70,14 +70,14 @@ func TestValueSetsCanonicalOrder(t *testing.T) {
 				}
 				for _, oc := range res.Objs {
 					for i := range oc.Fields {
-						check(fmt.Sprintf("%v field %d", oc, i), &oc.Fields[i])
+						check(fmt.Sprintf("%v field %d", oc, i), &oc.Fields[i].State)
 					}
 				}
 				for _, ac := range res.Arrs {
-					check(fmt.Sprintf("%v elem", ac), &ac.Elem)
+					check(fmt.Sprintf("%v elem", ac), &ac.Elem.State)
 				}
 				for g := range res.Globals {
-					check(fmt.Sprintf("global %d", g), &res.Globals[g])
+					check(fmt.Sprintf("global %d", g), &res.Globals[g].State)
 				}
 			})
 		}

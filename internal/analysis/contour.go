@@ -132,8 +132,9 @@ type Edge struct {
 	Instr *ir.Instr
 	To    *MethodContour
 	// Args accumulates, per callee register (self included for methods),
-	// the state this edge has transmitted.
-	Args []VarState
+	// the state this edge has transmitted. Nothing reads them while
+	// solving, so they carry no reader bookkeeping.
+	Args []State
 }
 
 // ObjContour represents the objects allocated by one new statement under a
@@ -147,6 +148,10 @@ type ObjContour struct {
 
 	// Fields holds the abstract state of each slot of Class.
 	Fields []VarState
+
+	// fieldTags holds, per slot, the tags interned for that field
+	// instance (see tagTable); nil until the first is made.
+	fieldTags [][]*Tag
 
 	// ctxHash is the intrinsic identity hash (site plus key); see
 	// MethodContour.ctxHash.
@@ -189,6 +194,9 @@ type ArrContour struct {
 
 	// Elem summarizes every element's state.
 	Elem VarState
+
+	// elemTags holds the tags interned for the elements (see tagTable).
+	elemTags []*Tag
 
 	// ctxHash is the intrinsic identity hash (site plus key); see
 	// MethodContour.ctxHash.

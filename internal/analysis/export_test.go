@@ -29,3 +29,21 @@ func (s *TagSet) HasTop() bool {
 	_, ok := search(s.tags, tagTopID)
 	return ok
 }
+
+// TagCells returns the tags interned on each field cell of r's final
+// pass: every slot of every object contour and every array contour's
+// elements, in contour order.
+func (r *Result) TagCells() [][]*Tag {
+	var out [][]*Tag
+	for _, oc := range r.Objs {
+		out = append(out, oc.fieldTags...)
+	}
+	for _, ac := range r.Arrs {
+		out = append(out, ac.elemTags)
+	}
+	return out
+}
+
+// TagPath renders a real tag's sort key with the appender canonicalize
+// uses.
+func TagPath(t *Tag) string { return string(t.appendPath(nil)) }

@@ -207,24 +207,64 @@ func TestTagHeadLaw(t *testing.T) {
 	}
 }
 
+// TestTagInterning holds interning to one tag per (field cell, base),
+// for object fields and array elements, with IDs handed out in creation
+// order from 2; after a reset, fresh contours number from 2 again.
 func TestTagInterning(t *testing.T) {
+	ocs, acs := genPool()
 	tt := newTagTable(3)
-	a := tt.makeObj(poolOCs[0], 0, tt.noField)
-	b := tt.makeObj(poolOCs[0], 0, tt.noField)
+	a := tt.makeObj(ocs[0], 0, tt.noField)
+	b := tt.makeObj(ocs[0], 0, tt.noField)
 	if a != b {
 		t.Error("equal tags not interned")
 	}
-	c := tt.makeObj(poolOCs[1], 0, tt.noField)
+	c := tt.makeObj(ocs[1], 0, tt.noField)
 	if a == c {
 		t.Error("distinct contours share a tag")
+	}
+	if d := tt.makeObj(ocs[0], 1, tt.noField); d == a {
+		t.Error("distinct fields of one contour share a tag")
+	}
+	if d := tt.makeObj(ocs[0], 0, c); d == a || d != tt.makeObj(ocs[0], 0, c) {
+		t.Error("a second base on one field is not interned apart")
+	}
+	e := tt.makeArr(acs[0], tt.noField)
+	if e != tt.makeArr(acs[0], tt.noField) {
+		t.Error("equal array tags not interned")
+	}
+	if tt.makeArr(acs[1], tt.noField) == e {
+		t.Error("distinct array contours share a tag")
+	}
+	if f := tt.makeArr(acs[0], a); f == e || f != tt.makeArr(acs[0], a) || f.Base != a {
+		t.Error("an array tag's base is not interned apart")
+	}
+	for i, tag := range tt.all {
+		if tag.ID != i+2 {
+			t.Errorf("tag %d of the pass has ID %d, want %d", i, tag.ID, i+2)
+		}
+	}
+	if len(tt.all) != 7 {
+		t.Errorf("%d tags interned, want 7", len(tt.all))
+	}
+
+	tt.reset()
+	ocs, acs = genPool()
+	if x := tt.makeArr(acs[0], tt.noField); x.ID != 2 {
+		t.Errorf("first tag after reset has ID %d, want 2", x.ID)
+	}
+	if x := tt.makeObj(ocs[0], 0, tt.noField); x.ID != 3 || x == a {
+		t.Errorf("second tag after reset has ID %d (reused %v), want a new tag with ID 3", x.ID, x == a)
 	}
 }
 
 func TestTagDepthCapKeepsHead(t *testing.T) {
+	// Fresh contours: tags are interned on their cells, and another
+	// table's Top-based tags there would be found first.
+	ocs, _ := genPool()
 	tt := newTagTable(3)
-	tag := tt.makeObj(poolOCs[0], 0, tt.noField)
+	tag := tt.makeObj(ocs[0], 0, tt.noField)
 	for i := 0; i < 10; i++ {
-		oc := poolOCs[i%len(poolOCs)]
+		oc := ocs[i%len(ocs)]
 		tag = tt.makeObj(oc, 0, tag)
 		if tag.IsTop() {
 			t.Fatalf("head collapsed to Top at depth %d", i)
@@ -234,8 +274,8 @@ func TestTagDepthCapKeepsHead(t *testing.T) {
 		}
 	}
 	// Saturated tags intern stably too.
-	a := tt.makeObj(poolOCs[0], 0, tag)
-	b := tt.makeObj(poolOCs[0], 0, tag)
+	a := tt.makeObj(ocs[0], 0, tag)
+	b := tt.makeObj(ocs[0], 0, tag)
 	if a != b {
 		t.Error("saturated tags not interned")
 	}

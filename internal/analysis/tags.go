@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"objinline/internal/ir"
@@ -80,23 +81,30 @@ func (t *Tag) String() string {
 	case t.IsTop():
 		return "Top"
 	}
-	var parts []string
-	for x := t; x != nil && !x.IsNoField(); x = x.Base {
-		if x.IsTop() {
-			parts = append(parts, "Top")
-			break
-		}
-		if x.AC != nil {
-			parts = append(parts, fmt.Sprintf("arr#%d[]", x.AC.ID))
-		} else {
-			parts = append(parts, fmt.Sprintf("%s#%d.%s", x.OC.Class.Name, x.OC.ID, x.Field))
-		}
+	return string(t.appendPath(nil))
+}
+
+// appendPath appends the field path of a real tag or Top to b: the
+// holders from the outermost base in, joined by "<-", each rendered as
+// Class#ID.field or arr#ID[] (a Top base as "Top"; the NoField base adds
+// nothing). canonicalize sorts tags by this rendering.
+func (t *Tag) appendPath(b []byte) []byte {
+	if t.IsTop() {
+		return append(b, "Top"...)
 	}
-	// Path is built innermost-first; reverse for readability.
-	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
-		parts[i], parts[j] = parts[j], parts[i]
+	if x := t.Base; x != nil && !x.IsNoField() {
+		b = append(x.appendPath(b), "<-"...)
 	}
-	return strings.Join(parts, "<-")
+	if t.AC != nil {
+		b = append(b, "arr#"...)
+		b = strconv.AppendInt(b, int64(t.AC.ID), 10)
+		return append(b, "[]"...)
+	}
+	b = append(b, t.OC.Class.Name...)
+	b = append(b, '#')
+	b = strconv.AppendInt(b, int64(t.OC.ID), 10)
+	b = append(b, '.')
+	return append(b, t.Field...)
 }
 
 // FieldKey identifies a source-level field independent of contours: the
@@ -123,22 +131,26 @@ func (k FieldKey) String() string {
 	return k.Class.Name + "." + k.Name
 }
 
-// tagTable interns tags for one analysis pass.
+// tagTable interns tags for one analysis pass. A tag is interned on the
+// field cell it denotes: each slot of an object contour and each array
+// contour's element summary keeps the list of tags made from it, one per
+// base, so interning is a short scan on Base (a cell sees few distinct
+// bases) instead of a hash lookup.
 type tagTable struct {
 	noField *Tag
-	byKey   map[tagKey]*Tag
-	next    int
+	all     []*Tag // every interned tag, in creation (ID) order
 	maxDep  int
+
+	// canonicalize's reused storage: every tag's rendered path, appended
+	// into one buffer, and the tags with their spans of it.
+	keyBuf []byte
+	keyed  []keyedTag
 }
 
-// tagKey identifies a tag within a pass: the state cell of the field
-// instance it denotes (one slot of an object contour, or an array
-// contour's element summary) plus its base. A cell belongs to exactly
-// one holder and field name, so the two pointers identify the tag
-// without hashing the name.
-type tagKey struct {
-	cell *VarState
-	base *Tag
+// keyedTag is a tag with the span of tagTable.keyBuf holding its path.
+type keyedTag struct {
+	t      *Tag
+	lo, hi int
 }
 
 // Sentinel intrinsic identity hashes (Tag.uid); real tags chain theirs
@@ -149,34 +161,37 @@ const (
 )
 
 func newTagTable(maxDepth int) *tagTable {
-	tt := &tagTable{
+	return &tagTable{
 		noField: &Tag{ID: tagNoFieldID, uid: tagNoFieldUID},
-		byKey:   make(map[tagKey]*Tag),
-		next:    2,
 		maxDep:  maxDepth,
 	}
-	return tt
 }
 
-// reset empties the table for the next pass, keeping its storage.
+// reset empties the table for the next pass, keeping its storage. The
+// per-cell lists live on the pass's contours, which the next pass
+// replaces.
 func (tt *tagTable) reset() {
-	clear(tt.byKey)
-	tt.next = 2
+	clear(tt.all)
+	tt.all = tt.all[:0]
 }
 
 // makeObj builds MakeTag((oc, field), base) for the field in the given
 // slot of oc (a lowered class's slots are its field indices), collapsing
 // to Top past the depth cap.
 func (tt *tagTable) makeObj(oc *ObjContour, slot int, base *Tag) *Tag {
-	return tt.make(&oc.Fields[slot], oc, nil, oc.Class.Fields[slot].Name, base)
+	if oc.fieldTags == nil {
+		oc.fieldTags = make([][]*Tag, len(oc.Fields))
+	}
+	return tt.make(&oc.fieldTags[slot], oc, nil, oc.Class.Fields[slot].Name, base)
 }
 
 // makeArr builds the tag for an element of array contour ac.
 func (tt *tagTable) makeArr(ac *ArrContour, base *Tag) *Tag {
-	return tt.make(&ac.Elem, nil, ac, "[]", base)
+	return tt.make(&ac.elemTags, nil, ac, "[]", base)
 }
 
-func (tt *tagTable) make(cell *VarState, oc *ObjContour, ac *ArrContour, field string, base *Tag) *Tag {
+// make interns the tag for one field cell and base in the cell's list.
+func (tt *tagTable) make(cell *[]*Tag, oc *ObjContour, ac *ArrContour, field string, base *Tag) *Tag {
 	depth := 1
 	if base != nil && !base.IsNoField() {
 		if base.IsTop() {
@@ -193,9 +208,10 @@ func (tt *tagTable) make(cell *VarState, oc *ObjContour, ac *ArrContour, field s
 		base = sharedTop
 		depth = tt.maxDep
 	}
-	k := tagKey{cell, base}
-	if t, ok := tt.byKey[k]; ok {
-		return t
+	for _, t := range *cell {
+		if t.Base == base {
+			return t
+		}
 	}
 	holder := uint64(0)
 	if oc != nil {
@@ -208,9 +224,10 @@ func (tt *tagTable) make(cell *VarState, oc *ObjContour, ac *ArrContour, field s
 		baseUID = base.uid
 	}
 	uid := hashU64(hashStr(hashU64(hashSeed(3), holder), field), baseUID)
-	t := &Tag{ID: tt.next, OC: oc, AC: ac, Field: field, Base: base, Depth: depth, uid: uid}
-	tt.next++
-	tt.byKey[k] = t
+	// IDs 0 and 1 are the NoField/Top sentinels.
+	t := &Tag{ID: len(tt.all) + 2, OC: oc, AC: ac, Field: field, Base: base, Depth: depth, uid: uid}
+	*cell = append(*cell, t)
+	tt.all = append(tt.all, t)
 	return t
 }
 

@@ -138,29 +138,17 @@ func (t *TypeSet) String() string {
 	return "{" + strings.Join(parts, " ") + "}"
 }
 
-// VarState is the abstract state of one value: its concrete types and the
+// State is the abstract value of one cell: its concrete types and the
 // field tags it may carry (tags empty means "not yet reached"; the
-// canonical NoField tag is explicit, as in the paper).
-type VarState struct {
+// canonical NoField tag is explicit, as in the paper). Edge arguments
+// are bare States; every cell a transfer function reads is a VarState.
+type State struct {
 	TS   TypeSet
 	Tags TagSet
-
-	// Worklist-solver bookkeeping: the (method contour, instruction,
-	// slot) readers of this state (its dependents), packed into
-	// pointer-free uint64 keys (see solver.go). The first inlineReaders
-	// live in dep, filled from the front (zero ends the list); only a
-	// state read by more spills the rest into deps (on richards, about
-	// 3.5% of the states that have readers). Maintained only while
-	// solving.
-	dep  [inlineReaders]uint64
-	deps map[uint64]struct{}
 }
 
-// inlineReaders is how many readers a VarState holds without a map.
-const inlineReaders = 3
-
 // Merge unions o into s, reporting change.
-func (s *VarState) Merge(o *VarState) bool {
+func (s *State) Merge(o *State) bool {
 	if s == o {
 		return false
 	}
@@ -168,3 +156,21 @@ func (s *VarState) Merge(o *VarState) bool {
 	c2 := s.Tags.Union(&o.Tags)
 	return c1 || c2
 }
+
+// VarState is a State plus the worklist solver's bookkeeping: the
+// (method contour, instruction, slot) readers of the state (its
+// dependents), packed into pointer-free uint64 keys (see solver.go). The
+// first inlineReaders live in dep, filled from the front (zero ends the
+// list); only a state read by more spills the rest into deps, a sorted,
+// duplicate-free list disjoint from dep (on richards, about 3.5% of the
+// states that have readers spill). deps is a pointer so that the rare
+// spill costs the common cell one word. Maintained only while solving.
+type VarState struct {
+	State
+
+	dep  [inlineReaders]uint64
+	deps *[]uint64
+}
+
+// inlineReaders is how many readers a VarState holds without spilling.
+const inlineReaders = 3

@@ -67,7 +67,7 @@ func BenchmarkVarStateMergeConverged(b *testing.B) {
 	ocs := benchContours(4)
 	tt := newTagTable(3)
 	mk := func() *VarState {
-		s := &VarState{TS: *populated(ocs)}
+		s := &VarState{State: State{TS: *populated(ocs)}}
 		for i := range ocs {
 			s.Tags.Add(tt.makeObj(poolOCs[i], 0, tt.noField))
 		}
@@ -76,7 +76,7 @@ func BenchmarkVarStateMergeConverged(b *testing.B) {
 	src, dst := mk(), mk()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		dst.Merge(src)
+		dst.Merge(&src.State)
 	}
 }
 

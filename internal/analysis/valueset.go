@@ -131,7 +131,7 @@ func sortByID[T member](s []T) {
 func byID[T member](x, y T) int { return x.setID() - y.setID() }
 
 // resort restores s's lists to ascending ID order.
-func (s *VarState) resort() {
+func (s *State) resort() {
 	sortByID(s.TS.objs)
 	sortByID(s.TS.arrs)
 	sortByID(s.Tags.tags)
@@ -150,7 +150,9 @@ func (a *analyzer) resortStates() {
 		all(mc.Regs)
 		mc.Ret.resort()
 		for _, e := range mc.InEdges {
-			all(e.Args)
+			for i := range e.Args {
+				e.Args[i].resort()
+			}
 		}
 	}
 	for _, oc := range a.ocList {

@@ -76,7 +76,7 @@ func TestValueSetCopyOnWrite(t *testing.T) {
 			case 4:
 				c.Tags.Union(&o.Tags)
 			case 5:
-				c.Merge(o)
+				c.Merge(&o.State)
 			}
 			for i := range cells {
 				if !objs[i].intact() || !arrs[i].intact() || !tls[i].intact() {
@@ -208,8 +208,9 @@ func TestTagSetMatchesModel(t *testing.T) {
 
 // TestTopIsOneSentinel holds every tag table to the package's one Top.
 func TestTopIsOneSentinel(t *testing.T) {
+	ocs, _ := genPool() // fresh cells: no other table's tags on them
 	tt := newTagTable(1)
-	deep := tt.makeObj(poolOCs[0], 0, tt.makeObj(poolOCs[1], 0, tt.noField))
+	deep := tt.makeObj(ocs[0], 0, tt.makeObj(ocs[1], 0, tt.noField))
 	if deep.Base != sharedTop {
 		t.Fatalf("capped tag's base is %p, want the shared Top %p", deep.Base, sharedTop)
 	}
@@ -228,7 +229,7 @@ func TestValueSetAllocs(t *testing.T) {
 	dst.AddArr(poolACs[0])
 	tags := tagPool(6)
 	mk := func() *VarState {
-		s := &VarState{TS: *populated(ocs)}
+		s := &VarState{State: State{TS: *populated(ocs)}}
 		for _, tag := range tags {
 			s.Tags.Add(tag)
 		}
@@ -249,7 +250,7 @@ func TestValueSetAllocs(t *testing.T) {
 			}
 		}},
 		{"converged VarState.Merge", func() {
-			if vdst.Merge(vsrc) {
+			if vdst.Merge(&vsrc.State) {
 				t.Fatal("converged merge reported change")
 			}
 		}},
@@ -260,7 +261,7 @@ func TestValueSetAllocs(t *testing.T) {
 		}},
 		{"VarState.Merge into empty", func() {
 			var e VarState
-			e.Merge(vsrc)
+			e.Merge(&vsrc.State)
 			sink += e.Tags.Len()
 		}},
 	}
