@@ -716,7 +716,7 @@ func (a *analyzer) evalInstr(mc *MethodContour, fn *ir.Func, in *ir.Instr) {
 			// Types flow through the field; the loaded value is tagged
 			// MakeTag(f, tag(o)) per §4.1. Content provenance is *not*
 			// unioned in: it stays recorded on the field state and is
-			// resolved on demand (Result.RepsOf), exactly as the paper's
+			// resolved on demand (Resolver), exactly as the paper's
 			// field-confluence partitions associate a content tag with
 			// each split object contour.
 			a.unionTS(dst, fs)

@@ -140,9 +140,9 @@ func TestRepsOfNoCandidates(t *testing.T) {
 			if !st.TS.HasObjects() {
 				continue
 			}
-			rep := res.RepsOf(&st.Tags, none)
-			if len(rep.Fields) > 0 {
-				t.Errorf("%s r%d resolved to fields %v with no candidates", mc, i, rep.Fields)
+			rep := res.NewResolver(none).RepsOf(&st.Tags)
+			if len(rep.Heads) > 0 {
+				t.Errorf("%s r%d resolved to fields %v with no candidates", mc, i, rep.Keys())
 			}
 		}
 	}

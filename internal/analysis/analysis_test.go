@@ -133,12 +133,12 @@ func TestPaperFig8And9Tags(t *testing.T) {
 	pointAbs := p.ClassNamed("Point").Methods["absv"]
 	cornerContours := 0
 	for _, mc := range res.Contours[pointAbs] {
-		rep := res.RepsOf(&mc.Regs[0].Tags, candidates)
+		rep := res.NewResolver(candidates).RepsOf(&mc.Regs[0].Tags)
 		if rep.Confused {
 			t.Errorf("contour %s: self rep confused (tags %s)", mc, mc.Regs[0].Tags.String())
 			continue
 		}
-		if rep.Raw && len(rep.Fields) > 0 {
+		if rep.Raw && len(rep.Heads) > 0 {
 			t.Errorf("contour %s: self may be raw or container (tags %s)", mc, mc.Regs[0].Tags.String())
 			continue
 		}

@@ -1,10 +1,14 @@
 package analysis
 
+import "slices"
+
 // Rep describes how a value is represented at run time once a set of
 // fields has been chosen for inlining. A tag resolves to one or more of:
 //
 //   - the raw object itself (it did not flow from an inlined field);
-//   - the container of an inlined field (identified by its FieldKey);
+//   - the container of an inlined field, named by the tag of that field
+//     the value was loaded from (its head is the field's FieldKey, its
+//     contour and base locate the container);
 //   - confusion (the analysis cannot pin the representation down).
 //
 // This is the resolution step behind the paper's decision rule ("a field
@@ -13,53 +17,54 @@ package analysis
 // raw object and a container rep — or containers of two different fields —
 // cannot be rewritten consistently, so the involved fields are rejected.
 type Rep struct {
-	Raw      bool
-	Fields   map[FieldKey]bool
-	Confused bool
+	Raw, Confused bool
+	// Heads are the inlined-field tags, sorted by ID and duplicate-free.
+	// The slice is shared between reps and never written.
+	Heads []*Tag
 }
 
 // Add merges another rep into r.
 func (r *Rep) Add(o Rep) {
 	r.Raw = r.Raw || o.Raw
 	r.Confused = r.Confused || o.Confused
-	for k := range o.Fields {
-		r.addField(k)
-	}
+	r.Heads, _ = union(r.Heads, o.Heads)
 }
 
-func (r *Rep) addField(k FieldKey) {
-	if r.Fields == nil {
-		r.Fields = make(map[FieldKey]bool)
+// Keys returns the distinct field keys of r's heads, in head order.
+func (r *Rep) Keys() []FieldKey {
+	var keys []FieldKey
+	for _, h := range r.Heads {
+		if k := h.Head(); !slices.Contains(keys, k) {
+			keys = append(keys, k)
+		}
 	}
-	r.Fields[k] = true
+	return keys
 }
 
 // Unique reports whether the rep is exactly one inlined field's container
 // (no raw alternative, no confusion) and returns that field.
 func (r *Rep) Unique() (FieldKey, bool) {
-	if r.Raw || r.Confused || len(r.Fields) != 1 {
+	if r.Raw || r.Confused || len(r.Heads) == 0 {
 		return FieldKey{}, false
 	}
-	for k := range r.Fields {
-		return k, true
+	k := r.Heads[0].Head()
+	for _, h := range r.Heads[1:] {
+		if h.Head() != k {
+			return FieldKey{}, false
+		}
 	}
-	return FieldKey{}, false
+	return k, true
 }
 
 // PureRaw reports whether the value is definitely the raw object.
-func (r *Rep) PureRaw() bool { return r.Raw && !r.Confused && len(r.Fields) == 0 }
+func (r *Rep) PureRaw() bool { return r.Raw && !r.Confused && len(r.Heads) == 0 }
 
-// RepsOf resolves a tag set against a tentative inlining decision:
-// inlined(k) reports whether field k is (still) a candidate. It is the
-// one-shot form of NewResolver(inlined).RepsOf(tags).
-func (r *Result) RepsOf(tags *TagSet, inlined func(FieldKey) bool) Rep {
-	return r.NewResolver(inlined).RepsOf(tags)
-}
-
-// Resolver resolves tag sets to representations under one inlining
-// predicate, memoizing each tag's rep across calls. Tags of non-inlined
-// fields resolve through the field's recorded content tags; a tag of an
-// inlined field resolves to that field's container.
+// Resolver resolves tags and tag sets to representations under one
+// inlining predicate, memoizing each tag's rep across calls. It is the one
+// walk over content provenance: the prune loop asks it about every value,
+// and the rewrite takes each tag's content closure from it. Tags of
+// non-inlined fields resolve through the field's recorded content tags; a
+// tag of an inlined field resolves to itself as a head.
 //
 // Content provenance can be cyclic (a cons cell's next field stores cells
 // loaded from next fields). The least fixpoint gives every tag the union
@@ -68,8 +73,8 @@ func (r *Result) RepsOf(tags *TagSet, inlined func(FieldKey) bool) Rep {
 // contributions plus those of the components it reaches. The walk is
 // Tarjan's: a tag's rep is memoized only once its component closes, never
 // while a back edge to an open ancestor is still unaccounted for — such a
-// partial answer would be correct inside one RepsOf union but would
-// under-report fields when read by a later call.
+// partial answer would be correct inside one union but would under-report
+// heads when read by a later call.
 //
 // The memo is valid only while inlined answers as it did when each entry
 // was computed; a caller that changes the predicate's answers must call
@@ -103,14 +108,19 @@ func (rs *Resolver) Reset() { clear(rs.memo) }
 func (rs *Resolver) RepsOf(tags *TagSet) Rep {
 	var out Rep
 	for _, t := range tags.List() {
-		rep, ok := rs.closed(t)
-		if !ok {
-			rs.visit(t)
-			rep = rs.memo[t]
-		}
-		out.Add(rep)
+		out.Add(rs.Resolve(t))
 	}
 	return out
+}
+
+// Resolve returns one tag's rep.
+func (rs *Resolver) Resolve(t *Tag) Rep {
+	rep, ok := rs.closed(t)
+	if !ok {
+		rs.visit(t)
+		rep = rs.memo[t]
+	}
+	return rep
 }
 
 // closed returns the rep of a sentinel or of a tag whose component has
@@ -140,13 +150,10 @@ func (rs *Resolver) visit(t *Tag) int {
 	low := pos
 
 	var rep Rep
-	key := t.Head()
-	if rs.inlined != nil && rs.inlined(key) {
-		// The field is inlined: the value is the container's rep. The
-		// container itself is described by the base tag; its identity is
-		// what the *transformation* needs, but for representation
-		// consistency the field key suffices.
-		rep.addField(key)
+	if rs.inlined != nil && rs.inlined(t.Head()) {
+		// The field is inlined: the value is the container's rep, which
+		// t's contour and base locate.
+		rep.Heads = []*Tag{t}
 	} else if content := contentTags(t); content == nil || content.Len() == 0 {
 		// Never stored (or analysis gap): reading yields nil at run
 		// time; treat as raw.

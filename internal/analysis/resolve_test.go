@@ -1,7 +1,7 @@
 package analysis_test
 
 import (
-	"maps"
+	"slices"
 	"testing"
 
 	"objinline/internal/analysis"
@@ -70,11 +70,16 @@ func TestResolverCycleOrderIndependent(t *testing.T) {
 			for _, tag := range order {
 				var one analysis.TagSet
 				one.Add(tag)
-				got, want := rs.RepsOf(&one), res.RepsOf(&one, inlined)
+				got, want := rs.RepsOf(&one), res.NewResolver(inlined).RepsOf(&one)
 				if !sameRep(got, want) {
 					t.Errorf("%s: tag %s after %v: shared resolver gives %+v, fresh %+v", name, tag, order, got, want)
 				}
-				sawField = sawField || got.Fields[holderPt]
+				for i := 1; i < len(got.Heads); i++ {
+					if got.Heads[i-1].ID >= got.Heads[i].ID {
+						t.Errorf("%s: tag %s: heads %v not strictly ascending by ID", name, tag, got.Heads)
+					}
+				}
+				sawField = sawField || slices.Contains(got.Keys(), holderPt)
 			}
 		}
 	}
@@ -131,5 +136,5 @@ func rotations(ts []*analysis.Tag) [][]*analysis.Tag {
 }
 
 func sameRep(a, b analysis.Rep) bool {
-	return a.Raw == b.Raw && a.Confused == b.Confused && maps.Equal(a.Fields, b.Fields)
+	return a.Raw == b.Raw && a.Confused == b.Confused && slices.Equal(a.Heads, b.Heads)
 }

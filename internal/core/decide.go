@@ -447,27 +447,17 @@ func pruneInconsistent(prog *ir.Program, res *analysis.Result, d *Decision) {
 		}
 		var confusedTS *analysis.TypeSet
 		remove := func(rep analysis.Rep, tags *analysis.TagSet, code ReasonCode, reason string, ev Step) {
-			victims := rep.Fields
-			if len(victims) == 0 {
+			keys := rep.Keys()
+			if len(keys) == 0 {
 				// Confusion without attribution: fall back to raw heads.
-				heads, _, _ := tags.Heads()
-				victims = make(map[analysis.FieldKey]bool)
-				for _, h := range heads {
-					victims[h] = true
-				}
+				keys, _, _ = tags.Heads()
 			}
-			if len(victims) == 0 && confusedTS != nil {
-				// Fully saturated tags: attribute by class overlap.
-				victims = make(map[analysis.FieldKey]bool)
+			if len(keys) == 0 && confusedTS != nil {
+				// Fully saturated tags: attribute by class overlap (a key
+				// listed twice is rejected once).
 				for _, cls := range confusedTS.Classes() {
-					for _, k := range byClass[cls] {
-						victims[k] = true
-					}
+					keys = append(keys, byClass[cls]...)
 				}
-			}
-			keys := make([]analysis.FieldKey, 0, len(victims))
-			for k := range victims {
-				keys = append(keys, k)
 			}
 			sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
 			evidence := append([]Step{ev}, budgetStep...)
@@ -490,14 +480,17 @@ func pruneInconsistent(prog *ir.Program, res *analysis.Result, d *Decision) {
 				remove(rep, &v.Tags, ReasonTagConfusion, "value with confused provenance at "+where,
 					Step{What: "tag-confusion", Where: where,
 						Detail: "value tags " + v.Tags.String() + " resolve to confusion"})
-			case rep.Raw && len(rep.Fields) > 0:
+			case rep.Raw && len(rep.Heads) > 0:
 				remove(rep, &v.Tags, ReasonRawOrInlined, "value may be original object or inlined state at "+where,
 					Step{What: "raw-inlined-mix", Where: where,
 						Detail: "value tags " + v.Tags.String() + " resolve to both a raw object and inlined state"})
-			case len(rep.Fields) > 1:
+			case len(rep.Heads) > 1:
+				if _, one := rep.Unique(); one {
+					break
+				}
 				remove(rep, &v.Tags, ReasonMultipleFields, "value may come from several inlined fields at "+where,
 					Step{What: "multi-field", Where: where,
-						Detail: "value tags " + v.Tags.String() + " resolve to " + fieldNames(rep.Fields)})
+						Detail: "value tags " + v.Tags.String() + " resolve to " + fieldNames(rep.Keys())})
 			}
 		}
 		for _, mc := range res.Mcs {
@@ -531,7 +524,7 @@ func pruneInconsistent(prog *ir.Program, res *analysis.Result, d *Decision) {
 						}
 						confusedTS = &v.TS
 						rep := rs.RepsOf(&v.Tags)
-						if !rep.PureRaw() && (len(rep.Fields) > 0 || rep.Confused) {
+						if !rep.PureRaw() && (len(rep.Heads) > 0 || rep.Confused) {
 							remove(rep, &v.Tags, ReasonEscapesBuiltin,
 								"inlined value escapes to a builtin at "+in.Pos.String(),
 								Step{What: "escapes-to-builtin", Where: in.Pos.String(),
@@ -550,7 +543,7 @@ func pruneInconsistent(prog *ir.Program, res *analysis.Result, d *Decision) {
 					confusedTS = &x.TS
 					repX := rs.RepsOf(&x.Tags)
 					repY := rs.RepsOf(&y.Tags)
-					if len(repX.Fields) == 0 && len(repY.Fields) == 0 {
+					if len(repX.Heads) == 0 && len(repY.Heads) == 0 {
 						return
 					}
 					// Identity is preserved only when both sides are reps
@@ -612,9 +605,9 @@ var newPruneResolver = func(res *analysis.Result, inlined func(analysis.FieldKey
 	return res.NewResolver(inlined)
 }
 
-func fieldNames(fields map[analysis.FieldKey]bool) string {
-	names := make([]string, 0, len(fields))
-	for k := range fields {
+func fieldNames(keys []analysis.FieldKey) string {
+	names := make([]string, 0, len(keys))
+	for _, k := range keys {
 		names = append(names, k.String())
 	}
 	sort.Strings(names)

@@ -7,8 +7,8 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"reflect"
+	"slices"
 
 	"objinline/internal/analysis"
 	"objinline/internal/ir"
@@ -17,19 +17,19 @@ import (
 // ResolutionCheck is what CheckResolution compared.
 type ResolutionCheck struct {
 	// Prune counts prune-loop resolutions compared against a fresh
-	// Result.RepsOf; Resets the rejections that dropped the shared memo.
+	// Resolver; Resets the rejections that dropped the shared memo.
 	Prune, Resets int
 	// Transform counts values whose transformer rep was compared against
-	// one computed with a fresh tag memo.
+	// one computed with a fresh resolver and tag memo.
 	Transform  int
 	Mismatches []string
 }
 
 // CheckResolution optimizes prog, comparing every tag-set resolution the
-// prune loop makes through its shared resolver against a fresh one-shot
-// Result.RepsOf. Then, for every value of the analysis, it compares the
-// succeeding transformer's rep through its shared tag memo against the
-// rep computed with an empty memo.
+// prune loop makes through its shared resolver against a fresh one. Then,
+// for every value of the analysis, it compares the succeeding
+// transformer's rep through its shared resolver and tag memo against the
+// rep computed with empty ones.
 func CheckResolution(prog *ir.Program, res *analysis.Result, opts Options) (ResolutionCheck, error) {
 	var c ResolutionCheck
 	saved := newPruneResolver
@@ -44,10 +44,10 @@ func CheckResolution(prog *ir.Program, res *analysis.Result, opts Options) (Reso
 	check := func(st *analysis.VarState, where string) {
 		c.Transform++
 		shared, sharedErr := tr.repOfState(st)
-		memo := tr.tagMemo
-		tr.tagMemo = make(map[*analysis.Tag]*tagRes)
+		rs, memo := tr.rs, tr.tagMemo
+		tr.rs, tr.tagMemo = res.NewResolver(tr.d.Has), make(map[*analysis.Tag]*tagRes)
 		fresh, freshErr := tr.repOfState(st)
-		tr.tagMemo = memo
+		tr.rs, tr.tagMemo = rs, memo
 		if !reflect.DeepEqual(shared, fresh) || !reflect.DeepEqual(sharedErr, freshErr) {
 			c.Mismatches = append(c.Mismatches, fmt.Sprintf("transform %s (tags %s): shared memo %+v %v, fresh %+v %v",
 				where, st.Tags.String(), shared, sharedErr, fresh, freshErr))
@@ -84,9 +84,9 @@ type checkedResolver struct {
 
 func (r *checkedResolver) RepsOf(tags *analysis.TagSet) analysis.Rep {
 	got := r.shared.RepsOf(tags)
-	want := r.res.RepsOf(tags, r.inlined)
+	want := r.res.NewResolver(r.inlined).RepsOf(tags)
 	r.c.Prune++
-	if got.Raw != want.Raw || got.Confused != want.Confused || !maps.Equal(got.Fields, want.Fields) {
+	if got.Raw != want.Raw || got.Confused != want.Confused || !slices.Equal(got.Heads, want.Heads) {
 		r.c.Mismatches = append(r.c.Mismatches, fmt.Sprintf("prune: tags %s: shared resolver %+v, fresh %+v",
 			tags.String(), got, want))
 	}

@@ -8,6 +8,7 @@ package core_test
 import (
 	"fmt"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -74,11 +75,12 @@ func main() {
 `
 
 // TestMemoizedResolutionMatchesFresh: for every benchmark's inline build,
-// fuzz seeds 0–199 and a program whose prune loop rejects, every value the
-// prune loop checks resolves to the same Rep through the shared,
-// reset-on-rejection Resolver as through a fresh Result.RepsOf, and the
-// transformer's shared tag memo gives the same register rep as a fresh
-// memo.
+// fuzz seeds 0–199, a program whose prune loop rejects and one whose
+// content provenance is cyclic (testdata/content_cycle.icc), every value
+// the prune loop checks resolves to the same Rep through the shared,
+// reset-on-rejection Resolver as through a fresh one, and the
+// transformer's shared resolver and tag memo give the same register rep
+// as fresh ones.
 func TestMemoizedResolutionMatchesFresh(t *testing.T) {
 	builds := benchmarkBuilds(t, pipeline.ModeInline)
 	c, err := pipeline.Compile("prune.icc", pruneRejects, pipeline.Config{Mode: pipeline.ModeInline})
@@ -89,6 +91,15 @@ func TestMemoizedResolutionMatchesFresh(t *testing.T) {
 		t.Fatalf("prune.icc: %d rejected fields, want Box.p, Bag.q and Cup.r", n)
 	}
 	builds = append(builds, corpusBuild{"prune.icc", c})
+	cycle, err := os.ReadFile("../../testdata/content_cycle.icc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err = pipeline.Compile("content_cycle.icc", string(cycle), pipeline.Config{Mode: pipeline.ModeInline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds = append(builds, corpusBuild{"content_cycle.icc", c})
 	seeds := 200
 	if testing.Short() {
 		seeds = 20

@@ -88,6 +88,9 @@ type transformer struct {
 	// confused its own provenance is.
 	repable map[*analysis.ObjContour]bool
 
+	// rs resolves tags under the fixed decision; tagMemo keeps each
+	// tag's carriers.
+	rs      *analysis.Resolver
 	tagMemo map[*analysis.Tag]*tagRes
 
 	// Signing state: the rewriter whose buffer every contour's signature
@@ -112,6 +115,7 @@ func newTransformer(prog *ir.Program, res *analysis.Result, d *Decision, vs *ver
 		stackable: make(map[*ir.Instr]bool),
 		stackKeys: make(map[*ir.Instr][]analysis.FieldKey),
 		repable:   repableContours(res, d),
+		rs:        res.NewResolver(d.Has),
 		tagMemo:   make(map[*analysis.Tag]*tagRes),
 		sigs:      make(map[string]string),
 	}
@@ -222,62 +226,37 @@ func (t *transformer) stackProvenance() []StackSite {
 	return out
 }
 
-// resolveTag computes the carriers of one tag.
+// resolveTag computes the carriers of one tag: the resolver gives the
+// inlined-field tags its content leads to, and each of those locates its
+// container through its base.
 func (t *transformer) resolveTag(tag *analysis.Tag, guard map[*analysis.Tag]bool) *tagRes {
 	if r, ok := t.tagMemo[tag]; ok {
 		return r
 	}
-	switch {
-	case tag.IsNoField():
-		r := &tagRes{raw: true}
-		t.tagMemo[tag] = r
-		return r
-	case tag.IsTop():
+	rep := t.rs.Resolve(tag)
+	if rep.Confused {
 		return &tagRes{err: errKeys("confused provenance")}
 	}
 	if guard[tag] {
-		// The cycle contributes no carriers; its finite entry paths appear
-		// as sibling tags. Unlike analysis.Resolver, the memo keeps the
-		// partial answers of the cycle's other members;
-		// TestMemoizedResolutionMatchesFresh pins that no benchmark or
-		// fuzz program observes the difference.
+		// A container reached again through its own bases would be a
+		// contour inlined into itself, which the containment-cycle check
+		// rejects at class level; should one slip through, the cycle
+		// contributes no carriers.
 		return &tagRes{}
 	}
 	guard[tag] = true
 	defer delete(guard, tag)
 
-	key := tag.Head()
-	var r tagRes
-	if t.d.Has(key) {
-		r = t.resolveInlinedTag(tag, key, guard)
-	} else {
-		// Not inlined: the value is whatever was stored; resolve the
-		// content tags.
-		var content *analysis.TagSet
-		if ac := tag.HeadAC(); ac != nil {
-			content = &ac.Elem.Tags
-		} else if fs := tag.HeadOC().FieldState(tag.Field); fs != nil {
-			content = &fs.Tags
+	r := tagRes{raw: rep.Raw}
+	for _, h := range rep.Heads {
+		hr := t.resolveInlinedTag(h, h.Head(), guard)
+		if hr.err != nil {
+			return &hr
 		}
-		if content == nil || content.Len() == 0 {
-			r.raw = true // reads nil at run time
-		} else {
-			for _, ct := range content.List() {
-				cr := t.resolveTag(ct, guard)
-				if cr.err != nil {
-					r.err = cr.err
-					break
-				}
-				r.raw = r.raw || cr.raw
-				r.carriers = append(r.carriers, cr.carriers...)
-			}
-		}
+		r.raw = r.raw || hr.raw
+		r.carriers = append(r.carriers, hr.carriers...)
 	}
-	if r.err == nil {
-		out := r
-		t.tagMemo[tag] = &out
-		return &out
-	}
+	t.tagMemo[tag] = &r
 	return &r
 }
 

@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -393,6 +394,34 @@ func main() {
 }
 `
 	differential(t, src)
+}
+
+// TestContentCycleResolvesInAnyOrder: testdata/content_cycle.icc stores
+// Q.p's point into Node.next, copies it to Cell.f and back, so the two
+// fields' content provenance forms a cycle that leads to the inlined Q.p.
+// Whichever of n.next and c.f the rewrite resolves first, both must be
+// rewritten as Q's container: a partial answer memoized inside the cycle
+// would leave the second a raw field read on a Q'0 ("class Q'0 has no
+// field x").
+func TestContentCycleResolvesInAnyOrder(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/content_cycle.icc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const next, f = "print(n.next.get());", "print(c.f.get());"
+	swapped := strings.NewReplacer(next, f, f, next).Replace(string(src))
+	if swapped == string(src) {
+		t.Fatal("content_cycle.icc no longer prints n.next and c.f")
+	}
+	for _, prog := range []string{string(src), swapped} {
+		if got, _, _ := runMode(t, prog, pipeline.ModeDirect); got != "1\n1\n" {
+			t.Fatalf("direct prints %q, want 1 1", got)
+		}
+		ci := differential(t, prog)
+		if len(ci.Optimize.Decision.Inlined) == 0 {
+			t.Error("nothing inlined; the case no longer exercises the rewrite")
+		}
+	}
 }
 
 func TestContainmentCycleRejected(t *testing.T) {
