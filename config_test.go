@@ -56,7 +56,7 @@ func TestFingerprintDistinguishesKnobs(t *testing.T) {
 func TestFingerprintIsStable(t *testing.T) {
 	cfg := objinline.Config{Mode: objinline.Inline, ParallelArrays: true, TagDepth: 4}
 	fp := cfg.Fingerprint()
-	const want = "objinline.Config/v3;mode=inline;parallel_arrays=true;tag_depth=4"
+	const want = "objinline.Config/v4;mode=inline;parallel_arrays=true;tag_depth=4"
 	if fp != want {
 		t.Errorf("fingerprint = %q, want %q", fp, want)
 	}

@@ -28,8 +28,6 @@ type Options struct {
 	// confluences. Off, the analysis is the baseline Concert type
 	// inference (the paper's "without inlining" configuration).
 	Tags bool
-	// MaxPasses bounds the iterative refinement (default 8).
-	MaxPasses int
 	// MaxContours bounds total method contours per pass (default 6000);
 	// on overflow the selection function stops splitting (conservative).
 	MaxContours int
@@ -39,19 +37,17 @@ type Options struct {
 	// SolverSweep. Both compute identical results (differentially
 	// tested); the worklist does far less work than the sweep.
 	Solver string
-	// MaxRounds bounds the per-pass fixpoint iteration (default 1000).
-	// A pass that exhausts it stops with Result.Converged == false.
-	MaxRounds int
 }
+
+// maxPasses bounds the iterative refinement: a pass whose policy update
+// still splits is followed by another, at most this many in all.
+const maxPasses = 8
 
 // WithDefaults returns o with zero-valued knobs replaced by their
 // defaults. Analyze applies it internally; callers that key caches on
 // Options should apply it too, so that an explicit default (TagDepth 3)
 // and an implicit one (TagDepth 0) memoize as the same configuration.
 func (o Options) WithDefaults() Options {
-	if o.MaxPasses == 0 {
-		o.MaxPasses = 8
-	}
 	if o.MaxContours == 0 {
 		o.MaxContours = 6000
 	}
@@ -60,9 +56,6 @@ func (o Options) WithDefaults() Options {
 	}
 	if o.Solver == "" {
 		o.Solver = SolverWorklist
-	}
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 1000
 	}
 	return o
 }
@@ -81,11 +74,6 @@ type Result struct {
 
 	Passes     int
 	Overflowed bool
-	// Converged is false when the final pass exhausted Options.MaxRounds
-	// before reaching a fixpoint; the result is then a (sound per-round
-	// but possibly incomplete) under-approximation and downstream
-	// consumers should treat it conservatively.
-	Converged bool
 	// Work counts the solver's effort across all passes (see WorkStats).
 	Work WorkStats
 }
@@ -138,7 +126,7 @@ func AnalyzeContext(ctx context.Context, prog *ir.Program, opts Options) (*Resul
 		if a.ctxErr != nil {
 			return nil, fmt.Errorf("analysis canceled in pass %d: %w", pass, a.ctxErr)
 		}
-		if pass >= a.opts.MaxPasses || !a.updatePolicies() {
+		if pass >= maxPasses || !a.updatePolicies() {
 			return a.result(pass), nil
 		}
 	}
@@ -225,7 +213,6 @@ type analyzer struct {
 	dirtyCur    []bool // by contour ID: scheduled for this round
 	dirtyNext   []bool // by contour ID: scheduled for the next round
 	pendingNext int
-	converged   bool
 
 	// Per-evaluation state, reset by each pass.
 	cur      *MethodContour // contour being evaluated (dep registration)
@@ -320,7 +307,6 @@ func (a *analyzer) resetPass() {
 	a.curIdx = -1
 	a.dirtyCur, a.dirtyNext = a.dirtyCur[:0], a.dirtyNext[:0]
 	a.pendingNext = 0
-	a.converged = true
 	a.cur, a.curInstr, a.pollN = nil, -1, 1
 }
 
@@ -940,7 +926,6 @@ func (a *analyzer) result(passes int) *Result {
 		Globals:    a.globals,
 		Passes:     passes,
 		Overflowed: a.overflow,
-		Converged:  a.converged,
 		Work:       a.work,
 	}
 	for _, mc := range a.mcList {

@@ -9,8 +9,8 @@ import (
 )
 
 // Stats summarizes analysis cost, the Figure 16 metric, plus the solver's
-// work counters and convergence status. The JSON tags are the public
-// API's wire shape (objinline.AnalysisStats is this type).
+// work counters. The JSON tags are the public API's wire shape
+// (objinline.AnalysisStats is this type).
 type Stats struct {
 	ReachedFuncs   int `json:"reached_funcs"`
 	MethodContours int `json:"method_contours"`
@@ -19,8 +19,6 @@ type Stats struct {
 	Passes         int `json:"passes"`
 	// ContoursPerMethod is MethodContours / ReachedFuncs.
 	ContoursPerMethod float64 `json:"contours_per_method"`
-	// Converged is false when the final pass hit Options.MaxRounds.
-	Converged bool `json:"converged"`
 	// Work counts the solver's effort across all passes.
 	Work WorkStats `json:"work"`
 }
@@ -33,7 +31,6 @@ func (r *Result) Stats() Stats {
 		ObjContours:    len(r.Objs),
 		ArrContours:    len(r.Arrs),
 		Passes:         r.Passes,
-		Converged:      r.Converged,
 		Work:           r.Work,
 	}
 	if s.ReachedFuncs > 0 {
@@ -102,10 +99,6 @@ func (r *Result) String() string {
 	st := r.Stats()
 	fmt.Fprintf(&b, "passes=%d contours=%d objs=%d arrs=%d funcs=%d (%.2f contours/method)\n",
 		st.Passes, st.MethodContours, st.ObjContours, st.ArrContours, st.ReachedFuncs, st.ContoursPerMethod)
-	if !r.Converged {
-		fmt.Fprintf(&b, "WARNING: analysis did not converge within MaxRounds=%d; result is incomplete\n",
-			r.Opts.MaxRounds)
-	}
 	fns := make([]*ir.Func, 0, len(r.Contours))
 	for fn := range r.Contours {
 		fns = append(fns, fn)

@@ -9,6 +9,11 @@ import "slices"
 // round) and share every transfer function in analysis.go; they differ
 // only in which contours are evaluated when.
 //
+// Neither solver caps its rounds: a pass runs until a round changes
+// nothing, since the result is sound only at the fixpoint. Each further
+// round follows growth in a finite lattice or a new contour or tag, all
+// bounded (DESIGN.md §8), and the context poll bounds wall time.
+//
 // The sweep solver re-evaluates *every* contour every round until a full
 // round changes nothing. The worklist solver tracks, per VarState, the
 // set of instructions (per method contour) whose evaluation has read it;
@@ -127,14 +132,13 @@ func (a *analyzer) pollCancelled() bool {
 // whole round changes nothing. Kept as the reference implementation
 // (Options.Solver == SolverSweep) for differential testing.
 func (a *analyzer) runSweep() {
-	for round := 0; round < a.opts.MaxRounds; round++ {
+	for {
 		a.work.Rounds++
 		a.changed = false
 		// The list grows while we iterate; newly created contours are
 		// evaluated within the same round.
 		for i := 0; i < len(a.mcList); i++ {
 			if a.pollCancelled() {
-				a.converged = false
 				return
 			}
 			a.evalContour(a.mcList[i])
@@ -143,20 +147,18 @@ func (a *analyzer) runSweep() {
 			return
 		}
 	}
-	a.converged = false
 }
 
 // runWorklist drains rounds of dirty contours in ascending ID order; see
 // the package comment above for why this reproduces the sweep exactly.
 func (a *analyzer) runWorklist() {
-	for round := 0; round < a.opts.MaxRounds; round++ {
+	for {
 		a.work.Rounds++
 		for i := 0; i < len(a.mcList); i++ {
 			if !a.dirtyCur[i] {
 				continue
 			}
 			if a.pollCancelled() {
-				a.converged = false
 				a.curIdx = -1
 				return
 			}
@@ -174,7 +176,6 @@ func (a *analyzer) runWorklist() {
 		a.dirtyCur, a.dirtyNext = a.dirtyNext, a.dirtyCur
 		a.pendingNext = 0
 	}
-	a.converged = false
 }
 
 // A reader identifies one dependent of a VarState: one slot of one

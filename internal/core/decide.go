@@ -17,8 +17,6 @@ import (
 type Decision struct {
 	// Inlined is the final candidate set.
 	Inlined map[analysis.FieldKey]bool
-	// Initial is the candidate set before global consistency pruning.
-	Initial map[analysis.FieldKey]bool
 	// Rejected maps each rejected candidate (or non-candidate object
 	// field) to the structured reason.
 	Rejected map[analysis.FieldKey]Reason
@@ -34,7 +32,6 @@ type Decision struct {
 func newDecision() *Decision {
 	return &Decision{
 		Inlined:  make(map[analysis.FieldKey]bool),
-		Initial:  make(map[analysis.FieldKey]bool),
 		Rejected: make(map[analysis.FieldKey]Reason),
 		Accepted: make(map[analysis.FieldKey][]Step),
 	}
@@ -118,10 +115,6 @@ func decide(prog *ir.Program, res *analysis.Result, val *valuability) *Decision 
 
 	// Containment cycles cannot be flattened.
 	rejectContainmentCycles(res, ocsByKey, d)
-
-	for k := range d.Inlined {
-		d.Initial[k] = true
-	}
 
 	// Global consistency: iterate until every value's representation is
 	// unambiguous under the surviving candidate set (the paper's "tags of
@@ -433,7 +426,9 @@ func pruneInconsistent(prog *ir.Program, res *analysis.Result, d *Decision) {
 				res.Opts.MaxContours),
 		}}
 	}
-	for round := 0; round < len(d.Initial)+2; round++ {
+	// Each round either rejects a candidate from the finite d.Inlined set
+	// or ends the loop.
+	for {
 		removedAny := false
 		byClass := candidateContentClasses(res, d)
 		repable := repableContours(res, d)

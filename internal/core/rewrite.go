@@ -152,6 +152,9 @@ func repableContours(res *analysis.Result, d *Decision) map[*analysis.ObjContour
 // findStackable marks allocation sites whose objects are fully consumed by
 // an inlined-field copy.
 func (t *transformer) findStackable() {
+	if len(t.d.Inlined) == 0 {
+		return
+	}
 	for _, mc := range t.res.Mcs {
 		fn := mc.Fn
 		fn.Instrs(func(_ *ir.Block, in *ir.Instr) {

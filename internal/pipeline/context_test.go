@@ -55,22 +55,32 @@ func contourBlowupSource(n int) string {
 }
 
 // TestCompileCancelInAnalysis checks every fixpoint solver honors the
-// deadline mid-analysis.
+// deadline mid-analysis: on a contour blowup, and on a 16,000-call chain
+// whose passes run one round per call level. Neither has a round limit
+// to stop it; the deadline does.
 func TestCompileCancelInAnalysis(t *testing.T) {
-	src := contourBlowupSource(20)
+	inputs := []struct {
+		name     string
+		src      string
+		deadline time.Duration
+	}{
+		{"blowup.icc", contourBlowupSource(20), 20 * time.Millisecond},
+		{"chain.icc", callChainSource(16000), 100 * time.Millisecond},
+	}
 	for _, solver := range cancelSolvers {
 		t.Run(solver, func(t *testing.T) {
-			const deadline = 20 * time.Millisecond
-			ctx, cancel := context.WithTimeout(context.Background(), deadline)
-			defer cancel()
-			start := time.Now()
-			_, err := pipeline.CompileContext(ctx, "blowup.icc", src, solverConfig(solver))
-			elapsed := time.Since(start)
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-			}
-			if elapsed > deadline+cancelSlack {
-				t.Errorf("cancellation took %v, want under %v", elapsed, deadline+cancelSlack)
+			for _, in := range inputs {
+				ctx, cancel := context.WithTimeout(context.Background(), in.deadline)
+				start := time.Now()
+				_, err := pipeline.CompileContext(ctx, in.name, in.src, solverConfig(solver))
+				elapsed := time.Since(start)
+				cancel()
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("%s: err = %v, want context.DeadlineExceeded", in.name, err)
+				}
+				if elapsed > in.deadline+cancelSlack {
+					t.Errorf("%s: cancellation took %v, want under %v", in.name, elapsed, in.deadline+cancelSlack)
+				}
 			}
 		})
 	}

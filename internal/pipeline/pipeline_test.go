@@ -1,11 +1,11 @@
 package pipeline_test
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
 
-	"objinline/internal/analysis"
 	"objinline/internal/cachesim"
 	"objinline/internal/pipeline"
 	"objinline/internal/vm"
@@ -517,15 +517,34 @@ func main() {
 	}
 }
 
-func TestAnalysisOptionsRespected(t *testing.T) {
-	c, err := pipeline.Compile("t.icc", paperExample, pipeline.Config{
-		Mode:     pipeline.ModeInline,
-		Analysis: analysis.Options{MaxPasses: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
+// callChainSource is a program whose main stores the result of an n-deep
+// call chain f0 → … → f(n-1), which returns new P(7), in H.p. The return
+// value travels one call level per fixpoint round, so a pass takes about
+// n rounds. It prints 7 and then 2.
+func callChainSource(n int) string {
+	var b strings.Builder
+	b.WriteString("class P { v; def init(v) { self.v = v; } def get() { return self.v; } }\n")
+	b.WriteString("class H { p; def init() { } }\n")
+	fmt.Fprintf(&b, "func f%d() { return new P(7); }\n", n-1)
+	for i := n - 2; i >= 0; i-- {
+		fmt.Fprintf(&b, "func f%d() { return f%d(); }\n", i, i+1)
 	}
-	if c.Analysis.Passes > 2 {
-		t.Errorf("Passes = %d, want <= 2", c.Analysis.Passes)
+	b.WriteString("func main() { var h = new H(); h.p = f0(); print(h.p.get()); print(new P(2).get()); }\n")
+	return b.String()
+}
+
+// TestLongCallChainMatchesDirect: a 1,000-call chain needs more than
+// 1,000 rounds in one analysis pass, and every mode must print what the
+// direct build prints. An analysis stopped before its fixpoint leaves
+// h.p without its P, and the baseline and inline builds fail with "class
+// P'0 has no method get".
+func TestLongCallChainMatchesDirect(t *testing.T) {
+	src := callChainSource(1000)
+	if got, _, _ := runMode(t, src, pipeline.ModeDirect); got != "7\n2\n" {
+		t.Fatalf("direct prints %q, want 7 2", got)
+	}
+	ci := differential(t, src)
+	if st := ci.Analysis.Stats(); st.Work.Rounds <= 1000*st.Passes {
+		t.Errorf("%d rounds over %d passes; no pass took more than 1,000 rounds", st.Work.Rounds, st.Passes)
 	}
 }

@@ -115,7 +115,7 @@ type Config struct {
 // version tag must be bumped whenever the encoding itself changes.
 func (c Config) Fingerprint() string {
 	a := analysis.Options{TagDepth: c.TagDepth}.WithDefaults()
-	return fmt.Sprintf("objinline.Config/v3;mode=%s;parallel_arrays=%t;tag_depth=%d",
+	return fmt.Sprintf("objinline.Config/v4;mode=%s;parallel_arrays=%t;tag_depth=%d",
 		c.Mode, c.ParallelArrays, a.TagDepth)
 }
 
@@ -637,9 +637,6 @@ func (p *Program) Report() string {
 		st := p.c.Analysis.Stats()
 		fmt.Fprintf(&b, "analysis: %d contours over %d methods (%.2f/method), %d object contours, %d passes\n",
 			st.MethodContours, st.ReachedFuncs, st.ContoursPerMethod, st.ObjContours, st.Passes)
-		if !st.Converged {
-			b.WriteString("analysis: WARNING: the fixpoint hit the round limit before converging; the result is incomplete\n")
-		}
 	}
 	if p.c.Optimize != nil {
 		fmt.Fprintf(&b, "clones added: %d; class versions: %d\n",

@@ -28,7 +28,7 @@ func TestRecordWireShape(t *testing.T) {
 			"bytes_allocated", "cache_hits", "cache_misses"}},
 		{"AnalysisStats", &objinline.AnalysisStats{}, []string{
 			"reached_funcs", "method_contours", "obj_contours", "arr_contours", "passes",
-			"contours_per_method", "converged", "work", "work.rounds", "work.contour_evals",
+			"contours_per_method", "work", "work.rounds", "work.contour_evals",
 			"work.instr_evals", "work.partial_evals", "work.enqueues"}},
 		{"NativeMetrics", &objinline.NativeMetrics{}, []string{
 			"wall_nanos", "build_nanos", "reps", "mallocs", "alloc_bytes"}},
