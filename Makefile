@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet fmt loc check-json bench bench-vm bench-compile bench-analysis bench-calibration payoff figs serve
+.PHONY: check build test race vet fmt loc cover-core check-json bench bench-vm bench-compile bench-analysis bench-calibration payoff figs serve
 
 check: build vet fmt race check-json
 
@@ -23,6 +23,12 @@ fmt:
 # Non-test Go lines over tracked files (ROADMAP's line budget).
 loc:
 	@git ls-files '*.go' | grep -v '_test\.go$$' | xargs cat | wc -l
+
+# Per-function statement coverage of internal/core and internal/analysis
+# against testdata/cover_core.golden: fails when a function's coverage
+# falls or a function missing from the golden is below 100%.
+cover-core:
+	bash scripts/cover_core.sh
 
 # Golden JSON schema check: the serialized shapes of Explain decisions,
 # CompileStats, and the structured rejection reasons are public contract

@@ -39,17 +39,6 @@ func (r *Result) Stats() Stats {
 	return s
 }
 
-// Callees returns the callee contours bound at a call site, sorted by ID.
-func (r *Result) Callees(mc *MethodContour, instrID int) []*MethodContour {
-	set := mc.Callees[instrID]
-	out := make([]*MethodContour, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // ObjectFields enumerates every (declaring class, field) pair whose
 // abstract state ever holds an object or array — the denominator of the
 // paper's Figure 14 ("fields which hold objects").

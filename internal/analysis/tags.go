@@ -117,9 +117,6 @@ type FieldKey struct {
 	ASiteUID int // array allocation site UID (Array only)
 }
 
-// IsZero reports whether k identifies nothing (sentinel tags).
-func (k FieldKey) IsZero() bool { return k.Class == nil && !k.Array }
-
 // String renders the key.
 func (k FieldKey) String() string {
 	if k.Array {

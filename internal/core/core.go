@@ -127,15 +127,14 @@ func optimize(prog *ir.Program, res *analysis.Result, opts Options) (*Result, *t
 				return nil, nil, fmt.Errorf("core: rewrite rejected non-candidates: %v", m.rejects)
 			}
 			pruneInconsistent(prog, res, d)
-		case len(m.splitOCs) > 0:
+		default:
+			// materialize returns a program, rejects or contours to split.
 			for _, oc := range m.splitOCs {
 				if subver[oc] == 0 {
 					subver[oc] = nextSub
 					nextSub++
 				}
 			}
-		default:
-			return nil, nil, errors.New("core: materialization made no progress")
 		}
 	}
 	return nil, nil, errors.New("core: transformation did not converge")

@@ -114,7 +114,7 @@ func decide(prog *ir.Program, res *analysis.Result, val *valuability) *Decision 
 	checkStores(prog, res, val, d)
 
 	// Containment cycles cannot be flattened.
-	rejectContainmentCycles(res, ocsByKey, d)
+	rejectContainmentCycles(ocsByKey, d)
 
 	// Global consistency: iterate until every value's representation is
 	// unambiguous under the surviving candidate set (the paper's "tags of
@@ -139,9 +139,6 @@ func fieldLocallyInlinable(k analysis.FieldKey, ocs []*analysis.ObjContour) ([]S
 	contours := 0
 	for _, oc := range ocs {
 		st := oc.FieldState(k.Name)
-		if st == nil {
-			continue
-		}
 		if st.TS.IsEmpty() {
 			continue // this contour never stores the field
 		}
@@ -291,12 +288,15 @@ func checkStores(prog *ir.Program, res *analysis.Result, val *valuability, d *De
 }
 
 // rejectContainmentCycles drops candidates that would flatten a class into
-// itself (directly or transitively).
-func rejectContainmentCycles(res *analysis.Result, ocsByKey map[analysis.FieldKey][]*analysis.ObjContour, d *Decision) {
-	// Edges: container class -> child class per candidate field.
+// itself (directly or transitively). It is the one containment-cycle
+// check: with every cycle among concrete classes gone, no object contour
+// contains itself, so shapeOf's recursion over inlined fields terminates.
+func rejectContainmentCycles(ocsByKey map[analysis.FieldKey][]*analysis.ObjContour, d *Decision) {
 	for changed := true; changed; {
 		changed = false
-		// child classes per candidate.
+		// Edges: the container contour's own class -> the child's class,
+		// per candidate field. Both ends are concrete, so a field a class
+		// inherits is an edge of the class that holds it.
 		type edge struct {
 			key   analysis.FieldKey
 			from  *ir.Class
@@ -308,12 +308,8 @@ func rejectContainmentCycles(res *analysis.Result, ocsByKey map[analysis.FieldKe
 				continue // arrays are not classes; they cannot close a cycle
 			}
 			for _, oc := range ocsByKey[k] {
-				st := oc.FieldState(k.Name)
-				if st == nil {
-					continue
-				}
-				for _, child := range st.TS.ObjList() {
-					edges = append(edges, edge{k, k.Class, child.Class})
+				for _, child := range oc.FieldState(k.Name).TS.ObjList() {
+					edges = append(edges, edge{k, oc.Class, child.Class})
 				}
 			}
 		}
@@ -331,14 +327,9 @@ func rejectContainmentCycles(res *analysis.Result, ocsByKey map[analysis.FieldKe
 			onStack[c] = true
 			stack = append(stack, c)
 			for _, e := range adj[c] {
-				// Containment applies to the child's whole family: a
-				// subclass instance stored in the field closes the cycle
-				// too.
-				for target := e.child; target != nil; target = target.Super {
-					if onStack[target] {
-						k := e.key
-						return &k
-					}
+				if onStack[e.child] {
+					k := e.key
+					return &k
 				}
 				if !visited[e.child] {
 					if bad := dfs(e.child); bad != nil {

@@ -163,3 +163,49 @@ func ClassVersions(prog *ir.Program, res *analysis.Result, opts Options) ([]*Cla
 	}
 	return tr.vs.list, nil
 }
+
+// StorePremises optimizes prog and checks, for every store into an
+// inlined field or array under the attempt that succeeded, what emitCopy
+// takes for granted: every stored contour has the containee's version,
+// and the stored value's tags are all NoField. It returns the number of
+// (store, container) pairs checked and a line per violation.
+func StorePremises(prog *ir.Program, res *analysis.Result, opts Options) (int, []string, error) {
+	_, tr, err := optimize(prog, res, opts)
+	if err != nil {
+		return 0, nil, err
+	}
+	checked := 0
+	var bad []string
+	check := func(mc *analysis.MethodContour, in *ir.Instr, val *analysis.VarState, child *ClassVersion) {
+		checked++
+		for _, oc := range val.TS.ObjList() {
+			if v := tr.vs.versionOf(oc); v != child {
+				bad = append(bad, fmt.Sprintf("%s %s: stored %s has version %s, containee %s", mc, in, oc, v, child))
+			}
+		}
+		if heads, _, top := val.Tags.Heads(); top || len(heads) > 0 {
+			bad = append(bad, fmt.Sprintf("%s %s: stored tags %s are not all NoField", mc, in, val.Tags.String()))
+		}
+	}
+	for _, mc := range res.Mcs {
+		mc.Fn.Instrs(func(_ *ir.Block, in *ir.Instr) {
+			switch in.Op {
+			case ir.OpSetField:
+				for _, oc := range mc.Reg(in.Args[0]).TS.ObjList() {
+					f := oc.Class.FieldNamed(in.Field.Name)
+					if f == nil || !tr.d.Has(analysis.FieldKey{Class: f.Owner, Name: f.Name}) {
+						continue
+					}
+					check(mc, in, mc.Reg(in.Args[1]), tr.vs.versionOf(oc).Slots[f.Name].Child)
+				}
+			case ir.OpArrSet:
+				for _, ac := range mc.Reg(in.Args[0]).TS.ArrList() {
+					if av := tr.vs.arrs[ac.ElemKey()]; av != nil {
+						check(mc, in, mc.Reg(in.Args[2]), av.Elem)
+					}
+				}
+			}
+		})
+	}
+	return checked, bad, nil
+}

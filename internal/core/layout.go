@@ -108,7 +108,7 @@ func newVersionSpace(res *analysis.Result, d *Decision, layout Layout) *versionS
 func (vs *versionSpace) build() bool {
 	// Deterministic order.
 	for _, oc := range vs.res.Objs {
-		vs.shapeOf(oc.Class, oc, nil)
+		vs.shapeOf(oc.Class, oc)
 	}
 	if len(vs.conflicts) > 0 {
 		return false
@@ -116,9 +116,8 @@ func (vs *versionSpace) build() bool {
 	for _, oc := range vs.res.Objs {
 		vs.versionOf(oc)
 	}
-	if len(vs.conflicts) > 0 {
-		return false
-	}
+	// Every inlined array site with a contour gets its version here, or a
+	// conflict: the rewrite looks array versions up without a check.
 	for _, ac := range vs.res.Arrs {
 		k := ac.ElemKey()
 		if !vs.decision.Has(k) {
@@ -153,20 +152,13 @@ func (vs *versionSpace) build() bool {
 // object contour's layout: the class name plus, for each inlined field in
 // layout order, the child shape. c is oc.Class or one of its ancestors,
 // whose fields are a prefix of oc.Class.Fields; only oc.Class's shape
-// carries oc's subversion, and only it is memoized.
-func (vs *versionSpace) shapeOf(c *ir.Class, oc *analysis.ObjContour, path []*analysis.ObjContour) string {
+// carries oc's subversion, and only it is memoized. The recursion ends
+// because rejectContainmentCycles leaves no contour inside itself.
+func (vs *versionSpace) shapeOf(c *ir.Class, oc *analysis.ObjContour) string {
 	whole := c == oc.Class
 	if s, ok := vs.ocShape[oc]; ok && whole {
 		return s
 	}
-	for _, p := range path {
-		if p == oc {
-			// Containment cycle at the contour level; the class-level
-			// check should have caught it, but stay safe.
-			return "<cycle>"
-		}
-	}
-	path = append(path, oc)
 	var b strings.Builder
 	b.WriteString(c.Name)
 	for _, f := range c.Fields {
@@ -177,10 +169,12 @@ func (vs *versionSpace) shapeOf(c *ir.Class, oc *analysis.ObjContour, path []*an
 		st := &oc.Fields[f.Slot]
 		childShape := ""
 		for _, child := range st.TS.ObjList() {
-			cs := vs.shapeOf(child.Class, child, path)
+			cs := vs.shapeOf(child.Class, child)
 			if childShape == "" {
 				childShape = cs
 			} else if childShape != cs {
+				// The one containee-agreement check: versions are interned
+				// by shape, so a field's children share one version.
 				vs.conflicts[k] = "containee contours disagree on layout shape"
 			}
 		}
@@ -211,7 +205,7 @@ func (vs *versionSpace) versionOf(oc *analysis.ObjContour) *ClassVersion {
 // c's part of oc's layout, recursively so a subclass version extends its
 // superclass version.
 func (vs *versionSpace) versionFor(c *ir.Class, oc *analysis.ObjContour) *ClassVersion {
-	shape := vs.shapeOf(c, oc, nil)
+	shape := vs.shapeOf(c, oc)
 	if v, ok := vs.byShape[shape]; ok {
 		return v
 	}
@@ -241,13 +235,9 @@ func (vs *versionSpace) versionFor(c *ir.Class, oc *analysis.ObjContour) *ClassV
 		k := analysis.FieldKey{Class: c, Name: f.Name}
 		var childVer *ClassVersion
 		if vs.decision.Has(k) {
-			for _, child := range oc.Fields[f.Slot].TS.ObjList() {
-				cv := vs.versionOf(child)
-				if childVer == nil {
-					childVer = cv
-				} else if childVer != cv {
-					vs.conflicts[k] = "containee contours disagree on layout"
-				}
+			// shapeOf gave every child one shape, hence one version.
+			if children := oc.Fields[f.Slot].TS.ObjList(); len(children) > 0 {
+				childVer = vs.versionOf(children[0])
 			}
 		}
 		v.Slots[f.Name] = SlotInfo{Slot: slot, Child: childVer}

@@ -2,6 +2,8 @@ package core_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -10,20 +12,41 @@ import (
 	"objinline/internal/pipeline"
 )
 
-// TestSlotMapsTotalAndInjective: over every benchmark's inline build and
-// fuzz seeds 0–49, every class version maps each original field to a
-// SlotInfo, and the plain slots and inlined ranges [Slot,
-// Slot+len(Child.New.Fields)) lie inside New.Fields, do not overlap and
-// together cover it.
-func TestSlotMapsTotalAndInjective(t *testing.T) {
+// layoutCorpus is the inline build of every benchmark, of fuzz seeds 0–49
+// and of every program in the repository's testdata/.
+func layoutCorpus(t *testing.T) []corpusBuild {
+	t.Helper()
 	builds := benchmarkBuilds(t, pipeline.ModeInline)
-	for seed := 0; seed < 50; seed++ {
-		c, err := pipeline.Compile("fuzz.icc", fuzzgen.Program(int64(seed)), pipeline.Config{Mode: pipeline.ModeInline})
+	compile := func(name, src string) {
+		c, err := pipeline.Compile(name, src, pipeline.Config{Mode: pipeline.ModeInline})
 		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		builds = append(builds, corpusBuild{fmt.Sprintf("seed%d", seed), c})
+		builds = append(builds, corpusBuild{name, c})
 	}
+	for seed := 0; seed < 50; seed++ {
+		compile(fmt.Sprintf("seed%d", seed), fuzzgen.Program(int64(seed)))
+	}
+	files, err := filepath.Glob("../../testdata/*.icc")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("testdata programs: %v (%d found)", err, len(files))
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compile(filepath.Base(f), string(src))
+	}
+	return builds
+}
+
+// TestSlotMapsTotalAndInjective: over the layoutCorpus, every class
+// version maps each original field to a SlotInfo, and the plain slots and
+// inlined ranges [Slot, Slot+len(Child.New.Fields)) lie inside New.Fields,
+// do not overlap and together cover it.
+func TestSlotMapsTotalAndInjective(t *testing.T) {
+	builds := layoutCorpus(t)
 	versions, ranges := 0, 0
 	for _, b := range builds {
 		vers, err := core.ClassVersions(b.c.Source, b.c.Analysis, optsOf(b.c))
@@ -69,6 +92,29 @@ func TestSlotMapsTotalAndInjective(t *testing.T) {
 		t.Fatalf("%d versions over %d builds and no inlined field", versions, len(builds))
 	}
 	t.Logf("checked %d class versions (%d inlined ranges) over %d builds", versions, ranges, len(builds))
+}
+
+// TestInlinedStoresMatchContainee checks, over the layoutCorpus, the
+// premises the rewrite no longer re-checks: at every store into an
+// inlined field or array, each stored contour has the containee's class
+// version (so the copy reads the layout it writes), and every stored tag
+// is NoField (so the stored value is a raw object, never an inlined rep).
+func TestInlinedStoresMatchContainee(t *testing.T) {
+	total := 0
+	for _, b := range layoutCorpus(t) {
+		n, bad, err := core.StorePremises(b.c.Source, b.c.Analysis, optsOf(b.c))
+		if err != nil {
+			t.Fatalf("%s: %v", b.name, err)
+		}
+		for _, msg := range bad {
+			t.Errorf("%s: %s", b.name, msg)
+		}
+		total += n
+	}
+	if total == 0 {
+		t.Fatal("no store into an inlined field or array")
+	}
+	t.Logf("checked %d inlined stores", total)
 }
 
 // TestNestedCarrierNamesOutermostField: v is Mid.p's content either of a

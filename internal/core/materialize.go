@@ -132,17 +132,6 @@ func (t *transformer) materialize() (*materializeResult, error) {
 	for _, grp := range grouping.Groups {
 		perFn[grp.Fn]++
 	}
-	var unreachableFn *ir.Func
-	getUnreachable := func() *ir.Func {
-		if unreachableFn == nil {
-			unreachableFn = &ir.Func{Name: "$unreachable", NumRegs: 1}
-			unreachableFn.Blocks = []*ir.Block{{ID: 0, Instrs: []*ir.Instr{
-				{Op: ir.OpTrap, Dst: ir.NoReg, S: "call site the analysis proved unreachable"},
-			}}}
-			out.AddFunc(unreachableFn)
-		}
-		return unreachableFn
-	}
 	for i, grp := range grouping.Groups {
 		p := plans[i]
 		name := grp.Fn.Name
@@ -151,13 +140,9 @@ func (t *transformer) materialize() (*materializeResult, error) {
 		}
 		var cls *ir.Class
 		if grp.Fn.Class != nil {
-			if len(p.selfVersions) > 0 {
-				cls = p.selfVersions[0].New
-			} else {
-				// Method never actually invoked with a receiver; bind to
-				// any version of the original class, or drop.
-				cls = t.anyVersionOf(grp.Fn.Class)
-			}
+			// bindMethod merges a receiver into every method contour's
+			// self, so a method clone has at least one receiver version.
+			cls = p.selfVersions[0].New
 		}
 		nf := &ir.Func{
 			Name: name, Class: cls, NumParams: grp.Fn.NumParams,
@@ -176,7 +161,7 @@ func (t *transformer) materialize() (*materializeResult, error) {
 			for _, in := range instrs {
 				// The plan's own copy: emitted once, so taken as is.
 				if origID, isCall := p.callOrig[in]; isCall {
-					t.resolveCall(grouping, grp, in, origID, getUnreachable)
+					t.resolveCall(grouping, grp, in, origID)
 				}
 				nb.Instrs = append(nb.Instrs, in)
 			}
@@ -190,10 +175,6 @@ func (t *transformer) materialize() (*materializeResult, error) {
 		reg.ver.New.Methods[reg.name] = reg.target
 	}
 	t.pendingDispatch = nil
-	for _, c := range t.deadVersions {
-		out.AddClass(c)
-	}
-	t.deadVersions = nil
 
 	// Entry points.
 	for _, grp := range grouping.Groups {
@@ -223,19 +204,13 @@ type dispatchReg struct {
 
 // resolveCall fixes a call instruction's target against the grouping,
 // in place: in is the group representative's plan's own copy.
-func (t *transformer) resolveCall(grouping *clone.Grouping, grp *clone.Group, in *ir.Instr, origID int, unreachable func() *ir.Func) {
+func (t *transformer) resolveCall(grouping *clone.Grouping, grp *clone.Group, in *ir.Instr, origID int) {
 	groups := grouping.CalleeGroups(grp, origID)
 	switch {
 	case len(groups) == 0:
-		// The analysis never bound this site: it is dead or a guaranteed
-		// runtime error. Keep the original runtime behaviour for method
-		// calls on nil (a useful error), otherwise trap via $unreachable.
-		if in.Op == ir.OpCallMethod {
-			return // dispatch will fail with the original message
-		}
-		in.Op = ir.OpCall
-		in.Callee = unreachable()
-		in.Method = ""
+		// Only a dispatch can be unbound (on nil, say): bindTopLevel binds
+		// every direct call, and OpCallStatic constructs a fresh object.
+		// The dispatch fails at run time with the original message.
 	case len(groups) == 1:
 		if in.Op == ir.OpCallMethod {
 			in.Op = ir.OpCallStatic
@@ -257,22 +232,4 @@ func (t *transformer) resolveCall(grouping *clone.Grouping, grp *clone.Group, in
 		}
 		in.Method = mangled
 	}
-}
-
-// anyVersionOf returns some version class of c (for methods whose
-// receiver set is empty — dead code kept for verification).
-func (t *transformer) anyVersionOf(c *ir.Class) *ir.Class {
-	for _, v := range t.vs.list {
-		if v.Orig == c {
-			return v.New
-		}
-	}
-	// No instance of the class was ever created; synthesize a plain
-	// version so the method clone stays well-formed.
-	nc := &ir.Class{Name: c.Name + "'dead", Methods: make(map[string]*ir.Func), Origin: c}
-	for _, f := range c.Fields {
-		nc.Fields = append(nc.Fields, &ir.Field{Name: f.Name, Slot: f.Slot, Owner: nc})
-	}
-	t.deadVersions = append(t.deadVersions, nc)
-	return nc
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"strconv"
@@ -39,8 +38,6 @@ type rewriteErr struct {
 	keys   map[analysis.FieldKey]bool
 	reason string
 }
-
-func (e *rewriteErr) Error() string { return e.reason }
 
 func errKeys(reason string, keys ...analysis.FieldKey) *rewriteErr {
 	m := make(map[analysis.FieldKey]bool, len(keys))
@@ -100,7 +97,6 @@ type transformer struct {
 
 	// Materialization scratch state.
 	pendingDispatch []dispatchReg
-	deadVersions    []*ir.Class
 }
 
 type tagRes struct {
@@ -241,10 +237,10 @@ func (t *transformer) resolveTag(tag *analysis.Tag, guard map[*analysis.Tag]bool
 		return &tagRes{err: errKeys("confused provenance")}
 	}
 	if guard[tag] {
-		// A container reached again through its own bases would be a
-		// contour inlined into itself, which the containment-cycle check
-		// rejects at class level; should one slip through, the cycle
-		// contributes no carriers.
+		// A tag reached again through its own bases contributes no
+		// carriers. The analysis pairs a register's contours and tags
+		// without correlating them, so such a cycle need not be a contour
+		// containing itself (which rejectContainmentCycles rules out).
 		return &tagRes{}
 	}
 	guard[tag] = true
@@ -268,10 +264,7 @@ func (t *transformer) resolveTag(tag *analysis.Tag, guard map[*analysis.Tag]bool
 func (t *transformer) resolveInlinedTag(tag *analysis.Tag, key analysis.FieldKey, guard map[*analysis.Tag]bool) tagRes {
 	var r tagRes
 	if ac := tag.HeadAC(); ac != nil {
-		av := t.vs.arrs[key]
-		if av == nil {
-			return tagRes{err: errKeys("array version missing", key)}
-		}
+		av := t.vs.arrs[key] // versionSpace.build versioned every inlined site
 		r.carriers = append(r.carriers, carrier{kind: carrierInter, av: av, child: av.Elem, key: av.Key})
 		return r
 	}
@@ -938,41 +931,20 @@ func (w *rewriter) rewriteSetField(in *ir.Instr) *rewriteErr {
 	return w.emitCopy(in, in.Args[0], in.Args[1], &at)
 }
 
-// emitCopy copies the value's state into the inlined target location.
+// emitCopy copies the value's state into the inlined target location. The
+// stored value is a raw object of the containee version: decide admits
+// only original (NoField) stores, and shapeOf gives all the contours one
+// field holds a single version.
 func (w *rewriter) emitCopy(in *ir.Instr, dstReg, srcReg ir.Reg, at *accessTarget) *rewriteErr {
-	t, mc := w.t, w.mc
-	srcRep, err := t.repOf(mc, srcReg)
-	if err != nil {
-		return err
-	}
-	if srcRep.hasReps() {
-		return errKeys("copied value is itself an inlined rep (aliasing unsafe)",
-			analysis.FieldKey{Class: nil, Name: in.Field.Name})
-	}
-	// Source slot layout: the stored object's version must match the
-	// containee version (ensured by the shape interning).
-	st := mc.Reg(srcReg)
-	var srcVer *ClassVersion
-	for _, oc := range st.TS.ObjList() {
-		v := t.vs.versionOf(oc)
-		if srcVer == nil {
-			srcVer = v
-		} else if srcVer != v {
-			return errKeys("stored values disagree on layout")
-		}
-	}
-	if srcVer == nil {
+	if !w.mc.Reg(srcReg).TS.HasObjects() {
 		// Unreached store.
 		w.keep(in)
 		return nil
 	}
-	if srcVer != at.child {
-		return errKeys(fmt.Sprintf("stored version %s != containee version %s", srcVer, at.child))
-	}
 	n := len(at.child.New.Fields)
 	for i := 0; i < n; i++ {
 		tmp := w.newReg()
-		w.emit(&ir.Instr{Op: ir.OpGetField, Dst: tmp, Args: []ir.Reg{srcReg}, Field: srcVer.New.Fields[i], Pos: in.Pos})
+		w.emit(&ir.Instr{Op: ir.OpGetField, Dst: tmp, Args: []ir.Reg{srcReg}, Field: at.child.New.Fields[i], Pos: in.Pos})
 		w.emit(&ir.Instr{Op: ir.OpSetField, Dst: ir.NoReg, Args: []ir.Reg{dstReg, tmp}, Field: at.slotField(i), Pos: in.Pos})
 	}
 	return nil

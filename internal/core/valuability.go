@@ -397,6 +397,23 @@ func (v *valuability) safeHandoff(fn *ir.Func, reg ir.Reg, handoff *ir.Instr, ev
 			"parameter r%d cannot be passed by value from every call site", pr)
 		v.explainParam(fn, pr, ev)
 	}
+	// The use scan below skips the handoff itself, so it must pass the
+	// value once: a call taking it in two operand slots hands the callee
+	// two aliases.
+	n := 0
+	for _, a := range handoff.Args {
+		if chain.regs[a] {
+			n++
+		}
+	}
+	if n > 1 {
+		safe = false
+		if ev == nil {
+			return false
+		}
+		ev.add("handed-off-twice", handoff.Pos.String(),
+			"%s takes the value in %d operand slots, so its copies would not capture all aliases", handoff.Op, n)
+	}
 	// Use checks: no other use may store the value (DontStore), and no
 	// use of the *same value* may run after the handoff (the copy would
 	// expose stale state). A use is only dangerous when it is reachable

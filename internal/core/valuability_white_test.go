@@ -187,6 +187,14 @@ func TestSafeStoreScenarios(t *testing.T) {
 			 func main() { var h = new H(); var c = new C(1); put(h, c); print(c.x, h.p.x); }`,
 			"put", false, []string{"pass-by-value-failed", "param-not-call-by-value", "call-site-not-by-value", "used-after-handoff"},
 		},
+		{
+			"parameter passed twice in one call",
+			`class C { x; def init(x){ self.x = x; } }
+			 class H { p; q; def init(){ } }
+			 func put(h, a, b) { h.p = a; h.q = b; }
+			 func main() { var h = new H(); var c = new C(1); put(h, c, c); print(h.p.x); }`,
+			"put", false, []string{"pass-by-value-failed", "param-not-call-by-value", "call-site-not-by-value", "handed-off-twice"},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

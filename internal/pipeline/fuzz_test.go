@@ -21,8 +21,14 @@ import (
 
 func TestDifferentialFuzz(t *testing.T) {
 	const numPrograms = 200
+	seeds := make([]int, 0, numPrograms+2)
 	for seed := 0; seed < numPrograms; seed++ {
-		seed := seed
+		seeds = append(seeds, seed)
+	}
+	// Two later seeds that pass one variable twice to a constructor
+	// (testdata/alias_twice.icc is the minimal form).
+	seeds = append(seeds, 717, 5588)
+	for _, seed := range seeds {
 		t.Run(fmt.Sprintf("seed%02d", seed), func(t *testing.T) {
 			src := fuzzgen.Program(int64(seed))
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -83,5 +84,34 @@ func TestNativeDifferentialFuzz(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAliasTwiceNative: testdata/alias_twice.icc hands one point to both of
+// C's fields and bumps it through one; every mode's native build must see
+// the bump through the other, as the VM does.
+func TestAliasTwiceNative(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds one native binary per mode")
+	}
+	src, err := os.ReadFile("../../testdata/alias_twice.icc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []pipeline.Mode{pipeline.ModeDirect, pipeline.ModeBaseline, pipeline.ModeInline} {
+		comp, err := pipeline.Compile("alias_twice.icc", string(src), pipeline.Config{Mode: mode})
+		if err != nil {
+			t.Fatalf("%v compile: %v", mode, err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+		var out strings.Builder
+		_, err = comp.Execute(ctx, pipeline.ExecOptions{Run: pipeline.RunOptions{Out: &out}, Engine: pipeline.EngineNative})
+		cancel()
+		if err != nil {
+			t.Fatalf("%v native run: %v", mode, err)
+		}
+		if out.String() != "2\n" {
+			t.Errorf("%v native build prints %q, want \"2\\n\"", mode, out.String())
+		}
 	}
 }

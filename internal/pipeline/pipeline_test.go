@@ -424,6 +424,32 @@ func TestContentCycleResolvesInAnyOrder(t *testing.T) {
 	}
 }
 
+// TestWitnessProgramsMatchDirect runs the decision witnesses in testdata/
+// in all three modes: one value passed to two fields (alias_twice.icc), a
+// containment cycle through inherited and through own fields, two layouts
+// meeting in one field (layout_conflict.icc) and a store into an inlined
+// field of an inlined containee (nested_store.icc).
+func TestWitnessProgramsMatchDirect(t *testing.T) {
+	for _, tc := range []struct{ file, want string }{
+		{"alias_twice.icc", "2\n"},
+		{"inherited_cycle.icc", "1\n"},
+		{"direct_cycle.icc", "1\n"},
+		{"layout_conflict.icc", "0\n5\n"},
+		{"nested_store.icc", "1\n2\n"},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			src, err := os.ReadFile("../../testdata/" + tc.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _, _ := runMode(t, string(src), pipeline.ModeDirect); got != tc.want {
+				t.Fatalf("direct prints %q, want %q", got, tc.want)
+			}
+			differential(t, string(src))
+		})
+	}
+}
+
 func TestContainmentCycleRejected(t *testing.T) {
 	src := `
 class A { other; def init() { } def set(o) { self.other = o; } }

@@ -109,6 +109,42 @@ func TestExplainJSONGolden(t *testing.T) {
 	}
 }
 
+// TestWitnessReasonCodes: each decision witness in testdata/ gets the
+// verdict it was written for. A cycle through inherited fields is a
+// containment cycle like one through a class's own fields, a value passed
+// twice to one constructor is not stored by value, and both levels of a
+// nested store inline.
+func TestWitnessReasonCodes(t *testing.T) {
+	for _, tc := range []struct {
+		file, field string
+		code        objinline.ReasonCode
+	}{
+		{"inherited_cycle.icc", "B2.g", "containment-cycle"},
+		{"direct_cycle.icc", "C2.g", "containment-cycle"},
+		{"layout_conflict.icc", "A.p", "layout-conflict"},
+		{"alias_twice.icc", "C.a", "store-not-by-value"},
+		{"alias_twice.icc", "C.b", "store-not-by-value"},
+		{"nested_store.icc", "Out.m", "inlined"},
+		{"nested_store.icc", "Mid.p", "inlined"},
+	} {
+		src, err := os.ReadFile("testdata/" + tc.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := objinline.Compile(tc.file, string(src), objinline.Config{Mode: objinline.Inline})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := prog.Explain(tc.field)
+		if err != nil {
+			t.Fatalf("%s: Explain(%s): %v", tc.file, tc.field, err)
+		}
+		if d.Code != tc.code {
+			t.Errorf("%s: %s is %s [%s], want [%s]", tc.file, tc.field, d.Verdict, d.Code, tc.code)
+		}
+	}
+}
+
 func TestExplainErrors(t *testing.T) {
 	prog := compileFixture(t)
 	if _, err := prog.Explain("NoSuch.field"); err == nil {
